@@ -85,6 +85,7 @@ def make_operator(s: float, M: float, n: int) -> Fractional1DOperator:
     if n < 8:
         raise ValueError("need at least 8 nodes")
     x = np.linspace(-M, M, n)
+    x = 0.5 * (x - x[::-1])        # exactly mirror-symmetric, x[0] = -M
     h = x[1] - x[0]
     J = n - 1                      # J*h == 2M: the largest in-grid distance
     # piecewise-linear product integration over cells [j h, (j+1) h]
@@ -310,8 +311,9 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
     Householder QR, never through the normal equations, whose squared
     condition number (sigma_max / sqrt(tikhonov) is about 7e7 here) makes
     the answer depend on BLAS blocking and thread count.  When the sampled
-    target is exactly odd on an exactly symmetric grid (h = 0, or any odd
-    h), the unique minimiser is odd: the fit runs over the left half,
+    target is exactly odd (h = 0, or any odd h; the grid is exactly
+    mirror-symmetric and its masks are decided on integer node offsets),
+    the unique minimiser is odd: the fit runs over the left half,
     e = [e_L; -reverse(e_L)], with the penalty weight doubled, and the
     roots come out mirrored, delta1 = delta2 to round-off.  M doubles (same
     spacing) until the misfit stops improving by 10% or max_M is reached.
@@ -337,13 +339,15 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
         n = int(round(2.0 * M_cur / grid_h)) + 1
         op = make_operator(s, M_cur, n)
         x = op.x
-        inside = (x > -2.0) & (x < 2.0)
+        # node masks on the doubled offset from the centre node, |x| =
+        # |m| grid_h / 2, so mirrored nodes always fall on the same side
+        m = np.abs(2 * np.arange(n) - (n - 1))
+        inside = m < fit_nodes - 1                   # |x| < 2
         idx_in = np.flatnonzero(inside)
-        idx_un = np.flatnonzero(~inside & (np.abs(x) < M_cur))
+        idx_un = np.flatnonzero(~inside & (m < n - 1))
         target = build_h_star(h_callable, eps, x)
         target = np.where(np.abs(x) <= 2.0, target, 0.0)
-        odd = np.array_equal(x, -x[::-1]) and \
-            np.array_equal(target, -target[::-1])
+        odd = np.array_equal(target, -target[::-1])
 
         # fit unknowns c: e = c, or e = [c; -reverse(c)] when odd
         rows = operator_rows(op, idx_in)
@@ -361,7 +365,7 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
             P[idx_un[::-1][k], k] = -1.0
         del rows, A_ie
 
-        midx = np.flatnonzero(inside & (np.abs(x) < 2.0 - 0.5 * grid_h))
+        midx = np.flatnonzero(m < fit_nodes - 2)     # |x| < 2 - grid_h / 2
         r_vec = _c2_stack(target, midx, grid_h)
         weight = tikhonov * (2.0 if odd else 1.0)    # |e|^2 = 2 |c|^2 if odd
         K = np.vstack([_c2_stack(P, midx, grid_h),

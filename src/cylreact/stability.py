@@ -15,6 +15,22 @@ the solution.  Because discrete eigenvalues carry O(h^2) error, values
 within a margin ``tol`` of zero are reported as Marginal rather than
 signed; the default margin is 1e-6 times the infinity norm of the energy
 matrix.
+
+The lumped mass matrix is diagonal, so the pencil is solved exactly as the
+symmetric matrix C = M^{-1/2} A M^{-1/2}: densely up to DENSE_LIMIT free
+nodes, by shift-invert Lanczos above.  The Lanczos shift sigma is taken
+from the ladder -1, -4, -16, ... and accepted once the symmetric sparse LU
+of C - sigma I pivots on the diagonal with no negative pivot.  Sylvester's
+law of inertia then proves that C has no eigenvalue below sigma, so the
+iteration converges to the lowest pairs; the same LU serves every Lanczos
+solve.  The proof holds up to the rounding of the factorization: the
+computed factors are those of a matrix within rounding of C - sigma I, so
+only an eigenvalue within that distance of sigma could be miscounted.  The
+residual gate checks each returned pair; it cannot tell whether a lower
+one was skipped, which is what the shift certificate rules out.  If no
+ladder shift above the Gershgorin lower bound is certified, the shift
+falls back to that bound minus one, which lies below the spectrum by
+Gershgorin's theorem alone (it converges in hundreds of solves, not tens).
 """
 
 from __future__ import annotations
@@ -45,6 +61,12 @@ MIXED = "Mixed"
 DENSE_LIMIT = 2000
 
 EIGEN_RESIDUAL_RTOL = 1e-8
+
+# Shift-invert shifts tried in turn: -1, -4, -16, ... down to the
+# Gershgorin bound.  Every preset's mu_1 lies above -1, where the first
+# shift is certified and Lanczos converges in a few dozen solves.
+SHIFT_LADDER_START = -1.0
+SHIFT_LADDER_RATIO = 4.0
 
 
 class EigenSolveError(RuntimeError):
@@ -97,6 +119,9 @@ class StabilityReport:
     classification: str
     tol: float
     eigen_residual: float
+    # Eigensolve telemetry (route, sigma, shifts_tried, fallback,
+    # operator_applications); not part of the serialized report.
+    stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         g = self.ground_state.grid
@@ -149,33 +174,105 @@ def _eigen_residual_ok(A, M, mu, vec) -> tuple[bool, float]:
     return res <= EIGEN_RESIDUAL_RTOL * max(scale, 1e-300), res
 
 
+def _scaled_pencil(form: StabilityForm):
+    """(C, s): C = S A S with S = diag(s) = M^{-1/2}, symmetric CSC.
+
+    The mass matrix is diagonal, so A phi = mu M phi is exactly
+    C w = mu w with phi = S w.
+    """
+    s = 1.0 / np.sqrt(form.mass_matrix.diagonal())
+    C = sp.diags(s) @ form.energy_matrix @ sp.diags(s)
+    return ((C + C.T) * 0.5).tocsc(), s
+
+
+def _gershgorin_bound(C) -> float:
+    """Lower bound on the spectrum of the symmetric matrix C."""
+    row_rest = np.asarray(abs(C).sum(axis=1)).ravel() - np.abs(C.diagonal())
+    return float(np.min(C.diagonal() - row_rest))
+
+
+def _shifted(C, sigma: float):
+    return (C - sigma * sp.identity(C.shape[0], format="csc")).tocsc()
+
+
+def _factor_shifted(C, sigma: float):
+    """Symmetric-mode sparse LU of C - sigma I, or None if it is singular.
+
+    diag_pivot_thresh=0 keeps every nonzero diagonal pivot, so the row
+    permutation equals the column one unless a pivot was exactly zero.
+    """
+    try:
+        return spla.splu(_shifted(C, sigma), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError:           # exactly singular: sigma is an eigenvalue
+        return None
+
+
+def _negative_pivots(lu) -> int | None:
+    """Number of eigenvalues of the factored symmetric matrix below zero.
+
+    When perm_r == perm_c the factorization is P (C - sigma I) P^T = L U
+    with U = D L^T, D = diag(U), so by Sylvester's law of inertia the
+    count of negative entries of D is the count of eigenvalues below
+    sigma.  None when the permutations differ and D says nothing.
+    """
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _certified_shift(C):
+    """(sigma, lu, shifts_tried, fallback) for shift-invert on C.
+
+    Tries SHIFT_LADDER_START * SHIFT_LADDER_RATIO**j above the Gershgorin
+    bound and accepts the first whose factorization shows no negative
+    pivot; otherwise takes the Gershgorin bound minus one, which lies
+    below the spectrum without any check.
+    """
+    floor = _gershgorin_bound(C) - 1.0
+    tried = []
+    sigma = SHIFT_LADDER_START
+    while sigma > floor:
+        tried.append(sigma)
+        lu = _factor_shifted(C, sigma)
+        if lu is not None and _negative_pivots(lu) == 0:
+            return sigma, lu, tried, False
+        sigma *= SHIFT_LADDER_RATIO
+    tried.append(floor)
+    return floor, spla.splu(_shifted(C, floor)), tried, True
+
+
 def _solve_pairs(form: StabilityForm, k: int, method: str | None = None):
-    """(values, fields, residuals) for the k smallest eigenpairs.
+    """(values, fields, residuals, stats) for the k smallest eigenpairs.
 
     method None picks dense below DENSE_LIMIT free nodes and shift-invert
     above; "dense"/"shift-invert" force a route (used to cross-check them).
+    Both routes solve the scaled problem C w = mu w of ``_scaled_pencil``.
     """
     if k < 1 or k >= form.dim:
         raise ValueError("need 1 <= k < dimension of the form")
     A, M = form.energy_matrix, form.mass_matrix
     if method is None:
         method = "dense" if form.dim <= DENSE_LIMIT else "shift-invert"
+    C, s = _scaled_pencil(form)
+    stats = {"route": method, "sigma": None, "shifts_tried": [],
+             "fallback": False, "operator_applications": 0}
     if method == "dense":
-        vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
-        vals, vecs = vals[:k], vecs[:, :k]
+        vals, w = scipy.linalg.eigh(C.toarray(), subset_by_index=[0, k - 1])
     else:
-        d = M.diagonal()
-        s = 1.0 / np.sqrt(d)
-        C = sp.diags(s) @ A @ sp.diags(s)
-        C = ((C + C.T) * 0.5).tocsc()
-        # Gershgorin lower bound puts the shift strictly below the spectrum.
-        absC = abs(C)
-        row_rest = np.asarray(absC.sum(axis=1)).ravel() - np.abs(C.diagonal())
-        sigma = float(np.min(C.diagonal() - row_rest)) - 1.0
-        vals, w = spla.eigsh(C, k=k, sigma=sigma)
+        sigma, lu, tried, fallback = _certified_shift(C)
+        stats.update(sigma=sigma, shifts_tried=tried, fallback=fallback)
+
+        def solve(x):
+            stats["operator_applications"] += 1
+            return lu.solve(x)
+
+        OPinv = spla.LinearOperator(C.shape, matvec=solve, dtype=float)
+        vals, w = spla.eigsh(C, k=k, sigma=sigma, OPinv=OPinv)
         order = np.argsort(vals)
         vals, w = vals[order], w[:, order]
-        vecs = s[:, None] * w
+    vecs = s[:, None] * w
     out_vals, out_fields, out_res = [], [], []
     for i in range(k):
         mu, vec = float(vals[i]), vecs[:, i]
@@ -188,19 +285,25 @@ def _solve_pairs(form: StabilityForm, k: int, method: str | None = None):
         out_vals.append(mu)
         out_fields.append(form.embed(vec))
         out_res.append(res)
-    return out_vals, out_fields, out_res
+    return out_vals, out_fields, out_res, stats
 
 
 def min_rayleigh(form: StabilityForm, k: int = 1,
                  method: str | None = None):
     """k smallest eigenpairs of energy*phi = mu * mass * phi, ascending.
 
-    Mass-normalized eigenfields; dense generalized eigensolve up to
-    DENSE_LIMIT free nodes, shift-invert Lanczos on the symmetrically
-    scaled problem above it.  Each pair must satisfy
-    ||A phi - mu M phi|| <= 1e-8 * ||A||_inf * ||phi||.
+    Mass-normalized eigenfields.  Both routes work on the scaled matrix
+    C = M^{-1/2} A M^{-1/2} (exact, as M is diagonal): a dense symmetric
+    eigensolve of its k lowest pairs up to DENSE_LIMIT free nodes, and
+    shift-invert Lanczos above it.  The shift is the first of -1, -4,
+    -16, ... at which the symmetric sparse LU of C - sigma I has no
+    negative pivot; by Sylvester's law of inertia that proves no
+    eigenvalue lies below sigma (up to the rounding of the factorization),
+    so the Lanczos iteration targets the lowest pairs.  If no ladder shift
+    is certified, the Gershgorin lower bound minus one is used instead.
+    Each pair must satisfy ||A phi - mu M phi|| <= 1e-8 * ||A||_inf * ||phi||.
     """
-    vals, fields, _ = _solve_pairs(form, k, method=method)
+    vals, fields, _, _ = _solve_pairs(form, k, method=method)
     return list(zip(vals, fields))
 
 
@@ -225,11 +328,11 @@ def classify(u: CylinderField, model: CoefficientModel, reaction,
         tol = default_tol(form)
     elif not tol > 0.0:
         raise ValueError("tol must be positive")
-    vals, fields, residuals = _solve_pairs(form, k=1)
+    vals, fields, residuals, stats = _solve_pairs(form, k=1)
     mu1, ground = vals[0], fields[0]
     return StabilityReport(mu1=mu1, ground_state=ground,
                            classification=classify_value(mu1, tol),
-                           tol=tol, eigen_residual=residuals[0])
+                           tol=tol, eigen_residual=residuals[0], stats=stats)
 
 
 def sign_trichotomy(ground_state: CylinderField, tol: float = 1e-6) -> str:

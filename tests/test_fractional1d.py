@@ -276,6 +276,14 @@ def test_construct_counterexample_roots_persist_under_refinement():
     assert res.interior_residual < 1e-8
 
 
+def test_construct_counterexample_odd_for_even_cell_count():
+    # fit_nodes - 1 = 499 puts the mirrored nodes at |x| = 2 - h/2 exactly
+    # on the misfit-mask edge; both must fall on the same side of it
+    res = fr.construct_counterexample(_zero_h, 0.5, fit_nodes=500)
+    assert abs(res.delta1 - res.delta2) <= 1e-9
+    np.testing.assert_array_equal(res.x, -res.x[::-1])
+
+
 _DELTAS_SCRIPT = (
     "import numpy as np\n"
     "from cylreact import fractional1d as fr\n"

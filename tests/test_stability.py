@@ -179,3 +179,60 @@ def test_convexity_gap_requires_declared_convexity():
     assert reaction.convexity is None
     with pytest.raises(ValueError):
         stability.convexity_gap(np.array([0.0, 1.0]), reaction, c=0.5)
+
+
+def _negative_pivots_at(form, sigma):
+    C, _ = stability._scaled_pencil(form)
+    return stability._negative_pivots(stability._factor_shifted(C, sigma))
+
+
+@pytest.mark.parametrize("name", ["grow-cos-stable", "decay-cos-unstable"])
+def test_certified_shift_lies_below_mu1_above_dense_limit(name):
+    p, grid, u = _preset_state(name, nx=49, ny=49)
+    model, reaction = p.model_factory(), p.reaction_factory()
+    form = stability.assemble_I(u, model, reaction)
+    assert form.dim > stability.DENSE_LIMIT
+    rep = stability.classify(u, model, reaction)
+    stats = rep.stats
+    assert stats["route"] == "shift-invert"
+    assert stats["fallback"] is False
+    assert stats["shifts_tried"] == [stats["sigma"]]
+    assert 0 < stats["operator_applications"] < 100
+    assert stats["sigma"] < rep.mu1
+    assert _negative_pivots_at(form, stats["sigma"]) == 0
+    # the pivot count is the inertia: exactly one eigenvalue lies below a
+    # shift between mu1 and mu2
+    (mu1, _), (mu2, _) = stability.min_rayleigh(form, k=2)
+    assert mu1 == pytest.approx(rep.mu1, rel=1e-10)
+    assert _negative_pivots_at(form, 0.5 * (mu1 + mu2)) == 1
+
+
+def test_shift_ladder_steps_below_minus_one():
+    # a steep linear boundary reaction pushes mu1 to about -3.2
+    p, grid, u = _preset_state("grow-cos-stable")
+    form = stability.assemble_I(u, p.model_factory(),
+                                solver.ReactionSpec.linear(5.0))
+    vals, _, _, stats = stability._solve_pairs(form, 3, method="shift-invert")
+    assert vals[0] < -1.0
+    assert stats["shifts_tried"] == [-1.0, -4.0]
+    assert stats["sigma"] == -4.0 and stats["fallback"] is False
+    dense, _, _, dense_stats = stability._solve_pairs(form, 3, method="dense")
+    assert dense_stats["route"] == "dense"
+    for mu_s, mu_d in zip(vals, dense):
+        assert mu_s == pytest.approx(mu_d, rel=1e-8)
+
+
+def test_gershgorin_fallback_when_no_shift_is_certified(monkeypatch):
+    p, grid, u = _preset_state("decay-cos-unstable", nx=49, ny=49)
+    model, reaction = p.model_factory(), p.reaction_factory()
+    certified = stability.classify(u, model, reaction)
+    monkeypatch.setattr(stability, "_negative_pivots", lambda lu: None)
+    fallback = stability.classify(u, model, reaction)
+    assert fallback.stats["fallback"] is True
+    form = stability.assemble_I(u, model, reaction)
+    C, _ = stability._scaled_pencil(form)
+    assert fallback.stats["sigma"] == stability._gershgorin_bound(C) - 1.0
+    assert fallback.stats["operator_applications"] > \
+        certified.stats["operator_applications"]
+    assert fallback.mu1 == pytest.approx(certified.mu1, rel=1e-8)
+    assert fallback.classification == certified.classification
