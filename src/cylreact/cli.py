@@ -27,10 +27,9 @@ named preset):
 Reaction entries are expressions in ``u`` (and ``y`` for the bulk source
 ``g``); derivatives are taken symbolically.  Exit codes: 0 all applicable
 checks pass, 1 a check or solve failed, 2 the config did not parse or
-validate.  Environment overrides: CYLREACT_OUT replaces output_dir,
-CYLREACT_THREADS caps worker threads for --parallel runs.  Reports are
-byte-identical across reruns of the same config and seed except for
-wall-clock fields.
+validate.  Environment override: CYLREACT_OUT replaces output_dir.
+Reports are byte-identical across reruns of the same config and seed
+except for wall-clock fields.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import numpy as np
 
 from . import fractional1d, geometry, presets, solver, spectral, stability, verify
 from .coefficients import CoefficientModel
-from .cylinder import DomainSpec, build_grid, field_to_csv
+from .cylinder import CylinderField, DomainSpec, build_grid, field_to_csv
 from .solver import ReactionSpec
 from .verify import FAIL, NOT_APPLICABLE, PASS, CheckRecord
 
@@ -242,72 +241,68 @@ def _rec(name, status, measured, tolerance, anchor, details=None) -> CheckRecord
                        details=details or {})
 
 
-def _initial_state(cfg, grid):
-    """Initial iterate plus the truncation boundary mode.
+def _preset(cfg: ExperimentConfig):
+    return presets.get_preset(cfg.preset) if cfg.preset else None
+
+
+def _anchor(p) -> str:
+    return p.anchor if p else "plumbing"
+
+
+def _cylinder_setup(cfg: ExperimentConfig):
+    """(grid, model, reaction, initial state, top condition) for a cylinder
+    solve.
 
     A preset with a closed-form profile starts there and pins the top slice
     to the profile's own trace (the constant-flux reactions are incompatible
     with a zero-flux top on any truncation); free-form configs start from
     small seeded noise with the natural zero-flux top.
     """
-    p = presets.get_preset(cfg.preset) if cfg.preset else None
-    if p is not None:
-        exact = p.exact_state(grid)
-        if exact is not None:
-            top = ("dirichlet", exact.values[..., -1].ravel().copy())
-            return exact, top, p
-    rng = np.random.default_rng(cfg.seed)
-    from .cylinder import CylinderField
-    init = CylinderField(grid, 0.01 * rng.standard_normal(grid.shape))
-    return init, ("neumann",), p
-
-
-def _run_solve(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
-    t0 = time.perf_counter()
     grid = _build_grid(cfg)
     model = _build_model(cfg)
     reaction = _lambdify_reaction(cfg)
-    init, top, p = _initial_state(cfg, grid)
+    p = _preset(cfg)
+    exact = p.exact_state(grid) if p is not None else None
+    if exact is not None:
+        top = ("dirichlet", exact.values[..., -1].ravel().copy())
+        return grid, model, reaction, exact, top
+    rng = np.random.default_rng(cfg.seed)
+    init = CylinderField(grid, 0.01 * rng.standard_normal(grid.shape))
+    return grid, model, reaction, init, ("neumann",)
+
+
+def _run_solve(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
+    grid, model, reaction, init, top = _cylinder_setup(cfg)
     tol = float(cfg.tolerances.get("newton", 1e-10))
     report = solver.solve_newton(model, reaction, grid, init, tol=tol,
                                  top_bc=top)
     rec = _rec("newton-solve", PASS if report.converged else FAIL,
                report.final_residual, f"max residual <= {tol:g}",
-               p.anchor if p else "plumbing", report.to_json_dict())
-    rec.wall_clock = time.perf_counter() - t0
+               _anchor(_preset(cfg)), report.to_json_dict())
     return [rec], {"solution_field": report.u}
 
 
 def _run_stability(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
-    t0 = time.perf_counter()
-    grid = _build_grid(cfg)
-    model = _build_model(cfg)
-    reaction = _lambdify_reaction(cfg)
-    state, top, p = _initial_state(cfg, grid)
+    grid, model, reaction, state, top = _cylinder_setup(cfg)
+    p = _preset(cfg)
     solve = solver.solve_newton(model, reaction, grid, state, top_bc=top)
     if not solve.converged:
-        rec = _rec("stability", FAIL, solve.final_residual,
-                   "Newton must converge before classification",
-                   p.anchor if p else "plumbing", solve.to_json_dict())
-        rec.wall_clock = time.perf_counter() - t0
-        return [rec], {}
+        return [_rec("stability", FAIL, solve.final_residual,
+                     "Newton must converge before classification",
+                     _anchor(p), solve.to_json_dict())], {}
     report = stability.classify(solve.u, model, reaction)
     expected = p.expected_classification if p else None
     ok = expected is None or report.classification == expected
     rec = _rec("stability", PASS if ok else FAIL, report.mu1,
                f"classification {'matches ' + expected if expected else 'reported'}",
-               p.anchor if p else "plumbing", report.to_json_dict())
+               _anchor(p), report.to_json_dict())
     rec.details["classification"] = report.classification
-    rec.wall_clock = time.perf_counter() - t0
     return [rec], {"ground_state": report.ground_state}
 
 
 def _run_poincare(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
-    t0 = time.perf_counter()
-    grid = _build_grid(cfg)
-    model = _build_model(cfg)
-    reaction = _lambdify_reaction(cfg)
-    state, _top, p = _initial_state(cfg, grid)
+    grid, model, reaction, state, _top = _cylinder_setup(cfg)
+    p = _preset(cfg)
     rows = []
     worst = -np.inf
     h = (grid.domain.x_max - grid.domain.x_min) / (grid.nx - 1)
@@ -326,14 +321,12 @@ def _run_poincare(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
     rec = _rec("poincare-sides", status, worst,
                f"lhs <= rhs + C h^2 with C = {C:g}",
                "Theorem TH:POI", {"cases": rows})
-    rec.wall_clock = time.perf_counter() - t0
     return [rec], {}
 
 
 def _run_spectral(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
-    t0 = time.perf_counter()
     domain = _build_domain(cfg)
-    p = presets.get_preset(cfg.preset) if cfg.preset else None
+    p = _preset(cfg)
     K = int(p.spectral_modes) if p and p.spectral_modes else \
         int(cfg.grid.get("nx", 12))
     reaction = _lambdify_reaction(cfg)
@@ -350,14 +343,11 @@ def _run_spectral(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
         last = sol
     rec = _rec("spectral-constancy", PASS if worst <= tol else FAIL, worst,
                f"sum_k>=1 v_k^2 <= {tol:g} over {runs} seeded runs",
-               p.anchor if p else "plumbing",
-               {"runs": runs, "modes": K})
-    rec.wall_clock = time.perf_counter() - t0
+               _anchor(p), {"runs": runs, "modes": K})
     return [rec], {"final_coefficients": np.asarray(last.coeffs)}
 
 
 def _run_extension(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
-    t0 = time.perf_counter()
     domain = _build_domain(cfg)
     grid = _build_grid(cfg)
     K = int(cfg.grid.get("modes", 32)) if "modes" in cfg.grid else 32
@@ -370,12 +360,10 @@ def _run_extension(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
     rec = _rec("extension-equivalence", PASS if disc <= tol else FAIL, disc,
                f"discrepancy <= {tol:g}", "Eq. s-Neumann",
                {"modes": K})
-    rec.wall_clock = time.perf_counter() - t0
     return [rec], {}
 
 
 def _run_fractional(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
-    t0 = time.perf_counter()
     s = float(cfg.tolerances.get("s", 0.5))
     records = []
     # constancy of the flat-profile principal value on the Getoor state
@@ -406,40 +394,30 @@ def _run_fractional(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
     records.append(_rec("operator-distinctness",
                         PASS if disc > 0.01 else FAIL, disc,
                         "discrepancy > 0.01", "§1.6", {}))
-    for r in records:
-        r.wall_clock = time.perf_counter() - t0
     return records, {}
 
 
 def _run_counterexample(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
-    t0 = time.perf_counter()
     eps = float(cfg.tolerances.get("eps", 0.5))
     s = float(cfg.tolerances.get("s", 0.5))
     try:
         res = fractional1d.construct_counterexample(
             lambda x: np.zeros_like(x), eps=eps, s=s)
     except fractional1d.NoRootError as err:
-        rec = _rec("counterexample", FAIL, float(err.band_c2_residual),
-                   "needs band C^2 residual < 1 for the derivative roots",
-                   "Example EXAMPLE",
-                   {"outcome": "no-root",
-                    "c2_residual": float(err.c2_residual),
-                    "band_c2_residual": float(err.band_c2_residual)})
-        rec.wall_clock = time.perf_counter() - t0
-        return [rec], {}
+        return [_rec("counterexample", FAIL, float(err.band_c2_residual),
+                     "needs band C^2 residual < 1 for the derivative roots",
+                     "Example EXAMPLE",
+                     {"outcome": "no-root",
+                      "c2_residual": float(err.c2_residual),
+                      "band_c2_residual": float(err.band_c2_residual)})], {}
     rec = _rec("counterexample", PASS, float(res.interior_residual),
                "roots found with interior residual <= 1e-8",
                "Example EXAMPLE", res.to_json_dict())
-    rec.wall_clock = time.perf_counter() - t0
     return [rec], {"counterexample_profile": np.column_stack([res.x, res.v])}
 
 
-def _run_verify_all(cfg: ExperimentConfig, parallel=False) \
-        -> tuple[list[CheckRecord], dict]:
-    workers = os.environ.get("CYLREACT_THREADS")
-    records = verify.run_all(parallel=parallel,
-                             max_workers=int(workers) if workers else None)
-    return records, {}
+def _run_verify_all(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
+    return verify.run_all(), {}
 
 
 _RUNNERS = {
@@ -501,7 +479,38 @@ def write_report(out_dir: str, cfg: ExperimentConfig,
 
 # -- entry points ------------------------------------------------------------
 
-def run_config(path: str, parallel: bool = False) -> int:
+def _execute(cfg: ExperimentConfig, out_dir: str, note) -> int:
+    """Run cfg's experiment, write its report into out_dir and print one
+    line per record, ending with ``note(rec)``; return the exit code.
+
+    Records the runner did not time itself (the battery times each
+    criterion) are stamped with the runner's wall clock.
+    """
+    t0 = time.perf_counter()
+    try:
+        records, extras = _RUNNERS[cfg.experiment](cfg)
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except Exception as err:  # noqa: BLE001 — solver failures become exit 1
+        rec = _rec("runner-failure", FAIL, None, "no unhandled exceptions",
+                   "plumbing", {"exception": f"{type(err).__name__}: {err}"})
+        write_report(out_dir, cfg, [rec], {})
+        print(f"failure: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
+    wall = time.perf_counter() - t0
+    for rec in records:
+        rec.wall_clock = rec.wall_clock or wall
+    path = write_report(out_dir, cfg, records, extras)
+    for rec in records:
+        print(f"  [{rec.status:>14}] {rec.name}: measured={rec.measured} "
+              f"({note(rec)})")
+    overall = verify.overall_status(records)
+    print(f"report: {path} — overall {overall}")
+    return 0 if overall == PASS else 1
+
+
+def run_config(path: str) -> int:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -514,28 +523,7 @@ def run_config(path: str, parallel: bool = False) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     out_dir = os.environ.get("CYLREACT_OUT", cfg.output_dir)
-    runner = _RUNNERS[cfg.experiment]
-    try:
-        if cfg.experiment == "VerifyAll":
-            records, extras = runner(cfg, parallel=parallel)
-        else:
-            records, extras = runner(cfg)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except Exception as err:  # noqa: BLE001 — solver failures become exit 1
-        rec = _rec("runner-failure", FAIL, None, "no unhandled exceptions",
-                   "plumbing", {"exception": f"{type(err).__name__}: {err}"})
-        write_report(out_dir, cfg, [rec], {})
-        print(f"failure: {type(err).__name__}: {err}", file=sys.stderr)
-        return 1
-    path_out = write_report(out_dir, cfg, records, extras)
-    overall = verify.overall_status(records)
-    for rec in records:
-        print(f"  [{rec.status:>14}] {rec.name}: measured={rec.measured} "
-              f"({rec.tolerance})")
-    print(f"report: {path_out} — overall {overall}")
-    return 0 if overall == PASS else 1
+    return _execute(cfg, out_dir, lambda rec: rec.tolerance)
 
 
 def list_presets() -> int:
@@ -544,17 +532,11 @@ def list_presets() -> int:
     return 0
 
 
-def verify_all(parallel: bool, out_dir: str | None) -> int:
+def verify_all(out_dir: str | None = None) -> int:
     out = os.environ.get("CYLREACT_OUT", out_dir or "cylreact-verify")
     cfg = ExperimentConfig(experiment="VerifyAll", output_dir=out)
-    records, extras = _run_verify_all(cfg, parallel=parallel)
-    path = write_report(out, cfg, records, extras)
-    for rec in records:
-        print(f"  [{rec.status:>14}] {rec.name}: measured={rec.measured} "
-              f"(budget {rec.budget_s:g}s, took {rec.wall_clock:.2f}s)")
-    overall = verify.overall_status(records)
-    print(f"report: {path} — overall {overall}")
-    return 0 if overall == PASS else 1
+    return _execute(cfg, out, lambda rec: f"budget {rec.budget_s:g}s, "
+                                          f"took {rec.wall_clock:.2f}s")
 
 
 def main(argv=None) -> int:
@@ -564,18 +546,15 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config", help="path to a JSON config")
-    p_run.add_argument("--parallel", action="store_true",
-                       help="run VerifyAll checks concurrently")
     sub.add_parser("list-presets", help="print the named presets")
     p_ver = sub.add_parser("verify-all", help="run the acceptance battery")
-    p_ver.add_argument("--parallel", action="store_true")
     p_ver.add_argument("--out", default=None, help="report directory")
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run_config(args.config, parallel=args.parallel)
+        return run_config(args.config)
     if args.command == "list-presets":
         return list_presets()
-    return verify_all(parallel=args.parallel, out_dir=args.out)
+    return verify_all(out_dir=args.out)
 
 
 if __name__ == "__main__":

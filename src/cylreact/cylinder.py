@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -136,6 +137,11 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
+def _outer(factors: list[np.ndarray]) -> np.ndarray:
+    """Tensor (outer) product of 1D weight vectors, a new array."""
+    return reduce(np.multiply.outer, factors[1:], factors[0].copy())
+
+
 def weighted_y_weights(y: np.ndarray, theta: float) -> np.ndarray:
     """Quadrature weights for integrals of y**theta * G(y).
 
@@ -157,7 +163,11 @@ def weighted_y_weights(y: np.ndarray, theta: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class CylinderGrid:
-    """Tensor grid with cached derivative operators and weight vectors."""
+    """Tensor grid with cached derivative operators and weight vectors.
+
+    ``axes`` holds the node arrays in component order (x[, z], y); every
+    shape, operator and weight below is built from that one tuple.
+    """
 
     domain: DomainSpec
     nx: int
@@ -168,6 +178,7 @@ class CylinderGrid:
     x_nodes: np.ndarray = field(init=False, repr=False)
     z_nodes: np.ndarray | None = field(init=False, repr=False)
     y_nodes: np.ndarray = field(init=False, repr=False)
+    axes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
@@ -176,26 +187,26 @@ class CylinderGrid:
             raise ValueError("need y_max > 0")
         if self.grading < 0.0:
             raise ValueError("grading must be >= 0")
-        if self.domain.is_rectangle:
+        d = self.domain
+        self.x_nodes = np.linspace(d.x_min, d.x_max, self.nx)
+        self.y_nodes = _graded_nodes(self.y_max, self.ny, self.grading)
+        if d.is_rectangle:
             if self.nz is None:
                 self.nz = self.nx
             if self.nz < 3:
                 raise ValueError("need at least three nodes per direction")
+            self.z_nodes = np.linspace(d.z_min, d.z_max, self.nz)
+            self.axes = (self.x_nodes, self.z_nodes, self.y_nodes)
         else:
-            self.nz = None
-        self.x_nodes = np.linspace(self.domain.x_min, self.domain.x_max, self.nx)
-        self.z_nodes = (np.linspace(self.domain.z_min, self.domain.z_max, self.nz)
-                        if self.domain.is_rectangle else None)
-        self.y_nodes = _graded_nodes(self.y_max, self.ny, self.grading)
+            self.nz = self.z_nodes = None
+            self.axes = (self.x_nodes, self.y_nodes)
         self._cache = {}
 
     # -- shape bookkeeping --------------------------------------------------
 
     @property
     def shape(self) -> tuple:
-        if self.domain.is_rectangle:
-            return (self.nx, self.nz, self.ny)
-        return (self.nx, self.ny)
+        return tuple(a.size for a in self.axes)
 
     @property
     def n_nodes(self) -> int:
@@ -204,16 +215,11 @@ class CylinderGrid:
     @property
     def n_components(self) -> int:
         """Number of gradient components (x[, z], y)."""
-        return 3 if self.domain.is_rectangle else 2
+        return len(self.axes)
 
     def coordinate_arrays(self) -> list[np.ndarray]:
         """Shaped coordinate fields in component order (x[, z], y)."""
-        if self.domain.is_rectangle:
-            X, Z, Y = np.meshgrid(self.x_nodes, self.z_nodes, self.y_nodes,
-                                  indexing="ij")
-            return [X, Z, Y]
-        X, Y = np.meshgrid(self.x_nodes, self.y_nodes, indexing="ij")
-        return [X, Y]
+        return list(np.meshgrid(*self.axes, indexing="ij"))
 
     def top_mask(self) -> np.ndarray:
         m = np.zeros(self.shape, dtype=bool)
@@ -227,92 +233,58 @@ class CylinderGrid:
 
     # -- cached operators ---------------------------------------------------
 
-    def diff_1d(self, axis: int) -> sp.csr_matrix:
-        key = ("diff1d", axis)
+    def _cached(self, key, build):
         if key not in self._cache:
-            coords = [self.x_nodes, self.y_nodes]
-            if self.domain.is_rectangle:
-                coords = [self.x_nodes, self.z_nodes, self.y_nodes]
-            self._cache[key] = _diff_matrix_1d(coords[axis])
+            self._cache[key] = build()
         return self._cache[key]
+
+    def diff_1d(self, axis: int) -> sp.csr_matrix:
+        return self._cached(("diff1d", axis),
+                            lambda: _diff_matrix_1d(self.axes[axis]))
 
     def pairing_diff_1d(self, axis: int) -> sp.csr_matrix:
-        key = ("pdiff1d", axis)
-        if key not in self._cache:
-            coords = [self.x_nodes, self.y_nodes]
-            if self.domain.is_rectangle:
-                coords = [self.x_nodes, self.z_nodes, self.y_nodes]
-            self._cache[key] = _pairing_diff_matrix_1d(coords[axis])
-        return self._cache[key]
+        return self._cached(("pdiff1d", axis),
+                            lambda: _pairing_diff_matrix_1d(self.axes[axis]))
 
     def _tensor_gradient(self, diff) -> list[sp.csr_matrix]:
-        if self.domain.is_rectangle:
-            Ix = sp.identity(self.nx, format="csr")
-            Iz = sp.identity(self.nz, format="csr")
-            Iy = sp.identity(self.ny, format="csr")
-            Gx = sp.kron(diff(0), sp.kron(Iz, Iy), format="csr")
-            Gz = sp.kron(Ix, sp.kron(diff(1), Iy), format="csr")
-            Gy = sp.kron(sp.kron(Ix, Iz), diff(2), format="csr")
-            return [Gx, Gz, Gy]
-        Ix = sp.identity(self.nx, format="csr")
-        Iy = sp.identity(self.ny, format="csr")
-        Gx = sp.kron(diff(0), Iy, format="csr")
-        Gy = sp.kron(Ix, diff(1), format="csr")
-        return [Gx, Gy]
+        """One Kronecker product per axis: diff(axis) in that slot,
+        identities elsewhere."""
+        eye = [sp.identity(a.size, format="csr") for a in self.axes]
+        return [reduce(lambda A, B: sp.kron(A, B, format="csr"),
+                       eye[:k] + [diff(k)] + eye[k + 1:])
+                for k in range(len(self.axes))]
 
     def gradient_operators(self) -> list[sp.csr_matrix]:
         """Sparse flat-vector operators, one per component (x[, z], y)."""
-        key = "grad_ops"
-        if key not in self._cache:
-            self._cache[key] = self._tensor_gradient(self.diff_1d)
-        return self._cache[key]
+        return self._cached("grad_ops",
+                            lambda: self._tensor_gradient(self.diff_1d))
 
     def pairing_gradient_operators(self) -> list[sp.csr_matrix]:
         """Gradient operators for bilinear pairings (see _pairing_diff_matrix_1d)."""
-        key = "pgrad_ops"
-        if key not in self._cache:
-            self._cache[key] = self._tensor_gradient(self.pairing_diff_1d)
-        return self._cache[key]
+        return self._cached(
+            "pgrad_ops", lambda: self._tensor_gradient(self.pairing_diff_1d))
 
     def axis_weights(self, axis: int) -> np.ndarray:
-        key = ("w1d", axis)
-        if key not in self._cache:
-            coords = [self.x_nodes, self.y_nodes]
-            if self.domain.is_rectangle:
-                coords = [self.x_nodes, self.z_nodes, self.y_nodes]
-            self._cache[key] = _trapezoid_weights(coords[axis])
-        return self._cache[key]
+        return self._cached(("w1d", axis),
+                            lambda: _trapezoid_weights(self.axes[axis]))
 
     def y_weights(self, theta: float = 0.0) -> np.ndarray:
-        key = ("wy", float(theta))
-        if key not in self._cache:
-            self._cache[key] = weighted_y_weights(self.y_nodes, float(theta))
-        return self._cache[key]
+        return self._cached(("wy", float(theta)),
+                            lambda: weighted_y_weights(self.y_nodes, float(theta)))
+
+    def _omega_weights(self) -> list[np.ndarray]:
+        return [self.axis_weights(a) for a in range(len(self.axes) - 1)]
 
     def bulk_weights(self, theta: float = 0.0) -> np.ndarray:
         """Shaped tensor weights for bulk integrals of y**theta * G."""
-        key = ("wbulk", float(theta))
-        if key not in self._cache:
-            wy = self.y_weights(theta)
-            if self.domain.is_rectangle:
-                w = (self.axis_weights(0)[:, None, None]
-                     * self.axis_weights(1)[None, :, None]
-                     * wy[None, None, :])
-            else:
-                w = self.axis_weights(0)[:, None] * wy[None, :]
-            self._cache[key] = w
-        return self._cache[key]
+        return self._cached(
+            ("wbulk", float(theta)),
+            lambda: _outer(self._omega_weights() + [self.y_weights(theta)]))
 
     def bottom_weights(self) -> np.ndarray:
         """Shaped weights over the bottom slice Omega x {0}."""
-        key = "wbottom"
-        if key not in self._cache:
-            if self.domain.is_rectangle:
-                w = self.axis_weights(0)[:, None] * self.axis_weights(1)[None, :]
-            else:
-                w = self.axis_weights(0).copy()
-            self._cache[key] = w
-        return self._cache[key]
+        return self._cached("wbottom",
+                            lambda: _outer(self._omega_weights()))
 
     # -- field constructors -------------------------------------------------
 
@@ -391,8 +363,7 @@ def integrate(values, region: Region, grid: CylinderGrid) -> float:
         return float(np.sum(grid.bulk_weights(0.0) * v))
     if region is Region.BOTTOM:
         v = np.asarray(values, dtype=float)
-        want = (grid.nx, grid.nz) if grid.domain.is_rectangle else (grid.nx,)
-        if v.shape != want:
+        if v.shape != grid.shape[:-1]:
             raise ValueError("bottom values must match the Omega slice shape")
         return float(np.sum(grid.bottom_weights() * v))
     if region is Region.LATERAL:

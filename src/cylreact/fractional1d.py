@@ -26,6 +26,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import qr_multiply, solve_triangular
 from scipy.optimize import brentq
 
+from .geometry import _smoothstep
+
 
 class Side(Enum):
     FROM_LEFT_INTERVAL = "from-left-interval"
@@ -232,11 +234,6 @@ def solve_exterior_value(op: Fractional1DOperator, exterior_data: np.ndarray,
 # ---------------------------------------------------------------------------
 # Counterexample construction
 # ---------------------------------------------------------------------------
-
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
-
 
 def build_h_star(h_callable, eps: float, x: np.ndarray) -> np.ndarray:
     """Target profile: equals h on [-1, 1]; equals 2x on the band

@@ -269,7 +269,10 @@ def _solve_pairs(form: StabilityForm, k: int, method: str | None = None):
             return lu.solve(x)
 
         OPinv = spla.LinearOperator(C.shape, matvec=solve, dtype=float)
-        vals, w = spla.eigsh(C, k=k, sigma=sigma, OPinv=OPinv)
+        # Fixed start vector M^{1/2} 1 (s = M^{-1/2}): positive, close to
+        # the single-signed ground state, and the same on every call, so
+        # repeated solves in one process give bit-identical pairs.
+        vals, w = spla.eigsh(C, k=k, sigma=sigma, OPinv=OPinv, v0=1.0 / s)
         order = np.argsort(vals)
         vals, w = vals[order], w[:, order]
     vecs = s[:, None] * w

@@ -26,7 +26,7 @@ CRITERION_NAMES = (
 
 @pytest.fixture(scope="module")
 def battery():
-    records = verify.run_all(parallel=False)
+    records = verify.run_all()
     assert len(records) == 11
     return {i + 1: rec for i, rec in enumerate(records)}
 
@@ -61,3 +61,15 @@ def test_key_measured_values(battery):
     band = [0.5 / 11.0, 4.0 * 0.5 / 11.0]
     for delta in (d10["delta1"], d10["delta2"]):
         assert band[0] <= delta <= band[1]
+
+
+def test_catalog_floor_only_where_allowed(monkeypatch):
+    # linear-y sits at the round-off floor; without its allow_floor flag
+    # the criterion must fit (and fail) a slope instead of excusing it
+    cases = tuple(c[:-1] + (False,) if c[0] == "linear-y" else c
+                  for c in verify._C2_CASES)
+    monkeypatch.setattr(verify, "_C2_CASES", cases)
+    rec = verify.criterion_2()
+    row = next(r for r in rec.details["cases"] if r["case"] == "linear-y")
+    assert row["floor"] is False and row["slope"] is not None
+    assert rec.status == verify.FAIL

@@ -178,6 +178,14 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["verify-all", "--parallel"],
+                                  ["run", "config.json", "--parallel"]])
+def test_parallel_flag_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # experiment runners through the CLI
 
@@ -260,6 +268,29 @@ def test_reports_reproducible_modulo_wall_clock(tmp_path, monkeypatch):
     assert _strip_clocks(ra) == _strip_clocks(rb)
     assert (outs[0] / "solution_field.csv").read_bytes() == \
         (outs[1] / "solution_field.csv").read_bytes()
+
+
+def test_stability_report_reproducible_above_dense_limit(tmp_path,
+                                                        monkeypatch):
+    # 49 x 48 free nodes exceed DENSE_LIMIT, so this takes the
+    # shift-invert route twice in one process
+    path = _write_config(tmp_path, "stab.json", {
+        "experiment": "Stability", "preset": "decay-cos-unstable",
+        "grid": {"nx": 49, "ny": 49}})
+    outs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        monkeypatch.setenv("CYLREACT_OUT", str(out))
+        assert cli.main(["run", path]) == 0
+        outs.append(out)
+    ra = json.loads((outs[0] / "report.json").read_text())
+    rb = json.loads((outs[1] / "report.json").read_text())
+    assert _strip_clocks(ra) == _strip_clocks(rb)
+    spills = sorted(f.name for f in outs[0].glob("*.csv"))
+    assert "ground_state.csv" in spills
+    assert spills == sorted(f.name for f in outs[1].glob("*.csv"))
+    for name in spills:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_cylreact_out_env_override(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from cylreact.cylinder import (
@@ -13,6 +14,10 @@ from cylreact.cylinder import (
     gradient,
     integrate,
     trace_bottom,
+    weighted_y_weights,
+    _diff_matrix_1d,
+    _pairing_diff_matrix_1d,
+    _trapezoid_weights,
 )
 
 PI = np.pi
@@ -157,3 +162,45 @@ def test_graded_coordinates_monotone(grading, ny):
     assert np.all(np.diff(y) > 0.0)
     assert y[0] == 0.0
     assert y[-1] == pytest.approx(3.0)
+
+
+def _assert_same_csr(A, B):
+    assert A.format == B.format == "csr"
+    assert A.shape == B.shape
+    np.testing.assert_array_equal(A.indptr, B.indptr)
+    np.testing.assert_array_equal(A.indices, B.indices)
+    np.testing.assert_array_equal(A.data, B.data)
+
+
+@pytest.mark.parametrize("diff_1d, method", [
+    (_diff_matrix_1d, "gradient_operators"),
+    (_pairing_diff_matrix_1d, "pairing_gradient_operators"),
+])
+def test_rectangle_operators_match_explicit_kron(diff_1d, method):
+    g = build_grid(DomainSpec.rectangle(0.0, 1.0, -2.0, 1.0), nx=5, nz=4,
+                   ny=6, y_max=2.0, grading=1.0)
+    x, z, y = g.x_nodes, g.z_nodes, g.y_nodes
+    Ix = sp.identity(x.size, format="csr")
+    Iz = sp.identity(z.size, format="csr")
+    Iy = sp.identity(y.size, format="csr")
+    reference = [
+        sp.kron(diff_1d(x), sp.kron(Iz, Iy), format="csr"),
+        sp.kron(Ix, sp.kron(diff_1d(z), Iy), format="csr"),
+        sp.kron(sp.kron(Ix, Iz), diff_1d(y), format="csr"),
+    ]
+    ops = getattr(g, method)()
+    assert len(ops) == 3
+    for G, R in zip(ops, reference):
+        _assert_same_csr(G, R)
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.5])
+def test_rectangle_weights_match_explicit_products(theta):
+    g = build_grid(DomainSpec.rectangle(0.0, 1.0, -2.0, 1.0), nx=5, nz=4,
+                   ny=6, y_max=2.0, grading=1.0)
+    wx, wz = _trapezoid_weights(g.x_nodes), _trapezoid_weights(g.z_nodes)
+    wy = weighted_y_weights(g.y_nodes, theta)
+    bulk = wx[:, None, None] * wz[None, :, None] * wy[None, None, :]
+    np.testing.assert_array_equal(g.bulk_weights(theta), bulk)
+    np.testing.assert_array_equal(g.bottom_weights(),
+                                  wx[:, None] * wz[None, :])
