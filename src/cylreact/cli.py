@@ -452,7 +452,11 @@ def _spill_csv(out_dir: str, stem: str, value) -> None:
 
 
 def write_report(out_dir: str, cfg: ExperimentConfig,
-                 records: list[CheckRecord], extras: dict) -> str:
+                 records: list[CheckRecord], extras: dict,
+                 wall_clock_total: float) -> str:
+    """Write report.json and the CSV spills; wall_clock_total is the
+    runner's own measured wall clock (records of one runner may share it,
+    so it is not their sum)."""
     os.makedirs(out_dir, exist_ok=True)
     overall = verify.overall_status(records)
     report = {
@@ -461,7 +465,7 @@ def write_report(out_dir: str, cfg: ExperimentConfig,
         "config": cfg.to_dict(),
         "records": [r.to_json_dict() for r in records],
         "overall": overall,
-        "wall_clock_total": float(sum(r.wall_clock for r in records)),
+        "wall_clock_total": float(wall_clock_total),
     }
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
@@ -484,7 +488,8 @@ def _execute(cfg: ExperimentConfig, out_dir: str, note) -> int:
     line per record, ending with ``note(rec)``; return the exit code.
 
     Records the runner did not time itself (the battery times each
-    criterion) are stamped with the runner's wall clock.
+    criterion) are stamped with the runner's wall clock, which is also the
+    report's ``wall_clock_total``.
     """
     t0 = time.perf_counter()
     try:
@@ -495,13 +500,13 @@ def _execute(cfg: ExperimentConfig, out_dir: str, note) -> int:
     except Exception as err:  # noqa: BLE001 — solver failures become exit 1
         rec = _rec("runner-failure", FAIL, None, "no unhandled exceptions",
                    "plumbing", {"exception": f"{type(err).__name__}: {err}"})
-        write_report(out_dir, cfg, [rec], {})
+        write_report(out_dir, cfg, [rec], {}, time.perf_counter() - t0)
         print(f"failure: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
     for rec in records:
         rec.wall_clock = rec.wall_clock or wall
-    path = write_report(out_dir, cfg, records, extras)
+    path = write_report(out_dir, cfg, records, extras, wall)
     for rec in records:
         print(f"  [{rec.status:>14}] {rec.name}: measured={rec.measured} "
               f"({note(rec)})")

@@ -37,6 +37,11 @@ from .cylinder import CylinderField, CylinderGrid
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 MIN_STEP = 2.0 ** -20
+# SuperLU symmetric mode keeps the diagonal pivot unless it is smaller than
+# this fraction of its column's largest entry (see _linear_step).  At 0.0
+# the indefinite 33x9x33 rectangle Jacobian solved to a relative residual of
+# 3e-12, at 0.01 to 7e-13, with the same fill on every benchmark state.
+LU_DIAG_PIVOT_THRESH = 0.01
 
 CONVEX = "convex"
 CONCAVE = "concave"
@@ -107,6 +112,10 @@ class SolveReport:
     newton_iterations: int
     final_residual: float
     residual_history: list = field(default_factory=list)
+    # Linear-step telemetry (factorizations, lu_fill_nnz, lsmr_fallbacks,
+    # backtracks: step halvings per accepted step); not part of the
+    # serialized report.
+    stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,30 +171,54 @@ def residual_vector(u: CylinderField, model: CoefficientModel,
 def _newton_matrix(u: CylinderField, model, reaction, top_bc) -> sp.csr_matrix:
     A = forms.assemble_energy_matrix(u, model, reaction)
     if top_bc[0] == "dirichlet":
-        top = np.flatnonzero(u.grid.top_mask().ravel())
-        A = A.tolil()
-        A[top, :] = 0.0
-        A[top, top] = 1.0
-        A = A.tocsr()
+        keep = (~u.grid.top_mask().ravel()).astype(float)
+        # zero the top rows and put a unit on their diagonal, in CSR
+        A = (sp.diags(keep) @ A + sp.diags(1.0 - keep)).tocsr()
     return A
 
 
-def _linear_step(A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict) -> np.ndarray:
     """Direct sparse solve with a least-squares fallback.
 
+    The LU orders columns by minimum degree on the structure of A + A^T
+    (``MMD_AT_PLUS_A``) and runs SuperLU in symmetric mode, which keeps the
+    diagonal pivot unless it is below LU_DIAG_PIVOT_THRESH times the largest
+    entry left in its column.  That fits the Newton matrix: it is the
+    symmetric second-variation stencil, and pinned top rows are unit rows,
+    so A + A^T has the stencil's structure and diagonal pivots keep the
+    ordering's fill.  The small threshold still steps around tiny diagonals
+    of the indefinite (unstable) states.  A is factored as D A D with
+    D = diag(row max |A|)^{-1/2}, so unit pinned rows and stiffness rows meet
+    the threshold on one scale: with a = e^y up to y = 8 a unit pivot sits
+    beside couplings near 585, and unscaled the threshold took 492 off-diagonal
+    pivots at 129^2 and nearly doubled the fill.
+
     The fallback covers singular-but-consistent systems (all-Neumann with a
-    zero reaction has the constants in its kernel); LSMR then returns the
+    zero reaction has the constants in its kernel) and any factorization
+    whose solve misses the linear residual bound; LSMR then returns the
     minimum-norm step, which keeps iterates bounded.
+
+    stats counts factorizations and LSMR fallbacks and keeps the largest
+    ``lu.nnz``, SuperLU's count of stored L and U entries.  It equals
+    L.nnz + U.nnz up to the explicit zeros of SuperLU's supernodes (52 of
+    211 056 at 49^2) and, unlike them, does not copy the factors out.
     """
     try:
-        lu = spla.splu(A.tocsc())
-        delta = lu.solve(rhs)
+        d = 1.0 / np.sqrt(abs(A).max(axis=1).toarray().ravel())
+        lu = spla.splu((sp.diags(d) @ A @ sp.diags(d)).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=LU_DIAG_PIVOT_THRESH,
+                       options={"SymmetricMode": True})
+        stats["factorizations"] += 1
+        stats["lu_fill_nnz"] = max(stats["lu_fill_nnz"], int(lu.nnz))
+        delta = d * lu.solve(d * rhs)
         if np.all(np.isfinite(delta)):
             lin_res = np.linalg.norm(A @ delta - rhs)
             if lin_res <= 1e-6 * (np.linalg.norm(rhs) + 1e-30):
                 return delta
     except RuntimeError:
         pass
+    stats["lsmr_fallbacks"] += 1
     out = spla.lsmr(A, rhs, atol=1e-13, btol=1e-13, maxiter=10 * A.shape[0])
     return out[0]
 
@@ -207,12 +240,15 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
     r = residual_vector(u, model, reaction, top_bc)
     rnorm = float(np.max(np.abs(r)))
     history.append(rnorm)
+    stats = {"factorizations": 0, "lu_fill_nnz": 0, "lsmr_fallbacks": 0,
+             "backtracks": []}
     it = 0
     while rnorm > tol and it < max_iter:
         A = _newton_matrix(u, model, reaction, top_bc)
-        delta = _linear_step(A, -r)
+        delta = _linear_step(A, -r, stats)
         base_sq = float(np.dot(r, r))
         lam = 1.0
+        halvings = 0
         accepted = False
         while lam >= MIN_STEP:
             trial = CylinderField(grid, u.values + lam * delta.reshape(grid.shape))
@@ -222,14 +258,16 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
                 accepted = True
                 break
             lam *= ARMIJO_FACTOR
+            halvings += 1
         if not accepted:
             break
+        stats["backtracks"].append(halvings)
         rnorm = float(np.max(np.abs(r)))
         history.append(rnorm)
         it += 1
     return SolveReport(u=u, converged=bool(rnorm <= tol),
                        newton_iterations=it, final_residual=rnorm,
-                       residual_history=history)
+                       residual_history=history, stats=stats)
 
 
 # -- catalog of closed-form solutions ---------------------------------------

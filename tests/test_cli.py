@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -291,6 +292,19 @@ def test_stability_report_reproducible_above_dense_limit(tmp_path,
     assert spills == sorted(f.name for f in outs[1].glob("*.csv"))
     for name in spills:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_wall_clock_total_is_the_runners_wall_clock(tmp_path):
+    # Fractional writes three records that share one runner; the report's
+    # total must not count that run once per record
+    path = _write_config(tmp_path, "frac.json", {
+        "experiment": "Fractional", "output_dir": str(tmp_path / "out")})
+    t0 = time.perf_counter()
+    assert cli.main(["run", path]) == 0
+    elapsed = time.perf_counter() - t0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["records"]) == 3
+    assert 0.0 < report["wall_clock_total"] <= elapsed
 
 
 def test_cylreact_out_env_override(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cylreact import forms, presets, solver
 from cylreact.coefficients import CoefficientModel
 from cylreact.cylinder import CylinderField, DomainSpec, build_grid
 from cylreact.solver import (
@@ -151,6 +152,80 @@ def test_top_bc_validation():
         residual_vector(CylinderField(grid, np.zeros(grid.shape)),
                         CoefficientModel.constant_one(),
                         ReactionSpec.constant(0.0), top_bc=("robin", 1.0))
+
+
+def _lil_pinned(u, model, reaction):
+    """Reference Dirichlet pinning: zero each top row in LIL format and put a
+    unit on its diagonal."""
+    A = forms.assemble_energy_matrix(u, model, reaction).tolil()
+    top = np.flatnonzero(u.grid.top_mask().ravel())
+    A[top, :] = 0.0
+    A[top, top] = 1.0
+    return A.tocsr()
+
+
+@pytest.mark.parametrize("domain, nz, model", [
+    (DomainSpec.interval(0.0, PI), None,
+     CoefficientModel.power_weight_p_laplace(0.0, 3.0)),
+    (DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI), 5,
+     CoefficientModel.constant_one()),
+], ids=["interval", "rectangle"])
+def test_pinned_newton_matrix_matches_lil_pinning(domain, nz, model):
+    grid = build_grid(domain, nx=9, ny=7, y_max=2.0, nz=nz)
+    rng = np.random.default_rng(5)
+    u = CylinderField(grid, rng.standard_normal(grid.shape))
+    reaction = ReactionSpec.cubic()
+    top_bc = ("dirichlet", u.values[..., -1].ravel().copy())
+    A = solver._newton_matrix(u, model, reaction, top_bc)
+    ref = _lil_pinned(u, model, reaction)
+    assert np.array_equal(A.toarray(), ref.toarray())
+    for i in np.flatnonzero(grid.top_mask().ravel()):
+        row = slice(A.indptr[i], A.indptr[i + 1])
+        assert A.indices[row].tolist() == [i]
+        assert A.data[row].tolist() == [1.0]
+
+
+def _indefinite_problem(kind, n):
+    """Pinned exact states whose Newton matrix is indefinite: the unstable
+    decay-cos preset on an n x n grid, or decay-cos with f(u) = u on a
+    7 x 5 x 7 rectangle."""
+    if kind == "preset":
+        p = presets.get_preset("decay-cos-unstable")
+        grid = p.build_grid(nx=n, ny=n)
+        model, reaction, u = p.model(), p.reaction(), p.exact_state(grid)
+    else:
+        grid = build_grid(DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI),
+                          nx=7, ny=7, y_max=8.0, nz=5)
+        model, reaction = CoefficientModel.constant_one(), ReactionSpec.linear(1.0)
+        u = catalog_solution("decay-cos", grid)
+    return model, reaction, grid, u, ("dirichlet", u.values[..., -1].ravel().copy())
+
+
+@pytest.mark.parametrize("kind, n", [("preset", 49), ("rectangle", None)])
+def test_indefinite_newton_steps_stay_on_lu(kind, n):
+    model, reaction, grid, u, top = _indefinite_problem(kind, n)
+    rep = solve_newton(model, reaction, grid, u, top_bc=top)
+    assert rep.converged
+    assert rep.newton_iterations == 1
+    assert rep.stats["lsmr_fallbacks"] == 0
+    assert rep.stats["factorizations"] == 1
+    assert rep.stats["backtracks"] == [0]
+    assert rep.stats["lu_fill_nnz"] > 0
+    assert "stats" not in rep.to_json_dict()
+
+
+@pytest.mark.parametrize("kind, n", [("preset", 17), ("rectangle", None)])
+def test_failed_factorization_falls_back_to_lsmr(kind, n, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver.spla, "splu", refuse)
+    model, reaction, grid, u, top = _indefinite_problem(kind, n)
+    rep = solve_newton(model, reaction, grid, u, top_bc=top)
+    assert rep.converged
+    assert rep.newton_iterations == 1
+    assert rep.stats["factorizations"] == 0
+    assert rep.stats["lsmr_fallbacks"] == rep.newton_iterations
 
 
 # -- derived checks ----------------------------------------------------------
