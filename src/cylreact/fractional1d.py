@@ -18,12 +18,13 @@ maximum-principle preserving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import qr_multiply, solve_triangular
+from scipy.linalg import (lu_factor, lu_solve, qr, qr_multiply,
+                          solve_triangular)
 from scipy.optimize import brentq
 
 from .geometry import _smoothstep
@@ -38,10 +39,11 @@ class NoRootError(RuntimeError):
     """The derivative sign change needed for the construction was not found."""
 
     def __init__(self, message: str, c2_residual: float,
-                 band_c2_residual: float):
+                 band_c2_residual: float, stats: dict | None = None):
         super().__init__(message)
         self.c2_residual = c2_residual
         self.band_c2_residual = band_c2_residual
+        self.stats = stats or {}   # as CounterexampleResult.stats
 
 
 @dataclass(frozen=True)
@@ -141,25 +143,22 @@ def operator_rows(op: Fractional1DOperator,
     Row i has positive diagonal 2*sum(omega) + 2*singular + tail and
     nonpositive off-diagonal entries -omega_j at i +- j (plus the singular
     correction at i +- 1): an M-matrix on any interior collocation set.
+    The matrix is symmetric Toeplitz (Huang & Oberman, SINUM 2014), entry
+    (i, j) = t[|i - j|], so each row is a window of the mirrored first
+    column [t[n-1], ..., t[1], t[0], t[1], ..., t[n-1]].
     """
-    n, J = op.n, op.pair_weights.size
-    diag = 2.0 * float(np.sum(op.pair_weights)) + 2.0 * op.singular_coeff \
+    n = op.n
+    row_indices = np.asarray(row_indices, dtype=int)
+    if np.any((row_indices <= 0) | (row_indices >= n - 1)):
+        raise ValueError("collocation node too close to the grid edge")
+    t = np.empty(n)
+    t[0] = 2.0 * float(np.sum(op.pair_weights)) + 2.0 * op.singular_coeff \
         + op.tail_coeff
-    rows = np.zeros((row_indices.size, n))
-    for r, i in enumerate(row_indices):
-        i = int(i)
-        if not 0 < i < n - 1:
-            raise ValueError("collocation node too close to the grid edge")
-        rows[r, i] = diag
-        jr = min(J, n - 1 - i)
-        if jr > 0:
-            rows[r, i + 1:i + 1 + jr] -= op.pair_weights[:jr]
-        jl = min(J, i)
-        if jl > 0:
-            rows[r, i - jl:i] -= op.pair_weights[:jl][::-1]
-        rows[r, i + 1] -= op.singular_coeff
-        rows[r, i - 1] -= op.singular_coeff
-    return rows
+    t[1:] = -op.pair_weights
+    t[1] -= op.singular_coeff
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([t[:0:-1], t]), n)
+    return windows[n - 1 - row_indices]
 
 
 def fractional_normal_derivative(v, s: float, boundary_point: float,
@@ -275,6 +274,10 @@ class CounterexampleResult:
     M_used: float
     s: float
     eps: float
+    # Fit telemetry: "tikhonov" and the M "trail", one entry per fitted M
+    # (M, c2_residual, band_c2_residual, qr_shape of the stacked
+    # least-squares matrix, odd); not part of the serialized result.
+    stats: dict = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
         return {"delta1": self.delta1, "delta2": self.delta2,
@@ -293,6 +296,86 @@ def _c2_stack(F: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
                            (hi - 2.0 * mid + lo) * (1.0 / h ** 2)])
 
 
+def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
+               idx_un: np.ndarray, midx: np.ndarray, target: np.ndarray,
+               odd: bool, tikhonov: float, grid_h: float):
+    """Tikhonov fit of the exterior values in the range of the coupling.
+
+    Returns the composed nodal function w (s-harmonic at idx_in, fitted
+    exterior values at idx_un, zero at the two end nodes) and the shape
+    of the stacked least-squares matrix.  See construct_counterexample.
+    """
+    n, k = op.n, idx_un.size
+    if odd:
+        # e = [c; -reverse(c)] and w = [w_L; 0; -reverse(w_L)] inside, so
+        # the left rows alone carry the centrosymmetric half system
+        rows_idx = idx_in[:idx_in.size // 2]
+        rows = operator_rows(op, rows_idx)
+        H = rows[:, rows_idx] - rows[:, n - 1 - rows_idx]
+        A = rows[:, idx_un[:k // 2]] - rows[:, idx_un[::-1][:k // 2]]
+    else:
+        rows = operator_rows(op, idx_in)
+        H, A = rows[:, idx_in], rows[:, idx_un]
+    del rows
+    # the difference stencil reads the interior and the exterior nodes
+    # just outside it: window = idx_in plus those touched nodes
+    window = np.arange(midx[0] - 1, midx[-1] + 2)
+    in_win = np.isin(window, idx_in)
+    ext_pos = np.searchsorted(idx_un, window[~in_win])
+
+    def unfold(W_half, C):
+        """Interior and exterior values (nodes along axis 0) from the
+        (half) interior values and the fit unknowns."""
+        if not odd:
+            return W_half, C
+        gap = np.zeros((idx_in.size - 2 * len(W_half),) + W_half.shape[1:])
+        return (np.concatenate([W_half, gap, -W_half[::-1]]),
+                np.concatenate([C, -C[::-1]]))
+
+    def on_window(W_half, C):
+        W, e = unfold(W_half, C)
+        F = np.empty((window.size,) + W.shape[1:])
+        F[in_win], F[~in_win] = W, e[ext_pos]
+        return F
+
+    # mirror rows repeat residuals exactly: keep the left rows and the
+    # centre first difference (its zeroth and second are exactly 0) at
+    # weight 1/2, so the objective is halved along with |e|^2 = 2 |c|^2
+    if odd:
+        loc = midx[2 * midx < n - 1] - window[0]
+        centre = (n - 1) // 2 - window[0] if n % 2 else None
+    else:
+        loc, centre = midx - window[0], None
+
+    def c2_rows(F):
+        out = _c2_stack(F, loc, grid_h)
+        if centre is None:
+            return out
+        fd = (F[centre + 1] - F[centre - 1]) * (0.5 / grid_h)
+        return np.concatenate([out, np.sqrt(0.5) * fd[None]])
+
+    # c* lies in range(G^T), spanned by the kernel rows A^T and the unit
+    # vectors of the touched exterior unknowns: c = Q z is exact
+    touched = np.unique(np.minimum(ext_pos, k - 1 - ext_pos) if odd
+                        else ext_pos)
+    E = np.zeros((A.shape[1], touched.size))
+    E[touched, np.arange(touched.size)] = 1.0
+    Q, T = qr(np.hstack([A.T, E]), mode="economic")
+    AQ = T[:, :A.shape[0]].T                  # A Q, as [A^T | E] = Q T
+    lu = lu_factor(H)
+    r = Q.shape[1]
+    K = np.vstack([c2_rows(on_window(-lu_solve(lu, AQ), Q)),
+                   np.sqrt(tikhonov) * np.eye(r)])
+    rhs = np.concatenate([c2_rows(target[window]), np.zeros(r)])
+    shape = K.shape
+    Qt_rhs, R = qr_multiply(K, rhs, mode="right", overwrite_a=True)
+    c = Q @ solve_triangular(R, Qt_rhs)
+
+    w = np.zeros(n)
+    w[idx_in], w[idx_un] = unfold(-lu_solve(lu, A @ c), c)
+    return w, shape
+
+
 def construct_counterexample(h_callable, eps: float, s: float = 0.5,
                              M: float = 4.0, fit_nodes: int = 513,
                              tikhonov: float = 1e-8,
@@ -301,19 +384,35 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
     target in C^2(-2, 2), with the derivative roots bracketing the bands.
 
     Exterior nodal values e (2 <= |x| < M) are the least-squares unknowns;
-    the interior of (-2, 2) is s-harmonically determined by them; the
-    misfit is the discrete C^2 distance to the banded target.  The
-    Tikhonov problem min |G e - r|^2 + tikhonov |e|^2 is solved as the
-    stacked least-squares problem [G; sqrt(tikhonov) I] e = [r; 0] by
-    Householder QR, never through the normal equations, whose squared
-    condition number (sigma_max / sqrt(tikhonov) is about 7e7 here) makes
-    the answer depend on BLAS blocking and thread count.  When the sampled
-    target is exactly odd (h = 0, or any odd h; the grid is exactly
-    mirror-symmetric and its masks are decided on integer node offsets),
-    the unique minimiser is odd: the fit runs over the left half,
-    e = [e_L; -reverse(e_L)], with the penalty weight doubled, and the
-    roots come out mirrored, delta1 = delta2 to round-off.  M doubles (same
-    spacing) until the misfit stops improving by 10% or max_M is reached.
+    the interior of (-2, 2) is s-harmonically determined by them, w_in =
+    -A_ii^{-1} A_ie e; the misfit G e - r is the discrete C^2 distance to
+    the banded target.  G sees e only through the kernel rows A_ie and the
+    few exterior nodes the difference stencil touches, so the Tikhonov
+    minimiser of |G e - r|^2 + tikhonov |e|^2, which lies in range(G^T),
+    lies in the span of [A_ie^T | E] (E: unit columns of the touched
+    nodes; Elden, BIT 1977).  One economic QR of that matrix gives an
+    orthonormal basis Q (r columns, about the interior size, against k
+    exterior unknowns), e = Q z is exact, and |e| = |z|.  One LU of A_ii,
+    applied to A_ie Q (read off the QR's triangular factor), gives the
+    basis's interior response; the reduced problem
+    [G Q; sqrt(tikhonov) I_r] z = [r; 0] is solved by Householder QR,
+    never through the normal equations, whose squared condition number
+    (sigma_max / sqrt(tikhonov) is about 7e7 here) makes the answer depend
+    on BLAS blocking and thread count.  w is then composed by one more
+    solve with the same LU, so the interior equations hold to round-off;
+    the n x k composed map is never formed.
+
+    When the sampled target is exactly odd (h = 0, or any odd h; the grid
+    is exactly mirror-symmetric and its masks are decided on integer node
+    offsets), the unique minimiser is odd: e = [c; -reverse(c)] and the
+    interior is solved on its left half by the centrosymmetric system
+    A_LL - A_LR J.  The mirror rows of G repeat the left residuals exactly,
+    so they are dropped, the penalty keeps weight tikhonov (both terms are
+    halved) and the centre first-difference row is scaled by sqrt(1/2).
+    w is exactly odd and delta1 = delta2.  M doubles (same spacing) until
+    the misfit stops improving by 10% or max_M is reached; `stats` records
+    each M's residuals, stacked-QR shape and whether the odd reduction
+    applied.
 
     The derivative of the composed function is scanned outward from the
     inner band edge, on [1 + eps/11, 1 + 4 eps/11] and its mirror, for the
@@ -329,6 +428,7 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
     grid_h = 4.0 / (fit_nodes - 1)
     b = eps / 11.0
 
+    trail = []
     best = None
     prev_res = np.inf
     M_cur = float(M)
@@ -342,43 +442,23 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
         inside = m < fit_nodes - 1                   # |x| < 2
         idx_in = np.flatnonzero(inside)
         idx_un = np.flatnonzero(~inside & (m < n - 1))
+        midx = np.flatnonzero(m < fit_nodes - 2)     # |x| < 2 - grid_h / 2
         target = build_h_star(h_callable, eps, x)
         target = np.where(np.abs(x) <= 2.0, target, 0.0)
         odd = np.array_equal(target, -target[::-1])
 
-        # fit unknowns c: e = c, or e = [c; -reverse(c)] when odd
-        rows = operator_rows(op, idx_in)
-        A_ie = rows[:, idx_un]
-        if odd:
-            half = idx_un.size // 2
-            A_ie = A_ie[:, :half] - A_ie[:, ::-1][:, :half]
-        k = np.arange(A_ie.shape[1])
-        # composed-field map w = P c: s-harmonic inside (-2, 2), e outside
-        # it, zero at |x| = M
-        P = np.zeros((x.size, k.size))
-        P[idx_in] = -np.linalg.solve(rows[:, idx_in], A_ie)
-        P[idx_un[k], k] = 1.0
-        if odd:
-            P[idx_un[::-1][k], k] = -1.0
-        del rows, A_ie
-
-        midx = np.flatnonzero(m < fit_nodes - 2)     # |x| < 2 - grid_h / 2
-        r_vec = _c2_stack(target, midx, grid_h)
-        weight = tikhonov * (2.0 if odd else 1.0)    # |e|^2 = 2 |c|^2 if odd
-        K = np.vstack([_c2_stack(P, midx, grid_h),
-                       np.sqrt(weight) * np.eye(k.size)])
-        rhs = np.concatenate([r_vec, np.zeros(k.size)])
-        Qt_rhs, R = qr_multiply(K, rhs, mode="right", overwrite_a=True)
-        c = solve_triangular(R, Qt_rhs)
-
-        w = P @ c
-        resid = _c2_stack(w, midx, grid_h) - r_vec
+        w, qr_shape = _range_fit(op, idx_in, idx_un, midx, target, odd,
+                                 tikhonov, grid_h)
+        resid = _c2_stack(w, midx, grid_h) - _c2_stack(target, midx, grid_h)
         c2_res = float(np.max(np.abs(resid)))
 
         band = (np.abs(np.abs(x[midx]) - (1.0 + 1.5 * b)) <= 0.5 * b) | \
                (np.abs(np.abs(x[midx]) - (1.0 + 3.5 * b)) <= 0.5 * b)
         band3 = np.concatenate([band, band, band])
         band_res = float(np.max(np.abs(resid[band3]))) if band3.any() else c2_res
+        trail.append({"M": M_cur, "c2_residual": c2_res,
+                      "band_c2_residual": band_res, "qr_shape": qr_shape,
+                      "odd": odd})
 
         cand = (op, w, c2_res, band_res, M_cur)
         if best is None or c2_res < best[2]:
@@ -402,13 +482,14 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
         k = sign_change[0]
         return brentq(dspline, *sorted((ts[k], ts[k + 1])))
 
+    stats = {"tikhonov": tikhonov, "trail": trail}
     right = find_root(1.0 + b, 1.0 + 4.0 * b)
     left = find_root(-1.0 - b, -1.0 - 4.0 * b)
     if right is None or left is None:
         raise NoRootError(
             "no derivative sign change in the band interval "
             f"(C2 residual {c2_res:.3e}, band residual {band_res:.3e})",
-            c2_residual=c2_res, band_c2_residual=band_res)
+            c2_residual=c2_res, band_c2_residual=band_res, stats=stats)
     delta2 = right - 1.0
     delta1 = -left - 1.0
 
@@ -419,7 +500,8 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
                                 c2_residual=c2_res,
                                 band_c2_residual=band_res,
                                 interior_residual=interior_res,
-                                M_used=M_used, s=s, eps=eps)
+                                M_used=M_used, s=s, eps=eps,
+                                stats=stats)
 
 
 def compare_operators(domain, w, s: float, op_nodes: int = 2049,
@@ -461,8 +543,5 @@ def compare_operators(domain, w, s: float, op_nodes: int = 2049,
     spectral_vals = np.zeros(cmp_idx.size)
     for k in range(basis.K):
         spectral_vals += frac.coeffs[k] * basis.mode_at(k, xs[cmp_idx])
-    worst = 0.0
-    for spectral_val, i in zip(spectral_vals, cmp_idx):
-        integral_val = apply_integral_fraclap(op, v, float(op.x[i]))
-        worst = max(worst, abs(integral_val - spectral_val))
-    return worst
+    integral_vals = operator_rows(op, cmp_idx) @ v
+    return float(np.max(np.abs(integral_vals - spectral_vals), initial=0.0))

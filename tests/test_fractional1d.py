@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import qr_multiply, solve_triangular
 
 from cylreact import fractional1d as fr
 from cylreact import spectral
@@ -50,6 +51,31 @@ def test_operator_rows_edge_validation():
         fr.operator_rows(op, np.array([0]))
     with pytest.raises(ValueError):
         fr.operator_rows(op, np.array([64]))
+
+
+def _row_loop(op, row_indices):
+    """Per-row assembly of the operator rows, entry by entry as the
+    quadrature defines them: the reference for the Toeplitz build."""
+    n, J = op.n, op.pair_weights.size
+    diag = 2.0 * float(np.sum(op.pair_weights)) + 2.0 * op.singular_coeff \
+        + op.tail_coeff
+    rows = np.zeros((row_indices.size, n))
+    for r, i in enumerate(row_indices):
+        rows[r, i] = diag
+        jr = min(J, n - 1 - i)
+        rows[r, i + 1:i + 1 + jr] -= op.pair_weights[:jr]
+        jl = min(J, i)
+        rows[r, i - jl:i] -= op.pair_weights[:jl][::-1]
+        rows[r, i + 1] -= op.singular_coeff
+        rows[r, i - 1] -= op.singular_coeff
+    return rows
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_operator_rows_match_row_loop(s):
+    op = fr.make_operator(s, 2.0, 33)
+    for idx in (np.array([1, 2, 16, 30, 31]), np.arange(1, 32)):
+        assert np.array_equal(fr.operator_rows(op, idx), _row_loop(op, idx))
 
 
 def test_apply_matches_rows():
@@ -282,6 +308,100 @@ def test_construct_counterexample_odd_for_even_cell_count():
     res = fr.construct_counterexample(_zero_h, 0.5, fit_nodes=500)
     assert abs(res.delta1 - res.delta2) <= 1e-9
     np.testing.assert_array_equal(res.x, -res.x[::-1])
+
+
+def test_construct_counterexample_interior_equations_hold_to_roundoff():
+    # w is composed by one solve against the fitted exterior values, not
+    # through a precomputed composed map
+    res = fr.construct_counterexample(_zero_h, 0.5)
+    assert res.interior_residual <= 1e-11
+
+
+def test_counterexample_stats_record_m_trail():
+    res = fr.construct_counterexample(_zero_h, 0.5)
+    trail = res.stats["trail"]
+    assert [t["M"] for t in trail] == [4.0, 8.0]
+    assert res.M_used == 4.0
+    assert trail[0]["c2_residual"] == res.c2_residual
+    assert trail[0]["band_c2_residual"] == res.band_c2_residual
+    assert trail[1]["c2_residual"] > 0.9 * trail[0]["c2_residual"]
+    assert res.stats["tikhonov"] == 1e-8
+    assert all(t["odd"] for t in trail)
+    # at M = 8: 256 basis columns for 768 odd exterior unknowns, and
+    # 3 * 255 left rows plus the centre first difference
+    assert trail[1]["qr_shape"] == (3 * 255 + 1 + 256, 256)
+    assert "stats" not in res.to_json_dict()
+
+
+def _dense_fit_trail(h_callable, eps, fit_nodes, s=0.5, M=4.0,
+                     tikhonov=1e-8, max_M=64.0):
+    """Reference fit through the full composed map P (n x k) and a stacked
+    QR on [G; sqrt(weight) I] over all mirror rows, weight doubled on the
+    odd half; the same masks, residuals and M loop as
+    construct_counterexample.  Returns the per-M (M, c2, band) trail."""
+    grid_h = 4.0 / (fit_nodes - 1)
+    b = eps / 11.0
+    trail, prev_res, M_cur = [], np.inf, float(M)
+    while True:
+        n = int(round(2.0 * M_cur / grid_h)) + 1
+        op = fr.make_operator(s, M_cur, n)
+        x = op.x
+        m = np.abs(2 * np.arange(n) - (n - 1))
+        inside = m < fit_nodes - 1
+        idx_in = np.flatnonzero(inside)
+        idx_un = np.flatnonzero(~inside & (m < n - 1))
+        target = fr.build_h_star(h_callable, eps, x)
+        target = np.where(np.abs(x) <= 2.0, target, 0.0)
+        odd = np.array_equal(target, -target[::-1])
+        rows = fr.operator_rows(op, idx_in)
+        A_ie = rows[:, idx_un]
+        if odd:
+            half = idx_un.size // 2
+            A_ie = A_ie[:, :half] - A_ie[:, ::-1][:, :half]
+        k = np.arange(A_ie.shape[1])
+        P = np.zeros((n, k.size))
+        P[idx_in] = -np.linalg.solve(rows[:, idx_in], A_ie)
+        P[idx_un[k], k] = 1.0
+        if odd:
+            P[idx_un[::-1][k], k] = -1.0
+        midx = np.flatnonzero(m < fit_nodes - 2)
+        r_vec = fr._c2_stack(target, midx, grid_h)
+        weight = tikhonov * (2.0 if odd else 1.0)
+        K = np.vstack([fr._c2_stack(P, midx, grid_h),
+                       np.sqrt(weight) * np.eye(k.size)])
+        Qt_rhs, R = qr_multiply(K, np.concatenate([r_vec, np.zeros(k.size)]),
+                                mode="right")
+        w = P @ solve_triangular(R, Qt_rhs)
+        resid = fr._c2_stack(w, midx, grid_h) - r_vec
+        c2_res = float(np.max(np.abs(resid)))
+        ax = np.abs(x[midx])
+        band = (np.abs(ax - (1.0 + 1.5 * b)) <= 0.5 * b) | \
+               (np.abs(ax - (1.0 + 3.5 * b)) <= 0.5 * b)
+        band_res = float(np.max(np.abs(resid[np.tile(band, 3)])))
+        trail.append((M_cur, c2_res, band_res))
+        if (prev_res - c2_res) < 0.1 * prev_res or 2.0 * M_cur > max_M:
+            return trail
+        prev_res = c2_res
+        M_cur *= 2.0
+
+
+@pytest.mark.parametrize("fit_nodes", [129, 257])
+@pytest.mark.parametrize("h", [_zero_h, lambda x: 1.0 - x ** 2],
+                         ids=["zero", "one-minus-x2"])
+def test_range_fit_matches_dense_fit(h, fit_nodes):
+    ref = _dense_fit_trail(h, 0.5, fit_nodes)
+    try:
+        res = fr.construct_counterexample(h, 0.5, fit_nodes=fit_nodes)
+        stats = res.stats
+        assert res.M_used == min(ref, key=lambda t: t[1])[0]
+    except fr.NoRootError as err:
+        stats = err.stats
+    got = [(t["M"], t["c2_residual"], t["band_c2_residual"])
+           for t in stats["trail"]]
+    assert [t[0] for t in got] == [t[0] for t in ref]
+    for (_, c2, band), (_, ref_c2, ref_band) in zip(got, ref):
+        assert c2 == pytest.approx(ref_c2, rel=1e-9)
+        assert band == pytest.approx(ref_band, rel=1e-9)
 
 
 _DELTAS_SCRIPT = (

@@ -34,6 +34,27 @@ def test_quartet_ground_state_values(name):
         np.abs(rep.mu1) + 1.0) * 1e6  # residual gate already enforced inside
 
 
+@pytest.mark.parametrize("y_scale", [1.0, 2.0])
+@pytest.mark.parametrize("n", [17, 33])
+@pytest.mark.parametrize("name", [p.name for p in presets.stability_quartet()])
+def test_quartet_labels_under_refinement(name, n, y_scale):
+    # the labels are not artefacts of one grid or one truncation height:
+    # mu1 keeps the expected sign on coarser grids and a doubled y_max
+    p = presets.get_preset(name)
+    grid = p.build_grid(nx=n, ny=n, y_max=p.y_max * y_scale)
+    rep = stability.classify(p.exact_state(grid), p.model_factory(),
+                             p.reaction_factory())
+    sign = {stability.STABLE: 1.0, stability.UNSTABLE: -1.0}
+    assert np.sign(rep.mu1) == sign[p.expected_classification]
+    if name == "exp-decay" and y_scale == 2.0:
+        # the margin 1e-6 |A|_inf grows with the coefficient e^y: about 26
+        # (n = 17) and 42 (n = 33) at y_max = 16, against mu1 near 0.29
+        assert rep.tol > 50.0 * rep.mu1
+        assert rep.classification == stability.MARGINAL
+    else:
+        assert rep.classification == p.expected_classification
+
+
 def test_classification_three_band_semantics():
     assert stability.classify_value(2.0, 1.0) == stability.STABLE
     assert stability.classify_value(-2.0, 1.0) == stability.UNSTABLE
