@@ -35,7 +35,6 @@ except for wall-clock fields.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -46,7 +45,8 @@ import numpy as np
 
 from . import fractional1d, geometry, presets, solver, spectral, stability, verify
 from .coefficients import CoefficientModel
-from .cylinder import CylinderField, DomainSpec, build_grid, field_to_csv
+from .cylinder import (CylinderField, DomainSpec, build_grid, field_to_csv,
+                       write_csv)
 from .solver import ReactionSpec
 from .verify import FAIL, NOT_APPLICABLE, PASS, CheckRecord
 
@@ -94,14 +94,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown preset {preset!r}")
         domain = dict(raw.get("domain") or {})
         if domain:
-            kind = domain.get("kind")
-            if kind not in ("interval", "rectangle"):
-                raise ConfigError("domain.kind must be interval or rectangle")
-            needed = {"x_min", "x_max"} | (
-                {"z_min", "z_max"} if kind == "rectangle" else set())
-            missing = needed - set(domain)
-            if missing:
-                raise ConfigError(f"domain missing {sorted(missing)}")
+            _parse_domain(domain)
         grid = dict(raw.get("grid") or {})
         for k in ("nx", "ny"):
             if k in grid and (not isinstance(grid[k], int) or grid[k] < 3):
@@ -141,13 +134,16 @@ class ExperimentConfig:
 
 # -- config materialization --------------------------------------------------
 
+def _parse_domain(section: dict) -> DomainSpec:
+    try:
+        return DomainSpec.from_json_dict(section)
+    except ValueError as err:
+        raise ConfigError(f"domain section invalid: {err}") from None
+
+
 def _build_domain(cfg: ExperimentConfig) -> DomainSpec:
     if cfg.domain:
-        d = cfg.domain
-        if d["kind"] == "interval":
-            return DomainSpec.interval(float(d["x_min"]), float(d["x_max"]))
-        return DomainSpec.rectangle(float(d["x_min"]), float(d["x_max"]),
-                                    float(d["z_min"]), float(d["z_max"]))
+        return _parse_domain(cfg.domain)
     if cfg.preset:
         return presets.get_preset(cfg.preset).domain
     raise ConfigError("experiment needs a domain or a preset")
@@ -170,6 +166,8 @@ def _build_grid(cfg: ExperimentConfig):
                           nz=g.get("nz"))
     except KeyError as err:
         raise ConfigError(f"grid section missing {err}")
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"grid section invalid: {err}") from None
 
 
 def _build_model(cfg: ExperimentConfig) -> CoefficientModel:
@@ -441,11 +439,7 @@ def _spill_csv(out_dir: str, stem: str, value) -> None:
     arr = np.asarray(value)
     if arr.dtype == object:  # list of dicts -> table
         keys = sorted({k for row in value for k in row})
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=keys)
-            writer.writeheader()
-            for row in value:
-                writer.writerow({k: row.get(k, "") for k in keys})
+        write_csv(path, keys, ([row.get(k, "") for k in keys] for row in value))
         return
     np.savetxt(path, np.atleast_2d(arr.astype(float)), delimiter=",")
 

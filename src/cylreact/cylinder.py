@@ -69,6 +69,40 @@ class DomainSpec:
         """Cross-section dimension n (the cylinder lives in n+1)."""
         return 2 if self.is_rectangle else 1
 
+    @property
+    def bounds(self) -> tuple:
+        """((x_min, x_max),) or ((x_min, x_max), (z_min, z_max)), in the
+        axis order of the cross-section."""
+        return ((self.x_min, self.x_max), (self.z_min, self.z_max))[:self.ndim]
+
+    def to_json_dict(self) -> dict:
+        out = {"kind": _KINDS[self.ndim - 1]}
+        for name, (lo, hi) in zip(_AXIS_NAMES, self.bounds):
+            out[f"{name}_min"], out[f"{name}_max"] = lo, hi
+        return out
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "DomainSpec":
+        """Inverse of to_json_dict; ValueError on a bad kind, a missing key
+        or a non-numeric bound."""
+        if data.get("kind") not in _KINDS:
+            raise ValueError(f"kind must be one of {_KINDS}")
+        names = _AXIS_NAMES[:_KINDS.index(data["kind"]) + 1]
+        keys = [f"{a}_{end}" for a in names for end in ("min", "max")]
+        missing = set(keys) - set(data)
+        if missing:
+            raise ValueError(f"missing {sorted(missing)}")
+        try:
+            bounds = [float(data[k]) for k in keys]
+        except (TypeError, ValueError):
+            raise ValueError(f"bounds must be numbers, got "
+                             f"{[data[k] for k in keys]}") from None
+        return cls(*bounds)
+
+
+_KINDS = ("interval", "rectangle")     # indexed by cross-section dimension - 1
+_AXIS_NAMES = ("x", "z")
+
 
 def _graded_nodes(y_max: float, ny: int, grading: float) -> np.ndarray:
     s = np.arange(ny, dtype=float) / (ny - 1)
@@ -286,6 +320,15 @@ class CylinderGrid:
         return self._cached("wbottom",
                             lambda: _outer(self._omega_weights()))
 
+    def face_weights(self, axis: int, theta: float = 0.0) -> np.ndarray:
+        """Shaped weights over either lateral face normal to cross-section
+        axis ``axis``, for integrals of y**theta * G: the other
+        cross-section axes' trapezoid weights times y_weights(theta)."""
+        others = [w for k, w in enumerate(self._omega_weights()) if k != axis]
+        return self._cached(
+            ("wface", axis, float(theta)),
+            lambda: _outer(others + [self.y_weights(theta)]))
+
     # -- field constructors -------------------------------------------------
 
     def field(self, fn) -> "CylinderField":
@@ -338,11 +381,6 @@ def gradient(u: CylinderField) -> list[np.ndarray]:
     return [(G @ flat).reshape(g.shape) for G in g.gradient_operators()]
 
 
-def gradient_of_array(grid: CylinderGrid, values: np.ndarray) -> list[np.ndarray]:
-    flat = np.asarray(values, dtype=float).ravel()
-    return [(G @ flat).reshape(grid.shape) for G in grid.gradient_operators()]
-
-
 def trace_bottom(u: CylinderField) -> np.ndarray:
     """Values on the bottom slice, shaped (nx,) or (nx, nz)."""
     return u.values[..., 0].copy()
@@ -352,51 +390,45 @@ def integrate(values, region: Region, grid: CylinderGrid) -> float:
     """Trapezoid quadrature over a region of the truncated cylinder.
 
     BULK expects the full grid shape, BOTTOM the Omega-slice shape.  LATERAL
-    expects (2, ny) on an interval (sides x_min, x_max) or a 4-tuple of edge
-    arrays on a rectangle, ordered (x_min, x_max, z_min, z_max), each shaped
-    (n_edge, ny).
+    expects one array per lateral face, ordered by cross-section axis and
+    low side first: (x_min, x_max) on an interval, (x_min, x_max, z_min,
+    z_max) on a rectangle.  The faces normal to axis k are shaped like
+    ``grid.face_weights(k)``: (ny,) on an interval, so a (2, ny) array
+    serves, and (nz, ny) or (nx, ny) on a rectangle.
     """
     if region is Region.BULK:
-        v = np.asarray(values, dtype=float)
-        if v.shape != grid.shape:
-            raise ValueError("bulk values must match the grid shape")
-        return float(np.sum(grid.bulk_weights(0.0) * v))
-    if region is Region.BOTTOM:
-        v = np.asarray(values, dtype=float)
-        if v.shape != grid.shape[:-1]:
-            raise ValueError("bottom values must match the Omega slice shape")
-        return float(np.sum(grid.bottom_weights() * v))
-    if region is Region.LATERAL:
-        wy = grid.axis_weights(grid.n_components - 1)
-        if grid.domain.is_rectangle:
-            if len(values) != 4:
-                raise ValueError("rectangle lateral values: 4 edge arrays "
-                                 "(x_min, x_max, z_min, z_max)")
-            edge_w = [grid.axis_weights(1), grid.axis_weights(1),
-                      grid.axis_weights(0), grid.axis_weights(0)]
-            total = 0.0
-            for v, we in zip(values, edge_w):
-                v = np.asarray(v, dtype=float)
-                if v.shape != (we.size, wy.size):
-                    raise ValueError("edge array has wrong shape")
-                total += float(np.sum(we[:, None] * wy[None, :] * v))
-            return total
-        v = np.asarray(values, dtype=float)
-        if v.shape != (2, grid.ny):
-            raise ValueError("interval lateral values must be shaped (2, ny)")
-        return float(np.sum(v * wy[None, :]))
-    raise ValueError(f"unknown region {region!r}")
+        pieces = [(values, grid.bulk_weights(0.0))]
+    elif region is Region.BOTTOM:
+        pieces = [(values, grid.bottom_weights())]
+    elif region is Region.LATERAL:
+        axes = [k for k in range(grid.n_components - 1) for _side in (0, -1)]
+        if len(values) != len(axes):
+            raise ValueError(f"lateral values: {len(axes)} face arrays, "
+                             "low then high side per cross-section axis")
+        pieces = [(v, grid.face_weights(k)) for v, k in zip(values, axes)]
+    else:
+        raise ValueError(f"unknown region {region!r}")
+    total = 0.0
+    for v, w in pieces:
+        v = np.asarray(v, dtype=float)
+        if v.shape != w.shape:
+            raise ValueError(f"{region.value} values shaped {v.shape}, "
+                             f"expected {w.shape}")
+        total += float(np.sum(w * v))
+    return total
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Header line, then one line per row; floats are written by repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def field_to_csv(u: CylinderField, path) -> None:
     """One row per node, coordinates then value, lexicographic order."""
     g = u.grid
-    coords = [c.ravel() for c in g.coordinate_arrays()]
-    header = ["x", "z", "y"] if g.domain.is_rectangle else ["x", "y"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header + ["value"])
-        flat = u.values.ravel()
-        for i in range(flat.size):
-            writer.writerow([repr(float(c[i])) for c in coords]
-                            + [repr(float(flat[i]))])
+    cols = [c.ravel() for c in g.coordinate_arrays()] + [u.values.ravel()]
+    header = list(_AXIS_NAMES[:g.n_components - 1]) + ["y", "value"]
+    write_csv(path, header, np.column_stack(cols).tolist())

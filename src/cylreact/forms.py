@@ -50,6 +50,17 @@ def gradient_fields(grid: CylinderGrid, values: np.ndarray,
     return [(G @ flat).reshape(grid.shape) for G in ops]
 
 
+def b_form(state: dict, comps: list[np.ndarray]) -> np.ndarray:
+    """Pointwise <B grad u v, v> = a |v|^2 + (a_t/|grad u|) (grad u . v)^2
+    at the state of coefficient_state, for the field v with components
+    comps (the y**theta factor of a stays in the weights)."""
+    out = state["a_red"] * sum(c * c for c in comps)
+    if state["a_t_red"] is not None:
+        dot = sum(g * c for g, c in zip(state["comps"], comps))
+        out = out + (state["a_t_red"] / state["norm_reg"]) * dot * dot
+    return out
+
+
 def coefficient_state(u: CylinderField, model: CoefficientModel) -> dict:
     """Pointwise data reused across residual/energy assembly at a state u."""
     grid = u.grid
@@ -152,12 +163,7 @@ def energy_quadrature(u: CylinderField, model: CoefficientModel, reaction,
     state = coefficient_state(u, model)
     w_theta = grid.bulk_weights(state["theta"])
     phi_comps = gradient_fields(grid, phi.values, pairing=True)
-    grad_sq = sum(c * c for c in phi_comps)
-    integrand = state["a_red"] * grad_sq
-    if model.has_t_dependence:
-        dot = sum(gc * pc for gc, pc in zip(state["comps"], phi_comps))
-        integrand = integrand + (state["a_t_red"] / state["norm_reg"]) * dot * dot
-    total = float(np.sum(w_theta * integrand))
+    total = float(np.sum(w_theta * b_form(state, phi_comps)))
     if reaction.g_u is not None:
         w_plain = grid.bulk_weights(0.0)
         total += float(np.sum(w_plain * reaction.g_u(state["y"], u.values)

@@ -77,10 +77,6 @@ class PoincareSides:
                 "slack": float(self.rhs - self.lhs_bulk - self.lhs_lateral)}
 
 
-def _full_gradient(grid: CylinderGrid, values: np.ndarray) -> list[np.ndarray]:
-    return forms.gradient_fields(grid, values, pairing=False)
-
-
 def _safe_divide(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=mask)
@@ -104,7 +100,7 @@ def level_set_weights(u: CylinderField, y_index: int,
     if not -ny <= y_index < ny:
         raise ValueError("y_index out of range")
 
-    comps = _full_gradient(grid, u.values)          # [ux, uz, uy]
+    comps = forms.gradient_fields(grid, u.values)    # [ux, uz, uy]
     ux, uz, uy = comps
     speed = np.sqrt(ux * ux + uz * uz)
     mask3 = speed > threshold
@@ -118,15 +114,16 @@ def level_set_weights(u: CylinderField, y_index: int,
     div_ok = speed > floor
     nx_ = _safe_divide(ux, speed, div_ok)
     nz_ = _safe_divide(uz, speed, div_ok)
-    div_n = (_full_gradient(grid, nx_)[0] + _full_gradient(grid, nz_)[1])
+    div_n = (forms.gradient_fields(grid, nx_)[0]
+             + forms.gradient_fields(grid, nz_)[1])
     K3 = np.abs(div_n)
 
-    grad_speed = _full_gradient(grid, speed)        # [sx, sz, sy]
+    grad_speed = forms.gradient_fields(grid, speed)  # [sx, sz, sy]
     sx, sz, sy = grad_speed
     tangential3 = np.abs(-nz_ * sx + nx_ * sz)
 
-    grad_ux = _full_gradient(grid, ux)
-    grad_uz = _full_gradient(grid, uz)
+    grad_ux = forms.gradient_fields(grid, ux)
+    grad_uz = forms.gradient_fields(grid, uz)
     uxy, uzy = grad_ux[2], grad_uz[2]
     K0_3 = (uxy * uxy + uzy * uzy) - sy * sy + K3 * K3 * speed * speed \
         + tangential3 * tangential3
@@ -165,26 +162,15 @@ def bulk_bracket(u: CylinderField, model: CoefficientModel,
     avoids.
     """
     grid = u.grid
-    comps = _full_gradient(grid, u.values)
+    comps = forms.gradient_fields(grid, u.values)
     speed, threshold = _speed_and_threshold(grid, comps, threshold)
     mask = speed > threshold
 
     state = forms.coefficient_state(u, model)
-    a_red = state["a_red"]
-    tdep = model.has_t_dependence
-
-    def b_form(vec_comps):
-        sq = sum(c * c for c in vec_comps)
-        out = a_red * sq
-        if tdep:
-            dot = sum(g * c for g, c in zip(state["comps"], vec_comps))
-            out = out + (state["a_t_red"] / state["norm_reg"]) * dot * dot
-        return out
-
     total = np.zeros(grid.shape)
     for c in comps[:-1]:
-        total += b_form(_full_gradient(grid, c))
-    total -= b_form(_full_gradient(grid, speed))
+        total += forms.b_form(state, forms.gradient_fields(grid, c))
+    total -= forms.b_form(state, forms.gradient_fields(grid, speed))
     return np.where(mask, total, 0.0)
 
 
@@ -200,36 +186,30 @@ def lateral_boundary_term(u: CylinderField, model: CoefficientModel,
     for convex cross-sections it is nonpositive up to quadrature error.
     """
     grid = u.grid
-    comps = _full_gradient(grid, u.values)
+    comps = forms.gradient_fields(grid, u.values)
+    hessian = [forms.gradient_fields(grid, c) for c in comps]
     state = forms.coefficient_state(u, model)
-    a_red = state["a_red"]  # the y**theta factor lives in the y-quadrature
-    theta = state["theta"]
+    cross_axes = range(grid.n_components - 1)
+
+    def faces(k):
+        """(low, high) face slices normal to cross-section axis k."""
+        return (slice(None),) * k + (0,), (slice(None),) * k + (-1,)
 
     raw = np.zeros(grid.shape)
-    # x-direction faces: nu = -e_x at the first slice, +e_x at the last
-    dcomps_dx = [_full_gradient(grid, c)[0] for c in comps]
-    face_val = sum(c * d for c, d in zip(comps, dcomps_dx))
-    raw[0, ...] += -face_val[0, ...]
-    raw[-1, ...] += face_val[-1, ...]
-    if grid.domain.is_rectangle:
-        dcomps_dz = [_full_gradient(grid, c)[1] for c in comps]
-        face_val_z = sum(c * d for c, d in zip(comps, dcomps_dz))
-        raw[:, 0, :] += -face_val_z[:, 0, :]
-        raw[:, -1, :] += face_val_z[:, -1, :]
+    for k in cross_axes:
+        # nu = -e_k on the low face, +e_k on the high face
+        face_val = sum(c * d[k] for c, d in zip(comps, hessian))
+        lo, hi = faces(k)
+        raw[lo] += -face_val[lo]
+        raw[hi] += face_val[hi]
 
-    integrand = a_red * raw * psi_sq
-    wy = grid.y_weights(theta)
-    if grid.domain.is_rectangle:
-        wx = grid.axis_weights(0)
-        wz = grid.axis_weights(1)
-        total = 0.0
-        total += float(np.sum(wz[:, None] * wy[None, :] * integrand[0, :, :]))
-        total += float(np.sum(wz[:, None] * wy[None, :] * integrand[-1, :, :]))
-        total += float(np.sum(wx[:, None] * wy[None, :] * integrand[:, 0, :]))
-        total += float(np.sum(wx[:, None] * wy[None, :] * integrand[:, -1, :]))
-        return total
-    total = float(np.sum(wy * integrand[0, :]))
-    total += float(np.sum(wy * integrand[-1, :]))
+    # the y**theta factor of a lives in the face weights
+    integrand = state["a_red"] * raw * psi_sq
+    total = 0.0
+    for k in cross_axes:
+        w = grid.face_weights(k, state["theta"])
+        for face in faces(k):
+            total += float(np.sum(w * integrand[face]))
     return total
 
 
@@ -244,7 +224,7 @@ def poincare_sides(u: CylinderField, model: CoefficientModel, reaction,
     for unstable u the inequality may genuinely fail.
     """
     grid = u.grid
-    comps = _full_gradient(grid, u.values)
+    comps = forms.gradient_fields(grid, u.values)
     speed, threshold = _speed_and_threshold(grid, comps, threshold)
 
     state = forms.coefficient_state(u, model)
@@ -255,11 +235,7 @@ def poincare_sides(u: CylinderField, model: CoefficientModel, reaction,
 
     lhs_lateral = -lateral_boundary_term(u, model, psi.values ** 2)
 
-    psi_comps = _full_gradient(grid, psi.values)
-    b_psi = state["a_red"] * sum(c * c for c in psi_comps)
-    if model.has_t_dependence:
-        dot = sum(g * c for g, c in zip(state["comps"], psi_comps))
-        b_psi = b_psi + (state["a_t_red"] / state["norm_reg"]) * dot * dot
+    b_psi = forms.b_form(state, forms.gradient_fields(grid, psi.values))
     rhs = float(np.sum(w_theta * b_psi * speed * speed))
     return PoincareSides(lhs_bulk=lhs_bulk, lhs_lateral=lhs_lateral, rhs=rhs)
 

@@ -16,12 +16,14 @@ formulations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import solver
 from .coefficients import CoefficientModel
-from .cylinder import CylinderField, CylinderGrid, DomainSpec, _trapezoid_weights
+from .cylinder import (CylinderField, CylinderGrid, DomainSpec, _outer,
+                       _trapezoid_weights)
 
 DEFAULT_S = 0.5
 
@@ -34,12 +36,12 @@ class SpectralSolveError(RuntimeError):
         self.residual_history = residual_history
 
 
-def _mode_values_interval(domain: DomainSpec, k: int,
-                          x: np.ndarray) -> np.ndarray:
-    L = domain.x_max - domain.x_min
+def _cosine(lo: float, hi: float, k: int, x: np.ndarray) -> np.ndarray:
+    """The k-th L2-normalized Neumann cosine of the interval (lo, hi)."""
+    L = hi - lo
     if k == 0:
-        return np.full_like(x, 1.0 / np.sqrt(L))
-    return np.sqrt(2.0 / L) * np.cos(k * np.pi * (x - domain.x_min) / L)
+        return np.full(np.shape(x), 1.0 / np.sqrt(L))
+    return np.sqrt(2.0 / L) * np.cos(k * np.pi * (x - lo) / L)
 
 
 @dataclass(frozen=True)
@@ -67,64 +69,47 @@ class SpectralBasis:
         """Nodal samples of sum_k coeffs[k] phi_k on the basis grid."""
         return np.tensordot(coeffs, self.eigenfields, axes=1)
 
-    def mode_at(self, k: int, x: np.ndarray,
-                z: np.ndarray | None = None) -> np.ndarray:
-        """Evaluate phi_k analytically at arbitrary points."""
-        if self.domain.is_rectangle:
-            i, j = self.modes[k]
-            zdom = DomainSpec.interval(self.domain.z_min, self.domain.z_max)
-            return (_mode_values_interval(self.domain, i, x)
-                    * _mode_values_interval(zdom, j, z))
-        (i,) = self.modes[k]
-        return _mode_values_interval(self.domain, i, x)
+    def mode_at(self, k: int, *coords: np.ndarray) -> np.ndarray:
+        """Evaluate phi_k analytically at points given by one (broadcastable)
+        coordinate array per cross-section axis, (x[, z])."""
+        return reduce(np.multiply, (
+            _cosine(lo, hi, i, c) for (lo, hi), i, c
+            in zip(self.domain.bounds, self.modes[k], coords, strict=True)))
 
 
 def neumann_basis(domain: DomainSpec, K: int,
                   resolution: int | None = None) -> SpectralBasis:
     """First K Neumann eigenpairs of -Laplace on the cross-section.
 
-    Interval (0,L): lambda_k = (k pi/L)^2 with cosine eigenfunctions;
-    rectangle: tensor cosines sorted by eigenvalue, ties broken
-    lexicographically in the mode indices.  The sampling resolution
-    defaults to 2*max_mode_index+1 per axis (at least 33), which keeps the
-    trapezoid Gram matrix of the retained cosines exact to roundoff.
+    Tensor cosines phi_(i[, j]) with lambda = (i pi/Lx)^2 [+ (j pi/Lz)^2],
+    ordered by eigenvalue; equal eigenvalues are ordered lexicographically
+    in the mode indices, so (0, 1) precedes (1, 0) on a square.  The
+    sampling resolution defaults to 2*max_mode_index+1 per axis (at least
+    33), which keeps the trapezoid Gram matrix of the retained cosines
+    exact to roundoff.
     """
     if K < 1:
         raise ValueError("need K >= 1")
-    if domain.is_rectangle:
-        Lx = domain.x_max - domain.x_min
-        Lz = domain.z_max - domain.z_min
-        pairs = []
-        for i in range(K):
-            for j in range(K):
-                lam = (i * np.pi / Lx) ** 2 + (j * np.pi / Lz) ** 2
-                pairs.append((lam, (i, j)))
-        pairs.sort(key=lambda t: (t[0], t[1]))
-        pairs = pairs[:K]
-        lambdas = np.array([p[0] for p in pairs])
-        modes = [p[1] for p in pairs]
-        max_idx = max(max(i, j) for i, j in modes)
-        n = resolution if resolution is not None else max(33, 2 * max_idx + 1)
-        x = np.linspace(domain.x_min, domain.x_max, n)
-        z = np.linspace(domain.z_min, domain.z_max, n)
-        zdom = DomainSpec.interval(domain.z_min, domain.z_max)
-        fields = np.stack([
-            _mode_values_interval(domain, i, x)[:, None]
-            * _mode_values_interval(zdom, j, z)[None, :]
-            for i, j in modes])
-        w = _trapezoid_weights(x)[:, None] * _trapezoid_weights(z)[None, :]
-        return SpectralBasis(domain=domain, K=K, lambdas=lambdas, modes=modes,
-                             x_nodes=x, z_nodes=z, eigenfields=fields,
-                             weights=w)
-    L = domain.x_max - domain.x_min
-    lambdas = np.array([(k * np.pi / L) ** 2 for k in range(K)])
-    modes = [(k,) for k in range(K)]
-    n = resolution if resolution is not None else max(33, 2 * (K - 1) + 1)
-    x = np.linspace(domain.x_min, domain.x_max, n)
-    fields = np.stack([_mode_values_interval(domain, k, x) for k in range(K)])
-    return SpectralBasis(domain=domain, K=K, lambdas=lambdas, modes=modes,
-                         x_nodes=x, z_nodes=None, eigenfields=fields,
-                         weights=_trapezoid_weights(x))
+    bounds = domain.bounds
+    lam_box = reduce(np.add.outer, [(np.arange(K) * np.pi / (hi - lo)) ** 2
+                                    for lo, hi in bounds]).ravel()
+    idx_box = np.indices((K,) * len(bounds)).reshape(len(bounds), -1)
+    # lexsort's last key is the primary one: lambda, then i, then j
+    order = np.lexsort((*idx_box[::-1], lam_box))[:K]
+    chosen = idx_box[:, order]
+    modes = [tuple(m) for m in chosen.T.tolist()]
+    max_idx = int(chosen.max())
+    n = resolution if resolution is not None else max(33, 2 * max_idx + 1)
+    nodes = [np.linspace(lo, hi, n) for lo, hi in bounds]
+    cosines = [[_cosine(lo, hi, i, x) for i in range(max_idx + 1)]
+               for (lo, hi), x in zip(bounds, nodes)]
+    fields = np.stack([_outer([c[i] for c, i in zip(cosines, m)])
+                       for m in modes])
+    weights = _outer([_trapezoid_weights(x) for x in nodes])
+    return SpectralBasis(domain=domain, K=K, lambdas=lam_box[order],
+                         modes=modes, x_nodes=nodes[0],
+                         z_nodes=nodes[1] if len(nodes) > 1 else None,
+                         eigenfields=fields, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -145,24 +130,14 @@ class SpectralFunction:
         return float(np.sum(np.sqrt(self.basis.lambdas) * self.coeffs ** 2))
 
     def to_json_dict(self) -> dict:
-        d = self.basis.domain
-        dom = {"kind": "rectangle" if d.is_rectangle else "interval",
-               "x_min": d.x_min, "x_max": d.x_max}
-        if d.is_rectangle:
-            dom.update({"z_min": d.z_min, "z_max": d.z_max})
-        return {"domain": dom, "K": self.basis.K,
+        return {"domain": self.basis.domain.to_json_dict(), "K": self.basis.K,
                 "resolution": self.basis.resolution,
                 "coeffs": [float(c) for c in self.coeffs]}
 
     @staticmethod
     def from_json_dict(data: dict) -> "SpectralFunction":
-        dom = data["domain"]
-        if dom["kind"] == "rectangle":
-            d = DomainSpec.rectangle(dom["x_min"], dom["x_max"],
-                                     dom["z_min"], dom["z_max"])
-        else:
-            d = DomainSpec.interval(dom["x_min"], dom["x_max"])
-        basis = neumann_basis(d, int(data["K"]),
+        basis = neumann_basis(DomainSpec.from_json_dict(data["domain"]),
+                              int(data["K"]),
                               resolution=int(data["resolution"]))
         return SpectralFunction(basis, np.array(data["coeffs"], dtype=float))
 
@@ -242,26 +217,14 @@ def solve_semilinear(basis: SpectralBasis, reaction, init: SpectralFunction,
 def extend_harmonic(basis: SpectralBasis, v: SpectralFunction,
                     grid: CylinderGrid) -> CylinderField:
     """u(x,y) = sum_k v_k phi_k(x) exp(-sqrt(lambda_k) y) on the grid."""
-    d, gd = basis.domain, grid.domain
-    same = (d.is_rectangle == gd.is_rectangle
-            and abs(d.x_min - gd.x_min) < 1e-12
-            and abs(d.x_max - gd.x_max) < 1e-12)
-    if d.is_rectangle and same:
-        same = (abs(d.z_min - gd.z_min) < 1e-12
-                and abs(d.z_max - gd.z_max) < 1e-12)
-    if not same:
+    b, gb = basis.domain.bounds, grid.domain.bounds
+    if len(b) != len(gb) or np.max(np.abs(np.subtract(b, gb))) >= 1e-12:
         raise ValueError("grid cross-section must match the basis domain")
-    y = grid.y_nodes
+    cross = np.ix_(*grid.axes[:-1])
     vals = np.zeros(grid.shape)
     for k in range(basis.K):
-        decay = np.exp(-np.sqrt(basis.lambdas[k]) * y)
-        if d.is_rectangle:
-            phi = basis.mode_at(k, grid.x_nodes[:, None],
-                                grid.z_nodes[None, :])
-            vals += v.coeffs[k] * phi[:, :, None] * decay[None, None, :]
-        else:
-            phi = basis.mode_at(k, grid.x_nodes)
-            vals += v.coeffs[k] * phi[:, None] * decay[None, :]
+        decay = np.exp(-np.sqrt(basis.lambdas[k]) * grid.y_nodes)
+        vals += v.coeffs[k] * basis.mode_at(k, *cross)[..., None] * decay
     return CylinderField(grid, vals)
 
 
@@ -315,18 +278,14 @@ def extension_equivalence(basis: SpectralBasis, reaction, grid: CylinderGrid,
     profiles = [(1.0 - y / ymax) ** 2,
                 np.cos(np.pi * y / (2.0 * ymax)),
                 (1.0 - y / ymax)]
+    cross = np.ix_(*grid.axes[:-1])
     worst = 0.0
     for k in range(min(n_test_modes, basis.K)):
-        if grid.domain.is_rectangle:
-            phi_x = basis.mode_at(k, grid.x_nodes[:, None],
-                                  grid.z_nodes[None, :])
-        else:
-            phi_x = basis.mode_at(k, grid.x_nodes)
+        phi_x = basis.mode_at(k, *cross)
         for p in profiles:
             p = p.copy()
             p[-1] = 0.0
-            vals = (phi_x[..., None] * p) if grid.domain.is_rectangle \
-                else (phi_x[:, None] * p[None, :])
+            vals = phi_x[..., None] * p
             res = solver.residual_weak(u, model_one, reaction,
                                        CylinderField(grid, vals))
             worst = max(worst, abs(res))

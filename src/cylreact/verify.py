@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import coefficients, fractional1d, geometry, presets, solver, spectral, stability
+from . import (coefficients, forms, fractional1d, geometry, presets, solver,
+               spectral, stability)
 from .coefficients import CoefficientModel
 from .cylinder import CylinderField, DomainSpec, build_grid
 from .solver import ReactionSpec
@@ -285,7 +286,7 @@ def _decomposition_misfit(n, ny):
     grid = build_grid(dom, nx=n, ny=ny, y_max=1.0, nz=n)
     X, Z, Y = grid.coordinate_arrays()
     u = CylinderField(grid, np.exp(-Y) * np.cos(X) * np.cos(Z))
-    comps = geometry._full_gradient(grid, u.values)
+    comps = forms.gradient_fields(grid, u.values)
     speed = np.sqrt(sum(c * c for c in comps[:-1]))
     thr = _C5_MASK_FRACTION * float(speed.max())
     bracket = geometry.bulk_bracket(u, model, threshold=thr)

@@ -58,6 +58,10 @@ def test_config_round_trip():
     {"experiment": "Solve", "seed": -1},
     {"experiment": "Solve", "seed": "zero"},
     {"experiment": "Solve", "output_dir": ""},
+    {"experiment": "Solve",
+     "domain": {"kind": "interval", "x_min": 1, "x_max": 0}},   # empty
+    {"experiment": "Solve",
+     "domain": {"kind": "interval", "x_min": "a", "x_max": 1}},  # not a number
 ])
 def test_config_validation_rejects(raw):
     with pytest.raises(cli.ConfigError):
@@ -171,6 +175,15 @@ def test_run_invalid_config_exits_two(tmp_path):
     path = _write_config(tmp_path, "bad.json",
                          {"experiment": "Solve", "bogus": True})
     assert cli.main(["run", str(path)]) == 2
+
+
+def test_run_invalid_grid_exits_two(tmp_path, capsys):
+    path = _write_config(tmp_path, "bad_grid.json",
+                         {"experiment": "Solve", "preset": "linear-y",
+                          "grid": {"y_max": -1},
+                          "output_dir": str(tmp_path / "out")})
+    assert cli.main(["run", str(path)]) == 2
+    assert "y_max" in capsys.readouterr().err
 
 
 def test_usage_error_exits_two():

@@ -204,3 +204,98 @@ def test_rectangle_weights_match_explicit_products(theta):
     np.testing.assert_array_equal(g.bulk_weights(theta), bulk)
     np.testing.assert_array_equal(g.bottom_weights(),
                                   wx[:, None] * wz[None, :])
+
+
+# -- lateral quadrature, CSV export, domain JSON ------------------------------
+
+def _graded_rectangle_grid():
+    return build_grid(DomainSpec.rectangle(0.0, 1.0, -2.0, 1.0), nx=9, nz=7,
+                      ny=6, y_max=2.0, grading=1.0)
+
+
+def test_integrate_lateral_interval_against_weight_sums():
+    g = _interval_grid(nx=7, ny=11, grading=0.5)
+    v = np.random.default_rng(0).standard_normal((2, g.ny))
+    wy = _trapezoid_weights(g.y_nodes)
+    expected = float(np.sum(wy * v[0])) + float(np.sum(wy * v[1]))
+    assert integrate(v, Region.LATERAL, g) == pytest.approx(expected,
+                                                            rel=1e-14)
+    assert integrate(np.ones((2, g.ny)), Region.LATERAL, g) == \
+        pytest.approx(2.0 * g.y_max, rel=1e-14)
+    with pytest.raises(ValueError):
+        integrate(np.ones((2, g.ny + 1)), Region.LATERAL, g)
+
+
+def test_integrate_lateral_rectangle_against_weight_sums():
+    g = _graded_rectangle_grid()
+    rng = np.random.default_rng(1)
+    faces = [rng.standard_normal((g.nz, g.ny)) for _ in range(2)] \
+        + [rng.standard_normal((g.nx, g.ny)) for _ in range(2)]
+    wx, wz = _trapezoid_weights(g.x_nodes), _trapezoid_weights(g.z_nodes)
+    wy = _trapezoid_weights(g.y_nodes)
+    expected = sum(float(np.sum(w[:, None] * wy[None, :] * f))
+                   for w, f in zip((wz, wz, wx, wx), faces))
+    assert integrate(faces, Region.LATERAL, g) == expected
+    # lateral area of [0, 1] x [-2, 1] times the height
+    ones = [np.ones_like(f) for f in faces]
+    assert integrate(ones, Region.LATERAL, g) == pytest.approx(
+        2.0 * (3.0 + 1.0) * g.y_max, rel=1e-14)
+    with pytest.raises(ValueError):
+        integrate(faces[:3], Region.LATERAL, g)
+    with pytest.raises(ValueError):
+        integrate(faces[2:] + faces[:2], Region.LATERAL, g)
+
+
+def _row_loop_csv(u, path):
+    """Per-node repr loop, the reference for field_to_csv's bytes."""
+    import csv
+    g = u.grid
+    coords = [c.ravel() for c in g.coordinate_arrays()]
+    header = ["x", "z", "y"] if g.domain.is_rectangle else ["x", "y"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header + ["value"])
+        flat = u.values.ravel()
+        for i in range(flat.size):
+            writer.writerow([repr(float(c[i])) for c in coords]
+                            + [repr(float(flat[i]))])
+
+
+@pytest.mark.parametrize("grid_factory", [
+    lambda: _interval_grid(nx=9, ny=7, grading=0.7),
+    _graded_rectangle_grid,
+], ids=["interval", "rectangle"])
+def test_field_to_csv_bytes_match_row_loop(tmp_path, grid_factory):
+    g = grid_factory()
+    rng = np.random.default_rng(2)
+    vals = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-20, 20, g.shape)
+    vals.flat[0] = -0.0
+    u = CylinderField(g, vals)
+    field_to_csv(u, str(tmp_path / "a.csv"))
+    _row_loop_csv(u, str(tmp_path / "b.csv"))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.interval(-1.0, 2.5),
+                                    DomainSpec.rectangle(0.0, PI, -2.0, 1.0)])
+def test_domain_spec_json_round_trip(domain):
+    import json
+    d = json.loads(json.dumps(domain.to_json_dict()))
+    assert d["kind"] == ("rectangle" if domain.is_rectangle else "interval")
+    again = DomainSpec.from_json_dict(d)
+    assert again == domain
+    assert again.bounds == domain.bounds
+    assert len(domain.bounds) == domain.ndim
+
+
+@pytest.mark.parametrize("data", [
+    {"kind": "disk", "x_min": 0, "x_max": 1},
+    {"x_min": 0, "x_max": 1},
+    {"kind": "rectangle", "x_min": 0, "x_max": 1, "z_min": 0},
+    {"kind": "interval", "x_min": 1, "x_max": 0},
+    {"kind": "interval", "x_min": "a", "x_max": 1},
+    {"kind": "interval", "x_min": None, "x_max": 1},
+])
+def test_domain_spec_from_json_dict_rejects(data):
+    with pytest.raises(ValueError):
+        DomainSpec.from_json_dict(data)

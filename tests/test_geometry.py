@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cylreact import geometry, presets
+from cylreact.coefficients import CoefficientModel
 from cylreact.cylinder import CylinderField, DomainSpec, build_grid
 
 
@@ -263,3 +264,70 @@ def test_poincare_sides_rhs_zero_for_y_only_state():
                                     psi)
     assert abs(sides.rhs) < 1e-20
     assert abs(sides.lhs_bulk) < 1e-20
+
+
+def _two_branch_lateral_term(u, model, psi_sq):
+    """Interval/rectangle branches written out face by face, the reference
+    for lateral_boundary_term's axis loop."""
+    from cylreact import forms
+    grid = u.grid
+    grad = lambda v: forms.gradient_fields(grid, v)  # noqa: E731
+    comps = grad(u.values)
+    state = forms.coefficient_state(u, model)
+    raw = np.zeros(grid.shape)
+    face_val = sum(c * grad(c)[0] for c in comps)
+    raw[0, ...] += -face_val[0, ...]
+    raw[-1, ...] += face_val[-1, ...]
+    if grid.domain.is_rectangle:
+        face_val_z = sum(c * grad(c)[1] for c in comps)
+        raw[:, 0, :] += -face_val_z[:, 0, :]
+        raw[:, -1, :] += face_val_z[:, -1, :]
+    integrand = state["a_red"] * raw * psi_sq
+    wy = grid.y_weights(state["theta"])
+    if not grid.domain.is_rectangle:
+        return float(np.sum(wy * integrand[0, :])) \
+            + float(np.sum(wy * integrand[-1, :]))
+    wx, wz = grid.axis_weights(0), grid.axis_weights(1)
+    total = 0.0
+    total += float(np.sum(wz[:, None] * wy[None, :] * integrand[0, :, :]))
+    total += float(np.sum(wz[:, None] * wy[None, :] * integrand[-1, :, :]))
+    total += float(np.sum(wx[:, None] * wy[None, :] * integrand[:, 0, :]))
+    total += float(np.sum(wx[:, None] * wy[None, :] * integrand[:, -1, :]))
+    return total
+
+
+@pytest.mark.parametrize("model", [
+    CoefficientModel.constant_one(),
+    CoefficientModel.power_weight(-0.5),
+    CoefficientModel.mean_curvature_weight(0.3),
+], ids=["constant_one", "power_weight", "mean_curvature_weight"])
+@pytest.mark.parametrize("dom", [
+    DomainSpec.interval(-1.0, 2.0),
+    DomainSpec.rectangle(0.0, 1.0, -2.0, 1.0),
+], ids=["interval", "rectangle"])
+def test_lateral_boundary_term_matches_two_branch_reference(model, dom):
+    # graded 9 x 7 x 6 grid; the state is not laterally Neumann, so every
+    # face contributes
+    grid = build_grid(dom, nx=9, nz=7, ny=6, y_max=2.0, grading=1.0)
+    coords = grid.coordinate_arrays()
+    x, y = coords[0], coords[-1]
+    z = coords[1] if dom.is_rectangle else 0.0
+    u = CylinderField(grid, np.sin(1.3 * x + 0.4) * np.exp(-y)
+                      + 0.5 * np.cos(0.7 * z) * x * x + 0.2 * y * z)
+    psi_sq = (1.0 + 0.3 * np.cos(x) * np.sin(y + 0.1)) ** 2
+    term = geometry.lateral_boundary_term(u, model, psi_sq)
+    assert term != 0.0
+    assert term == _two_branch_lateral_term(u, model, psi_sq)
+
+
+@pytest.mark.parametrize("name", ["grow-cos-stable", "decay-cos-unstable",
+                                  "one-dim-family", "exp-decay"])
+@pytest.mark.parametrize("n", [17, 33])
+def test_lateral_boundary_term_presets_match_two_branch_reference(name, n):
+    p = presets.get_preset(name)
+    grid = p.build_grid(nx=n, ny=n)
+    u = p.exact_state(grid)
+    psi_sq = geometry.log_cutoff(1e4, grid).values ** 2
+    model = p.model_factory()
+    assert geometry.lateral_boundary_term(u, model, psi_sq) == \
+        _two_branch_lateral_term(u, model, psi_sq)

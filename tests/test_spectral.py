@@ -58,6 +58,74 @@ def test_mode_at_matches_sampled_fields():
                            atol=1e-14)
 
 
+def _cosine_reference(lo, hi, k, x):
+    L = hi - lo
+    if k == 0:
+        return np.full_like(x, 1.0 / np.sqrt(L))
+    return np.sqrt(2.0 / L) * np.cos(k * np.pi * (x - lo) / L)
+
+
+def _tuple_sort_basis(dom, K):
+    """(lambdas, modes, x, z, eigenfields, weights) built the direct way:
+    every (lambda, indices) tuple of the index box, sorted as tuples."""
+    from cylreact.cylinder import _trapezoid_weights
+    if not dom.is_rectangle:
+        n = max(33, 2 * (K - 1) + 1)
+        x = np.linspace(dom.x_min, dom.x_max, n)
+        L = dom.x_max - dom.x_min
+        lambdas = np.array([(k * np.pi / L) ** 2 for k in range(K)])
+        fields = np.stack([_cosine_reference(dom.x_min, dom.x_max, k, x)
+                           for k in range(K)])
+        return (lambdas, [(k,) for k in range(K)], x, None, fields,
+                _trapezoid_weights(x))
+    Lx, Lz = dom.x_max - dom.x_min, dom.z_max - dom.z_min
+    pairs = sorted(((i * np.pi / Lx) ** 2 + (j * np.pi / Lz) ** 2, (i, j))
+                   for i in range(K) for j in range(K))[:K]
+    modes = [p[1] for p in pairs]
+    n = max(33, 2 * max(max(m) for m in modes) + 1)
+    x = np.linspace(dom.x_min, dom.x_max, n)
+    z = np.linspace(dom.z_min, dom.z_max, n)
+    fields = np.stack([_cosine_reference(dom.x_min, dom.x_max, i, x)[:, None]
+                       * _cosine_reference(dom.z_min, dom.z_max, j, z)[None, :]
+                       for i, j in modes])
+    w = _trapezoid_weights(x)[:, None] * _trapezoid_weights(z)[None, :]
+    return np.array([p[0] for p in pairs]), modes, x, z, fields, w
+
+
+@pytest.mark.parametrize("dom, K", [
+    (DomainSpec.rectangle(0.0, np.pi, 0.0, np.pi), 500),
+    (DomainSpec.rectangle(0.0, np.pi, 0.0, np.pi), 16),
+    (DomainSpec.rectangle(0.0, np.pi, 0.0, 2.0), 6),
+    (DomainSpec.rectangle(0.0, np.pi, 0.0, 1.0), 5),
+    (DomainSpec.rectangle(-1.0, 0.5, 2.0, 4.0), 40),
+    (INTERVAL_PI, 64),
+    (INTERVAL_PI, 12),
+])
+def test_neumann_basis_matches_tuple_sort(dom, K):
+    lambdas, modes, x, z, fields, w = _tuple_sort_basis(dom, K)
+    b = spectral.neumann_basis(dom, K)
+    assert np.array_equal(b.lambdas, lambdas)
+    assert b.modes == modes
+    assert np.array_equal(b.x_nodes, x)
+    assert (b.z_nodes is None) if z is None else np.array_equal(b.z_nodes, z)
+    assert np.array_equal(b.eigenfields, fields)
+    assert np.array_equal(b.weights, w)
+
+
+def test_mode_at_integer_coordinates():
+    b = spectral.neumann_basis(DomainSpec.interval(0.0, 2.0), 3)
+    pts = np.array([0, 1, 2])
+    for k in range(b.K):
+        assert np.array_equal(b.mode_at(k, pts), b.mode_at(k, pts * 1.0))
+
+
+def test_mode_at_rectangle_matches_sampled_fields():
+    b = spectral.neumann_basis(DomainSpec.rectangle(0.0, np.pi, -1.0, 1.0), 7)
+    for k in range(b.K):
+        phi = b.mode_at(k, b.x_nodes[:, None], b.z_nodes[None, :])
+        assert np.array_equal(phi, b.eigenfields[k])
+
+
 def test_neumann_basis_validation():
     with pytest.raises(ValueError):
         spectral.neumann_basis(INTERVAL_PI, 0)
