@@ -92,19 +92,19 @@ class ExperimentConfig:
         preset = raw.get("preset")
         if preset is not None and preset not in presets.preset_names():
             raise ConfigError(f"unknown preset {preset!r}")
-        domain = dict(raw.get("domain") or {})
+        domain = _section(raw, "domain")
         if domain:
             _parse_domain(domain)
-        grid = dict(raw.get("grid") or {})
+        grid = _section(raw, "grid")
         for k in ("nx", "ny"):
             if k in grid and (not isinstance(grid[k], int) or grid[k] < 3):
                 raise ConfigError(f"grid.{k} must be an integer >= 3")
-        model = dict(raw.get("model") or {})
+        model = _section(raw, "model")
         if model and model.get("family") not in _MODEL_FAMILIES:
             raise ConfigError(
                 f"model.family must be one of {_MODEL_FAMILIES}")
-        reaction = dict(raw.get("reaction") or {})
-        tolerances = dict(raw.get("tolerances") or {})
+        reaction = _section(raw, "reaction")
+        tolerances = _section(raw, "tolerances")
         for k, v in tolerances.items():
             if not (isinstance(v, (int, float)) and v > 0):
                 raise ConfigError(f"tolerances.{k} must be > 0")
@@ -133,6 +133,16 @@ class ExperimentConfig:
 
 
 # -- config materialization --------------------------------------------------
+
+def _section(raw: dict, key: str) -> dict:
+    """A copy of the optional object-valued section ``key`` of raw."""
+    section = raw.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} section must be a JSON object")
+    return dict(section)
+
 
 def _parse_domain(section: dict) -> DomainSpec:
     try:
@@ -173,18 +183,12 @@ def _build_grid(cfg: ExperimentConfig):
 def _build_model(cfg: ExperimentConfig) -> CoefficientModel:
     if cfg.model:
         m = cfg.model
-        family = m["family"]
-        if family == "constant_one":
-            return CoefficientModel.constant_one()
-        if family == "exp_y":
-            return CoefficientModel.exp_y()
-        theta = float(m.get("theta", 0.0))
-        if family == "power_weight":
-            return CoefficientModel.power_weight(theta)
-        if family == "mean_curvature_weight":
-            return CoefficientModel.mean_curvature_weight(theta)
-        return CoefficientModel.power_weight_p_laplace(
-            theta, float(m.get("p", 2.0)))
+        try:
+            return CoefficientModel(m["family"],
+                                    theta=float(m.get("theta", 0.0)),
+                                    p=float(m.get("p", 2.0)))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"model section invalid: {err}") from None
     if cfg.preset:
         return presets.get_preset(cfg.preset).model()
     return CoefficientModel.constant_one()
@@ -328,17 +332,10 @@ def _run_spectral(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
     K = int(p.spectral_modes) if p and p.spectral_modes else \
         int(cfg.grid.get("nx", 12))
     reaction = _lambdify_reaction(cfg)
-    basis = spectral.neumann_basis(domain, K)
-    rng = np.random.default_rng(cfg.seed)
     tol = float(cfg.tolerances.get("constancy", 1e-12))
-    worst, runs = 0.0, 20
-    last = None
-    for _ in range(runs):
-        init = spectral.SpectralFunction(basis,
-                                         rng.normal(0.0, 0.5, size=basis.K))
-        sol = spectral.solve_semilinear(basis, reaction, init)
-        worst = max(worst, float(np.sum(sol.coeffs[1:] ** 2)))
-        last = sol
+    runs = 20
+    worst, last = verify._constancy_runs(domain, K, reaction, n_runs=runs,
+                                         seed=cfg.seed)
     rec = _rec("spectral-constancy", PASS if worst <= tol else FAIL, worst,
                f"sum_k>=1 v_k^2 <= {tol:g} over {runs} seeded runs",
                _anchor(p), {"runs": runs, "modes": K})
@@ -407,7 +404,9 @@ def _run_counterexample(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]
                      {"outcome": "no-root",
                       "c2_residual": float(err.c2_residual),
                       "band_c2_residual": float(err.band_c2_residual)})], {}
-    rec = _rec("counterexample", PASS, float(res.interior_residual),
+    ok = res.interior_residual <= 1e-8
+    rec = _rec("counterexample", PASS if ok else FAIL,
+               float(res.interior_residual),
                "roots found with interior residual <= 1e-8",
                "Example EXAMPLE", res.to_json_dict())
     return [rec], {"counterexample_profile": np.column_stack([res.x, res.v])}

@@ -139,7 +139,7 @@ def level_set_weights(u: CylinderField, y_index: int,
         K0=K0_3[sl], Ksharp=Ksharp3[sl], mask=mask3[sl])
 
 
-def _speed_and_threshold(grid, comps, threshold):
+def _speed_and_threshold(comps, threshold):
     x_comps = comps[:-1]
     speed = np.sqrt(sum(c * c for c in x_comps))
     if threshold is None:
@@ -163,7 +163,7 @@ def bulk_bracket(u: CylinderField, model: CoefficientModel,
     """
     grid = u.grid
     comps = forms.gradient_fields(grid, u.values)
-    speed, threshold = _speed_and_threshold(grid, comps, threshold)
+    speed, threshold = _speed_and_threshold(comps, threshold)
     mask = speed > threshold
 
     state = forms.coefficient_state(u, model)
@@ -225,7 +225,7 @@ def poincare_sides(u: CylinderField, model: CoefficientModel, reaction,
     """
     grid = u.grid
     comps = forms.gradient_fields(grid, u.values)
-    speed, threshold = _speed_and_threshold(grid, comps, threshold)
+    speed, threshold = _speed_and_threshold(comps, threshold)
 
     state = forms.coefficient_state(u, model)
     w_theta = grid.bulk_weights(state["theta"])

@@ -17,20 +17,20 @@ signed; the default margin is 1e-6 times the infinity norm of the energy
 matrix.
 
 The lumped mass matrix is diagonal, so the pencil is solved exactly as the
-symmetric matrix C = M^{-1/2} A M^{-1/2}: densely up to DENSE_LIMIT free
-nodes, by shift-invert Lanczos above.  The Lanczos shift sigma is taken
-from the ladder -1, -4, -16, ... and accepted once the symmetric sparse LU
-of C - sigma I pivots on the diagonal with no negative pivot.  Sylvester's
-law of inertia then proves that C has no eigenvalue below sigma, so the
-iteration converges to the lowest pairs; the same LU serves every Lanczos
-solve.  The proof holds up to the rounding of the factorization: the
-computed factors are those of a matrix within rounding of C - sigma I, so
-only an eigenvalue within that distance of sigma could be miscounted.  The
-residual gate checks each returned pair; it cannot tell whether a lower
-one was skipped, which is what the shift certificate rules out.  If no
-ladder shift above the Gershgorin lower bound is certified, the shift
-falls back to that bound minus one, which lies below the spectrum by
-Gershgorin's theorem alone (it converges in hundreds of solves, not tens).
+symmetric matrix C = M^{-1/2} A M^{-1/2}, by shift-invert Lanczos at every
+size.  The Lanczos shift sigma is taken from the ladder -1, -4, -16, ...
+and accepted once the symmetric sparse LU of C - sigma I pivots on the
+diagonal with no negative pivot.  Sylvester's law of inertia then proves
+that C has no eigenvalue below sigma, so the iteration converges to the
+lowest pairs; the same LU serves every Lanczos solve.  The proof holds up
+to the rounding of the factorization: the computed factors are those of a
+matrix within rounding of C - sigma I, so only an eigenvalue within that
+distance of sigma could be miscounted.  The residual gate checks each
+returned pair; it cannot tell whether a lower one was skipped, which is
+what the shift certificate rules out.  If no ladder shift above the
+Gershgorin lower bound is certified, the shift falls back to that bound
+minus one, which lies below the spectrum by Gershgorin's theorem alone (it
+converges in hundreds of solves, not tens).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -54,11 +53,6 @@ STRICTLY_POSITIVE = "StrictlyPositive"
 STRICTLY_NEGATIVE = "StrictlyNegative"
 IDENTICALLY_ZERO = "IdenticallyZero"
 MIXED = "Mixed"
-
-# Above this free-space dimension the dense generalized eigensolve is
-# replaced by shift-invert Lanczos; both routes exist and are compared on
-# small grids in the test suite.
-DENSE_LIMIT = 2000
 
 EIGEN_RESIDUAL_RTOL = 1e-8
 
@@ -119,7 +113,7 @@ class StabilityReport:
     classification: str
     tol: float
     eigen_residual: float
-    # Eigensolve telemetry (route, sigma, shifts_tried, fallback,
+    # Eigensolve telemetry (sigma, shifts_tried, fallback,
     # operator_applications); not part of the serialized report.
     stats: dict = field(default_factory=dict)
 
@@ -243,38 +237,31 @@ def _certified_shift(C):
     return floor, spla.splu(_shifted(C, floor)), tried, True
 
 
-def _solve_pairs(form: StabilityForm, k: int, method: str | None = None):
+def _solve_pairs(form: StabilityForm, k: int):
     """(values, fields, residuals, stats) for the k smallest eigenpairs.
 
-    method None picks dense below DENSE_LIMIT free nodes and shift-invert
-    above; "dense"/"shift-invert" force a route (used to cross-check them).
-    Both routes solve the scaled problem C w = mu w of ``_scaled_pencil``.
+    Shift-invert Lanczos on the scaled problem C w = mu w of
+    ``_scaled_pencil``, at the shift of ``_certified_shift``.
     """
     if k < 1 or k >= form.dim:
         raise ValueError("need 1 <= k < dimension of the form")
     A, M = form.energy_matrix, form.mass_matrix
-    if method is None:
-        method = "dense" if form.dim <= DENSE_LIMIT else "shift-invert"
     C, s = _scaled_pencil(form)
-    stats = {"route": method, "sigma": None, "shifts_tried": [],
-             "fallback": False, "operator_applications": 0}
-    if method == "dense":
-        vals, w = scipy.linalg.eigh(C.toarray(), subset_by_index=[0, k - 1])
-    else:
-        sigma, lu, tried, fallback = _certified_shift(C)
-        stats.update(sigma=sigma, shifts_tried=tried, fallback=fallback)
+    sigma, lu, tried, fallback = _certified_shift(C)
+    stats = {"sigma": sigma, "shifts_tried": tried, "fallback": fallback,
+             "operator_applications": 0}
 
-        def solve(x):
-            stats["operator_applications"] += 1
-            return lu.solve(x)
+    def solve(x):
+        stats["operator_applications"] += 1
+        return lu.solve(x)
 
-        OPinv = spla.LinearOperator(C.shape, matvec=solve, dtype=float)
-        # Fixed start vector M^{1/2} 1 (s = M^{-1/2}): positive, close to
-        # the single-signed ground state, and the same on every call, so
-        # repeated solves in one process give bit-identical pairs.
-        vals, w = spla.eigsh(C, k=k, sigma=sigma, OPinv=OPinv, v0=1.0 / s)
-        order = np.argsort(vals)
-        vals, w = vals[order], w[:, order]
+    OPinv = spla.LinearOperator(C.shape, matvec=solve, dtype=float)
+    # Fixed start vector M^{1/2} 1 (s = M^{-1/2}): positive, close to the
+    # single-signed ground state, and the same on every call, so repeated
+    # solves in one process give bit-identical pairs.
+    vals, w = spla.eigsh(C, k=k, sigma=sigma, OPinv=OPinv, v0=1.0 / s)
+    order = np.argsort(vals)
+    vals, w = vals[order], w[:, order]
     vecs = s[:, None] * w
     out_vals, out_fields, out_res = [], [], []
     for i in range(k):
@@ -291,22 +278,14 @@ def _solve_pairs(form: StabilityForm, k: int, method: str | None = None):
     return out_vals, out_fields, out_res, stats
 
 
-def min_rayleigh(form: StabilityForm, k: int = 1,
-                 method: str | None = None):
+def min_rayleigh(form: StabilityForm, k: int = 1):
     """k smallest eigenpairs of energy*phi = mu * mass * phi, ascending.
 
-    Mass-normalized eigenfields.  Both routes work on the scaled matrix
-    C = M^{-1/2} A M^{-1/2} (exact, as M is diagonal): a dense symmetric
-    eigensolve of its k lowest pairs up to DENSE_LIMIT free nodes, and
-    shift-invert Lanczos above it.  The shift is the first of -1, -4,
-    -16, ... at which the symmetric sparse LU of C - sigma I has no
-    negative pivot; by Sylvester's law of inertia that proves no
-    eigenvalue lies below sigma (up to the rounding of the factorization),
-    so the Lanczos iteration targets the lowest pairs.  If no ladder shift
-    is certified, the Gershgorin lower bound minus one is used instead.
-    Each pair must satisfy ||A phi - mu M phi|| <= 1e-8 * ||A||_inf * ||phi||.
+    Mass-normalized eigenfields, from certified shift-invert Lanczos on
+    C = M^{-1/2} A M^{-1/2} (see the module docstring).  Each pair must
+    satisfy ||A phi - mu M phi|| <= 1e-8 * ||A||_inf * ||phi||.
     """
-    vals, fields, _, _ = _solve_pairs(form, k, method=method)
+    vals, fields, _, _ = _solve_pairs(form, k)
     return list(zip(vals, fields))
 
 

@@ -2,12 +2,12 @@
 
 Each criterion returns a CheckRecord with a pass/fail/not-applicable
 status, the headline measured value, the tolerance it was held to, the
-anchor payload for the report, wall-clock, and a details dict whose
-array-valued entries the reporting layer spills to CSV.
+anchor payload for the report, its wall-clock budget, and a details dict
+whose array-valued entries the reporting layer spills to CSV.
 
 Checks are deterministic: every randomized piece draws from an
-explicitly seeded generator.  A check fails if its measurement fails OR
-it overruns its wall-clock budget.
+explicitly seeded generator.  ``run_all`` times each criterion; a check
+fails if its measurement fails OR it overruns its wall-clock budget.
 """
 
 from __future__ import annotations
@@ -68,18 +68,9 @@ class CheckRecord:
         }
 
 
-def _finish(rec: CheckRecord, t0: float) -> CheckRecord:
-    rec.wall_clock = time.perf_counter() - t0
-    if rec.status == PASS and rec.budget_s and rec.wall_clock > rec.budget_s:
-        rec.status = FAIL
-        rec.details["budget_overrun"] = rec.wall_clock
-    return rec
-
-
 # -- criterion 1: flux-linearization spectrum --------------------------------
 
 def criterion_1() -> CheckRecord:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(20260822)
     worst = 0.0
     families = (
@@ -109,7 +100,7 @@ def criterion_1() -> CheckRecord:
         tolerance="relative error <= 1e-12 over 200 samples",
         anchor="Lemma B-POS", budget_s=1.0,
         details={"samples": 200, "worst_relative_error": worst})
-    return _finish(rec, t0)
+    return rec
 
 
 # -- criterion 2: catalog residual convergence -------------------------------
@@ -138,7 +129,6 @@ def _catalog_residual(name, domain, y_max, model, reaction, n):
 
 
 def criterion_2() -> CheckRecord:
-    t0 = time.perf_counter()
     rows, ok = [], True
     worst_slope = np.inf
     for name, domain, y_max, model_f, reaction_f, allow_floor in _C2_CASES:
@@ -166,7 +156,7 @@ def criterion_2() -> CheckRecord:
                   "1e-12*(1+max|u|)",
         anchor="§1.4 and Eq. O76:98", budget_s=30.0,
         details={"cases": rows})
-    return _finish(rec, t0)
+    return rec
 
 
 # -- criterion 3: stability labels -------------------------------------------
@@ -179,7 +169,6 @@ def _classify_preset(preset, nx=65, ny=65):
 
 
 def criterion_3() -> CheckRecord:
-    t0 = time.perf_counter()
     rows, ok = [], True
     mu_unstable = None
     for preset in presets.stability_quartet():
@@ -199,7 +188,7 @@ def criterion_3() -> CheckRecord:
         tolerance="labels match; unstable mu1 < -1e-3 at nx=ny=65, y_max=8",
         anchor="§1.4", budget_s=60.0,
         details={"cases": rows})
-    return _finish(rec, t0)
+    return rec
 
 
 # -- criterion 4: directional Poincare inequality ----------------------------
@@ -234,7 +223,6 @@ def _poincare_slacks(preset, n):
 
 
 def criterion_4() -> CheckRecord:
-    t0 = time.perf_counter()
     stable = [p for p in presets.stability_quartet()
               if p.expected_classification == "Stable"]
     # refinement-estimated constant from the coarse pair
@@ -272,7 +260,7 @@ def criterion_4() -> CheckRecord:
         anchor="Theorem TH:POI", budget_s=60.0,
         details={"cases": rows, "C": C,
                  "unstable_witness": witness or ["absent"]})
-    return _finish(rec, t0)
+    return rec
 
 
 # -- criterion 5: level-set weight decomposition -----------------------------
@@ -303,7 +291,6 @@ def _decomposition_misfit(n, ny):
 
 
 def criterion_5() -> CheckRecord:
-    t0 = time.perf_counter()
     coarse = []
     for n, ny in ((17, 9), (25, 13)):
         h = np.pi / (n - 1)
@@ -323,25 +310,25 @@ def criterion_5() -> CheckRecord:
         details={"C": C, "misfit_at_33": misfit, "C_times_h": C * h,
                  "min_combination": min_combo,
                  "mask_fraction": _C5_MASK_FRACTION})
-    return _finish(rec, t0)
+    return rec
 
 
 # -- criterion 6: nonlocal constancy -----------------------------------------
 
 def _constancy_runs(domain, K, reaction, n_runs, seed):
+    """(worst nonconstant energy, last solution) over n_runs seeded solves."""
     basis = spectral.neumann_basis(domain, K)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst, sol = 0.0, None
     for _ in range(n_runs):
         init = spectral.SpectralFunction(
             basis, rng.normal(0.0, 0.5, size=basis.K))
         sol = spectral.solve_semilinear(basis, reaction, init)
         worst = max(worst, float(np.sum(sol.coeffs[1:] ** 2)))
-    return worst
+    return worst, sol
 
 
 def criterion_6() -> CheckRecord:
-    t0 = time.perf_counter()
     cubic = ReactionSpec.custom(
         f=lambda v: -np.asarray(v) ** 3,
         f_prime=lambda v: -3.0 * np.asarray(v) ** 2)
@@ -359,7 +346,7 @@ def criterion_6() -> CheckRecord:
     ]
     rows, worst = [], 0.0
     for i, (label, domain, K, reaction) in enumerate(cases):
-        w = _constancy_runs(domain, K, reaction, n_runs=20, seed=777 + i)
+        w, _ = _constancy_runs(domain, K, reaction, n_runs=20, seed=777 + i)
         worst = max(worst, w)
         rows.append({"case": label, "max_nonconstant_energy": w})
     status = PASS if worst <= 1e-12 else FAIL
@@ -368,13 +355,12 @@ def criterion_6() -> CheckRecord:
         tolerance="sum_{k>=1} v_k^2 <= 1e-12 in every run (20 seeds/case)",
         anchor="Theorem thm: s-Neumann 1 and 2", budget_s=60.0,
         details={"cases": rows})
-    return _finish(rec, t0)
+    return rec
 
 
 # -- criterion 7: extension equivalence --------------------------------------
 
 def criterion_7() -> CheckRecord:
-    t0 = time.perf_counter()
     domain = DomainSpec.interval(0.0, np.pi)
     basis = spectral.neumann_basis(domain, K=32)
     grid = build_grid(domain, nx=129, ny=129, y_max=19.0)
@@ -392,13 +378,12 @@ def criterion_7() -> CheckRecord:
                   "y_max=19 (e^{-sqrt(lambda_1) Y} < 1e-8)",
         anchor="Eq. s-Neumann", budget_s=30.0,
         details={"discrepancy": disc})
-    return _finish(rec, t0)
+    return rec
 
 
 # -- criterion 8: eigenvalue growth ------------------------------------------
 
 def criterion_8() -> CheckRecord:
-    t0 = time.perf_counter()
     rect = spectral.neumann_basis(
         DomainSpec.rectangle(0.0, np.pi, 0.0, np.pi), K=500)
     K_beta, _ = spectral.eig_growth_check(rect, beta=0.9)
@@ -413,13 +398,12 @@ def criterion_8() -> CheckRecord:
         anchor="Eq. l k and Eq. PHIk", budget_s=10.0,
         details={"rectangle_K_beta": int(K_beta),
                  "interval_C1": float(C1), "interval_C2": float(C2)})
-    return _finish(rec, t0)
+    return rec
 
 
 # -- criterion 9: spectral vs integral operators -----------------------------
 
 def criterion_9() -> CheckRecord:
-    t0 = time.perf_counter()
     domain = DomainSpec.interval(0.0, np.pi)
     basis = spectral.neumann_basis(domain, K=16)
     bump = np.exp(-((basis.x_nodes - np.pi / 2) / 0.4) ** 2)
@@ -436,13 +420,12 @@ def criterion_9() -> CheckRecord:
         anchor="§1.6", budget_s=30.0,
         details={"discrepancy": d1, "refined": d2,
                  "relative_change": change})
-    return _finish(rec, t0)
+    return rec
 
 
 # -- criterion 10: counterexample pipeline -----------------------------------
 
 def criterion_10() -> CheckRecord:
-    t0 = time.perf_counter()
     try:
         res = fractional1d.construct_counterexample(
             lambda x: np.zeros_like(x), eps=0.5, s=0.5)
@@ -466,7 +449,7 @@ def criterion_10() -> CheckRecord:
                             "the interior residual floor to ~1e-2 in double "
                             "precision regardless",
             })
-        return _finish(rec, t0)
+        return rec
     b = 0.5 / 11.0
     in_band = (b <= res.delta1 <= 4 * b) and (b <= res.delta2 <= 4 * b)
     side = fractional1d.Side
@@ -487,13 +470,12 @@ def criterion_10() -> CheckRecord:
                  "interior_residual": float(res.interior_residual),
                  "normal_derivative_left": float(nd1),
                  "normal_derivative_right": float(nd2)})
-    return _finish(rec, t0)
+    return rec
 
 
 # -- criterion 11: extremum sign ---------------------------------------------
 
 def criterion_11() -> CheckRecord:
-    t0 = time.perf_counter()
     rows, ok, applicable = [], True, 0
     worst_f = -np.inf
     for preset in presets.extremum_battery():
@@ -535,7 +517,7 @@ def criterion_11() -> CheckRecord:
                   "for every applicable stable solve",
         anchor="Corollary C:PT and Lemma 0oPPy", budget_s=30.0,
         details={"cases": rows, "applicable": applicable})
-    return _finish(rec, t0)
+    return rec
 
 
 CRITERIA = (
@@ -546,8 +528,19 @@ CRITERIA = (
 
 
 def run_all() -> list[CheckRecord]:
-    """Run the full acceptance battery, in order."""
-    return [fn() for fn in CRITERIA]
+    """Run the full acceptance battery, in order, timing each criterion;
+    a passing criterion that overruns its budget fails."""
+    records = []
+    for fn in CRITERIA:
+        t0 = time.perf_counter()
+        rec = fn()
+        rec.wall_clock = time.perf_counter() - t0
+        over = rec.budget_s and rec.wall_clock > rec.budget_s
+        if rec.status == PASS and over:
+            rec.status = FAIL
+            rec.details["budget_overrun"] = rec.wall_clock
+        records.append(rec)
+    return records
 
 
 def overall_status(records: list[CheckRecord]) -> str:

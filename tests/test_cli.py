@@ -1,5 +1,6 @@
 """Tests for the config-driven command line runner."""
 
+import dataclasses
 import json
 import os
 import time
@@ -62,6 +63,8 @@ def test_config_round_trip():
      "domain": {"kind": "interval", "x_min": 1, "x_max": 0}},   # empty
     {"experiment": "Solve",
      "domain": {"kind": "interval", "x_min": "a", "x_max": 1}},  # not a number
+    {"experiment": "Solve", "domain": 5},            # section not an object
+    {"experiment": "Solve", "tolerances": "abc"},    # section not an object
 ])
 def test_config_validation_rejects(raw):
     with pytest.raises(cli.ConfigError):
@@ -186,6 +189,19 @@ def test_run_invalid_grid_exits_two(tmp_path, capsys):
     assert "y_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", [
+    {"family": "power_weight", "theta": 2.0},  # theta outside (-1, 1)
+    {"family": "power_weight_p_laplace", "p": 0.5},  # p not above 1
+])
+def test_run_invalid_model_exits_two(tmp_path, capsys, model):
+    path = _write_config(tmp_path, "bad_model.json",
+                         {"experiment": "Solve", "preset": "linear-y",
+                          "model": model,
+                          "output_dir": str(tmp_path / "out")})
+    assert cli.main(["run", str(path)]) == 2
+    assert "model section invalid" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -253,6 +269,22 @@ def test_counterexample_runner_writes_profile(tmp_path):
     assert profile.shape[0] > 1000
 
 
+def test_counterexample_runner_fails_above_its_residual_bound(tmp_path,
+                                                              monkeypatch):
+    construct = cli.fractional1d.construct_counterexample
+    monkeypatch.setattr(
+        cli.fractional1d, "construct_counterexample",
+        lambda *a, **kw: dataclasses.replace(construct(*a, **kw),
+                                             interior_residual=1e-6))
+    path = _write_config(tmp_path, "ce.json", {
+        "experiment": "Counterexample",
+        "output_dir": str(tmp_path / "out")})
+    assert cli.main(["run", path]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["records"][0]["status"] == "fail"
+    assert report["records"][0]["measured"] == 1e-6
+
+
 # ---------------------------------------------------------------------------
 # report invariants
 
@@ -286,8 +318,8 @@ def test_reports_reproducible_modulo_wall_clock(tmp_path, monkeypatch):
 
 def test_stability_report_reproducible_above_dense_limit(tmp_path,
                                                         monkeypatch):
-    # 49 x 48 free nodes exceed DENSE_LIMIT, so this takes the
-    # shift-invert route twice in one process
+    # runs the shift-invert eigensolve at 49 x 48 free nodes twice in one
+    # process
     path = _write_config(tmp_path, "stab.json", {
         "experiment": "Stability", "preset": "decay-cos-unstable",
         "grid": {"nx": 49, "ny": 49}})

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cylreact import presets, solver, stability
 from cylreact.cylinder import CylinderField
@@ -12,6 +13,13 @@ def _preset_state(name, nx=33, ny=33):
     grid = p.build_grid(nx=nx, ny=ny)
     u = p.exact_state(grid)
     return p, grid, u
+
+
+def _dense_reference(form, k):
+    """k lowest eigenvalues of the generalized pencil by dense eigh."""
+    return scipy.linalg.eigh(form.energy_matrix.toarray(),
+                             form.mass_matrix.toarray(),
+                             subset_by_index=[0, k - 1], eigvals_only=True)
 
 
 # Ground-state eigenvalues of the four catalog scenarios on a 33x33 grid
@@ -96,10 +104,22 @@ def test_report_serialization_round_trip():
 def test_dense_and_shift_invert_routes_agree():
     p, grid, u = _preset_state("grow-cos-stable", nx=17, ny=17)
     form = stability.assemble_I(u, p.model_factory(), p.reaction_factory())
-    dense = stability.min_rayleigh(form, k=3, method="dense")
-    sinv = stability.min_rayleigh(form, k=3, method="shift-invert")
-    for (mu_d, _), (mu_s, _) in zip(dense, sinv):
+    sinv = stability.min_rayleigh(form, k=3)
+    for mu_d, (mu_s, _) in zip(_dense_reference(form, 3), sinv):
         assert mu_s == pytest.approx(mu_d, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["grow-cos-stable", "decay-cos-unstable"])
+def test_shift_invert_matches_dense_on_smallest_grid(name):
+    # 3 x 2 free nodes: every k the eigensolver accepts, against the
+    # dense generalized reference
+    p, grid, u = _preset_state(name, nx=3, ny=3)
+    form = stability.assemble_I(u, p.model_factory(), p.reaction_factory())
+    assert form.dim == 6
+    for k in range(1, form.dim):
+        vals = [mu for mu, _ in stability.min_rayleigh(form, k=k)]
+        assert vals == pytest.approx(list(_dense_reference(form, k)),
+                                     rel=1e-8, abs=1e-10)
 
 
 def test_min_rayleigh_values_ascending_and_mass_normalized():
@@ -207,15 +227,17 @@ def _negative_pivots_at(form, sigma):
     return stability._negative_pivots(stability._factor_shifted(C, sigma))
 
 
-@pytest.mark.parametrize("name", ["grow-cos-stable", "decay-cos-unstable"])
-def test_certified_shift_lies_below_mu1_above_dense_limit(name):
-    p, grid, u = _preset_state(name, nx=49, ny=49)
+@pytest.mark.parametrize("name, n", [
+    pytest.param("grow-cos-stable", 49, id="grow-cos-stable"),
+    pytest.param("decay-cos-unstable", 49, id="decay-cos-unstable"),
+    pytest.param("decay-cos-unstable", 17, id="decay-cos-unstable-17"),
+])
+def test_certified_shift_lies_below_mu1_above_dense_limit(name, n):
+    p, grid, u = _preset_state(name, nx=n, ny=n)
     model, reaction = p.model_factory(), p.reaction_factory()
     form = stability.assemble_I(u, model, reaction)
-    assert form.dim > stability.DENSE_LIMIT
     rep = stability.classify(u, model, reaction)
     stats = rep.stats
-    assert stats["route"] == "shift-invert"
     assert stats["fallback"] is False
     assert stats["shifts_tried"] == [stats["sigma"]]
     assert 0 < stats["operator_applications"] < 100
@@ -233,13 +255,11 @@ def test_shift_ladder_steps_below_minus_one():
     p, grid, u = _preset_state("grow-cos-stable")
     form = stability.assemble_I(u, p.model_factory(),
                                 solver.ReactionSpec.linear(5.0))
-    vals, _, _, stats = stability._solve_pairs(form, 3, method="shift-invert")
+    vals, _, _, stats = stability._solve_pairs(form, 3)
     assert vals[0] < -1.0
     assert stats["shifts_tried"] == [-1.0, -4.0]
     assert stats["sigma"] == -4.0 and stats["fallback"] is False
-    dense, _, _, dense_stats = stability._solve_pairs(form, 3, method="dense")
-    assert dense_stats["route"] == "dense"
-    for mu_s, mu_d in zip(vals, dense):
+    for mu_s, mu_d in zip(vals, _dense_reference(form, 3)):
         assert mu_s == pytest.approx(mu_d, rel=1e-8)
 
 
@@ -265,7 +285,6 @@ def test_shift_invert_repeats_bit_identically_in_one_process():
     p, grid, u = _preset_state("grow-cos-stable", nx=49, ny=49)
     model, reaction = p.model_factory(), p.reaction_factory()
     reports = [stability.classify(u, model, reaction) for _ in range(3)]
-    assert reports[0].stats["route"] == "shift-invert"
     assert [r.mu1 for r in reports] == [reports[0].mu1] * 3
     for r in reports[1:]:
         np.testing.assert_array_equal(r.ground_state.values,
