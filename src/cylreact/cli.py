@@ -39,7 +39,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -80,9 +80,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(raw) - {"experiment", "preset", "domain", "grid",
-                              "model", "reaction", "tolerances",
-                              "output_dir", "seed"}
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         experiment = raw.get("experiment")
@@ -119,17 +117,7 @@ class ExperimentConfig:
                    tolerances=tolerances, output_dir=output_dir, seed=seed)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "preset": self.preset,
-            "domain": dict(self.domain),
-            "grid": dict(self.grid),
-            "model": dict(self.model),
-            "reaction": dict(self.reaction),
-            "tolerances": dict(self.tolerances),
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 # -- config materialization --------------------------------------------------
@@ -255,10 +243,9 @@ def _cylinder_setup(cfg: ExperimentConfig):
     """(grid, model, reaction, initial state, top condition) for a cylinder
     solve.
 
-    A preset with a closed-form profile starts there and pins the top slice
-    to the profile's own trace (the constant-flux reactions are incompatible
-    with a zero-flux top on any truncation); free-form configs start from
-    small seeded noise with the natural zero-flux top.
+    A preset with a closed-form profile starts there with the top slice
+    pinned to the profile's own trace (``solver.pinned_top``); free-form
+    configs start from small seeded noise with the natural zero-flux top.
     """
     grid = _build_grid(cfg)
     model = _build_model(cfg)
@@ -266,8 +253,7 @@ def _cylinder_setup(cfg: ExperimentConfig):
     p = _preset(cfg)
     exact = p.exact_state(grid) if p is not None else None
     if exact is not None:
-        top = ("dirichlet", exact.values[..., -1].ravel().copy())
-        return grid, model, reaction, exact, top
+        return grid, model, reaction, exact, solver.pinned_top(exact)
     rng = np.random.default_rng(cfg.seed)
     init = CylinderField(grid, 0.01 * rng.standard_normal(grid.shape))
     return grid, model, reaction, init, ("neumann",)

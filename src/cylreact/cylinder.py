@@ -336,9 +336,6 @@ class CylinderGrid:
         coords = self.coordinate_arrays()
         return CylinderField(self, np.asarray(fn(*coords), dtype=float))
 
-    def zeros(self) -> "CylinderField":
-        return CylinderField(self, np.zeros(self.shape))
-
 
 def build_grid(domain: DomainSpec, nx: int, ny: int, y_max: float,
                grading: float = 0.0, nz: int | None = None) -> CylinderGrid:

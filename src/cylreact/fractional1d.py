@@ -62,9 +62,6 @@ class Fractional1DOperator:
     def n(self) -> int:
         return self.x.size
 
-    def interior_slice(self, margin_cells: int = 1) -> slice:
-        return slice(margin_cells, self.n - margin_cells)
-
 
 def _kernel_cell_moments(r_lo: np.ndarray, r_hi: np.ndarray, s: float):
     """(I0, I1) = integrals of r^{-1-2s} and r * r^{-1-2s} over [r_lo, r_hi]."""

@@ -42,7 +42,6 @@ class Preset:
     name: str
     anchor: str
     description: str
-    experiment: str
     domain: DomainSpec
     nx: int
     ny: int
@@ -90,20 +89,6 @@ class Preset:
 CONSTANT_ONE_STATE = "constant-one"
 
 
-def _reaction_one_minus_u() -> ReactionSpec:
-    return ReactionSpec.custom(
-        f=lambda u: 1.0 - np.asarray(u, dtype=float),
-        f_prime=lambda u: np.full_like(np.asarray(u, dtype=float), -1.0),
-        f_second=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
-
-
-def _reaction_cubic_linear() -> ReactionSpec:
-    return ReactionSpec.custom(
-        f=lambda v: -np.asarray(v, dtype=float) - np.asarray(v, dtype=float) ** 3,
-        f_prime=lambda v: -1.0 - 3.0 * np.asarray(v, dtype=float) ** 2,
-        f_second=lambda v: -6.0 * np.asarray(v, dtype=float))
-
-
 _INTERVAL_PI = DomainSpec.interval(0.0, np.pi)
 _INTERVAL_2PI = DomainSpec.interval(0.0, TWO_PI)
 
@@ -113,7 +98,6 @@ PRESETS: tuple[Preset, ...] = (
         anchor="§1.4",
         description="u = y with unit coefficient and constant reaction -1; "
                     "harmonic, stable, infimum 0 on the bottom with f(0) = -1.",
-        experiment="Stability",
         domain=_INTERVAL_PI, nx=65, ny=65, y_max=8.0,
         model_factory=CoefficientModel.constant_one,
         reaction_factory=lambda: ReactionSpec.constant(-1.0),
@@ -128,7 +112,6 @@ PRESETS: tuple[Preset, ...] = (
         description="u = e^{-y} with coefficient e^y and constant reaction +1; "
                     "stable and bounded, yet f stays positive: the extremum-sign "
                     "conclusion is not applicable because 1/a is integrable.",
-        experiment="Stability",
         domain=_INTERVAL_PI, nx=65, ny=65, y_max=8.0,
         model_factory=CoefficientModel.exp_y,
         reaction_factory=lambda: ReactionSpec.constant(1.0),
@@ -142,7 +125,6 @@ PRESETS: tuple[Preset, ...] = (
         anchor="§1.4",
         description="u = e^{y} cos x on (0, 2 pi) with reaction f(u) = -u; "
                     "stable despite exponential growth.",
-        experiment="Stability",
         domain=_INTERVAL_2PI, nx=65, ny=65, y_max=8.0,
         model_factory=CoefficientModel.constant_one,
         reaction_factory=lambda: ReactionSpec.linear(-1.0),
@@ -156,7 +138,6 @@ PRESETS: tuple[Preset, ...] = (
         anchor="§1.4",
         description="u = e^{-y} cos x on (0, 2 pi) with reaction f(u) = u; "
                     "the sign-changing bounded state, unstable.",
-        experiment="Stability",
         domain=_INTERVAL_2PI, nx=65, ny=65, y_max=8.0,
         model_factory=CoefficientModel.constant_one,
         reaction_factory=lambda: ReactionSpec.linear(1.0),
@@ -170,10 +151,9 @@ PRESETS: tuple[Preset, ...] = (
         anchor="plumbing",
         description="u = 1 with unit coefficient and reaction f(u) = 1 - u; "
                     "constant stable state, f vanishes at the infimum.",
-        experiment="Stability",
         domain=_INTERVAL_PI, nx=65, ny=65, y_max=8.0,
         model_factory=CoefficientModel.constant_one,
-        reaction_factory=_reaction_one_minus_u,
+        reaction_factory=lambda: ReactionSpec.constant(1.0).shifted(1.0),
         catalog_name=CONSTANT_ONE_STATE,
         expected_classification="Stable",
         bounded_below=True,
@@ -185,7 +165,6 @@ PRESETS: tuple[Preset, ...] = (
         description="y-only profile c - f(c) * int_0^y dz/a(z) for the "
                     "power-weight coefficient with theta = -1/2 on a graded "
                     "grid; exact member of the one-dimensional family.",
-        experiment="Solve",
         domain=_INTERVAL_PI, nx=33, ny=65, y_max=2.0, grading=0.5,
         model_factory=lambda: CoefficientModel.power_weight(-0.5),
         reaction_factory=lambda: ReactionSpec.linear(1.0),
@@ -201,10 +180,9 @@ PRESETS: tuple[Preset, ...] = (
         description="spectral half-Laplacian with reaction f(v) = -v - v^3 on "
                     "(0, pi): every Newton run from random data lands on a "
                     "constant (here the zero constant).",
-        experiment="Spectral",
         domain=_INTERVAL_PI, nx=65, ny=65, y_max=8.0,
         model_factory=CoefficientModel.constant_one,
-        reaction_factory=_reaction_cubic_linear,
+        reaction_factory=lambda: ReactionSpec.cubic().shifted(1.0),
         catalog_name=None,
         expected_classification=None,
         bounded_below=True,

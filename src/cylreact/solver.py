@@ -13,7 +13,8 @@ to a Dirichlet value (needed when the bottom flux has nonzero mean, since an
 all-Neumann truncation is then incompatible).  The Newton matrix is the
 assembled second-variation form, i.e. the B-weighted stiffness plus reaction
 linearizations, and steps are damped by Armijo backtracking on the squared
-residual norm.
+residual norm in ``damped_newton``, the one loop that also drives the
+spectral semilinear solve.
 
 A small catalog of closed-form solutions is included for residual and
 stability checks, together with a one-dimensional family u(y) = c -
@@ -61,46 +62,41 @@ class ReactionSpec:
     f_second: Callable | None = None
     g: Callable | None = None
     g_u: Callable | None = None
-    kind: str = "custom"
     convexity: str | None = None
 
     @classmethod
     def linear(cls, k: float) -> "ReactionSpec":
         return cls(f=lambda u: k * np.asarray(u, dtype=float),
                    f_prime=lambda u: np.full_like(np.asarray(u, dtype=float), k),
-                   f_second=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                   kind=f"linear({k})")
+                   f_second=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
 
     @classmethod
     def constant(cls, k: float) -> "ReactionSpec":
         return cls(f=lambda u: np.full_like(np.asarray(u, dtype=float), k),
                    f_prime=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                   f_second=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                   kind=f"constant({k})")
+                   f_second=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
 
     @classmethod
     def cubic(cls) -> "ReactionSpec":
         return cls(f=lambda u: -np.asarray(u, dtype=float) ** 3,
                    f_prime=lambda u: -3.0 * np.asarray(u, dtype=float) ** 2,
-                   f_second=lambda u: -6.0 * np.asarray(u, dtype=float),
-                   kind="cubic")
+                   f_second=lambda u: -6.0 * np.asarray(u, dtype=float))
 
     @classmethod
     def custom(cls, f, f_prime, f_second=None, g=None, g_u=None,
                convexity=None) -> "ReactionSpec":
         return cls(f=f, f_prime=f_prime, f_second=f_second, g=g, g_u=g_u,
-                   kind="custom", convexity=convexity)
+                   convexity=convexity)
 
     def shifted(self, delta: float) -> "ReactionSpec":
         """Replace f by f - delta*u (so f' drops by delta), keeping the pair
-        consistent.  Used by the monotonicity checks."""
+        consistent.  The presets build 1 - u and -u - u^3 this way."""
         f, fp = self.f, self.f_prime
         fs = self.f_second
         return ReactionSpec(
             f=lambda u: f(u) - delta * np.asarray(u, dtype=float),
             f_prime=lambda u: fp(u) - delta,
-            f_second=fs, g=self.g, g_u=self.g_u,
-            kind=f"{self.kind}-shift({delta})", convexity=self.convexity)
+            f_second=fs, g=self.g, g_u=self.g_u, convexity=self.convexity)
 
 
 @dataclass
@@ -140,20 +136,10 @@ def residual_weak(u: CylinderField, model: CoefficientModel,
         raise ValueError("phi must live on the same grid as u")
     if np.any(phi.values[..., -1] != 0.0):
         raise ValueError("test field must vanish on the top slice")
-    grid = u.grid
-    state = forms.coefficient_state(u, model)
-    w_theta = grid.bulk_weights(state["theta"])
-    phi_comps = forms.gradient_fields(grid, phi.values, pairing=True)
-    dot = sum(state["a_red"] * gc * pc
-              for gc, pc in zip(state["comps"], phi_comps))
-    total = float(np.sum(w_theta * dot))
-    if reaction.g is not None:
-        total += float(np.sum(grid.bulk_weights(0.0)
-                              * reaction.g(state["y"], u.values) * phi.values))
-    w_b = grid.bottom_weights()
-    total -= float(np.sum(w_b * reaction.f(u.values[..., 0])
-                          * phi.values[..., 0]))
-    return total
+    # Exact by linearity: entry j of the nodal residual is the form tested
+    # on the j-th hat, and phi is the sum of its nodal values times hats.
+    return float(phi.values.ravel() @ forms.weak_residual_vector(u, model,
+                                                                 reaction))
 
 
 def residual_vector(u: CylinderField, model: CoefficientModel,
@@ -223,6 +209,49 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict) -> np.ndarray:
     return out[0]
 
 
+def damped_newton(residual: Callable, newton_step: Callable, x: np.ndarray,
+                  tol: float, max_iter: int):
+    """Newton's method with Armijo backtracking on the squared residual norm.
+
+    residual(x) is a flat vector and newton_step(x, r) solves the Newton
+    system J(x) delta = -r for a step shaped like x.  Each step halves its
+    length until ||r||^2 falls by the factor 1 - ARMIJO_SLOPE * length,
+    and a step shorter than MIN_STEP stalls the iteration.  Converged means
+    max|r| <= tol.  Returns (x, r, history, halvings_per_step, stalled):
+    history holds max|r| at the start and after every accepted step.
+    """
+    r = residual(x)
+    history = [float(np.max(np.abs(r)))]
+    halvings_per_step = []
+    while history[-1] > tol and len(halvings_per_step) < max_iter:
+        delta = newton_step(x, r)
+        base_sq = float(np.dot(r, r))
+        lam, halvings = 1.0, 0
+        while True:
+            if lam < MIN_STEP:
+                return x, r, history, halvings_per_step, True
+            trial = x + lam * delta
+            r_trial = residual(trial)
+            if float(np.dot(r_trial, r_trial)) <= (1.0 - ARMIJO_SLOPE * lam) * base_sq:
+                break
+            lam *= ARMIJO_FACTOR
+            halvings += 1
+        x, r = trial, r_trial
+        halvings_per_step.append(halvings)
+        history.append(float(np.max(np.abs(r))))
+    return x, r, history, halvings_per_step, False
+
+
+def pinned_top(u: CylinderField) -> tuple:
+    """top_bc pinning the top slice to u's own trace.
+
+    A closed-form profile is solved with this truncation: the constant-flux
+    reactions are incompatible with a zero-flux top (their flux leaves
+    through y -> infinity), so the faithful truncation is Dirichlet.
+    """
+    return ("dirichlet", u.values[..., -1].ravel().copy())
+
+
 def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
                  grid: CylinderGrid, init: CylinderField,
                  tol: float = 1e-10, max_iter: int = 50,
@@ -235,38 +264,21 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
     """
     if init.grid is not grid and init.grid.shape != grid.shape:
         raise ValueError("init must live on the solve grid")
-    u = init.copy()
-    history = []
-    r = residual_vector(u, model, reaction, top_bc)
-    rnorm = float(np.max(np.abs(r)))
-    history.append(rnorm)
-    stats = {"factorizations": 0, "lu_fill_nnz": 0, "lsmr_fallbacks": 0,
-             "backtracks": []}
-    it = 0
-    while rnorm > tol and it < max_iter:
-        A = _newton_matrix(u, model, reaction, top_bc)
-        delta = _linear_step(A, -r, stats)
-        base_sq = float(np.dot(r, r))
-        lam = 1.0
-        halvings = 0
-        accepted = False
-        while lam >= MIN_STEP:
-            trial = CylinderField(grid, u.values + lam * delta.reshape(grid.shape))
-            r_trial = residual_vector(trial, model, reaction, top_bc)
-            if float(np.dot(r_trial, r_trial)) <= (1.0 - ARMIJO_SLOPE * lam) * base_sq:
-                u, r = trial, r_trial
-                accepted = True
-                break
-            lam *= ARMIJO_FACTOR
-            halvings += 1
-        if not accepted:
-            break
-        stats["backtracks"].append(halvings)
-        rnorm = float(np.max(np.abs(r)))
-        history.append(rnorm)
-        it += 1
-    return SolveReport(u=u, converged=bool(rnorm <= tol),
-                       newton_iterations=it, final_residual=rnorm,
+    stats = {"factorizations": 0, "lu_fill_nnz": 0, "lsmr_fallbacks": 0}
+
+    def residual(x):
+        return residual_vector(CylinderField(grid, x), model, reaction, top_bc)
+
+    def newton_step(x, r):
+        A = _newton_matrix(CylinderField(grid, x), model, reaction, top_bc)
+        return _linear_step(A, -r, stats).reshape(grid.shape)
+
+    x, _, history, halvings, _ = damped_newton(
+        residual, newton_step, init.values.copy(), tol, max_iter)
+    stats["backtracks"] = halvings
+    rnorm = history[-1]
+    return SolveReport(u=CylinderField(grid, x), converged=bool(rnorm <= tol),
+                       newton_iterations=len(halvings), final_residual=rnorm,
                        residual_history=history, stats=stats)
 
 

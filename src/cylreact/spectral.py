@@ -1,5 +1,6 @@
 """Neumann cosine eigenbasis, the spectral fractional Neumann Laplacian,
-the semilinear nonlocal solve, and the harmonic extension to the cylinder.
+the semilinear nonlocal solve (Galerkin-Newton on the cylinder solver's
+``damped_newton`` loop), and the harmonic extension to the cylinder.
 
 The basis diagonalizes the Neumann Laplacian on an interval or rectangle,
 so the fractional operator acts coefficient-wise as multiplication by
@@ -160,14 +161,13 @@ def solve_semilinear(basis: SpectralBasis, reaction, init: SpectralFunction,
 
     The residual is r_k = lambda_k**s v_k - <f(v), phi_k> with the inner
     product by cross-section quadrature; convergence means
-    max|r_k| <= tol.  Failure raises SpectralSolveError carrying the
-    residual history.
+    max|r_k| <= tol.  The iteration is solver.damped_newton, the cylinder
+    solve's loop.  Failure raises SpectralSolveError carrying the residual
+    history.
     """
     lam_s = np.where(basis.lambdas > 0.0, basis.lambdas ** s, 0.0)
-    fields = basis.eigenfields
-    w = basis.weights
-    flatfields = fields.reshape(basis.K, -1)
-    wflat = w.ravel()
+    flatfields = basis.eigenfields.reshape(basis.K, -1)
+    wflat = basis.weights.ravel()
 
     def project(vals_flat: np.ndarray) -> np.ndarray:
         return flatfields @ (wflat * vals_flat)
@@ -176,37 +176,22 @@ def solve_semilinear(basis: SpectralBasis, reaction, init: SpectralFunction,
         vals = basis.synthesize(c).ravel()
         return lam_s * c - project(reaction.f(vals))
 
-    c = init.coeffs.copy()
-    r = residual(c)
-    history = [float(np.max(np.abs(r)))]
-    for _ in range(max_iter):
-        if history[-1] <= tol:
-            return SpectralFunction(basis, c)
-        vals = basis.synthesize(c).ravel()
-        fp = reaction.f_prime(vals)
+    def newton_step(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+        fp = reaction.f_prime(basis.synthesize(c).ravel())
         J = np.diag(lam_s) - (flatfields * (wflat * fp)) @ flatfields.T
         try:
-            delta = np.linalg.solve(J, -r)
+            return np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
             # The annihilated zero mode can zero out a Jacobian row (for
             # instance with f == 0).  A consistent singular system still
             # admits the minimum-norm Newton step; an inconsistent one
-            # stalls the line search below and surfaces as a solve error.
-            delta = np.linalg.lstsq(J, -r, rcond=None)[0]
-        base = float(r @ r)
-        slope_ok = False
-        step = 1.0
-        while step >= solver.MIN_STEP:
-            r_try = residual(c + step * delta)
-            if float(r_try @ r_try) <= (1.0 - solver.ARMIJO_SLOPE * step) * base:
-                slope_ok = True
-                break
-            step *= solver.ARMIJO_FACTOR
-        if not slope_ok:
-            raise SpectralSolveError("Armijo line search stalled", history)
-        c = c + step * delta
-        r = r_try
-        history.append(float(np.max(np.abs(r))))
+            # stalls the line search and surfaces as a solve error.
+            return np.linalg.lstsq(J, -r, rcond=None)[0]
+
+    c, _, history, _, stalled = solver.damped_newton(
+        residual, newton_step, init.coeffs.copy(), tol, max_iter)
+    if stalled:
+        raise SpectralSolveError("Armijo line search stalled", history)
     if history[-1] <= tol:
         return SpectralFunction(basis, c)
     raise SpectralSolveError(

@@ -329,12 +329,8 @@ def _constancy_runs(domain, K, reaction, n_runs, seed):
 
 
 def criterion_6() -> CheckRecord:
-    cubic = ReactionSpec.custom(
-        f=lambda v: -np.asarray(v) ** 3,
-        f_prime=lambda v: -3.0 * np.asarray(v) ** 2)
-    cubic_linear = ReactionSpec.custom(
-        f=lambda v: -np.asarray(v) - np.asarray(v) ** 3,
-        f_prime=lambda v: -1.0 - 3.0 * np.asarray(v) ** 2)
+    cubic = ReactionSpec.cubic()
+    cubic_linear = presets.get_preset("sneumann-constancy").reaction()
     cases = [
         ("interval-cubic", DomainSpec.interval(0.0, np.pi), 12, cubic),
         ("interval-cubic-linear", DomainSpec.interval(0.0, np.pi), 12,
@@ -364,13 +360,11 @@ def criterion_7() -> CheckRecord:
     domain = DomainSpec.interval(0.0, np.pi)
     basis = spectral.neumann_basis(domain, K=32)
     grid = build_grid(domain, nx=129, ny=129, y_max=19.0)
-    cubic = ReactionSpec.custom(
-        f=lambda v: -np.asarray(v) ** 3,
-        f_prime=lambda v: -3.0 * np.asarray(v) ** 2)
     rng = np.random.default_rng(4242)
     init = spectral.SpectralFunction(
         basis, 1e-3 * rng.normal(size=basis.K))
-    disc = spectral.extension_equivalence(basis, cubic, grid, init=init)
+    disc = spectral.extension_equivalence(basis, ReactionSpec.cubic(), grid,
+                                          init=init)
     status = PASS if disc <= 1e-6 else FAIL
     rec = CheckRecord(
         name="extension-equivalence", status=status, measured=disc,
@@ -484,11 +478,8 @@ def criterion_11() -> CheckRecord:
         grid = preset.build_grid(nx=33, ny=33)
         model, reaction = preset.model(), preset.reaction()
         exact = preset.exact_state(grid)
-        # Pin the top slice to the profile's own trace: the constant-flux
-        # reactions are incompatible with a zero-flux top (their flux leaves
-        # through y -> infinity), so the faithful truncation is Dirichlet.
-        top = ("dirichlet", exact.values[..., -1].ravel().copy())
-        report = solver.solve_newton(model, reaction, grid, exact, top_bc=top)
+        report = solver.solve_newton(model, reaction, grid, exact,
+                                     top_bc=solver.pinned_top(exact))
         label = stability.classify(report.u, model, reaction).classification
         row = {"preset": preset.name, "converged": report.converged,
                "classification": label,

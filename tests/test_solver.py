@@ -266,3 +266,143 @@ def test_reaction_shifted_family():
     assert np.allclose(base.f(v), -v ** 3)
     assert np.allclose(shifted.f(v), -v ** 3 - 0.5 * v)
     assert np.allclose(shifted.f_prime(v), -3 * v ** 2 - 0.5)
+
+
+# -- weak residual and second-variation quadrature ---------------------------
+
+def _quadrature_residual_weak(u, model, reaction, phi):
+    """The direct quadrature residual_weak used before it became phi @ r:
+    int a grad u . grad phi + int g phi - int_bottom f(u) phi, summed
+    pointwise over the tensor weights."""
+    grid = u.grid
+    state = forms.coefficient_state(u, model)
+    w_theta = grid.bulk_weights(state["theta"])
+    phi_comps = forms.gradient_fields(grid, phi.values, pairing=True)
+    dot = sum(state["a_red"] * gc * pc
+              for gc, pc in zip(state["comps"], phi_comps))
+    total = float(np.sum(w_theta * dot))
+    if reaction.g is not None:
+        total += float(np.sum(grid.bulk_weights(0.0)
+                              * reaction.g(state["y"], u.values) * phi.values))
+    total -= float(np.sum(grid.bottom_weights() * reaction.f(u.values[..., 0])
+                          * phi.values[..., 0]))
+    return total
+
+
+def _cubic_source():
+    return ReactionSpec.custom(
+        f=lambda u: -u, f_prime=lambda u: -np.ones_like(u),
+        g=lambda y, u: y * u ** 3, g_u=lambda y, u: 3.0 * y * u ** 2)
+
+
+def _weak_case(kind):
+    """(grid, model, reaction, u) with u a perturbed or random state."""
+    rng = np.random.default_rng(11)
+    if kind == "preset":
+        p = presets.get_preset("grow-cos-stable")
+        grid = p.build_grid(nx=17, ny=17)
+        vals = p.exact_state(grid).values + 0.1 * rng.standard_normal(grid.shape)
+        return grid, p.model(), p.reaction(), CylinderField(grid, vals)
+    if kind == "graded-rectangle":
+        grid = build_grid(DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI), nx=9,
+                          ny=9, y_max=2.0, grading=0.5, nz=7)
+        model, reaction = CoefficientModel.power_weight(-0.5), ReactionSpec.cubic()
+    elif kind == "mean-curvature":
+        grid = build_grid(DomainSpec.interval(0.0, PI), nx=17, ny=17,
+                          y_max=2.0, grading=0.5)
+        model = CoefficientModel.mean_curvature_weight(-0.5)
+        reaction = presets.get_preset("sneumann-constancy").reaction()
+    else:
+        grid = _grid()
+        model, reaction = CoefficientModel.constant_one(), _cubic_source()
+    return grid, model, reaction, CylinderField(
+        grid, rng.standard_normal(grid.shape))
+
+
+@pytest.mark.parametrize("kind", ["preset", "graded-rectangle",
+                                  "mean-curvature", "bulk-source"])
+def test_residual_weak_matches_direct_quadrature(kind):
+    grid, model, reaction, u = _weak_case(kind)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        vals = rng.standard_normal(grid.shape)
+        vals[..., -1] = 0.0
+        phi = CylinderField(grid, vals)
+        assert solver.residual_weak(u, model, reaction, phi) == pytest.approx(
+            _quadrature_residual_weak(u, model, reaction, phi), rel=1e-12)
+
+
+def test_residual_weak_rejects_test_field_on_top_slice():
+    grid, model, reaction, u = _weak_case("bulk-source")
+    with pytest.raises(ValueError, match="vanish on the top slice"):
+        solver.residual_weak(u, model, reaction,
+                             CylinderField(grid, np.ones(grid.shape)))
+
+
+def test_energy_quadrature_matches_assembled_form():
+    grid = build_grid(DomainSpec.interval(0.0, PI), nx=17, ny=17, y_max=2.0,
+                      grading=0.5)
+    model = CoefficientModel.mean_curvature_weight(-0.5)
+    assert model.has_t_dependence
+    rng = np.random.default_rng(13)
+    u = CylinderField(grid, rng.standard_normal(grid.shape))
+    reaction = _cubic_source()
+    A = forms.assemble_energy_matrix(u, model, reaction)
+    for _ in range(3):
+        phi = rng.standard_normal(grid.shape)
+        flat = phi.ravel()
+        assert forms.energy_quadrature(
+            u, model, reaction, CylinderField(grid, phi)) == pytest.approx(
+                float(flat @ (A @ flat)), rel=1e-12)
+
+
+# -- the damped-Newton loop ----------------------------------------------------
+
+def test_damped_newton_converges_without_halvings_near_a_root():
+    x, r, history, halvings, stalled = solver.damped_newton(
+        lambda x: x ** 2 - 2.0, lambda x, r: -r / (2.0 * x),
+        np.array([1.5]), tol=1e-14, max_iter=20)
+    assert not stalled
+    assert x[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert halvings == [0] * len(halvings)
+    assert len(history) == len(halvings) + 1
+    assert history[-1] == float(np.max(np.abs(r))) <= 1e-14
+
+
+def test_damped_newton_reports_a_stall_and_keeps_the_iterate():
+    # an ascent direction: no step length decreases ||r||^2
+    x0 = np.array([1.5])
+    x, r, history, halvings, stalled = solver.damped_newton(
+        lambda x: x ** 2 - 2.0, lambda x, r: r / (2.0 * x), x0,
+        tol=1e-14, max_iter=20)
+    assert stalled
+    assert halvings == []
+    assert np.array_equal(x, x0)
+    assert history == [0.25]
+
+
+def _mean_curvature_solve(n):
+    """theta = -1/2, f = -u - u^3, started from a cos x y / 2 with a = 2.5
+    and the top pinned to it (the benchmark's slow Newton family)."""
+    grid = build_grid(DomainSpec.interval(0.0, PI), nx=n, ny=n, y_max=2.0,
+                      grading=0.5)
+    init = grid.field(lambda x, y: 2.5 * np.cos(x) * y / 2.0)
+    return solve_newton(CoefficientModel.mean_curvature_weight(-0.5),
+                        ReactionSpec.cubic().shifted(1.0), grid, init,
+                        top_bc=solver.pinned_top(init))
+
+
+def test_newton_trace_mean_curvature_converges_at_33():
+    rep = _mean_curvature_solve(33)
+    assert rep.converged
+    assert rep.newton_iterations == 21
+    assert sum(rep.stats["backtracks"]) == 40
+    assert len(rep.residual_history) == 22
+
+
+def test_newton_trace_mean_curvature_stalls_at_17():
+    rep = _mean_curvature_solve(17)
+    assert not rep.converged
+    assert rep.newton_iterations == 10
+    assert rep.stats["backtracks"] == [0, 1, 1, 1, 1, 1, 3, 3, 10, 14]
+    assert rep.final_residual == rep.residual_history[-1] > 1.0

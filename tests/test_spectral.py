@@ -230,6 +230,17 @@ def test_solve_semilinear_inconsistent_problem_raises():
     assert len(exc.value.residual_history) >= 1
 
 
+def test_solve_semilinear_reports_iteration_cap():
+    b = spectral.neumann_basis(INTERVAL_PI, 8)
+    init = spectral.SpectralFunction(
+        b, 0.1 * np.random.default_rng(7).standard_normal(8))
+    with pytest.raises(spectral.SpectralSolveError,
+                       match="no convergence in 1 iterations") as exc:
+        spectral.solve_semilinear(b, _damped_cubic(), init, max_iter=1)
+    history = exc.value.residual_history
+    assert len(history) == 2 and history[1] < history[0]
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue growth / eigenfunction bound fit
 
