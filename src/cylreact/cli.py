@@ -19,16 +19,26 @@ named preset):
                         | "mean_curvature_weight",
                 "theta": 0.0, "p": 2.0},
       "reaction": {"f": "-u", "g": null},
-      "tolerances": {"newton": 1e-10, ...},
+      "tolerances": {"newton": 1e-10, "eps": 0.5, "s": 0.5},
       "output_dir": "cylreact-out",
       "seed": 0
     }
 
+Solve is a Newton solve and reads ``tolerances.newton``.  Every other
+experiment runs the acceptance criterion of the same claim at the
+config's values (``cylreact.verify``): Stability criterion 3 on the
+Newton-solved state, Poincare criterion 4 on a preset's closed-form state
+at nx = ny = ``grid.nx``, Spectral criterion 6, ExtensionEquivalence
+criterion 7, Fractional criterion 9 (reads ``tolerances.s``),
+Counterexample criterion 10 (reads ``tolerances.eps`` and
+``tolerances.s``); VerifyAll runs all eleven at the battery's values.
+
 Reaction entries are expressions in ``u`` (and ``y`` for the bulk source
 ``g``); derivatives are taken symbolically.  Exit codes: 0 all applicable
 checks pass, 1 a check or solve failed, 2 the config did not parse or
-validate.  Environment override: CYLREACT_OUT replaces output_dir.
-Reports are byte-identical across reruns of the same config and seed
+validate (unknown ``grid`` or ``tolerances`` keys included).  Environment
+override: CYLREACT_OUT replaces output_dir.  Reports are byte-identical
+across reruns of the same config and seed at a fixed BLAS thread count,
 except for wall-clock fields.
 """
 
@@ -43,12 +53,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import fractional1d, geometry, presets, solver, spectral, stability, verify
+from . import presets, solver, verify
 from .coefficients import CoefficientModel
 from .cylinder import (CylinderField, DomainSpec, build_grid, field_to_csv,
                        write_csv)
 from .solver import ReactionSpec
-from .verify import FAIL, NOT_APPLICABLE, PASS, CheckRecord
+from .verify import FAIL, PASS, CheckRecord
 
 EXPERIMENTS = ("Solve", "Stability", "Poincare", "Spectral",
                "ExtensionEquivalence", "Fractional", "Counterexample",
@@ -56,6 +66,8 @@ EXPERIMENTS = ("Solve", "Stability", "Poincare", "Spectral",
 
 _MODEL_FAMILIES = ("constant_one", "exp_y", "power_weight",
                    "power_weight_p_laplace", "mean_curvature_weight")
+_GRID_KEYS = ("nx", "ny", "y_max", "grading", "nz")
+_TOLERANCE_KEYS = ("newton", "eps", "s")
 
 
 class ConfigError(ValueError):
@@ -93,7 +105,7 @@ class ExperimentConfig:
         domain = _section(raw, "domain")
         if domain:
             _parse_domain(domain)
-        grid = _section(raw, "grid")
+        grid = _section(raw, "grid", _GRID_KEYS)
         for k in ("nx", "ny"):
             if k in grid and (not isinstance(grid[k], int) or grid[k] < 3):
                 raise ConfigError(f"grid.{k} must be an integer >= 3")
@@ -102,7 +114,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"model.family must be one of {_MODEL_FAMILIES}")
         reaction = _section(raw, "reaction")
-        tolerances = _section(raw, "tolerances")
+        tolerances = _section(raw, "tolerances", _TOLERANCE_KEYS)
         for k, v in tolerances.items():
             if not (isinstance(v, (int, float)) and v > 0):
                 raise ConfigError(f"tolerances.{k} must be > 0")
@@ -122,13 +134,17 @@ class ExperimentConfig:
 
 # -- config materialization --------------------------------------------------
 
-def _section(raw: dict, key: str) -> dict:
-    """A copy of the optional object-valued section ``key`` of raw."""
+def _section(raw: dict, key: str, allowed=None) -> dict:
+    """A copy of the optional object-valued section ``key`` of raw, whose
+    keys must be among ``allowed`` when that is given."""
     section = raw.get(key)
     if section is None:
         return {}
     if not isinstance(section, dict):
         raise ConfigError(f"{key} section must be a JSON object")
+    unknown = sorted(set(section) - set(allowed)) if allowed else []
+    if unknown:
+        raise ConfigError(f"unknown {key} keys: {unknown}")
     return dict(section)
 
 
@@ -275,127 +291,62 @@ def _run_stability(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
     p = _preset(cfg)
     solve = solver.solve_newton(model, reaction, grid, state, top_bc=top)
     if not solve.converged:
-        return [_rec("stability", FAIL, solve.final_residual,
+        return [_rec("stability-labels", FAIL, solve.final_residual,
                      "Newton must converge before classification",
                      _anchor(p), solve.to_json_dict())], {}
-    report = stability.classify(solve.u, model, reaction)
-    expected = p.expected_classification if p else None
-    ok = expected is None or report.classification == expected
-    rec = _rec("stability", PASS if ok else FAIL, report.mu1,
-               f"classification {'matches ' + expected if expected else 'reported'}",
-               _anchor(p), report.to_json_dict())
-    rec.details["classification"] = report.classification
+    case = (cfg.preset, p.expected_classification if p else None, solve.u,
+            model, reaction)
+    extras = {}
+    rec = verify.criterion_3([case], extras)
+    report = extras["stability"]
+    rec.details.update(tol=report.tol, eigen_residual=report.eigen_residual)
     return [rec], {"ground_state": report.ground_state}
 
 
 def _run_poincare(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
-    grid, model, reaction, state, _top = _cylinder_setup(cfg)
     p = _preset(cfg)
-    rows = []
-    worst = -np.inf
-    h = (grid.domain.x_max - grid.domain.x_min) / (grid.nx - 1)
-    C = float(cfg.tolerances.get("poincare_constant", 1.0))
-    for label, psi in verify._psi_battery(grid):
-        sides = geometry.poincare_sides(state, model, reaction, psi)
-        margin = sides.lhs_bulk + sides.lhs_lateral - sides.rhs - C * h * h
-        worst = max(worst, margin)
-        rows.append({"psi": label, "margin": margin,
-                     **sides.to_json_dict()})
-    expected_unstable = p is not None and p.expected_classification == "Unstable"
-    ok = worst <= 0.0 or expected_unstable
-    status = PASS if ok else FAIL
-    if expected_unstable and worst > 0.0:
-        status = NOT_APPLICABLE  # inequality is not asserted for unstable states
-    rec = _rec("poincare-sides", status, worst,
-               f"lhs <= rhs + C h^2 with C = {C:g}",
-               "Theorem TH:POI", {"cases": rows})
-    return [rec], {}
+    if p is None or p.catalog_name is None \
+            or p.expected_classification not in ("Stable", "Unstable"):
+        raise ConfigError("Poincare needs a preset with a closed-form state "
+                          "labelled Stable or Unstable")
+    if cfg.model or cfg.reaction or cfg.domain:
+        raise ConfigError("Poincare runs the preset's own model, reaction "
+                          "and domain; drop those sections")
+    n = cfg.grid.get("nx", p.nx)
+    if set(cfg.grid) - {"nx", "ny"} or cfg.grid.get("ny", n) != n \
+            or n < 9 or (n - 1) % 4:
+        raise ConfigError("Poincare reads only grid.nx = grid.ny, which "
+                          "must be 4k + 1 >= 9")
+    return [verify.criterion_4([p], n)], {}
 
 
 def _run_spectral(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
     domain = _build_domain(cfg)
     p = _preset(cfg)
-    K = int(p.spectral_modes) if p and p.spectral_modes else \
-        int(cfg.grid.get("nx", 12))
-    reaction = _lambdify_reaction(cfg)
-    tol = float(cfg.tolerances.get("constancy", 1e-12))
-    runs = 20
-    worst, last = verify._constancy_runs(domain, K, reaction, n_runs=runs,
-                                         seed=cfg.seed)
-    rec = _rec("spectral-constancy", PASS if worst <= tol else FAIL, worst,
-               f"sum_k>=1 v_k^2 <= {tol:g} over {runs} seeded runs",
-               _anchor(p), {"runs": runs, "modes": K})
-    return [rec], {"final_coefficients": np.asarray(last.coeffs)}
+    K = p.spectral_modes if p and p.spectral_modes else \
+        verify.CONSTANCY_MODES[domain.ndim]
+    case = (cfg.preset or "config", domain, K, _lambdify_reaction(cfg),
+            cfg.seed)
+    extras = {}
+    return [verify.criterion_6([case], extras)], extras
 
 
 def _run_extension(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
-    domain = _build_domain(cfg)
-    grid = _build_grid(cfg)
-    K = int(cfg.grid.get("modes", 32)) if "modes" in cfg.grid else 32
-    basis = spectral.neumann_basis(domain, K)
-    reaction = _lambdify_reaction(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    init = spectral.SpectralFunction(basis, 1e-3 * rng.normal(size=basis.K))
-    tol = float(cfg.tolerances.get("equivalence", 1e-6))
-    disc = spectral.extension_equivalence(basis, reaction, grid, init=init)
-    rec = _rec("extension-equivalence", PASS if disc <= tol else FAIL, disc,
-               f"discrepancy <= {tol:g}", "Eq. s-Neumann",
-               {"modes": K})
-    return [rec], {}
+    return [verify.criterion_7(_build_grid(cfg),
+                               reaction=_lambdify_reaction(cfg),
+                               seed=cfg.seed)], {}
 
 
 def _run_fractional(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
-    s = float(cfg.tolerances.get("s", 0.5))
-    records = []
-    # constancy of the flat-profile principal value on the Getoor state
-    op = fractional1d.make_operator(0.5, 2.0, 16385)
-    prof = np.sqrt(np.clip(1.0 - op.x ** 2, 0.0, None))
-    targets = np.flatnonzero(np.abs(op.x) < 0.9)[::40]
-    vals = fractional1d.operator_rows(op, targets) @ prof
-    spread = float(vals.max() - vals.min())
-    records.append(_rec("half-profile-constancy",
-                        PASS if spread <= 1e-3 else FAIL, spread,
-                        "pointwise spread <= 1e-3 at n=16385",
-                        "Eq. HG:sn:2", {"mean_value": float(vals.mean())}))
-    # boundary-limit coefficient on the shifted square-root profile
-    nd = fractional1d.fractional_normal_derivative(
-        lambda t: np.sqrt(np.clip(1.0 - t, 0.0, None)), 0.5, 1.0,
-        fractional1d.Side.FROM_LEFT_INTERVAL)
-    records.append(_rec("normal-derivative-oracle",
-                        PASS if abs(nd - 1.0) <= 1e-6 else FAIL, nd,
-                        "matches +1 to 1e-6", "§1.6", {}))
-    # spectral vs integral distinctness
-    domain = DomainSpec.interval(0.0, np.pi)
-    basis = spectral.neumann_basis(domain, K=16)
-    bump = np.exp(-((basis.x_nodes - np.pi / 2) / 0.4) ** 2)
-    coeffs = np.array([basis.inner(bump, k) for k in range(basis.K)])
-    disc = fractional1d.compare_operators(
-        domain, spectral.SpectralFunction(basis, coeffs), s)
-    records.append(_rec("operator-distinctness",
-                        PASS if disc > 0.01 else FAIL, disc,
-                        "discrepancy > 0.01", "§1.6", {}))
-    return records, {}
+    return [verify.criterion_9(float(cfg.tolerances.get("s", 0.5)))], {}
 
 
 def _run_counterexample(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
-    eps = float(cfg.tolerances.get("eps", 0.5))
-    s = float(cfg.tolerances.get("s", 0.5))
-    try:
-        res = fractional1d.construct_counterexample(
-            lambda x: np.zeros_like(x), eps=eps, s=s)
-    except fractional1d.NoRootError as err:
-        return [_rec("counterexample", FAIL, float(err.band_c2_residual),
-                     "needs band C^2 residual < 1 for the derivative roots",
-                     "Example EXAMPLE",
-                     {"outcome": "no-root",
-                      "c2_residual": float(err.c2_residual),
-                      "band_c2_residual": float(err.band_c2_residual)})], {}
-    ok = res.interior_residual <= 1e-8
-    rec = _rec("counterexample", PASS if ok else FAIL,
-               float(res.interior_residual),
-               "roots found with interior residual <= 1e-8",
-               "Example EXAMPLE", res.to_json_dict())
-    return [rec], {"counterexample_profile": np.column_stack([res.x, res.v])}
+    extras = {}
+    rec = verify.criterion_10(eps=float(cfg.tolerances.get("eps", 0.5)),
+                              s=float(cfg.tolerances.get("s", 0.5)),
+                              extras=extras)
+    return [rec], extras
 
 
 def _run_verify_all(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:

@@ -44,9 +44,6 @@ MIN_STEP = 2.0 ** -20
 # 3e-12, at 0.01 to 7e-13, with the same fill on every benchmark state.
 LU_DIAG_PIVOT_THRESH = 0.01
 
-CONVEX = "convex"
-CONCAVE = "concave"
-
 
 @dataclass(frozen=True)
 class ReactionSpec:
@@ -289,8 +286,6 @@ GROW_COS = "grow-cos"
 LINEAR_Y = "linear-y"
 EXP_DECAY = "exp-decay"
 ONE_DIM_FAMILY = "one-dim-family"
-
-CATALOG_NAMES = (DECAY_COS, GROW_COS, LINEAR_Y, EXP_DECAY, ONE_DIM_FAMILY)
 
 
 def catalog_solution(name: str, grid: CylinderGrid, model=None, reaction=None,

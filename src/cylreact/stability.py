@@ -100,11 +100,6 @@ class StabilityForm:
         full[self.free] = phi_free
         return CylinderField(self.grid, full.reshape(self.grid.shape))
 
-    def rayleigh(self, phi_free: np.ndarray) -> float:
-        num = float(phi_free @ (self.energy_matrix @ phi_free))
-        den = float(phi_free @ (self.mass_matrix @ phi_free))
-        return num / den
-
 
 @dataclass(frozen=True)
 class StabilityReport:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from cylreact import cli
+from cylreact import cli, fractional1d, presets, verify
 
 
 def _write_config(tmp_path, name, payload):
@@ -65,6 +65,10 @@ def test_config_round_trip():
      "domain": {"kind": "interval", "x_min": "a", "x_max": 1}},  # not a number
     {"experiment": "Solve", "domain": 5},            # section not an object
     {"experiment": "Solve", "tolerances": "abc"},    # section not an object
+    {"experiment": "Solve", "tolerances": {"poincare_constant": 1.0}},
+    {"experiment": "Solve", "tolerances": {"constancy": 1e-12}},
+    {"experiment": "Solve", "tolerances": {"equivalence": 1e-6}},
+    {"experiment": "Solve", "grid": {"modes": 32}},  # unknown grid key
 ])
 def test_config_validation_rejects(raw):
     with pytest.raises(cli.ConfigError):
@@ -228,8 +232,11 @@ def test_stability_runner_matches_expected_label(tmp_path):
     assert cli.main(["run", path]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     rec = report["records"][0]
-    assert rec["details"]["classification"] == "Unstable"
+    assert rec["name"] == "stability-labels"
+    assert rec["details"]["cases"][0]["classification"] == "Unstable"
     assert rec["measured"] < 0.0
+    assert rec["measured"] < -rec["details"]["tol"]  # the certified margin
+    assert rec["details"]["eigen_residual"] >= 0.0
     assert (tmp_path / "out" / "ground_state.csv").exists()
 
 
@@ -243,6 +250,30 @@ def test_poincare_runner_passes_for_stable_preset(tmp_path):
     rec = report["records"][0]
     assert rec["anchor"] == "Theorem TH:POI"
     assert len(rec["details"]["cases"]) == 4  # the full test-field battery
+    # C is estimated on the nested coarser grids 5 and 9, not fixed
+    excess = max((lhs - rhs) * ((m - 1) / np.pi) ** 2 for m in (5, 9)
+                 for _, lhs, rhs in verify._poincare_slacks(
+                     presets.get_preset("linear-y"), m))
+    assert rec["details"]["C"] == max(1.0, 2.0 * excess)
+
+
+@pytest.mark.parametrize("payload", [
+    {"preset": "sneumann-constancy"},                # no closed-form state
+    {"domain": {"kind": "interval", "x_min": 0, "x_max": 1}},  # no preset
+    {"preset": "linear-y", "grid": {"nx": 19}},      # nx - 1 not 4k
+    {"preset": "linear-y", "grid": {"nx": 17, "ny": 33}},
+    {"preset": "linear-y", "grid": {"nx": 17, "y_max": 4.0}},
+    {"preset": "one-dim-family"},                    # no expected label
+    {"preset": "linear-y", "reaction": {"f": "-u"}},  # overrides unchecked
+    {"preset": "linear-y", "model": {"family": "exp_y"}},
+    {"preset": "linear-y",
+     "domain": {"kind": "interval", "x_min": 0, "x_max": 1}},
+])
+def test_poincare_runner_rejects_configs_it_cannot_check(tmp_path, payload):
+    path = _write_config(tmp_path, "poi.json", {
+        "experiment": "Poincare", **payload,
+        "output_dir": str(tmp_path / "out")})
+    assert cli.main(["run", path]) == 2
 
 
 def test_spectral_runner_constancy(tmp_path):
@@ -271,9 +302,9 @@ def test_counterexample_runner_writes_profile(tmp_path):
 
 def test_counterexample_runner_fails_above_its_residual_bound(tmp_path,
                                                               monkeypatch):
-    construct = cli.fractional1d.construct_counterexample
+    construct = fractional1d.construct_counterexample
     monkeypatch.setattr(
-        cli.fractional1d, "construct_counterexample",
+        fractional1d, "construct_counterexample",
         lambda *a, **kw: dataclasses.replace(construct(*a, **kw),
                                              interior_residual=1e-6))
     path = _write_config(tmp_path, "ce.json", {
@@ -283,6 +314,44 @@ def test_counterexample_runner_fails_above_its_residual_bound(tmp_path,
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["records"][0]["status"] == "fail"
     assert report["records"][0]["measured"] == 1e-6
+
+
+def test_counterexample_runner_fails_outside_the_delta_band(tmp_path,
+                                                           monkeypatch):
+    # the interior residual still passes; only criterion 10's band fails
+    construct = fractional1d.construct_counterexample
+    monkeypatch.setattr(
+        fractional1d, "construct_counterexample",
+        lambda *a, **kw: dataclasses.replace(construct(*a, **kw),
+                                             delta1=0.01))
+    path = _write_config(tmp_path, "ce.json", {
+        "experiment": "Counterexample",
+        "output_dir": str(tmp_path / "out")})
+    assert cli.main(["run", path]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    rec = report["records"][0]
+    assert rec["status"] == "fail"
+    assert rec["measured"] <= 1e-8
+    assert rec["details"]["delta1"] == 0.01
+
+
+@pytest.mark.parametrize("experiment, criterion", [
+    ("Counterexample", verify.criterion_10),
+    ("Fractional", verify.criterion_9),
+])
+def test_runner_record_is_the_battery_record(tmp_path, experiment,
+                                             criterion):
+    # one check per claim: at the battery's eps = s = 0.5 the run's record
+    # is the criterion's, up to its clock and budget fields
+    path = _write_config(tmp_path, "run.json", {
+        "experiment": experiment, "tolerances": {"eps": 0.5, "s": 0.5},
+        "output_dir": str(tmp_path / "out")})
+    assert cli.main(["run", path]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    clocks = ("wall_clock", "budget_s")
+    ran = {k: v for k, v in report["records"][0].items() if k not in clocks}
+    battery = json.loads(json.dumps(criterion().to_json_dict()))
+    assert ran == {k: v for k, v in battery.items() if k not in clocks}
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +409,17 @@ def test_stability_report_reproducible_above_dense_limit(tmp_path,
 
 
 def test_wall_clock_total_is_the_runners_wall_clock(tmp_path):
-    # Fractional writes three records that share one runner; the report's
-    # total must not count that run once per record
+    # Fractional's record is not timed by the battery, so the runner stamps
+    # it with its own wall clock, which is also the report's total
     path = _write_config(tmp_path, "frac.json", {
         "experiment": "Fractional", "output_dir": str(tmp_path / "out")})
     t0 = time.perf_counter()
     assert cli.main(["run", path]) == 0
     elapsed = time.perf_counter() - t0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert len(report["records"]) == 3
+    assert len(report["records"]) == 1
     assert 0.0 < report["wall_clock_total"] <= elapsed
+    assert report["records"][0]["wall_clock"] == report["wall_clock_total"]
 
 
 def test_cylreact_out_env_override(tmp_path, monkeypatch):
