@@ -34,9 +34,12 @@ Counterexample criterion 10 (reads ``tolerances.eps`` and
 ``tolerances.s``); VerifyAll runs all eleven at the battery's values.
 
 Reaction entries are expressions in ``u`` (and ``y`` for the bulk source
-``g``); derivatives are taken symbolically.  Exit codes: 0 all applicable
-checks pass, 1 a check or solve failed, 2 the config did not parse or
-validate (unknown ``grid`` or ``tolerances`` keys included).  Environment
+``g``); derivatives are taken symbolically.  ``tolerances.eps`` and
+``tolerances.s`` lie in (0, 1); ``grid.nz`` is for rectangle domains.
+Exit codes: 0 all applicable checks pass, 1 a check or solve failed, 2
+the config did not parse or validate: unknown ``grid`` or ``tolerances``
+keys, ``eps`` or ``s`` outside (0, 1), ``grid.nz`` on an interval, or a
+JSON boolean, NaN or Infinity where a number is expected.  Environment
 override: CYLREACT_OUT replaces output_dir.  Reports are byte-identical
 across reruns of the same config and seed at a fixed BLAS thread count,
 except for wall-clock fields.
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -103,23 +107,33 @@ class ExperimentConfig:
         if preset is not None and preset not in presets.preset_names():
             raise ConfigError(f"unknown preset {preset!r}")
         domain = _section(raw, "domain")
-        if domain:
-            _parse_domain(domain)
+        spec = _parse_domain(domain) if domain else \
+            presets.get_preset(preset).domain if preset else None
         grid = _section(raw, "grid", _GRID_KEYS)
-        for k in ("nx", "ny"):
-            if k in grid and (not isinstance(grid[k], int) or grid[k] < 3):
+        for k in ("nx", "ny", "nz"):
+            if grid.get(k) is not None and \
+                    (not _is_int(grid[k]) or grid[k] < 3):
                 raise ConfigError(f"grid.{k} must be an integer >= 3")
+        # only the config's own nz: interval presets carry nz = None
+        if grid.get("nz") is not None and spec and not spec.is_rectangle:
+            raise ConfigError("grid.nz needs a rectangle cross-section")
         model = _section(raw, "model")
         if model and model.get("family") not in _MODEL_FAMILIES:
             raise ConfigError(
                 f"model.family must be one of {_MODEL_FAMILIES}")
+        for name, section, keys in (("grid", grid, ("y_max", "grading")),
+                                    ("model", model, ("theta", "p"))):
+            for k in keys:
+                if k in section and not _is_number(section[k]):
+                    raise ConfigError(f"{name}.{k} must be a number")
         reaction = _section(raw, "reaction")
         tolerances = _section(raw, "tolerances", _TOLERANCE_KEYS)
         for k, v in tolerances.items():
-            if not (isinstance(v, (int, float)) and v > 0):
-                raise ConfigError(f"tolerances.{k} must be > 0")
+            hi = 1.0 if k in ("eps", "s") else math.inf
+            if not (_is_number(v) and 0 < v < hi):
+                raise ConfigError(f"tolerances.{k} must lie in (0, {hi:g})")
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             raise ConfigError("seed must be an unsigned integer")
         output_dir = raw.get("output_dir", "cylreact-out")
         if not isinstance(output_dir, str) or not output_dir:
@@ -133,6 +147,17 @@ class ExperimentConfig:
 
 
 # -- config materialization --------------------------------------------------
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite int or float (json.load reads NaN and Infinity too)."""
+    return _is_int(value) or (isinstance(value, float)
+                              and math.isfinite(value))
+
 
 def _section(raw: dict, key: str, allowed=None) -> dict:
     """A copy of the optional object-valued section ``key`` of raw, whose

@@ -93,6 +93,8 @@ class DomainSpec:
         if missing:
             raise ValueError(f"missing {sorted(missing)}")
         try:
+            if any(isinstance(data[k], bool) for k in keys):
+                raise TypeError
             bounds = [float(data[k]) for k in keys]
         except (TypeError, ValueError):
             raise ValueError(f"bounds must be numbers, got "

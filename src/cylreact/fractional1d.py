@@ -22,10 +22,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import (lu_factor, lu_solve, qr, qr_multiply,
                           solve_triangular)
-from scipy.optimize import brentq
 
 from .geometry import _smoothstep
 
@@ -190,6 +188,7 @@ def fractional_normal_derivative(v, s: float, boundary_point: float,
                 np.count_nonzero((nodes >= lo) & (nodes <= hi)) < 4:
             raise ValueError(
                 "insufficient resolution around the boundary point")
+        from scipy.interpolate import CubicSpline
         fn = CubicSpline(nodes, values)
     inward = -1.0 if side is Side.FROM_LEFT_INTERVAL else 1.0
     t = base_step * 0.5 ** np.arange(levels)
@@ -464,6 +463,9 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
             break
         prev_res = c2_res
         M_cur *= 2.0
+
+    from scipy.interpolate import CubicSpline
+    from scipy.optimize import brentq
 
     op, w, c2_res, band_res, M_used = best
     x = op.x

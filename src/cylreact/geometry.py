@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import forms
 from .coefficients import CoefficientModel
@@ -271,6 +270,8 @@ def log_cutoff(R: float, grid: CylinderGrid) -> CylinderField:
         raise ValueError("need R > 100")
     if not np.sqrt(R) + 1.0 < R - 1.0:
         raise ValueError("R too small for unit-width ramps")
+    from scipy.integrate import quad
+
     y = grid.y_nodes
     profile = np.zeros_like(y)
     corners = (np.sqrt(R), np.sqrt(R) + 1.0, R - 1.0, R)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -328,6 +327,7 @@ def _one_dim_profile(model: CoefficientModel, fc: float, c: float,
     """c - fc * int_0^y dz / a(z, 0) by adaptive quadrature, cell by cell."""
     if fc == 0.0:
         return np.full_like(y_nodes, c)
+    import scipy.integrate
 
     def inv_a(z):
         return 1.0 / (model.reduced_a(np.asarray([z]), np.asarray([0.0]))[0]

@@ -69,10 +69,45 @@ def test_config_round_trip():
     {"experiment": "Solve", "tolerances": {"constancy": 1e-12}},
     {"experiment": "Solve", "tolerances": {"equivalence": 1e-6}},
     {"experiment": "Solve", "grid": {"modes": 32}},  # unknown grid key
+    {"experiment": "Counterexample", "tolerances": {"eps": 5}},  # eps >= 1
+    {"experiment": "Counterexample", "tolerances": {"eps": 1.0}},
+    {"experiment": "Fractional", "tolerances": {"s": 2}},        # s >= 1
+    {"experiment": "Solve", "seed": True},           # bools are not numbers
+    {"experiment": "Solve", "tolerances": {"newton": True}},
+    {"experiment": "Solve", "grid": {"y_max": True}},
+    {"experiment": "Solve", "grid": {"grading": True}},
+    {"experiment": "Solve", "grid": {"nx": True}},
+    {"experiment": "Solve", "model": {"family": "power_weight",
+                                      "theta": True}},
+    {"experiment": "Solve",
+     "domain": {"kind": "interval", "x_min": False, "x_max": True}},
+    {"experiment": "Solve", "tolerances": {"newton": float("inf")}},
+    {"experiment": "Solve", "grid": {"y_max": float("nan")}},
+    {"experiment": "Solve", "preset": "grow-cos-stable",
+     "grid": {"nx": 9, "ny": 9, "nz": 3}},           # nz on an interval
+    {"experiment": "Solve", "domain": {"kind": "interval", "x_min": 0,
+                                       "x_max": 1},
+     "grid": {"nx": 9, "ny": 9, "y_max": 1.0, "nz": 5}},
+    {"experiment": "Solve", "domain": {"kind": "rectangle", "x_min": 0,
+                                       "x_max": 1, "z_min": 0, "z_max": 1},
+     "grid": {"nz": 2}},                             # nz too small
 ])
 def test_config_validation_rejects(raw):
     with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    {"experiment": "Solve", "preset": "grow-cos-stable",
+     "grid": {"nz": None}},                          # null nz is no nz
+    {"experiment": "Solve", "domain": {"kind": "rectangle", "x_min": 0,
+                                       "x_max": 1, "z_min": 0, "z_max": 1},
+     "grid": {"nx": 5, "ny": 5, "y_max": 1.0, "nz": 3}},
+    {"experiment": "Counterexample", "tolerances": {"eps": 0.25, "s": 0.75}},
+])
+def test_config_validation_accepts(raw):
+    cfg = cli.ExperimentConfig.from_dict(raw)
+    assert cli.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_config_defaults():
@@ -182,6 +217,22 @@ def test_run_invalid_config_exits_two(tmp_path):
     path = _write_config(tmp_path, "bad.json",
                          {"experiment": "Solve", "bogus": True})
     assert cli.main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"experiment": "Counterexample", "tolerances": {"eps": 5}}, "eps"),
+    ({"experiment": "Fractional", "tolerances": {"s": 2}}, "tolerances.s"),
+    ({"experiment": "Solve", "preset": "grow-cos-stable",
+      "grid": {"nx": 9, "ny": 9, "nz": 2}}, "grid.nz"),
+    ({"experiment": "Solve", "preset": "linear-y", "seed": True}, "seed"),
+])
+def test_run_out_of_range_config_exits_two(tmp_path, capsys, payload, key):
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, "bad.json",
+                         dict(payload, output_dir=str(out)))
+    assert cli.main(["run", path]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_invalid_grid_exits_two(tmp_path, capsys):
