@@ -39,10 +39,10 @@ Reaction entries are expressions in ``u`` (and ``y`` for the bulk source
 Exit codes: 0 all applicable checks pass, 1 a check or solve failed, 2
 the config did not parse or validate: unknown ``grid`` or ``tolerances``
 keys, ``eps`` or ``s`` outside (0, 1), ``grid.nz`` on an interval, or a
-JSON boolean, NaN or Infinity where a number is expected.  Environment
-override: CYLREACT_OUT replaces output_dir.  Reports are byte-identical
-across reruns of the same config and seed at a fixed BLAS thread count,
-except for wall-clock fields.
+JSON string, boolean, NaN or Infinity where a number is expected.
+Environment override: CYLREACT_OUT replaces output_dir.  Reports are
+byte-identical across reruns of the same config and seed at a fixed BLAS
+thread count, except for wall-clock fields.
 """
 
 from __future__ import annotations

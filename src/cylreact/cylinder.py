@@ -11,7 +11,10 @@ order yields the lexicographic (x[, z], y) node order used for flat vectors,
 CSV rows and sparse operators.
 
 Derivatives are second-order finite differences (centered at interior nodes,
-one-sided at boundary nodes, both on nonuniform spacings).  Quadrature is the
+one-sided at boundary nodes, both on nonuniform spacings).  On a uniform
+axis (x and z always, y at grading 0) the centered stencil's centre weight
+is zero and is not stored, so every interior row holds two entries and the
+sparse operators carry the stencil's own sparsity.  Quadrature is the
 tensor trapezoid rule; integrals weighted by a singular power y**theta use
 exact moments of the weight against the piecewise-linear hat functions, so
 the first cell is integrated analytically.
@@ -45,6 +48,10 @@ class DomainSpec:
     z_max: float | None = None
 
     def __post_init__(self):
+        ends = [b for b in (self.x_min, self.x_max, self.z_min, self.z_max)
+                if b is not None]
+        if not np.all(np.isfinite(ends)):
+            raise ValueError(f"bounds must be finite numbers, got {ends}")
         if not self.x_max > self.x_min:
             raise ValueError("need x_max > x_min")
         if (self.z_min is None) != (self.z_max is None):
@@ -83,8 +90,9 @@ class DomainSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DomainSpec":
-        """Inverse of to_json_dict; ValueError on a bad kind, a missing key
-        or a non-numeric bound."""
+        """Inverse of to_json_dict; ValueError on a bad kind, a missing key,
+        or a bound that is not a finite JSON number (strings and booleans
+        included)."""
         if data.get("kind") not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
         names = _AXIS_NAMES[:_KINDS.index(data["kind"]) + 1]
@@ -92,13 +100,15 @@ class DomainSpec:
         missing = set(keys) - set(data)
         if missing:
             raise ValueError(f"missing {sorted(missing)}")
+        values = [data[k] for k in keys]
         try:
-            if any(isinstance(data[k], bool) for k in keys):
+            if any(isinstance(v, bool) or not isinstance(v, (int, float))
+                   for v in values):
                 raise TypeError
-            bounds = [float(data[k]) for k in keys]
-        except (TypeError, ValueError):
-            raise ValueError(f"bounds must be numbers, got "
-                             f"{[data[k] for k in keys]}") from None
+            bounds = [float(v) for v in values]
+        except (TypeError, OverflowError):
+            raise ValueError(
+                f"bounds must be finite numbers, got {values}") from None
         return cls(*bounds)
 
 
@@ -115,8 +125,22 @@ def _graded_nodes(y_max: float, ny: int, grading: float) -> np.ndarray:
 
 
 def _diff_matrix_1d(x: np.ndarray) -> sp.csr_matrix:
-    """Second-order first-derivative matrix on a nonuniform 1D grid."""
+    """Second-order first-derivative matrix on a nonuniform 1D grid.
+
+    An interior row's centre weight (hs - hd) / (hs * hd) vanishes where
+    the two spacings are equal.  There the row is the uniform stencil
+    (u[i+1] - u[i-1]) / (hs + hd): two weights of opposite sign, which
+    annihilate constants exactly, and no stored centre.  Spacings count as
+    equal when they differ by no more than the coordinates' round-off: on
+    the axes ``np.linspace`` and ``_graded_nodes`` (grading 0) build, each
+    node lies within 2 ulps of the axis's largest |x| from an exact
+    arithmetic progression, so hs - hd, a second difference of three
+    nodes, is within 8.  A stored round-off centre weight would couple each
+    node to its neighbours in Gᵀ W G: the Newton LU at 257^2 filled to
+    8.57M entries with them and fills to 4.56M without.
+    """
     n = x.size
+    roundoff = 8.0 * np.spacing(np.max(np.abs(x)))
     rows, cols, vals = [], [], []
     # one-sided at the left end
     h1, h2 = x[1] - x[0], x[2] - x[1]
@@ -129,10 +153,15 @@ def _diff_matrix_1d(x: np.ndarray) -> sp.csr_matrix:
     for i in range(1, n - 1):
         hd = x[i] - x[i - 1]
         hs = x[i + 1] - x[i]
-        den = hs * hd * (hd + hs)
-        rows += [i, i, i]
-        cols += [i - 1, i, i + 1]
-        vals += [-hs * hs / den, (hs * hs - hd * hd) / den, hd * hd / den]
+        if abs(hs - hd) <= roundoff:
+            rows += [i, i]
+            cols += [i - 1, i + 1]
+            vals += [-1.0 / (hs + hd), 1.0 / (hs + hd)]
+        else:
+            den = hs * hd * (hd + hs)
+            rows += [i, i, i]
+            cols += [i - 1, i, i + 1]
+            vals += [-hs * hs / den, (hs * hs - hd * hd) / den, hd * hd / den]
     # one-sided at the right end
     hn, hm = x[-1] - x[-2], x[-2] - x[-3]
     rows += [n - 1, n - 1, n - 1]

@@ -38,9 +38,10 @@ ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 MIN_STEP = 2.0 ** -20
 # SuperLU symmetric mode keeps the diagonal pivot unless it is smaller than
-# this fraction of its column's largest entry (see _linear_step).  At 0.0
-# the indefinite 33x9x33 rectangle Jacobian solved to a relative residual of
-# 3e-12, at 0.01 to 7e-13, with the same fill on every benchmark state.
+# this fraction of its column's largest entry (see _linear_step).  The
+# indefinite 33x9x33 rectangle Jacobian solves a random right-hand side to a
+# relative residual of 1.2e-13 at 0.0 and at 0.01, with the same fill at
+# both on every benchmark state.
 LU_DIAG_PIVOT_THRESH = 0.01
 
 
@@ -172,8 +173,9 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict) -> np.ndarray:
     of the indefinite (unstable) states.  A is factored as D A D with
     D = diag(row max |A|)^{-1/2}, so unit pinned rows and stiffness rows meet
     the threshold on one scale: with a = e^y up to y = 8 a unit pivot sits
-    beside couplings near 585, and unscaled the threshold took 492 off-diagonal
-    pivots at 129^2 and nearly doubled the fill.
+    beside couplings near 585, and unscaled the threshold took 463
+    off-diagonal pivots at 129^2 and more than doubled the fill (0.90M to
+    2.06M).
 
     The fallback covers singular-but-consistent systems (all-Neumann with a
     zero reaction has the constants in its kernel) and any factorization
@@ -182,8 +184,8 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict) -> np.ndarray:
 
     stats counts factorizations and LSMR fallbacks and keeps the largest
     ``lu.nnz``, SuperLU's count of stored L and U entries.  It equals
-    L.nnz + U.nnz up to the explicit zeros of SuperLU's supernodes (52 of
-    211 056 at 49^2) and, unlike them, does not copy the factors out.
+    L.nnz + U.nnz up to the explicit zeros of SuperLU's supernodes (none of
+    87 370 at 49^2) and, unlike them, does not copy the factors out.
     """
     try:
         d = 1.0 / np.sqrt(abs(A).max(axis=1).toarray().ravel())

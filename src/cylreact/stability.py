@@ -108,8 +108,9 @@ class StabilityReport:
     classification: str
     tol: float
     eigen_residual: float
-    # Eigensolve telemetry (sigma, shifts_tried, fallback,
-    # operator_applications); not part of the serialized report.
+    # Eigensolve telemetry (sigma, shifts_tried, fallback, lu_fill_nnz: the
+    # shift LU's stored L and U entries, operator_applications); not part
+    # of the serialized report.
     stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -244,7 +245,7 @@ def _solve_pairs(form: StabilityForm, k: int):
     C, s = _scaled_pencil(form)
     sigma, lu, tried, fallback = _certified_shift(C)
     stats = {"sigma": sigma, "shifts_tried": tried, "fallback": fallback,
-             "operator_applications": 0}
+             "lu_fill_nnz": int(lu.nnz), "operator_applications": 0}
 
     def solve(x):
         stats["operator_applications"] += 1

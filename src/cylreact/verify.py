@@ -149,7 +149,9 @@ def criterion_2() -> CheckRecord:
             slope = None
             case_ok = True
         else:
-            slope = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
+            # exactly zero residuals fit no slope (nan), failing the gate
+            with np.errstate(divide="ignore"):
+                slope = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
             case_ok = slope >= 1.9
             worst_slope = min(worst_slope, slope)
         ok = ok and case_ok

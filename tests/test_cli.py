@@ -91,6 +91,13 @@ def test_config_round_trip():
     {"experiment": "Solve", "domain": {"kind": "rectangle", "x_min": 0,
                                        "x_max": 1, "z_min": 0, "z_max": 1},
      "grid": {"nz": 2}},                             # nz too small
+    {"experiment": "Solve",
+     "domain": {"kind": "interval", "x_min": 0, "x_max": "3"}},  # a string
+    {"experiment": "Solve",
+     "domain": {"kind": "interval", "x_min": 0, "x_max": float("inf")}},
+    {"experiment": "Solve", "domain": {"kind": "rectangle", "x_min": 0,
+                                       "x_max": 1, "z_min": float("nan"),
+                                       "z_max": 1}},
 ])
 def test_config_validation_rejects(raw):
     with pytest.raises(cli.ConfigError):
@@ -225,6 +232,11 @@ def test_run_invalid_config_exits_two(tmp_path):
     ({"experiment": "Solve", "preset": "grow-cos-stable",
       "grid": {"nx": 9, "ny": 9, "nz": 2}}, "grid.nz"),
     ({"experiment": "Solve", "preset": "linear-y", "seed": True}, "seed"),
+    ({"experiment": "Solve",
+      "domain": {"kind": "interval", "x_min": 0, "x_max": "3"}}, "domain"),
+    ({"experiment": "Solve",
+      "domain": {"kind": "interval", "x_min": 0, "x_max": float("inf")}},
+     "domain"),
 ])
 def test_run_out_of_range_config_exits_two(tmp_path, capsys, payload, key):
     out = tmp_path / "out"

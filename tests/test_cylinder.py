@@ -104,6 +104,59 @@ def test_pairing_summation_by_parts():
     assert lhs == pytest.approx(boundary, abs=1e-12)
 
 
+def _three_point(x):
+    """Dense first-derivative matrix with every interior row's three
+    weights, the centre (hs^2 - hd^2) / den included."""
+    n = x.size
+    D = _diff_matrix_1d(x).toarray()
+    for i in range(1, n - 1):
+        hd, hs = x[i] - x[i - 1], x[i + 1] - x[i]
+        den = hs * hd * (hd + hs)
+        D[i, i - 1:i + 2] = [-hs * hs / den, (hs * hs - hd * hd) / den,
+                             hd * hd / den]
+    return D
+
+
+_SPARSITY_GRIDS = {
+    "interval-129": lambda: build_grid(DomainSpec.interval(0.0, PI),
+                                       nx=129, ny=129, y_max=8.0),
+    "interval-257": lambda: build_grid(DomainSpec.interval(0.0, 2 * PI),
+                                       nx=257, ny=257, y_max=8.0),
+    "rectangle": lambda: build_grid(DomainSpec.rectangle(-1.0, 2.5, 0.1, 3.7),
+                                    nx=33, ny=17, y_max=3.0, nz=65),
+    "graded": lambda: _interval_grid(nx=65, ny=65, grading=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPARSITY_GRIDS))
+@pytest.mark.parametrize("diff", ["diff_1d", "pairing_diff_1d"])
+def test_interior_rows_store_the_stencil(name, diff):
+    # on a uniform axis the centre weight is zero and is not stored, and
+    # the two outer weights cancel on constants; a graded y axis keeps it
+    g = _SPARSITY_GRIDS[name]()
+    for axis in range(g.n_components):
+        uniform = axis < g.n_components - 1 or g.grading == 0.0
+        D = getattr(g, diff)(axis)
+        counts = np.diff(D.indptr)[1:-1]
+        assert np.all(counts == (2 if uniform else 3)), (axis, counts)
+        if uniform:
+            assert np.all((D @ np.ones(D.shape[0]))[1:-1] == 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(_SPARSITY_GRIDS))
+def test_operators_match_the_three_point_formula(name):
+    # the dropped centre weights are round-off: each interior row agrees
+    # with the three-weight formula to 1e-13 of its terms' magnitude
+    g = _SPARSITY_GRIDS[name]()
+    for axis, x in enumerate(g.axes):
+        R = _three_point(x)
+        f = np.sin(1.3 * x) + 0.5 * x
+        scale = (np.abs(R) @ np.abs(f))[1:-1]
+        for D in (g.diff_1d(axis), g.pairing_diff_1d(axis)):
+            err = ((D @ f) - R @ f)[1:-1]
+            assert np.all(np.abs(err) <= 1e-13 * scale)
+
+
 def test_graded_grid_refines_toward_bottom():
     g = _interval_grid(ny=33, grading=0.5)
     y = g.coordinate_arrays()[-1][0]
@@ -295,6 +348,11 @@ def test_domain_spec_json_round_trip(domain):
     {"kind": "interval", "x_min": 1, "x_max": 0},
     {"kind": "interval", "x_min": "a", "x_max": 1},
     {"kind": "interval", "x_min": None, "x_max": 1},
+    {"kind": "interval", "x_min": 0, "x_max": "3"},
+    {"kind": "interval", "x_min": 0, "x_max": float("inf")},
+    {"kind": "rectangle", "x_min": 0, "x_max": 1, "z_min": float("-inf"),
+     "z_max": 1},
+    {"kind": "interval", "x_min": 0, "x_max": 10 ** 400},
 ])
 def test_domain_spec_from_json_dict_rejects(data):
     with pytest.raises(ValueError):
