@@ -28,6 +28,7 @@ from enum import Enum
 from functools import reduce
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 
@@ -336,6 +337,19 @@ class CylinderGrid:
     def y_weights(self, theta: float = 0.0) -> np.ndarray:
         return self._cached(("wy", float(theta)),
                             lambda: weighted_y_weights(self.y_nodes, float(theta)))
+
+    def cross_section_modes(self, axis: int) -> tuple:
+        """(lam, phi) with K phi = W phi diag(lam) and phi^T W phi = I.
+
+        K = D^T W D is the pairing stiffness of cross-section axis ``axis``
+        (D its pairing difference, W = diag of its trapezoid weights):
+        the discrete Neumann eigenmodes of that axis, ascending.
+        """
+        def build():
+            D, w = self.pairing_diff_1d(axis), self.axis_weights(axis)
+            K = (D.T @ sp.diags(w) @ D).toarray()
+            return scipy.linalg.eigh(K, np.diag(w))
+        return self._cached(("modes", axis), build)
 
     def _omega_weights(self) -> list[np.ndarray]:
         return [self.axis_weights(a) for a in range(len(self.axes) - 1)]

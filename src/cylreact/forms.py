@@ -111,17 +111,20 @@ def weak_residual_vector(u: CylinderField, model: CoefficientModel,
 
 
 def assemble_energy_matrix(u: CylinderField, model: CoefficientModel,
-                           reaction) -> sp.csr_matrix:
+                           reaction,
+                           state: dict | None = None) -> sp.csr_matrix:
     """Sparse symmetric matrix of the second-variation quadratic form.
 
     phi^T A phi = int <B(y, grad u) grad phi, grad phi>
                 + int g_u(y, u) phi^2 - int_bottom f'(u) phi^2,
 
     assembled with the same operators and weights as the weak residual, so A
-    is also the Newton Jacobian of the residual vector.
+    is also the Newton Jacobian of the residual vector.  ``state`` is
+    coefficient_state(u, model) when the caller already holds it.
     """
     grid = u.grid
-    state = coefficient_state(u, model)
+    if state is None:
+        state = coefficient_state(u, model)
     w_theta = grid.bulk_weights(state["theta"]).ravel()
     a_red_flat = state["a_red"].ravel()
     Gs = grid.pairing_gradient_operators()
@@ -149,6 +152,44 @@ def assemble_energy_matrix(u: CylinderField, model: CoefficientModel,
     diag_bottom[..., 0] = (w_b * fp).reshape(diag_bottom[..., 0].shape)
     A = A - sp.diags(diag_bottom.ravel())
     return A.tocsr()
+
+
+def separable_factors(u: CylinderField, model: CoefficientModel, reaction,
+                      state: dict) -> tuple | None:
+    """(m_y, K_y) when the energy matrix at u is a Kronecker sum, else None.
+
+    Without the rank-one term, and with a_red, the bottom f'(u) and g_u(y, u)
+    each equal across the cross-section at every height (exactly, no
+    tolerance), the matrix of assemble_energy_matrix factors as
+
+        A = sum_k (x_{m != k} W_m) x K_k x M_y  +  (x_m W_m) x K_y,
+
+    with W_m, K_k the trapezoid weights and pairing stiffness of cross-section
+    axis k (see CylinderGrid.cross_section_modes), M_y = diag(m_y) for
+    m_y = y_weights(theta) * a_y, and the pentadiagonal sparse
+    K_y = D_y^T M_y D_y - f' e_0 e_0^T + diag(y_weights(0) * g_u).
+    ``state`` is coefficient_state(u, model).
+    """
+    if model.has_t_dependence:
+        return None
+    grid = u.grid
+    a = state["a_red"].reshape(-1, grid.ny)
+    bottom = u.values[..., 0]
+    fp = np.broadcast_to(reaction.f_prime(bottom), bottom.shape).ravel()
+    if np.any(a != a[0]) or np.any(fp != fp[0]):
+        return None
+    m_y = grid.y_weights(state["theta"]) * a[0]
+    D = grid.pairing_diff_1d(grid.n_components - 1)
+    K_y = D.T @ sp.diags(m_y) @ D
+    zero_order = np.zeros(grid.ny)
+    zero_order[0] = -fp[0]
+    if reaction.g_u is not None:
+        gu = np.broadcast_to(reaction.g_u(state["y"], u.values),
+                             grid.shape).reshape(-1, grid.ny)
+        if np.any(gu != gu[0]):
+            return None
+        zero_order += grid.y_weights(0.0) * gu[0]
+    return m_y, (K_y + sp.diags(zero_order)).tocsr()
 
 
 def energy_quadrature(u: CylinderField, model: CoefficientModel, reaction,

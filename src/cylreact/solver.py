@@ -16,6 +16,11 @@ linearizations, and steps are damped by Armijo backtracking on the squared
 residual norm in ``damped_newton``, the one loop that also drives the
 spectral semilinear solve.
 
+Each Newton system is solved by the first of three routes whose step meets
+the linear residual bound (``_linear_step``): fast diagonalization where the
+matrix is a Kronecker sum of 1D operators (``forms.separable_factors``),
+then a sparse LU, then LSMR.
+
 A small catalog of closed-form solutions is included for residual and
 stability checks, together with a one-dimensional family u(y) = c -
 f(c) * int_0^y dz / a(z) available for y-only coefficients.
@@ -24,9 +29,11 @@ f(c) * int_0^y dz / a(z) available for y-only coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -105,9 +112,9 @@ class SolveReport:
     newton_iterations: int
     final_residual: float
     residual_history: list = field(default_factory=list)
-    # Linear-step telemetry (factorizations, lu_fill_nnz, lsmr_fallbacks,
-    # backtracks: step halvings per accepted step); not part of the
-    # serialized report.
+    # Linear-step telemetry (separable_solves, factorizations, lu_fill_nnz,
+    # lsmr_fallbacks, backtracks: step halvings per accepted step); not part
+    # of the serialized report.
     stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -151,17 +158,78 @@ def residual_vector(u: CylinderField, model: CoefficientModel,
     return r
 
 
-def _newton_matrix(u: CylinderField, model, reaction, top_bc) -> sp.csr_matrix:
-    A = forms.assemble_energy_matrix(u, model, reaction)
+def _newton_system(u: CylinderField, model, reaction, top_bc) -> tuple:
+    """(A, separable): the Newton matrix at u and, when it is a Kronecker
+    sum, the ``separable`` argument of _linear_step, else None.
+
+    One coefficient state serves both.  A pinned top slice has unit rows
+    in A and is cut from the y factors.
+    """
+    state = forms.coefficient_state(u, model)
+    A = forms.assemble_energy_matrix(u, model, reaction, state=state)
+    factors = forms.separable_factors(u, model, reaction, state)
     if top_bc[0] == "dirichlet":
         keep = (~u.grid.top_mask().ravel()).astype(float)
         # zero the top rows and put a unit on their diagonal, in CSR
         A = (sp.diags(keep) @ A + sp.diags(1.0 - keep)).tocsr()
-    return A
+        if factors is not None:
+            m_y, K_y = factors
+            factors = (m_y[:-1], K_y[:-1, :-1])
+    return A, None if factors is None else (u.grid, *factors)
 
 
-def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict) -> np.ndarray:
-    """Direct sparse solve with a least-squares fallback.
+def _solves(A: sp.csr_matrix, delta: np.ndarray, rhs: np.ndarray) -> bool:
+    """delta is finite and ||A delta - rhs|| <= 1e-6 ||rhs||."""
+    return bool(np.all(np.isfinite(delta))
+                and np.linalg.norm(A @ delta - rhs)
+                <= 1e-6 * (np.linalg.norm(rhs) + 1e-30))
+
+
+def _separable_solve(A: sp.csr_matrix, rhs: np.ndarray, grid: CylinderGrid,
+                     m_y: np.ndarray, K_y: sp.csr_matrix) -> np.ndarray:
+    """A^{-1} rhs by fast diagonalization (Lynch, Rice & Thomas 1964).
+
+    On the y nodes below m_y.size, A is the Kronecker sum of
+    forms.separable_factors; the nodes above are pinned, with unit rows
+    in A.  The pinned values are read off their unit rows and their
+    coupling moves to the right-hand side.  With Phi the W-orthonormal
+    modes of every cross-section axis, Phi^T A Phi on the free nodes is
+    block diagonal, one pentadiagonal block lam M_y + K_y per mode lam,
+    and the blocks stack into one band for a single banded LU.  Raises
+    LinAlgError on an exactly singular block.
+    """
+    nf = m_y.size
+    delta = np.zeros(grid.shape)
+    delta[..., nf:] = rhs.reshape(grid.shape)[..., nf:]
+    r = (rhs - A @ delta.ravel()).reshape(grid.shape)[..., :nf]
+    modes = [grid.cross_section_modes(k)
+             for k in range(grid.n_components - 1)]
+    for k, (_, phi) in enumerate(modes):
+        r = np.moveaxis(np.tensordot(phi, r, axes=(0, k)), 0, k)
+    lam = reduce(np.add.outer, [lam_k for lam_k, _ in modes])
+    K = K_y.tocoo()
+    band = np.zeros((5, nf))
+    band[2 + K.row - K.col, K.col] = K.data
+    ab = np.tile(band, lam.size)
+    ab[2] += np.outer(lam, m_y).ravel()
+    z = scipy.linalg.solve_banded((2, 2), ab, r.ravel(), overwrite_ab=True,
+                                  overwrite_b=True,
+                                  check_finite=False).reshape(r.shape)
+    for k, (_, phi) in enumerate(modes):
+        z = np.moveaxis(np.tensordot(phi, z, axes=(1, k)), 0, k)
+    delta[..., :nf] = z
+    return delta.ravel()
+
+
+def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
+                 separable: tuple | None = None) -> np.ndarray:
+    """Solve A delta = rhs: separable route, then sparse LU, then LSMR.
+
+    ``separable`` is (grid, m_y, K_y) when A is a Kronecker sum (see
+    _separable_solve), else None.  Each route's step is accepted only if
+    it is finite and meets the linear residual bound
+    ||A delta - rhs|| <= 1e-6 ||rhs|| on A itself; otherwise, or if the
+    route raises, the next one runs.
 
     The LU orders columns by minimum degree on the structure of A + A^T
     (``MMD_AT_PLUS_A``) and runs SuperLU in symmetric mode, which keeps the
@@ -178,15 +246,25 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict) -> np.ndarray:
     2.06M).
 
     The fallback covers singular-but-consistent systems (all-Neumann with a
-    zero reaction has the constants in its kernel) and any factorization
-    whose solve misses the linear residual bound; LSMR then returns the
-    minimum-norm step, which keeps iterates bounded.
+    zero reaction has the constants in its kernel, and a singular block of
+    the separable route too) and any factorization whose solve misses the
+    linear residual bound; LSMR then returns the minimum-norm step, which
+    keeps iterates bounded.
 
-    stats counts factorizations and LSMR fallbacks and keeps the largest
-    ``lu.nnz``, SuperLU's count of stored L and U entries.  It equals
-    L.nnz + U.nnz up to the explicit zeros of SuperLU's supernodes (none of
-    87 370 at 49^2) and, unlike them, does not copy the factors out.
+    stats counts accepted separable solves, LU factorizations and LSMR
+    fallbacks and keeps the largest ``lu.nnz``, SuperLU's count of stored
+    L and U entries.  It equals L.nnz + U.nnz up to the explicit zeros of
+    SuperLU's supernodes (none of 87 370 at 49^2) and, unlike them, does
+    not copy the factors out.
     """
+    if separable is not None:
+        try:
+            delta = _separable_solve(A, rhs, *separable)
+            if _solves(A, delta, rhs):
+                stats["separable_solves"] += 1
+                return delta
+        except np.linalg.LinAlgError:
+            pass
     try:
         d = 1.0 / np.sqrt(abs(A).max(axis=1).toarray().ravel())
         lu = spla.splu((sp.diags(d) @ A @ sp.diags(d)).tocsc(),
@@ -196,10 +274,8 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict) -> np.ndarray:
         stats["factorizations"] += 1
         stats["lu_fill_nnz"] = max(stats["lu_fill_nnz"], int(lu.nnz))
         delta = d * lu.solve(d * rhs)
-        if np.all(np.isfinite(delta)):
-            lin_res = np.linalg.norm(A @ delta - rhs)
-            if lin_res <= 1e-6 * (np.linalg.norm(rhs) + 1e-30):
-                return delta
+        if _solves(A, delta, rhs):
+            return delta
     except RuntimeError:
         pass
     stats["lsmr_fallbacks"] += 1
@@ -262,14 +338,16 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
     """
     if init.grid is not grid and init.grid.shape != grid.shape:
         raise ValueError("init must live on the solve grid")
-    stats = {"factorizations": 0, "lu_fill_nnz": 0, "lsmr_fallbacks": 0}
+    stats = {"separable_solves": 0, "factorizations": 0, "lu_fill_nnz": 0,
+             "lsmr_fallbacks": 0}
 
     def residual(x):
         return residual_vector(CylinderField(grid, x), model, reaction, top_bc)
 
     def newton_step(x, r):
-        A = _newton_matrix(CylinderField(grid, x), model, reaction, top_bc)
-        return _linear_step(A, -r, stats).reshape(grid.shape)
+        A, separable = _newton_system(CylinderField(grid, x), model,
+                                      reaction, top_bc)
+        return _linear_step(A, -r, stats, separable).reshape(grid.shape)
 
     x, _, history, halvings, _ = damped_newton(
         residual, newton_step, init.values.copy(), tol, max_iter)

@@ -218,7 +218,9 @@ def _certified_shift(C):
     Tries SHIFT_LADDER_START * SHIFT_LADDER_RATIO**j above the Gershgorin
     bound and accepts the first whose factorization shows no negative
     pivot; otherwise takes the Gershgorin bound minus one, which lies
-    below the spectrum without any check.
+    below the spectrum without any check.  The floor is factored like
+    every ladder shift: C - floor I is strictly diagonally dominant with a
+    positive diagonal, so no diagonal pivot vanishes.
     """
     floor = _gershgorin_bound(C) - 1.0
     tried = []
@@ -230,7 +232,7 @@ def _certified_shift(C):
             return sigma, lu, tried, False
         sigma *= SHIFT_LADDER_RATIO
     tried.append(floor)
-    return floor, spla.splu(_shifted(C, floor)), tried, True
+    return floor, _factor_shifted(C, floor), tried, True
 
 
 def _solve_pairs(form: StabilityForm, k: int):

@@ -113,10 +113,15 @@ def test_newton_constant_flux_needs_dirichlet_top():
     exact = catalog_solution("linear-y", grid)
     rep = solve_newton(model, reaction, grid, exact)
     assert not rep.converged
+    # f' = 0 leaves the all-Neumann matrix singular: its separable block
+    # and its LU both miss the residual bound, and LSMR takes every step
+    assert rep.stats["separable_solves"] == 0
+    assert rep.stats["factorizations"] == rep.stats["lsmr_fallbacks"] == 2
     top = ("dirichlet", exact.values[..., -1].copy())
     rep2 = solve_newton(model, reaction, grid, exact, top_bc=top)
     assert rep2.converged
     assert rep2.final_residual <= 1e-10
+    assert rep2.stats["separable_solves"] == rep2.newton_iterations
 
 
 def test_newton_quadratic_history():
@@ -144,6 +149,11 @@ def test_solve_report_serializes():
     d = rep.to_json_dict()
     assert d["converged"] is True
     assert isinstance(d["residual_history"], list)
+    # the linear-step telemetry stays out of the serialized report
+    assert set(d) == {"converged", "newton_iterations", "final_residual",
+                      "residual_history"}
+    assert set(rep.stats) == {"separable_solves", "factorizations",
+                              "lu_fill_nnz", "lsmr_fallbacks", "backtracks"}
 
 
 def test_top_bc_validation():
@@ -176,7 +186,7 @@ def test_pinned_newton_matrix_matches_lil_pinning(domain, nz, model):
     u = CylinderField(grid, rng.standard_normal(grid.shape))
     reaction = ReactionSpec.cubic()
     top_bc = ("dirichlet", u.values[..., -1].ravel().copy())
-    A = solver._newton_matrix(u, model, reaction, top_bc)
+    A, _ = solver._newton_system(u, model, reaction, top_bc)
     ref = _lil_pinned(u, model, reaction)
     assert np.array_equal(A.toarray(), ref.toarray())
     for i in np.flatnonzero(grid.top_mask().ravel()):
@@ -201,17 +211,35 @@ def _indefinite_problem(kind, n):
     return model, reaction, grid, u, ("dirichlet", u.values[..., -1].ravel().copy())
 
 
+def _stats():
+    return {"separable_solves": 0, "factorizations": 0, "lu_fill_nnz": 0,
+            "lsmr_fallbacks": 0}
+
+
+def _lu_step(model, reaction, grid, u, top):
+    """One Newton step at u through _linear_step without separable factors
+    (LU, then LSMR): (max |residual| after the full step, stats)."""
+    stats = _stats()
+    A, _ = solver._newton_system(u, model, reaction, top)
+    r = residual_vector(u, model, reaction, top)
+    delta = solver._linear_step(A, -r, stats).reshape(grid.shape)
+    after = residual_vector(CylinderField(grid, u.values + delta), model,
+                            reaction, top)
+    return float(np.max(np.abs(after))), stats
+
+
+# These exact states are Kronecker sums, so solve_newton steps them by the
+# separable route; the LU and LSMR routes are reached by _linear_step
+# without separable factors.
+
 @pytest.mark.parametrize("kind, n", [("preset", 49), ("rectangle", None)])
 def test_indefinite_newton_steps_stay_on_lu(kind, n):
     model, reaction, grid, u, top = _indefinite_problem(kind, n)
-    rep = solve_newton(model, reaction, grid, u, top_bc=top)
-    assert rep.converged
-    assert rep.newton_iterations == 1
-    assert rep.stats["lsmr_fallbacks"] == 0
-    assert rep.stats["factorizations"] == 1
-    assert rep.stats["backtracks"] == [0]
-    assert rep.stats["lu_fill_nnz"] > 0
-    assert "stats" not in rep.to_json_dict()
+    res, stats = _lu_step(model, reaction, grid, u, top)
+    assert res <= 1e-10
+    assert stats["lsmr_fallbacks"] == 0
+    assert stats["factorizations"] == 1
+    assert stats["lu_fill_nnz"] > 0
 
 
 def test_newton_matrix_keeps_the_stencil_sparsity_at_129():
@@ -224,23 +252,104 @@ def test_newton_matrix_keeps_the_stencil_sparsity_at_129():
     rep = solve_newton(p.model(), p.reaction(), grid, u,
                        top_bc=solver.pinned_top(u))
     assert rep.converged and rep.stats["lsmr_fallbacks"] == 0
-    assert rep.stats["lu_fill_nnz"] <= 1.0e6
+    _, stats = _lu_step(p.model(), p.reaction(), grid, u, solver.pinned_top(u))
+    assert stats["factorizations"] == 1 and stats["lsmr_fallbacks"] == 0
+    assert 0 < stats["lu_fill_nnz"] <= 1.0e6
     A = forms.assemble_energy_matrix(u, p.model(), p.reaction())
     assert np.diff(A.indptr).max() <= 5
 
 
-@pytest.mark.parametrize("kind, n", [("preset", 17), ("rectangle", None)])
-def test_failed_factorization_falls_back_to_lsmr(kind, n, monkeypatch):
+def _refuse_splu(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(solver.spla, "splu", refuse)
+
+
+@pytest.mark.parametrize("kind, n", [("preset", 17), ("rectangle", None)])
+def test_failed_factorization_falls_back_to_lsmr(kind, n, monkeypatch):
+    _refuse_splu(monkeypatch)
+    res, stats = _lu_step(*_indefinite_problem(kind, n))
+    assert res <= 1e-10
+    assert stats["factorizations"] == 0
+    assert stats["lsmr_fallbacks"] == 1
+
+
+# -- the separable (fast diagonalization) route -----------------------------
+
+def _separable_case(kind):
+    """(model, reaction, grid, u, top_bc) at a Kronecker-sum Newton matrix;
+    kind is the state, then its top truncation."""
+    state, top_kind = kind.rsplit("-", 1)
+    if state in ("preset", "rectangle"):
+        model, reaction, grid, u, _ = _indefinite_problem(state, 33)
+    elif state == "graded-power-weight":
+        # theta = -1/2 on a graded y axis, bulk source, y-only state
+        grid = build_grid(DomainSpec.interval(0.0, PI), nx=17, ny=21,
+                          y_max=2.0, grading=0.5)
+        u = grid.field(lambda x, y: np.exp(-y) + 0.0 * x)
+        model, reaction = CoefficientModel.power_weight(-0.5), _cubic_source()
+    elif state == "graded-rectangle":
+        grid = build_grid(DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI), nx=9,
+                          ny=9, y_max=2.0, grading=0.5, nz=7)
+        u = grid.field(lambda x, z, y: np.cos(y) + 0.0 * x * z)
+        model = CoefficientModel.power_weight(-0.5)
+        reaction = ReactionSpec.cubic()
+    else:
+        grid = build_grid(DomainSpec.interval(0.0, PI), nx=17, ny=17,
+                          y_max=3.0)
+        u = catalog_solution("exp-decay", grid)
+        model, reaction = CoefficientModel.exp_y(), ReactionSpec.constant(1.0)
+    top = solver.pinned_top(u) if top_kind == "pinned" else ("neumann",)
+    return model, reaction, grid, u, top
+
+
+SEPARABLE_CASES = ["preset-pinned", "preset-neumann", "rectangle-pinned",
+                   "rectangle-neumann", "graded-power-weight-pinned",
+                   "graded-rectangle-neumann", "exp-decay-pinned"]
+
+
+@pytest.mark.parametrize("kind", SEPARABLE_CASES)
+def test_separable_step_matches_the_lu_step(kind):
+    model, reaction, grid, u, top = _separable_case(kind)
+    A, separable = solver._newton_system(u, model, reaction, top)
+    assert separable is not None
+    rhs = -residual_vector(u, model, reaction, top)
+    fast, lu = _stats(), _stats()
+    step = solver._linear_step(A, rhs, fast, separable)
+    ref = solver._linear_step(A, rhs, lu)
+    assert fast == dict(_stats(), separable_solves=1)
+    assert lu["factorizations"] == 1 and lu["lsmr_fallbacks"] == 0
+    assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("kind, n", [("preset", 17), ("preset", 65),
+                                     ("rectangle", None)])
+def test_separable_presets_converge_without_lu(kind, n, monkeypatch):
+    _refuse_splu(monkeypatch)
     model, reaction, grid, u, top = _indefinite_problem(kind, n)
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
     assert rep.converged
-    assert rep.newton_iterations == 1
-    assert rep.stats["factorizations"] == 0
-    assert rep.stats["lsmr_fallbacks"] == rep.newton_iterations
+    assert rep.newton_iterations >= 1
+    assert rep.stats["separable_solves"] == rep.newton_iterations
+    assert rep.stats["factorizations"] == rep.stats["lsmr_fallbacks"] == 0
+
+
+@pytest.mark.parametrize("kind", ["p-laplace", "mean-curvature",
+                                  "cubic-x-dependent"])
+def test_non_separable_states_stay_on_lu(kind):
+    grid = _grid()
+    u = grid.field(lambda x, y: np.cos(x) * np.exp(-y))
+    model = {"p-laplace": CoefficientModel.power_weight_p_laplace(0.0, 3.0),
+             "mean-curvature": CoefficientModel.mean_curvature_weight(0.0),
+             "cubic-x-dependent": CoefficientModel.constant_one()}[kind]
+    reaction = ReactionSpec.cubic()
+    top = solver.pinned_top(u)
+    assert solver._newton_system(u, model, reaction, top)[1] is None
+    rep = solve_newton(model, reaction, grid, u, top_bc=top)
+    assert rep.newton_iterations >= 1
+    assert rep.stats["separable_solves"] == 0
+    assert rep.stats["factorizations"] >= rep.newton_iterations
 
 
 # -- derived checks ----------------------------------------------------------
@@ -321,7 +430,8 @@ def _weak_case(kind):
     if kind == "graded-rectangle":
         grid = build_grid(DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI), nx=9,
                           ny=9, y_max=2.0, grading=0.5, nz=7)
-        model, reaction = CoefficientModel.power_weight(-0.5), ReactionSpec.cubic()
+        model = CoefficientModel.power_weight(-0.5)
+        reaction = ReactionSpec.cubic()
     elif kind == "mean-curvature":
         grid = build_grid(DomainSpec.interval(0.0, PI), nx=17, ny=17,
                           y_max=2.0, grading=0.5)

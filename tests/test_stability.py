@@ -289,6 +289,10 @@ def test_gershgorin_fallback_when_no_shift_is_certified(monkeypatch):
         certified.stats["operator_applications"]
     assert fallback.mu1 == pytest.approx(certified.mu1, rel=1e-8)
     assert fallback.classification == certified.classification
+    # the floor is factored like every ladder shift (symmetric-mode MMD),
+    # not with SuperLU's COLAMD and partial pivoting (151,544 entries)
+    assert fallback.stats["lu_fill_nnz"] == certified.stats["lu_fill_nnz"] \
+        == 81918
 
 
 def test_shift_invert_repeats_bit_identically_in_one_process():
