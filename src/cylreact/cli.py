@@ -37,9 +37,11 @@ Reaction entries are expressions in ``u`` (and ``y`` for the bulk source
 ``g``); derivatives are taken symbolically.  ``tolerances.eps`` and
 ``tolerances.s`` lie in (0, 1); ``grid.nz`` is for rectangle domains.
 Exit codes: 0 all applicable checks pass, 1 a check or solve failed, 2
-the config did not parse or validate: unknown ``grid`` or ``tolerances``
-keys, ``eps`` or ``s`` outside (0, 1), ``grid.nz`` on an interval, or a
-JSON string, boolean, NaN or Infinity where a number is expected.
+the config did not parse or validate: unknown ``grid``, ``tolerances``,
+``model`` or ``reaction`` keys, ``domain`` keys other than ``kind`` and
+that kind's bounds, ``eps`` or ``s`` outside (0, 1), ``grid.nz`` on an
+interval, or a JSON string, boolean, NaN or Infinity where a number is
+expected.
 Environment override: CYLREACT_OUT replaces output_dir.  Reports are
 byte-identical across reruns of the same config and seed at a fixed BLAS
 thread count, except for wall-clock fields.
@@ -71,6 +73,8 @@ EXPERIMENTS = ("Solve", "Stability", "Poincare", "Spectral",
 _MODEL_FAMILIES = ("constant_one", "exp_y", "power_weight",
                    "power_weight_p_laplace", "mean_curvature_weight")
 _GRID_KEYS = ("nx", "ny", "y_max", "grading", "nz")
+_MODEL_KEYS = ("family", "theta", "p")
+_REACTION_KEYS = ("f", "g")
 _TOLERANCE_KEYS = ("newton", "eps", "s")
 
 
@@ -117,7 +121,7 @@ class ExperimentConfig:
         # only the config's own nz: interval presets carry nz = None
         if grid.get("nz") is not None and spec and not spec.is_rectangle:
             raise ConfigError("grid.nz needs a rectangle cross-section")
-        model = _section(raw, "model")
+        model = _section(raw, "model", _MODEL_KEYS)
         if model and model.get("family") not in _MODEL_FAMILIES:
             raise ConfigError(
                 f"model.family must be one of {_MODEL_FAMILIES}")
@@ -126,7 +130,7 @@ class ExperimentConfig:
             for k in keys:
                 if k in section and not _is_number(section[k]):
                     raise ConfigError(f"{name}.{k} must be a number")
-        reaction = _section(raw, "reaction")
+        reaction = _section(raw, "reaction", _REACTION_KEYS)
         tolerances = _section(raw, "tolerances", _TOLERANCE_KEYS)
         for k, v in tolerances.items():
             hi = 1.0 if k in ("eps", "s") else math.inf

@@ -91,9 +91,9 @@ class DomainSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DomainSpec":
-        """Inverse of to_json_dict; ValueError on a bad kind, a missing key,
-        or a bound that is not a finite JSON number (strings and booleans
-        included)."""
+        """Inverse of to_json_dict; ValueError on a bad kind, a missing or
+        unknown key, or a bound that is not a finite JSON number (strings
+        and booleans included)."""
         if data.get("kind") not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
         names = _AXIS_NAMES[:_KINDS.index(data["kind"]) + 1]
@@ -101,6 +101,9 @@ class DomainSpec:
         missing = set(keys) - set(data)
         if missing:
             raise ValueError(f"missing {sorted(missing)}")
+        unknown = set(data) - set(keys) - {"kind"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         values = [data[k] for k in keys]
         try:
             if any(isinstance(v, bool) or not isinstance(v, (int, float))

@@ -35,13 +35,6 @@ from .cylinder import CylinderField, CylinderGrid
 REG_EPS = 1e-10
 
 
-def regularized_norm(comps: list[np.ndarray], regularize: bool) -> np.ndarray:
-    sq = sum(c * c for c in comps)
-    if regularize:
-        return np.sqrt(sq + REG_EPS * REG_EPS)
-    return np.sqrt(sq)
-
-
 def gradient_fields(grid: CylinderGrid, values: np.ndarray,
                     pairing: bool = False) -> list[np.ndarray]:
     flat = values.ravel()
@@ -66,8 +59,9 @@ def coefficient_state(u: CylinderField, model: CoefficientModel) -> dict:
     grid = u.grid
     comps = gradient_fields(grid, u.values, pairing=True)
     tdep = model.has_t_dependence
-    norm_plain = regularized_norm(comps, regularize=False)
-    norm_reg = regularized_norm(comps, regularize=True) if tdep else norm_plain
+    sq = sum(c * c for c in comps)
+    norm_plain = np.sqrt(sq)
+    norm_reg = np.sqrt(sq + REG_EPS * REG_EPS) if tdep else norm_plain
     coords = grid.coordinate_arrays()
     y = coords[-1]
     a_red = model.reduced_a(y, norm_plain)

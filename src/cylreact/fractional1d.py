@@ -171,6 +171,7 @@ def fractional_normal_derivative(v, s: float, boundary_point: float,
     """
     if not 0.0 < s < 1.0:
         raise ValueError("need s in (0, 1)")
+    inward = -1.0 if side is Side.FROM_LEFT_INTERVAL else 1.0
     if callable(v):
         fn = v
         if base_step is None:
@@ -181,8 +182,7 @@ def fractional_normal_derivative(v, s: float, boundary_point: float,
         values = np.asarray(values, dtype=float)
         if base_step is None:
             base_step = 8.0 * (nodes[1] - nodes[0])
-        inward_sign = -1.0 if side is Side.FROM_LEFT_INTERVAL else 1.0
-        far = boundary_point + inward_sign * base_step
+        far = boundary_point + inward * base_step
         lo, hi = min(boundary_point, far), max(boundary_point, far)
         if lo < nodes[0] or hi > nodes[-1] or \
                 np.count_nonzero((nodes >= lo) & (nodes <= hi)) < 4:
@@ -190,7 +190,6 @@ def fractional_normal_derivative(v, s: float, boundary_point: float,
                 "insufficient resolution around the boundary point")
         from scipy.interpolate import CubicSpline
         fn = CubicSpline(nodes, values)
-    inward = -1.0 if side is Side.FROM_LEFT_INTERVAL else 1.0
     t = base_step * 0.5 ** np.arange(levels)
     q = np.array([(float(fn(boundary_point + inward * ti)) -
                    float(fn(boundary_point))) / ti ** s for ti in t])

@@ -12,7 +12,11 @@ there, and the x-derivative fields vanish with it on any zero set of
 positive measure — the discrete stand-in for the measure-theoretic
 argument used in the continuum proof.  All derivatives here are pointwise
 second-order stencils (the public gradient operator), not the weak-form
-pairing variant.
+pairing variant.  One derivative pass of u (its gradient, the gradients of
+its cross-section components, |grad_x u| and the gradient of that) feeds
+the bracket, the lateral boundary term and the level-set weights;
+poincare_sides evaluates both of its sides from one such pass and one
+coefficient state.
 """
 
 from __future__ import annotations
@@ -82,6 +86,22 @@ def _safe_divide(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarr
     return out
 
 
+def _derivatives(u: CylinderField, threshold: float | None) -> dict:
+    """Pointwise data of u, computed once per public call: grad u (comps),
+    the gradient of each cross-section component (hessian), |grad_x u|
+    (speed) with its gradient, and the mask speed > threshold."""
+    grid = u.grid
+    comps = forms.gradient_fields(grid, u.values)
+    speed = np.sqrt(sum(c * c for c in comps[:-1]))
+    if threshold is None:
+        threshold = DEFAULT_THRESHOLD_FACTOR * max(float(speed.max()), 1e-300)
+    return {"comps": comps,
+            "hessian": [forms.gradient_fields(grid, c) for c in comps[:-1]],
+            "speed": speed,
+            "grad_speed": forms.gradient_fields(grid, speed),
+            "mask": speed > threshold}
+
+
 def level_set_weights(u: CylinderField, y_index: int,
                       threshold: float) -> LevelSetGeometry:
     """Curvature quantities of the level curves of u on slice y_index.
@@ -99,10 +119,9 @@ def level_set_weights(u: CylinderField, y_index: int,
     if not -ny <= y_index < ny:
         raise ValueError("y_index out of range")
 
-    comps = forms.gradient_fields(grid, u.values)    # [ux, uz, uy]
-    ux, uz, uy = comps
-    speed = np.sqrt(ux * ux + uz * uz)
-    mask3 = speed > threshold
+    der = _derivatives(u, threshold)
+    comps, speed = der["comps"], der["speed"]    # comps = [ux, uz, uy]
+    ux, uz, _ = comps
 
     # Unit normal of the level curves.  The division floor is machine-scale,
     # not the reporting threshold: zeroing the normal below the threshold
@@ -117,12 +136,11 @@ def level_set_weights(u: CylinderField, y_index: int,
              + forms.gradient_fields(grid, nz_)[1])
     K3 = np.abs(div_n)
 
-    grad_speed = forms.gradient_fields(grid, speed)  # [sx, sz, sy]
+    grad_speed = der["grad_speed"]              # [sx, sz, sy]
     sx, sz, sy = grad_speed
     tangential3 = np.abs(-nz_ * sx + nx_ * sz)
 
-    grad_ux = forms.gradient_fields(grid, ux)
-    grad_uz = forms.gradient_fields(grid, uz)
+    grad_ux, grad_uz = der["hessian"][:2]
     uxy, uzy = grad_ux[2], grad_uz[2]
     K0_3 = (uxy * uxy + uzy * uzy) - sy * sy + K3 * K3 * speed * speed \
         + tangential3 * tangential3
@@ -135,15 +153,40 @@ def level_set_weights(u: CylinderField, y_index: int,
     sl = (slice(None), slice(None), y_index)
     return LevelSetGeometry(
         K=K3[sl], tangential_gradient_of_speed=tangential3[sl],
-        K0=K0_3[sl], Ksharp=Ksharp3[sl], mask=mask3[sl])
+        K0=K0_3[sl], Ksharp=Ksharp3[sl], mask=der["mask"][sl])
 
 
-def _speed_and_threshold(comps, threshold):
-    x_comps = comps[:-1]
-    speed = np.sqrt(sum(c * c for c in x_comps))
-    if threshold is None:
-        threshold = DEFAULT_THRESHOLD_FACTOR * max(float(speed.max()), 1e-300)
-    return speed, threshold
+def _bracket(der: dict, state: dict) -> np.ndarray:
+    """bulk_bracket from the derivative data der and the coefficient state."""
+    total = np.zeros(der["speed"].shape)
+    for h in der["hessian"]:
+        total += forms.b_form(state, h)
+    total -= forms.b_form(state, der["grad_speed"])
+    return np.where(der["mask"], total, 0.0)
+
+
+def _lateral(der: dict, state: dict, psi_sq: np.ndarray) -> float:
+    """lateral_boundary_term from the derivative data der and the state."""
+    grid = state["grid"]
+    # (low, high) face slices normal to each cross-section axis k
+    faces = [((slice(None),) * k + (0,), (slice(None),) * k + (-1,))
+             for k in range(grid.n_components - 1)]
+    hessian = der["hessian"] + [forms.gradient_fields(grid, der["comps"][-1])]
+    raw = np.zeros(grid.shape)
+    for k, (lo, hi) in enumerate(faces):
+        # nu = -e_k on the low face, +e_k on the high face
+        face_val = sum(c * h[k] for c, h in zip(der["comps"], hessian))
+        raw[lo] += -face_val[lo]
+        raw[hi] += face_val[hi]
+
+    # the y**theta factor of a lives in the face weights
+    integrand = state["a_red"] * raw * psi_sq
+    total = 0.0
+    for k, pair in enumerate(faces):
+        w = grid.face_weights(k, state["theta"])
+        for face in pair:
+            total += float(np.sum(w * integrand[face]))
+    return total
 
 
 def bulk_bracket(u: CylinderField, model: CoefficientModel,
@@ -160,17 +203,8 @@ def bulk_bracket(u: CylinderField, model: CoefficientModel,
     scale, which is exactly the discretization artifact the masked form
     avoids.
     """
-    grid = u.grid
-    comps = forms.gradient_fields(grid, u.values)
-    speed, threshold = _speed_and_threshold(comps, threshold)
-    mask = speed > threshold
-
-    state = forms.coefficient_state(u, model)
-    total = np.zeros(grid.shape)
-    for c in comps[:-1]:
-        total += forms.b_form(state, forms.gradient_fields(grid, c))
-    total -= forms.b_form(state, forms.gradient_fields(grid, speed))
-    return np.where(mask, total, 0.0)
+    return _bracket(_derivatives(u, threshold),
+                    forms.coefficient_state(u, model))
 
 
 def lateral_boundary_term(u: CylinderField, model: CoefficientModel,
@@ -184,32 +218,8 @@ def lateral_boundary_term(u: CylinderField, model: CoefficientModel,
     returned number is the raw evaluation used for cross-validation, and
     for convex cross-sections it is nonpositive up to quadrature error.
     """
-    grid = u.grid
-    comps = forms.gradient_fields(grid, u.values)
-    hessian = [forms.gradient_fields(grid, c) for c in comps]
-    state = forms.coefficient_state(u, model)
-    cross_axes = range(grid.n_components - 1)
-
-    def faces(k):
-        """(low, high) face slices normal to cross-section axis k."""
-        return (slice(None),) * k + (0,), (slice(None),) * k + (-1,)
-
-    raw = np.zeros(grid.shape)
-    for k in cross_axes:
-        # nu = -e_k on the low face, +e_k on the high face
-        face_val = sum(c * d[k] for c, d in zip(comps, hessian))
-        lo, hi = faces(k)
-        raw[lo] += -face_val[lo]
-        raw[hi] += face_val[hi]
-
-    # the y**theta factor of a lives in the face weights
-    integrand = state["a_red"] * raw * psi_sq
-    total = 0.0
-    for k in cross_axes:
-        w = grid.face_weights(k, state["theta"])
-        for face in faces(k):
-            total += float(np.sum(w * integrand[face]))
-    return total
+    return _lateral(_derivatives(u, None), forms.coefficient_state(u, model),
+                    psi_sq)
 
 
 def poincare_sides(u: CylinderField, model: CoefficientModel, reaction,
@@ -223,19 +233,15 @@ def poincare_sides(u: CylinderField, model: CoefficientModel, reaction,
     for unstable u the inequality may genuinely fail.
     """
     grid = u.grid
-    comps = forms.gradient_fields(grid, u.values)
-    speed, threshold = _speed_and_threshold(comps, threshold)
-
+    der = _derivatives(u, threshold)
     state = forms.coefficient_state(u, model)
     w_theta = grid.bulk_weights(state["theta"])
 
-    bracket = bulk_bracket(u, model, threshold=threshold)
-    lhs_bulk = float(np.sum(w_theta * bracket * psi.values ** 2))
-
-    lhs_lateral = -lateral_boundary_term(u, model, psi.values ** 2)
+    lhs_bulk = float(np.sum(w_theta * _bracket(der, state) * psi.values ** 2))
+    lhs_lateral = -_lateral(der, state, psi.values ** 2)
 
     b_psi = forms.b_form(state, forms.gradient_fields(grid, psi.values))
-    rhs = float(np.sum(w_theta * b_psi * speed * speed))
+    rhs = float(np.sum(w_theta * b_psi * der["speed"] * der["speed"]))
     return PoincareSides(lhs_bulk=lhs_bulk, lhs_lateral=lhs_lateral, rhs=rhs)
 
 

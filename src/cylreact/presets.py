@@ -228,9 +228,7 @@ def extremum_battery() -> tuple[Preset, ...]:
         # t-monotone: a_t <= 0 sampled over a structural probe grid.
         ys = np.linspace(0.1, p.y_max, 7)
         ts = np.linspace(0.0, 3.0, 7)
-        at = np.array([[float(np.atleast_1d(model.reduced_a_t(y, t))[0])
-                        for t in ts] for y in ys])
-        if np.any(at > 1e-12):
+        if np.any(model.reduced_a_t(ys[:, None], ts) > 1e-12):
             continue
         out.append(p)
     return tuple(out)

@@ -125,18 +125,19 @@ class StabilityReport:
         }
 
 
-def _structural_gate(u: CylinderField, model: CoefficientModel) -> None:
-    """Check the structural conditions on the (y, |grad u|) range of u."""
-    y = u.grid.y_nodes[u.grid.y_nodes > 0.0]
-    comps = forms.gradient_fields(u.grid, u.values, pairing=True)
-    norms = forms.regularized_norm(comps, regularize=False).ravel()
-    t = np.quantile(norms, [0.0, 0.25, 0.5, 0.75, 1.0])
+def _gated_state(u: CylinderField, model: CoefficientModel) -> dict:
+    """forms.coefficient_state(u, model), once the structural conditions
+    hold on the (y, |grad u|) range of u."""
+    state = forms.coefficient_state(u, model)
+    y = u.grid.y_nodes
+    t = np.quantile(state["norm"].ravel(), [0.0, 0.25, 0.5, 0.75, 1.0])
     t = np.unique(np.concatenate([t, [0.0]]))
-    report = check_structural(model, y_samples=y, t_samples=t)
+    report = check_structural(model, y_samples=y[y > 0.0], t_samples=t)
     if not report.ellipticity_ok:
         raise ValueError(
             "coefficient model fails ellipticity on the solution's "
             f"(y, |grad u|) range; witness {report.witness}")
+    return state
 
 
 def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
@@ -147,8 +148,10 @@ def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
     ``vanish_above`` shrinks it further to nodes with y < vanish_above
     (nested spaces give monotone ground-state eigenvalues).
     """
-    _structural_gate(u, model)
-    A_full = forms.assemble_energy_matrix(u, model, reaction)
+    # The state is dropped once the energy matrix is built, so it is not
+    # live beside the one mass_matrix builds.
+    A_full = forms.assemble_energy_matrix(u, model, reaction,
+                                          state=_gated_state(u, model))
     M_full = forms.mass_matrix(u, model)
     free = forms.free_indices(u.grid, vanish_above=vanish_above)
     A = A_full[free][:, free].tocsr()

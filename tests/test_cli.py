@@ -98,6 +98,12 @@ def test_config_round_trip():
     {"experiment": "Solve", "domain": {"kind": "rectangle", "x_min": 0,
                                        "x_max": 1, "z_min": float("nan"),
                                        "z_max": 1}},
+    {"experiment": "Solve", "preset": "linear-y",
+     "model": {"family": "power_weight", "thetta": 0.5}},  # unknown model key
+    {"experiment": "Solve", "preset": "linear-y",
+     "reaction": {"f": "-1", "gg": "u"}},          # unknown reaction key
+    {"experiment": "Solve", "domain": {"kind": "interval", "x_min": 0,
+                                       "x_max": 1, "z_min": 0, "z_max": 1}},
 ])
 def test_config_validation_rejects(raw):
     with pytest.raises(cli.ConfigError):
@@ -237,6 +243,13 @@ def test_run_invalid_config_exits_two(tmp_path):
     ({"experiment": "Solve",
       "domain": {"kind": "interval", "x_min": 0, "x_max": float("inf")}},
      "domain"),
+    ({"experiment": "Solve", "preset": "linear-y",
+      "model": {"family": "power_weight", "thetta": 0.5}}, "thetta"),
+    ({"experiment": "Solve", "preset": "linear-y",
+      "reaction": {"f": "-1", "gg": "u"}}, "gg"),
+    ({"experiment": "Solve", "preset": "linear-y",
+      "domain": {"kind": "interval", "x_min": 0, "x_max": 1, "z_min": 0,
+                 "z_max": 1}}, "z_min"),
 ])
 def test_run_out_of_range_config_exits_two(tmp_path, capsys, payload, key):
     out = tmp_path / "out"

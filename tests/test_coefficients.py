@@ -121,3 +121,55 @@ def test_spectrum_is_positive(model, y, eta):
 def test_ellipticity_combination_positive(y, t, theta, p):
     m = CoefficientModel.power_weight_p_laplace(theta, p)
     assert eval_a(m, y, t) + t * eval_a_t(m, y, t) > 0.0
+
+
+def _structural_loop(model, y_samples, t_samples):
+    """Sample-by-sample reference for check_structural's sweep."""
+    witness, bound = None, 0.0
+    for yv in y_samples:
+        for tv in t_samples:
+            a, at = eval_a(model, yv, tv), eval_a_t(model, yv, tv)
+            if witness is None and (a <= 0.0 or a + tv * at <= 0.0):
+                witness = (yv, tv)
+            bound = max(bound, tv * abs(at) / a if a > 0.0 else np.inf)
+    limit = all(abs(1e-8 * eval_a_t(model, yv, 1e-8)) <= 1e-6
+                for yv in y_samples)
+    return witness is None, bound, limit, witness
+
+
+@pytest.mark.parametrize("model", [
+    CoefficientModel.power_weight(0.3),
+    CoefficientModel.power_weight_p_laplace(-0.2, 3.0),
+    CoefficientModel.mean_curvature_weight(-0.4),
+    CoefficientModel.exp_y(),
+    CoefficientModel.custom(lambda y, t: 1.0 - t * y / 3.0),
+    CoefficientModel.custom(lambda y, t: 1.0 + np.sqrt(t) + 0.0 * y),
+], ids=["power_weight", "p_laplace", "mean_curvature", "exp_y",
+        "custom_failing", "custom_sqrt"])
+def test_structural_sweep_matches_sample_loop(model):
+    ys = [float(y) for y in np.logspace(-2.0, 2.0, 17)]
+    ts = [0.0] + [float(t) for t in np.logspace(-2.0, 2.0, 17)]
+    rep = check_structural(model, y_samples=ys, t_samples=ts)
+    assert (rep.ellipticity_ok, rep.derivative_bound_C, rep.limit_zero_ok,
+            rep.witness) == _structural_loop(model, ys, ts)
+
+
+def test_structural_witness_is_first_failure_in_y_major_order():
+    # a + t a_t = 1 - 2 t y fails where t y >= 1/2: at y = 1 from t = 0.5,
+    # at y = 2 already from t = 0.25, but y = 1 comes first
+    m = CoefficientModel.custom(lambda y, t: 1.0 + 0.0 * t * y,
+                                lambda y, t: -2.0 * y + 0.0 * t)
+    rep = check_structural(m, y_samples=[0.1, 1.0, 2.0],
+                           t_samples=[0.0, 0.25, 0.5, 1.0])
+    assert not rep.ellipticity_ok
+    assert rep.witness == (1.0, 0.5)
+    assert rep.derivative_bound_C == 4.0      # t |a_t| / a at y = 2, t = 1
+    assert rep.limit_zero_ok
+
+
+def test_structural_limit_probe_catches_nonvanishing_t_a_t():
+    # a = 1 + sqrt(t): t a_t = sqrt(t) / 2 is 5e-5 at t = 1e-8
+    rep = check_structural(CoefficientModel.custom(
+        lambda y, t: 1.0 + np.sqrt(t)))
+    assert rep.ellipticity_ok
+    assert not rep.limit_zero_ok

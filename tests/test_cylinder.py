@@ -353,6 +353,9 @@ def test_domain_spec_json_round_trip(domain):
     {"kind": "rectangle", "x_min": 0, "x_max": 1, "z_min": float("-inf"),
      "z_max": 1},
     {"kind": "interval", "x_min": 0, "x_max": 10 ** 400},
+    {"kind": "interval", "x_min": 0, "x_max": 1, "z_min": 0, "z_max": 1},
+    {"kind": "rectangle", "x_min": 0, "x_max": 1, "z_min": 0, "z_max": 1,
+     "y_max": 2},
 ])
 def test_domain_spec_from_json_dict_rejects(data):
     with pytest.raises(ValueError):

@@ -331,3 +331,36 @@ def test_lateral_boundary_term_presets_match_two_branch_reference(name, n):
     model = p.model_factory()
     assert geometry.lateral_boundary_term(u, model, psi_sq) == \
         _two_branch_lateral_term(u, model, psi_sq)
+
+
+def _shared_pass_cases():
+    p = presets.get_preset("decay-cos-unstable")
+    grid = p.build_grid(nx=33, ny=33)
+    X, Y = grid.coordinate_arrays()
+    yield "preset", p.exact_state(grid), p.model_factory(), \
+        CylinderField(grid, np.cos(X) * np.cos(np.pi * Y / 16.0))
+    grid = _rect_grid(nx=13, nz=11, ny=9, y_max=2.0)
+    X, Z, Y = grid.coordinate_arrays()
+    u = CylinderField(grid, np.exp(-Y) * np.cos(X) * np.cos(2.0 * Z)
+                      + 0.1 * X * Y)
+    psi = CylinderField(grid, np.cos(np.pi * Y / 4.0) * (1.0 + 0.2 * X))
+    yield "rectangle", u, CoefficientModel.mean_curvature_weight(0.3), psi
+
+
+@pytest.mark.parametrize("case", list(_shared_pass_cases()),
+                         ids=lambda c: c[0])
+def test_poincare_sides_match_bracket_and_lateral_term(case):
+    # poincare_sides reads one derivative pass; its two left-hand sides
+    # must equal the public functions' values bit for bit (on an interval
+    # cross-section the bracket cancels exactly, so only the rectangle
+    # tests a nonzero bulk side)
+    name, u, model, psi = case
+    sides = geometry.poincare_sides(u, model, None, psi)
+    w_theta = u.grid.bulk_weights(model.y_exponent)
+    bracket = geometry.bulk_bracket(u, model)
+    assert sides.lhs_lateral != 0.0 and sides.rhs != 0.0
+    assert name == "preset" or sides.lhs_bulk != 0.0
+    assert sides.lhs_bulk == float(np.sum(w_theta * bracket
+                                          * psi.values ** 2))
+    assert sides.lhs_lateral == -geometry.lateral_boundary_term(
+        u, model, psi.values ** 2)

@@ -180,6 +180,32 @@ def test_apply_fractional_validation():
         spectral.apply_fractional(b5, 0.5, v)
 
 
+def test_apply_fractional_rejects_other_domain_with_equal_K():
+    # mode 1 of the (0, 3)^2 rectangle has lambda^(1/2) = pi/3; read on the
+    # unit interval's basis it would give pi
+    interval = spectral.neumann_basis(DomainSpec.interval(0.0, 1.0), 8)
+    square = spectral.neumann_basis(DomainSpec.rectangle(0.0, 3.0, 0.0, 3.0),
+                                    8)
+    w = spectral.SpectralFunction(square, np.eye(8)[1])
+    with pytest.raises(ValueError, match="given basis"):
+        spectral.apply_fractional(interval, 0.5, w)
+    same = spectral.neumann_basis(DomainSpec.rectangle(0.0, 3.0, 0.0, 3.0), 8)
+    assert spectral.apply_fractional(same, 0.5, w).coeffs[1] == \
+        pytest.approx(np.pi / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("domain, K", [
+    (DomainSpec.rectangle(0.0, np.pi, 0.0, np.pi), 8),   # other domain
+    (INTERVAL_PI, 6),                                    # other K
+], ids=["domain", "K"])
+def test_solve_semilinear_rejects_init_on_another_basis(domain, K):
+    b = spectral.neumann_basis(INTERVAL_PI, 8)
+    init = spectral.SpectralFunction(spectral.neumann_basis(domain, K),
+                                     np.zeros(K))
+    with pytest.raises(ValueError, match="given basis"):
+        spectral.solve_semilinear(b, _damped_cubic(), init)
+
+
 @settings(deadline=None, max_examples=30)
 @given(s1=st.floats(0.05, 0.5), s2=st.floats(0.05, 0.5),
        seed=st.integers(0, 2 ** 16))
@@ -336,3 +362,34 @@ def test_extension_equivalence_residuals_at_roundoff():
     for name, reaction, bound in cases:
         res = spectral.extension_equivalence(basis, reaction, grid, init=init)
         assert res < bound, name
+
+
+def test_extension_equivalence_is_max_weak_residual_over_test_fields():
+    # one assembled residual vector serves all 18 test fields; the value
+    # must equal solver.residual_weak field by field, bit for bit
+    from cylreact.coefficients import CoefficientModel
+    from cylreact.cylinder import CylinderField
+    basis = spectral.neumann_basis(INTERVAL_PI, 12)
+    grid = build_grid(INTERVAL_PI, nx=33, ny=33, y_max=19.0)
+    init = spectral.SpectralFunction(
+        basis, 1e-3 * np.random.default_rng(1).standard_normal(12))
+    # f = -v^3 stops Newton short of v = 0, so the residuals are not all 0
+    reaction = solver.ReactionSpec(
+        f=lambda v: -np.asarray(v, float) ** 3,
+        f_prime=lambda v: -3.0 * np.asarray(v, float) ** 2)
+    got = spectral.extension_equivalence(basis, reaction, grid, init=init)
+    u = spectral.extend_harmonic(
+        basis, spectral.solve_semilinear(basis, reaction, init), grid)
+    y, ymax = grid.y_nodes, grid.y_max
+    res = []
+    for k in range(6):
+        phi_x = basis.mode_at(k, *np.ix_(*grid.axes[:-1]))
+        for p in ((1.0 - y / ymax) ** 2, np.cos(np.pi * y / (2.0 * ymax)),
+                  1.0 - y / ymax):
+            p = p.copy()
+            p[-1] = 0.0
+            res.append(abs(solver.residual_weak(
+                u, CoefficientModel.constant_one(), reaction,
+                CylinderField(grid, phi_x[..., None] * p))))
+    assert len(res) == 18 and max(res) > 0.0
+    assert got == max(res)
