@@ -149,41 +149,44 @@ def assemble_energy_matrix(u: CylinderField, model: CoefficientModel,
 
 
 def separable_factors(u: CylinderField, model: CoefficientModel, reaction,
-                      state: dict) -> tuple | None:
-    """(m_y, K_y) when the energy matrix at u is a Kronecker sum, else None.
+                      state: dict) -> tuple:
+    """(m_y, K_y, exact): the y factors of the Kronecker sum nearest the
+    energy matrix at u, and whether that sum is the energy matrix itself.
 
-    Without the rank-one term, and with a_red, the bottom f'(u) and g_u(y, u)
-    each equal across the cross-section at every height (exactly, no
-    tolerance), the matrix of assemble_energy_matrix factors as
+    The sum drops the rank-one term and replaces a_red, the bottom f'(u)
+    and g_u(y, u) by their means across the cross-section at each height:
 
-        A = sum_k (x_{m != k} W_m) x K_k x M_y  +  (x_m W_m) x K_y,
+        A ~ sum_k (x_{m != k} W_m) x K_k x M_y  +  (x_m W_m) x K_y,
 
     with W_m, K_k the trapezoid weights and pairing stiffness of cross-section
     axis k (see CylinderGrid.cross_section_modes), M_y = diag(m_y) for
-    m_y = y_weights(theta) * a_y, and the pentadiagonal sparse
-    K_y = D_y^T M_y D_y - f' e_0 e_0^T + diag(y_weights(0) * g_u).
-    ``state`` is coefficient_state(u, model).
+    m_y = y_weights(theta) * mean a, and the pentadiagonal sparse
+    K_y = D_y^T M_y D_y - mean f' e_0 e_0^T + diag(y_weights(0) * mean g_u).
+    exact is True when the model has no rank-one term and those three are
+    each equal across the cross-section (exactly, no tolerance); their
+    common values then stand in for the means, so the sum is
+    assemble_energy_matrix's matrix.  ``state`` is
+    coefficient_state(u, model).
     """
-    if model.has_t_dependence:
-        return None
     grid = u.grid
     a = state["a_red"].reshape(-1, grid.ny)
     bottom = u.values[..., 0]
     fp = np.broadcast_to(reaction.f_prime(bottom), bottom.shape).ravel()
-    if np.any(a != a[0]) or np.any(fp != fp[0]):
-        return None
-    m_y = grid.y_weights(state["theta"]) * a[0]
+    varying = [a, fp]
+    if reaction.g_u is not None:
+        varying.append(np.broadcast_to(reaction.g_u(state["y"], u.values),
+                                       grid.shape).reshape(-1, grid.ny))
+    exact = not (model.has_t_dependence
+                 or any(np.any(v != v[0]) for v in varying))
+    a_y, fp_0, *gu_y = [v[0] if exact else v.mean(axis=0) for v in varying]
+    m_y = grid.y_weights(state["theta"]) * a_y
     D = grid.pairing_diff_1d(grid.n_components - 1)
     K_y = D.T @ sp.diags(m_y) @ D
     zero_order = np.zeros(grid.ny)
-    zero_order[0] = -fp[0]
-    if reaction.g_u is not None:
-        gu = np.broadcast_to(reaction.g_u(state["y"], u.values),
-                             grid.shape).reshape(-1, grid.ny)
-        if np.any(gu != gu[0]):
-            return None
-        zero_order += grid.y_weights(0.0) * gu[0]
-    return m_y, (K_y + sp.diags(zero_order)).tocsr()
+    zero_order[0] = -fp_0
+    if gu_y:
+        zero_order += grid.y_weights(0.0) * gu_y[0]
+    return m_y, (K_y + sp.diags(zero_order)).tocsr(), exact
 
 
 def energy_quadrature(u: CylinderField, model: CoefficientModel, reaction,

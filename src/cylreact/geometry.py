@@ -118,7 +118,19 @@ def level_set_weights(u: CylinderField, y_index: int,
     ny = grid.ny
     if not -ny <= y_index < ny:
         raise ValueError("y_index out of range")
+    whole = _level_set_geometry(u, threshold)
+    sl = (slice(None), slice(None), y_index)
+    return LevelSetGeometry(
+        K=whole.K[sl],
+        tangential_gradient_of_speed=whole.tangential_gradient_of_speed[sl],
+        K0=whole.K0[sl], Ksharp=whole.Ksharp[sl], mask=whole.mask[sl])
 
+
+def _level_set_geometry(u: CylinderField,
+                        threshold: float) -> LevelSetGeometry:
+    """level_set_weights on every y slice at once: its fields on the whole
+    rectangle grid, from one derivative pass of u."""
+    grid = u.grid
     der = _derivatives(u, threshold)
     comps, speed = der["comps"], der["speed"]    # comps = [ux, uz, uy]
     ux, uz, _ = comps
@@ -150,10 +162,8 @@ def level_set_weights(u: CylinderField, y_index: int,
     dot_s = sum(c * d for c, d in zip(comps, grad_speed))
     Ksharp3 = dot_ux * dot_ux + dot_uz * dot_uz - dot_s * dot_s
 
-    sl = (slice(None), slice(None), y_index)
-    return LevelSetGeometry(
-        K=K3[sl], tangential_gradient_of_speed=tangential3[sl],
-        K0=K0_3[sl], Ksharp=Ksharp3[sl], mask=der["mask"][sl])
+    return LevelSetGeometry(K=K3, tangential_gradient_of_speed=tangential3,
+                            K0=K0_3, Ksharp=Ksharp3, mask=der["mask"])
 
 
 def _bracket(der: dict, state: dict) -> np.ndarray:

@@ -16,10 +16,11 @@ linearizations, and steps are damped by Armijo backtracking on the squared
 residual norm in ``damped_newton``, the one loop that also drives the
 spectral semilinear solve.
 
-Each Newton system is solved by the first of three routes whose step meets
+Each Newton system is solved by the first of four routes whose step meets
 the linear residual bound (``_linear_step``): fast diagonalization where the
-matrix is a Kronecker sum of 1D operators (``forms.separable_factors``),
-then a sparse LU, then LSMR.
+matrix is a Kronecker sum of 1D operators (``forms.separable_factors``);
+otherwise conjugate gradients preconditioned by fast diagonalization of the
+cross-section-averaged Kronecker sum; then a sparse LU; then LSMR.
 
 A small catalog of closed-form solutions is included for residual and
 stability checks, together with a one-dimensional family u(y) = c -
@@ -50,6 +51,18 @@ MIN_STEP = 2.0 ** -20
 # relative residual of 1.2e-13 at 0.0 and at 0.01, with the same fill at
 # both on every benchmark state.
 LU_DIAG_PIVOT_THRESH = 0.01
+# Relative residual at which conjugate gradients stops on a non-separable
+# Newton block (see _separable_step).  At 1e-7 the 33^2 mean-curvature
+# solve of the tests takes 24 Newton steps instead of the LU's 21; at
+# 1e-10 both pinned mean-curvature traces keep the LU's step and halving
+# counts.
+KRYLOV_RTOL = 1e-10
+# Iteration cap of that solve.  The benchmark's p-Laplace and
+# mean-curvature steps take 14 to 136 iterations.  An inconsistent system
+# never converges: an all-Neumann p-Laplace step with f = -1 at 65^2 ran
+# 9122 iterations (3.9 s) before reaching the LU uncapped, 500 (0.2 s)
+# at the cap.
+KRYLOV_MAXITER = 500
 
 
 @dataclass(frozen=True)
@@ -112,9 +125,10 @@ class SolveReport:
     newton_iterations: int
     final_residual: float
     residual_history: list = field(default_factory=list)
-    # Linear-step telemetry (separable_solves, factorizations, lu_fill_nnz,
-    # lsmr_fallbacks, backtracks: step halvings per accepted step); not part
-    # of the serialized report.
+    # Linear-step telemetry (separable_solves, krylov_solves,
+    # krylov_iterations, factorizations, lu_fill_nnz, lsmr_fallbacks,
+    # backtracks: step halvings per accepted step); not part of the
+    # serialized report.
     stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -159,23 +173,22 @@ def residual_vector(u: CylinderField, model: CoefficientModel,
 
 
 def _newton_system(u: CylinderField, model, reaction, top_bc) -> tuple:
-    """(A, separable): the Newton matrix at u and, when it is a Kronecker
-    sum, the ``separable`` argument of _linear_step, else None.
+    """(A, separable): the Newton matrix at u and the ``separable``
+    argument of _linear_step, (grid, m_y, K_y, exact) from
+    forms.separable_factors.
 
     One coefficient state serves both.  A pinned top slice has unit rows
     in A and is cut from the y factors.
     """
     state = forms.coefficient_state(u, model)
     A = forms.assemble_energy_matrix(u, model, reaction, state=state)
-    factors = forms.separable_factors(u, model, reaction, state)
+    m_y, K_y, exact = forms.separable_factors(u, model, reaction, state)
     if top_bc[0] == "dirichlet":
         keep = (~u.grid.top_mask().ravel()).astype(float)
         # zero the top rows and put a unit on their diagonal, in CSR
         A = (sp.diags(keep) @ A + sp.diags(1.0 - keep)).tocsr()
-        if factors is not None:
-            m_y, K_y = factors
-            factors = (m_y[:-1], K_y[:-1, :-1])
-    return A, None if factors is None else (u.grid, *factors)
+        m_y, K_y = m_y[:-1], K_y[:-1, :-1]
+    return A, (u.grid, m_y, K_y, exact)
 
 
 def _solves(A: sp.csr_matrix, delta: np.ndarray, rhs: np.ndarray) -> bool:
@@ -185,49 +198,95 @@ def _solves(A: sp.csr_matrix, delta: np.ndarray, rhs: np.ndarray) -> bool:
                 <= 1e-6 * (np.linalg.norm(rhs) + 1e-30))
 
 
-def _separable_solve(A: sp.csr_matrix, rhs: np.ndarray, grid: CylinderGrid,
-                     m_y: np.ndarray, K_y: sp.csr_matrix) -> np.ndarray:
-    """A^{-1} rhs by fast diagonalization (Lynch, Rice & Thomas 1964).
+def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
+                      K_y: sp.csr_matrix) -> Callable:
+    """Factor the Kronecker sum of forms.separable_factors once, by fast
+    diagonalization (Lynch, Rice & Thomas 1964), and return its solve.
 
-    On the y nodes below m_y.size, A is the Kronecker sum of
-    forms.separable_factors; the nodes above are pinned, with unit rows
-    in A.  The pinned values are read off their unit rows and their
-    coupling moves to the right-hand side.  With Phi the W-orthonormal
-    modes of every cross-section axis, Phi^T A Phi on the free nodes is
-    block diagonal, one pentadiagonal block lam M_y + K_y per mode lam,
-    and the blocks stack into one band for a single banded LU.  Raises
-    LinAlgError on an exactly singular block.
+    The sum acts on the free nodes, those below y index m_y.size.  With
+    Phi the W-orthonormal modes of every cross-section axis, Phi^T A Phi
+    is block diagonal, one pentadiagonal block lam M_y + K_y per mode lam,
+    and the blocks stack into one band, factored here by a single banded
+    LU (dgbtrf).  The returned solve maps a right-hand side shaped like the
+    free nodes to the sum's inverse applied to it: the mode transform, the
+    banded triangular solves (dgbtrs) and the inverse transform.  It is
+    symmetric whenever the blocks are.  Raises LinAlgError on an exactly
+    singular block.
+    """
+    nf = m_y.size
+    modes = [grid.cross_section_modes(k)
+             for k in range(grid.n_components - 1)]
+    lam = reduce(np.add.outer, [lam_k for lam_k, _ in modes])
+    K = K_y.tocoo()
+    band = np.zeros((5, nf))
+    band[2 + K.row - K.col, K.col] = K.data
+    # dgbtrf's storage: two rows above the band for the pivoting fill-in
+    ab = np.zeros((7, lam.size * nf))
+    ab[2:] = np.tile(band, lam.size)
+    ab[4] += np.outer(lam, m_y).ravel()
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, 2, 2, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular separable block")
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        for k, (_, phi) in enumerate(modes):
+            r = np.moveaxis(np.tensordot(phi, r, axes=(0, k)), 0, k)
+        z, _ = scipy.linalg.lapack.dgbtrs(lu, 2, 2, r.ravel(), piv,
+                                          overwrite_b=True)
+        z = z.reshape(r.shape)
+        for k, (_, phi) in enumerate(modes):
+            z = np.moveaxis(np.tensordot(phi, z, axes=(1, k)), 0, k)
+        return z
+    return solve
+
+
+def _separable_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
+                    grid: CylinderGrid, m_y: np.ndarray, K_y: sp.csr_matrix,
+                    exact: bool) -> np.ndarray:
+    """A^{-1} rhs through the Kronecker sum of forms.separable_factors.
+
+    The nodes at and above y index m_y.size are pinned, with unit rows in
+    A: their values are read off those rows and their coupling moves to the
+    right-hand side, which leaves the free block of A, symmetric like A
+    before pinning.  When the sum is exact it is that block, and one
+    application of its factorization (_separable_factor) solves it.
+    Otherwise the block is solved by conjugate gradients preconditioned
+    with that application (Concus & Golub 1973), to KRYLOV_RTOL or for at
+    most KRYLOV_MAXITER iterations; each iteration counts in
+    stats["krylov_iterations"], whether or not the step then meets
+    _linear_step's bound.
     """
     nf = m_y.size
     delta = np.zeros(grid.shape)
     delta[..., nf:] = rhs.reshape(grid.shape)[..., nf:]
     r = (rhs - A @ delta.ravel()).reshape(grid.shape)[..., :nf]
-    modes = [grid.cross_section_modes(k)
-             for k in range(grid.n_components - 1)]
-    for k, (_, phi) in enumerate(modes):
-        r = np.moveaxis(np.tensordot(phi, r, axes=(0, k)), 0, k)
-    lam = reduce(np.add.outer, [lam_k for lam_k, _ in modes])
-    K = K_y.tocoo()
-    band = np.zeros((5, nf))
-    band[2 + K.row - K.col, K.col] = K.data
-    ab = np.tile(band, lam.size)
-    ab[2] += np.outer(lam, m_y).ravel()
-    z = scipy.linalg.solve_banded((2, 2), ab, r.ravel(), overwrite_ab=True,
-                                  overwrite_b=True,
-                                  check_finite=False).reshape(r.shape)
-    for k, (_, phi) in enumerate(modes):
-        z = np.moveaxis(np.tensordot(phi, z, axes=(1, k)), 0, k)
-    delta[..., :nf] = z
+    solve = _separable_factor(grid, m_y, K_y)
+    if exact:
+        delta[..., :nf] = solve(r)
+        return delta.ravel()
+    free = np.arange(grid.n_nodes).reshape(grid.shape)[..., :nf].ravel()
+    A_free = A if nf == grid.ny else A[free][:, free]
+    M = spla.LinearOperator(A_free.shape, dtype=float,
+                            matvec=lambda v: solve(v.reshape(r.shape)).ravel())
+
+    def count(_):
+        stats["krylov_iterations"] += 1
+
+    x, _ = spla.cg(A_free, r.ravel(), rtol=KRYLOV_RTOL,
+                   maxiter=KRYLOV_MAXITER, M=M, callback=count)
+    delta[..., :nf] = x.reshape(r.shape)
     return delta.ravel()
 
 
 def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
                  separable: tuple | None = None) -> np.ndarray:
-    """Solve A delta = rhs: separable route, then sparse LU, then LSMR.
+    """Solve A delta = rhs: the separable route (fast diagonalization where
+    A is a Kronecker sum, else preconditioned conjugate gradients), then
+    sparse LU, then LSMR.
 
-    ``separable`` is (grid, m_y, K_y) when A is a Kronecker sum (see
-    _separable_solve), else None.  Each route's step is accepted only if
-    it is finite and meets the linear residual bound
+    ``separable`` is (grid, m_y, K_y, exact) from _newton_system (see
+    _separable_step), or None to start at the LU.  Each route's step is
+    accepted only if it is finite and meets the linear residual bound
     ||A delta - rhs|| <= 1e-6 ||rhs|| on A itself; otherwise, or if the
     route raises, the next one runs.
 
@@ -251,17 +310,19 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
     linear residual bound; LSMR then returns the minimum-norm step, which
     keeps iterates bounded.
 
-    stats counts accepted separable solves, LU factorizations and LSMR
-    fallbacks and keeps the largest ``lu.nnz``, SuperLU's count of stored
-    L and U entries.  It equals L.nnz + U.nnz up to the explicit zeros of
-    SuperLU's supernodes (none of 87 370 at 49^2) and, unlike them, does
-    not copy the factors out.
+    stats counts accepted separable solves (exact Kronecker sums) and
+    Krylov solves (conjugate gradients), the conjugate-gradient iterations,
+    LU factorizations and LSMR fallbacks, and keeps the largest
+    ``lu.nnz``, SuperLU's count of stored L and U entries.  It equals
+    L.nnz + U.nnz up to the explicit zeros of SuperLU's supernodes (none of
+    87 370 at 49^2) and, unlike them, does not copy the factors out.
     """
     if separable is not None:
         try:
-            delta = _separable_solve(A, rhs, *separable)
+            delta = _separable_step(A, rhs, stats, *separable)
             if _solves(A, delta, rhs):
-                stats["separable_solves"] += 1
+                stats["separable_solves" if separable[-1]
+                      else "krylov_solves"] += 1
                 return delta
         except np.linalg.LinAlgError:
             pass
@@ -338,7 +399,8 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
     """
     if init.grid is not grid and init.grid.shape != grid.shape:
         raise ValueError("init must live on the solve grid")
-    stats = {"separable_solves": 0, "factorizations": 0, "lu_fill_nnz": 0,
+    stats = {"separable_solves": 0, "krylov_solves": 0,
+             "krylov_iterations": 0, "factorizations": 0, "lu_fill_nnz": 0,
              "lsmr_fallbacks": 0}
 
     def residual(x):

@@ -298,13 +298,13 @@ def _decomposition_misfit(n, ny):
     speed = np.sqrt(sum(c * c for c in comps[:-1]))
     thr = _C5_MASK_FRACTION * float(speed.max())
     bracket = geometry.bulk_bracket(u, model, threshold=thr)
+    whole = geometry._level_set_geometry(u, thr)
     worst, min_combo = 0.0, np.inf
     for j in range(grid.ny):
-        g = geometry.level_set_weights(u, j, thr)
-        m = g.mask
+        m = whole.mask[:, :, j]
         if not m.any():
             continue
-        combo = g.K0  # unit coefficient: a = 1, a_t = 0
+        combo = whole.K0[:, :, j]  # unit coefficient: a = 1, a_t = 0
         worst = max(worst, float(np.max(np.abs(bracket[:, :, j][m] - combo[m]))))
         min_combo = min(min_combo, float(combo[m].min()))
     return worst, min_combo

@@ -152,7 +152,8 @@ def test_solve_report_serializes():
     # the linear-step telemetry stays out of the serialized report
     assert set(d) == {"converged", "newton_iterations", "final_residual",
                       "residual_history"}
-    assert set(rep.stats) == {"separable_solves", "factorizations",
+    assert set(rep.stats) == {"separable_solves", "krylov_solves",
+                              "krylov_iterations", "factorizations",
                               "lu_fill_nnz", "lsmr_fallbacks", "backtracks"}
 
 
@@ -212,8 +213,8 @@ def _indefinite_problem(kind, n):
 
 
 def _stats():
-    return {"separable_solves": 0, "factorizations": 0, "lu_fill_nnz": 0,
-            "lsmr_fallbacks": 0}
+    return {"separable_solves": 0, "krylov_solves": 0, "krylov_iterations": 0,
+            "factorizations": 0, "lu_fill_nnz": 0, "lsmr_fallbacks": 0}
 
 
 def _lu_step(model, reaction, grid, u, top):
@@ -335,21 +336,92 @@ def test_separable_presets_converge_without_lu(kind, n, monkeypatch):
     assert rep.stats["factorizations"] == rep.stats["lsmr_fallbacks"] == 0
 
 
-@pytest.mark.parametrize("kind", ["p-laplace", "mean-curvature",
-                                  "cubic-x-dependent"])
-def test_non_separable_states_stay_on_lu(kind):
+def _non_separable_case(kind):
+    """(model, reaction, grid, u, top_bc) at cos x e^{-y} on a 17^2 grid,
+    whose Newton matrix is not a Kronecker sum: |grad u|-dependent for the
+    p-Laplace and mean-curvature models, x-dependent f' for a = 1."""
     grid = _grid()
     u = grid.field(lambda x, y: np.cos(x) * np.exp(-y))
     model = {"p-laplace": CoefficientModel.power_weight_p_laplace(0.0, 3.0),
              "mean-curvature": CoefficientModel.mean_curvature_weight(0.0),
              "cubic-x-dependent": CoefficientModel.constant_one()}[kind]
-    reaction = ReactionSpec.cubic()
-    top = solver.pinned_top(u)
-    assert solver._newton_system(u, model, reaction, top)[1] is None
+    return model, ReactionSpec.cubic(), grid, u, solver.pinned_top(u)
+
+
+@pytest.mark.parametrize("kind", ["p-laplace", "mean-curvature",
+                                  "cubic-x-dependent"])
+def test_non_separable_states_take_the_krylov_route(kind, monkeypatch):
+    model, reaction, grid, u, top = _non_separable_case(kind)
+    A, separable = solver._newton_system(u, model, reaction, top)
+    assert separable[-1] is False
+    rhs = -residual_vector(u, model, reaction, top)
+    ref = solver._linear_step(A, rhs, _stats())
+    _refuse_splu(monkeypatch)
+    stats = _stats()
+    step = solver._linear_step(A, rhs, stats, separable)
+    assert stats["krylov_solves"] == 1 and stats["krylov_iterations"] >= 1
+    assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
-    assert rep.newton_iterations >= 1
+    assert rep.converged and rep.newton_iterations >= 1
     assert rep.stats["separable_solves"] == 0
-    assert rep.stats["factorizations"] >= rep.newton_iterations
+    assert rep.stats["krylov_solves"] == rep.newton_iterations
+    assert rep.stats["factorizations"] == rep.stats["lsmr_fallbacks"] == 0
+
+
+def test_missed_krylov_step_falls_through_to_the_lu(monkeypatch):
+    model, reaction, grid, u, top = _non_separable_case("p-laplace")
+    A, separable = solver._newton_system(u, model, reaction, top)
+    rhs = -residual_vector(u, model, reaction, top)
+    monkeypatch.setattr(solver.spla, "cg",
+                        lambda A, b, **kw: (np.zeros_like(b), 0))
+    stats = _stats()
+    step = solver._linear_step(A, rhs, stats, separable)
+    assert stats["krylov_solves"] == 0
+    assert stats["factorizations"] == 1 and stats["lsmr_fallbacks"] == 0
+    assert np.linalg.norm(A @ step - rhs) <= 1e-6 * np.linalg.norm(rhs)
+
+
+def test_krylov_step_at_its_iteration_cap_falls_through_to_the_lu(
+        monkeypatch):
+    model, reaction, grid, u, top = _non_separable_case("mean-curvature")
+    A, separable = solver._newton_system(u, model, reaction, top)
+    rhs = -residual_vector(u, model, reaction, top)
+    monkeypatch.setattr(solver, "KRYLOV_MAXITER", 1)
+    stats = _stats()
+    solver._linear_step(A, rhs, stats, separable)
+    assert stats["krylov_iterations"] == 1 and stats["krylov_solves"] == 0
+    assert stats["factorizations"] == 1 and stats["lsmr_fallbacks"] == 0
+
+
+def test_round_off_y_only_iterate_stays_off_the_lu(monkeypatch):
+    # f = u - u^3 from y-only data: after two steps the iterate's
+    # cross-section spread is round-off (about 1e-16), so the Newton matrix
+    # is no longer exactly a Kronecker sum, and its averaged sum is the
+    # matrix up to round-off: one conjugate-gradient iteration per step
+    _refuse_splu(monkeypatch)
+    grid = _grid(nx=33, ny=33)
+    reaction = ReactionSpec.custom(f=lambda v: v - v ** 3,
+                                   f_prime=lambda v: 1.0 - 3.0 * v ** 2)
+    init = CylinderField(grid, np.full(grid.shape, 0.5))
+    rep = solve_newton(CoefficientModel.constant_one(), reaction, grid, init,
+                       top_bc=("dirichlet", np.full(grid.nx, 0.3)))
+    assert rep.converged and rep.newton_iterations == 6
+    assert rep.stats["separable_solves"] == 2
+    assert rep.stats["krylov_solves"] == rep.stats["krylov_iterations"] == 4
+    assert rep.stats["factorizations"] == rep.stats["lsmr_fallbacks"] == 0
+
+
+def test_non_separable_3d_solve_converges_without_lu(monkeypatch):
+    _refuse_splu(monkeypatch)
+    grid = build_grid(DomainSpec.rectangle(0.0, PI, 0.0, PI), nx=17, ny=17,
+                      y_max=2.0, nz=17)
+    reaction = ReactionSpec.cubic().shifted(1.0)
+    init = grid.field(lambda x, z, y: np.cos(x) * np.cos(z) * y)
+    rep = solve_newton(CoefficientModel.power_weight_p_laplace(0.0, 3.0),
+                       reaction, grid, init, top_bc=solver.pinned_top(init))
+    assert rep.converged and rep.newton_iterations == 5
+    assert rep.stats["krylov_solves"] == rep.newton_iterations
+    assert rep.stats["factorizations"] == rep.stats["lsmr_fallbacks"] == 0
 
 
 # -- derived checks ----------------------------------------------------------
