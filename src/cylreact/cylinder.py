@@ -211,6 +211,21 @@ def _outer(factors: list[np.ndarray]) -> np.ndarray:
     return reduce(np.multiply.outer, factors[1:], factors[0].copy())
 
 
+def pencil_modes(K: sp.spmatrix, w: np.ndarray) -> tuple:
+    """(lam, phi) with K phi = diag(w) phi diag(lam) and phi^T diag(w) phi
+    = I, ascending, for a symmetric banded K and positive weights w.
+
+    eig_banded diagonalizes the banded diag(w)^{-1/2} K diag(w)^{-1/2}, and
+    phi is its eigenvectors scaled back by diag(w)^{-1/2}.
+    """
+    s = 1.0 / np.sqrt(w)
+    L = sp.tril(K).tocoo()
+    band = np.zeros((int((L.row - L.col).max()) + 1, w.size))
+    band[L.row - L.col, L.col] = s[L.row] * L.data * s[L.col]
+    lam, U = scipy.linalg.eig_banded(band, lower=True)
+    return lam, s[:, None] * U
+
+
 def weighted_y_weights(y: np.ndarray, theta: float) -> np.ndarray:
     """Quadrature weights for integrals of y**theta * G(y).
 
@@ -350,8 +365,7 @@ class CylinderGrid:
         """
         def build():
             D, w = self.pairing_diff_1d(axis), self.axis_weights(axis)
-            K = (D.T @ sp.diags(w) @ D).toarray()
-            return scipy.linalg.eigh(K, np.diag(w))
+            return pencil_modes(D.T @ sp.diags(w) @ D, w)
         return self._cached(("modes", axis), build)
 
     def _omega_weights(self) -> list[np.ndarray]:

@@ -120,20 +120,25 @@ def assemble_energy_matrix(u: CylinderField, model: CoefficientModel,
     if state is None:
         state = coefficient_state(u, model)
     w_theta = grid.bulk_weights(state["theta"]).ravel()
-    a_red_flat = state["a_red"].ravel()
+    w_a = w_theta * state["a_red"].ravel()
     Gs = grid.pairing_gradient_operators()
+    tdep = model.has_t_dependence
+    if tdep:
+        w_r = w_theta * (state["a_t_red"].ravel() / state["norm_reg"].ravel())
+        comps = [g.ravel() for g in state["comps"]]
+    # flux part: sum_{c,d} G_c^T diag(w (a delta_cd + (a_t/|g|) g_c g_d)) G_d,
+    # one product per pair c <= d (c = d only without the rank-one term),
+    # and a pair c < d adds its transpose for the pair d > c
     A = None
-    # isotropic part: sum_c G_c^T diag(w a) G_c
-    for G in Gs:
-        term = G.T @ (sp.diags(w_theta * a_red_flat) @ G)
-        A = term if A is None else A + term
-    # rank-one part: (a_t/|g|) (g . grad phi)^2
-    if model.has_t_dependence:
-        factor = w_theta * (state["a_t_red"].ravel() / state["norm_reg"].ravel())
-        comps_flat = [c.ravel() for c in state["comps"]]
-        for gc, Gc in zip(comps_flat, Gs):
-            for gd, Gd in zip(comps_flat, Gs):
-                A = A + Gc.T @ (sp.diags(factor * gc * gd) @ Gd)
+    for c in range(len(Gs)):
+        for d in range(c, len(Gs) if tdep else c + 1):
+            weight = w_a if c == d else 0.0
+            if tdep:
+                weight = weight + w_r * comps[c] * comps[d]
+            term = Gs[c].T @ (sp.diags(weight) @ Gs[d])
+            if c != d:
+                term = term + term.T
+            A = term if A is None else A + term
     # bulk zero-order term
     if reaction.g_u is not None:
         w_plain = grid.bulk_weights(0.0).ravel()

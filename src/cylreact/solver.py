@@ -20,7 +20,9 @@ Each Newton system is solved by the first of four routes whose step meets
 the linear residual bound (``_linear_step``): fast diagonalization where the
 matrix is a Kronecker sum of 1D operators (``forms.separable_factors``);
 otherwise conjugate gradients preconditioned by fast diagonalization of the
-cross-section-averaged Kronecker sum; then a sparse LU; then LSMR.
+cross-section-averaged Kronecker sum; then a sparse LU; then LSMR.  Fast
+diagonalization takes the eigenpairs of every axis, cross-section and y
+alike, so its solve is dense matrix products and one division.
 
 A small catalog of closed-form solutions is included for residual and
 stability checks, together with a one-dimensional family u(y) = c -
@@ -34,13 +36,12 @@ from functools import reduce
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import forms
 from .coefficients import CoefficientModel
-from .cylinder import CylinderField, CylinderGrid
+from .cylinder import CylinderField, CylinderGrid, pencil_modes
 
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
@@ -58,7 +59,7 @@ LU_DIAG_PIVOT_THRESH = 0.01
 # counts.
 KRYLOV_RTOL = 1e-10
 # Iteration cap of that solve.  The benchmark's p-Laplace and
-# mean-curvature steps take 14 to 136 iterations.  An inconsistent system
+# mean-curvature steps take 14 to 137 iterations.  An inconsistent system
 # never converges: an all-Neumann p-Laplace step with f = -1 at 65^2 ran
 # 9122 iterations (3.9 s) before reaching the LU uncapped, 500 (0.2 s)
 # at the cap.
@@ -200,43 +201,47 @@ def _solves(A: sp.csr_matrix, delta: np.ndarray, rhs: np.ndarray) -> bool:
 
 def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
                       K_y: sp.csr_matrix) -> Callable:
-    """Factor the Kronecker sum of forms.separable_factors once, by fast
-    diagonalization (Lynch, Rice & Thomas 1964), and return its solve.
+    """Diagonalize the Kronecker sum of forms.separable_factors once, by
+    fast diagonalization (Lynch, Rice & Thomas 1964), and return its solve.
 
-    The sum acts on the free nodes, those below y index m_y.size.  With
-    Phi the W-orthonormal modes of every cross-section axis, Phi^T A Phi
-    is block diagonal, one pentadiagonal block lam M_y + K_y per mode lam,
-    and the blocks stack into one band, factored here by a single banded
-    LU (dgbtrf).  The returned solve maps a right-hand side shaped like the
-    free nodes to the sum's inverse applied to it: the mode transform, the
-    banded triangular solves (dgbtrs) and the inverse transform.  It is
-    symmetric whenever the blocks are.  Raises LinAlgError on an exactly
-    singular block.
+    The sum acts on the free nodes, those below y index m_y.size.  (lam, Phi)
+    are the W-orthonormal modes of every cross-section axis
+    (CylinderGrid.cross_section_modes) and (mu, V) the M_y-orthonormal
+    eigenpairs of K_y V = M_y V diag(mu) (cylinder.pencil_modes).  Then
+
+        A^{-1} = (Phi x V) diag(1 / (lam + mu)) (Phi x V)^T,
+
+    and the returned solve maps a right-hand side shaped like the free nodes
+    to that product: one matrix product per axis, a multiply by the
+    precomputed 1 / (lam + mu), one product per axis back.  It is symmetric
+    by construction.  Raises LinAlgError when M_y is not positive or some
+    lam + mu is exactly zero.
     """
-    nf = m_y.size
-    modes = [grid.cross_section_modes(k)
-             for k in range(grid.n_components - 1)]
-    lam = reduce(np.add.outer, [lam_k for lam_k, _ in modes])
-    K = K_y.tocoo()
-    band = np.zeros((5, nf))
-    band[2 + K.row - K.col, K.col] = K.data
-    # dgbtrf's storage: two rows above the band for the pivoting fill-in
-    ab = np.zeros((7, lam.size * nf))
-    ab[2:] = np.tile(band, lam.size)
-    ab[4] += np.outer(lam, m_y).ravel()
-    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, 2, 2, overwrite_ab=True)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular separable block")
+    if not np.all(m_y > 0.0):
+        raise np.linalg.LinAlgError("separable mass is not positive")
+    mu, V = pencil_modes(K_y, m_y)
+    lams, phis = zip(*[grid.cross_section_modes(k)
+                       for k in range(grid.n_components - 1)])
+    lam_mu = reduce(np.add.outer, lams + (mu,))
+    if not np.all(lam_mu):
+        raise np.linalg.LinAlgError("singular separable sum")
+    inv = 1.0 / lam_mu
+    shape = inv.shape
+
+    def along(z, k, op):
+        # op applied along cross-section axis k of z: one product, batched
+        # over the axes before k (a plain one for the first axis)
+        lead = (int(np.prod(shape[:k])),) if k else ()
+        return (op @ z.reshape(*lead, shape[k], -1)).reshape(shape)
 
     def solve(r: np.ndarray) -> np.ndarray:
-        for k, (_, phi) in enumerate(modes):
-            r = np.moveaxis(np.tensordot(phi, r, axes=(0, k)), 0, k)
-        z, _ = scipy.linalg.lapack.dgbtrs(lu, 2, 2, r.ravel(), piv,
-                                          overwrite_b=True)
-        z = z.reshape(r.shape)
-        for k, (_, phi) in enumerate(modes):
-            z = np.moveaxis(np.tensordot(phi, z, axes=(1, k)), 0, k)
-        return z
+        z = (r.reshape(-1, m_y.size) @ V).reshape(shape)
+        for k, phi in enumerate(phis):
+            z = along(z, k, phi.T)
+        z *= inv
+        for k, phi in enumerate(phis):
+            z = along(z, k, phi)
+        return (z.reshape(-1, m_y.size) @ V.T).reshape(shape)
     return solve
 
 
@@ -248,10 +253,11 @@ def _separable_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
     The nodes at and above y index m_y.size are pinned, with unit rows in
     A: their values are read off those rows and their coupling moves to the
     right-hand side, which leaves the free block of A, symmetric like A
-    before pinning.  When the sum is exact it is that block, and one
-    application of its factorization (_separable_factor) solves it.
+    before pinning.  When the sum is exact it is that block, and its solve
+    (_separable_factor) is applied to the right-hand side and once more to
+    the residual left in A's free rows (one step of iterative refinement).
     Otherwise the block is solved by conjugate gradients preconditioned
-    with that application (Concus & Golub 1973), to KRYLOV_RTOL or for at
+    with that solve (Concus & Golub 1973), to KRYLOV_RTOL or for at
     most KRYLOV_MAXITER iterations; each iteration counts in
     stats["krylov_iterations"], whether or not the step then meets
     _linear_step's bound.
@@ -259,11 +265,17 @@ def _separable_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
     nf = m_y.size
     delta = np.zeros(grid.shape)
     delta[..., nf:] = rhs.reshape(grid.shape)[..., nf:]
-    r = (rhs - A @ delta.ravel()).reshape(grid.shape)[..., :nf]
+
+    def free_residual():
+        return (rhs - A @ delta.ravel()).reshape(grid.shape)[..., :nf]
+
     solve = _separable_factor(grid, m_y, K_y)
     if exact:
-        delta[..., :nf] = solve(r)
+        # the solve, then one step of iterative refinement
+        for _ in range(2):
+            delta[..., :nf] += solve(free_residual())
         return delta.ravel()
+    r = free_residual()
     free = np.arange(grid.n_nodes).reshape(grid.shape)[..., :nf].ravel()
     A_free = A if nf == grid.ny else A[free][:, free]
     M = spla.LinearOperator(A_free.shape, dtype=float,
@@ -305,9 +317,9 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
     2.06M).
 
     The fallback covers singular-but-consistent systems (all-Neumann with a
-    zero reaction has the constants in its kernel, and a singular block of
-    the separable route too) and any factorization whose solve misses the
-    linear residual bound; LSMR then returns the minimum-norm step, which
+    zero reaction has the constants in its kernel, and so does the separable
+    route's sum) and any factorization whose solve misses the linear
+    residual bound; LSMR then returns the minimum-norm step, which
     keeps iterates bounded.
 
     stats counts accepted separable solves (exact Kronecker sums) and

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from cylreact.cylinder import (
     field_to_csv,
     gradient,
     integrate,
+    pencil_modes,
     trace_bottom,
     weighted_y_weights,
     _diff_matrix_1d,
@@ -360,3 +362,20 @@ def test_domain_spec_json_round_trip(domain):
 def test_domain_spec_from_json_dict_rejects(data):
     with pytest.raises(ValueError):
         DomainSpec.from_json_dict(data)
+
+
+@pytest.mark.parametrize("axis, theta", [(0, 0.0), (1, -0.5)],
+                         ids=["x", "graded-y"])
+def test_pencil_modes_match_the_dense_generalized_eigensolve(axis, theta):
+    grid = _interval_grid(nx=33, ny=41, grading=0.5)
+    D = grid.pairing_diff_1d(axis)
+    w = grid.axis_weights(0) if axis == 0 else grid.y_weights(theta)
+    K = D.T @ sp.diags(w) @ D + sp.diags(np.linspace(0.0, 1.0, w.size))
+    lam, phi = pencil_modes(K, w)
+    ref = scipy.linalg.eigh(K.toarray(), np.diag(w), eigvals_only=True)
+    scale = np.abs(ref).max()
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.abs(lam - ref).max() <= 1e-12 * scale
+    assert np.abs(phi.T @ (w[:, None] * phi) - np.eye(w.size)).max() <= 1e-12
+    assert (np.abs(K @ phi - w[:, None] * phi * lam).max()
+            <= 1e-12 * scale * np.abs(phi).max())

@@ -1,7 +1,11 @@
 """Newton solver, the closed-form solution catalog, and reaction handling."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cylreact import forms, presets, solver
 from cylreact.coefficients import CoefficientModel
@@ -104,9 +108,11 @@ def test_newton_recovers_grow_cos_from_perturbation():
     assert float(np.max(np.abs(rep.u.values - exact.values))) < 0.05
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_newton_constant_flux_needs_dirichlet_top():
     # f == -1 pushes flux through the cylinder; with a zero-flux top the
     # discrete problem is inconsistent and the solver reports non-convergence
+    # (without a RuntimeWarning from the singular separable sum's inverse)
     grid = _grid(ny=17, y_max=8.0)
     model = CoefficientModel.constant_one()
     reaction = ReactionSpec.constant(-1.0)
@@ -336,6 +342,79 @@ def test_separable_presets_converge_without_lu(kind, n, monkeypatch):
     assert rep.stats["factorizations"] == rep.stats["lsmr_fallbacks"] == 0
 
 
+def _kronecker_sum(grid, m_y, K_y):
+    """The assembled sum of forms.separable_factors on the free nodes:
+    sum_k (x_{m != k} W_m) x K_k x M_y  +  (x_m W_m) x K_y."""
+    axes = range(grid.n_components - 1)
+    W = [sp.diags(grid.axis_weights(k)) for k in axes]
+    K = [grid.pairing_diff_1d(k).T @ W[k] @ grid.pairing_diff_1d(k)
+         for k in axes]
+    S = reduce(sp.kron, W + [K_y])
+    for k in axes:
+        S = S + reduce(sp.kron, [K[m] if m == k else W[m] for m in axes]
+                       + [sp.diags(m_y)])
+    return S.tocsc()
+
+
+@pytest.mark.parametrize("kind", ["graded-power-weight-pinned",
+                                  "graded-rectangle-neumann"])
+def test_separable_factor_inverts_the_kronecker_sum(kind):
+    model, reaction, grid, u, top = _separable_case(kind)
+    _, (_, m_y, K_y, exact) = solver._newton_system(u, model, reaction, top)
+    assert exact
+    r = np.random.default_rng(3).standard_normal(grid.shape)[..., :m_y.size]
+    ref = spla.spsolve(_kronecker_sum(grid, m_y, K_y), r.ravel())
+    z = solver._separable_factor(grid, m_y, K_y)(r)
+    assert z.shape == r.shape
+    assert np.linalg.norm(z.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_averaged_separable_factor_is_symmetric():
+    # conjugate gradients needs a symmetric preconditioner
+    model, reaction, grid, u, top = _non_separable_case("p-laplace")
+    _, (_, m_y, K_y, exact) = solver._newton_system(u, model, reaction, top)
+    assert not exact
+    solve = solver._separable_factor(grid, m_y, K_y)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, grid.nx, m_y.size))
+        xPy, Pxy = float(np.vdot(x, solve(y))), float(np.vdot(solve(x), y))
+        assert abs(xPy - Pxy) <= 1e-12 * abs(Pxy)
+
+
+def test_separable_factor_refuses_a_nonpositive_mass():
+    model, reaction, grid, u, top = _separable_case("preset-neumann")
+    _, (_, m_y, K_y, _) = solver._newton_system(u, model, reaction, top)
+    m_y = m_y.copy()
+    m_y[3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._separable_factor(grid, m_y, K_y)
+
+
+def test_exact_separable_step_is_accurate_on_a_nearly_singular_state():
+    # decay-cos-unstable pinned at 129^2 is one Newton step from the exact
+    # state, on a nearly singular matrix.  The reference step is an LU
+    # solve refined three times with residuals in extended precision; the
+    # refined fast-diagonalization step meets it to 6e-13 (one apply
+    # alone: 2.4e-10)
+    p = presets.get_preset("decay-cos-unstable")
+    grid = p.build_grid(nx=129, ny=129)
+    model, reaction, u = p.model(), p.reaction(), p.exact_state(grid)
+    top = solver.pinned_top(u)
+    rep = solve_newton(model, reaction, grid, u, top_bc=top)
+    assert rep.converged and rep.newton_iterations == 1
+    assert rep.stats["separable_solves"] == 1
+    A, _ = solver._newton_system(u, model, reaction, top)
+    rhs = -residual_vector(u, model, reaction, top)
+    lu = spla.splu(A.tocsc())
+    A_ext, rhs_ext = A.astype(np.longdouble), rhs.astype(np.longdouble)
+    ref = lu.solve(rhs).astype(np.longdouble)
+    for _ in range(3):
+        ref += lu.solve((rhs_ext - A_ext @ ref).astype(float))
+    step = (rep.u.values - u.values).ravel()
+    assert np.linalg.norm(step - ref) <= 2e-12 * np.linalg.norm(ref)
+
+
 def _non_separable_case(kind):
     """(model, reaction, grid, u, top_bc) at cos x e^{-y} on a 17^2 grid,
     whose Newton matrix is not a Kronecker sum: |grad u|-dependent for the
@@ -551,6 +630,52 @@ def test_energy_quadrature_matches_assembled_form():
         assert forms.energy_quadrature(
             u, model, reaction, CylinderField(grid, phi)) == pytest.approx(
                 float(flat @ (A @ flat)), rel=1e-12)
+
+
+def _pairwise_energy_matrix(u, model, reaction):
+    """The energy matrix with the isotropic term per component and the
+    rank-one term per ordered pair of components, one product each."""
+    grid = u.grid
+    state = forms.coefficient_state(u, model)
+    w = grid.bulk_weights(state["theta"]).ravel()
+    Gs = grid.pairing_gradient_operators()
+    A = None
+    for G in Gs:
+        term = G.T @ (sp.diags(w * state["a_red"].ravel()) @ G)
+        A = term if A is None else A + term
+    if model.has_t_dependence:
+        factor = w * (state["a_t_red"].ravel() / state["norm_reg"].ravel())
+        comps = [c.ravel() for c in state["comps"]]
+        for gc, Gc in zip(comps, Gs):
+            for gd, Gd in zip(comps, Gs):
+                A = A + Gc.T @ (sp.diags(factor * gc * gd) @ Gd)
+    bottom = np.zeros(grid.shape)
+    bottom[..., 0] = grid.bottom_weights() * reaction.f_prime(u.values[..., 0])
+    return (A - sp.diags(bottom.ravel())).tocsr()
+
+
+@pytest.mark.parametrize("model", [
+    CoefficientModel.mean_curvature_weight(-0.5),
+    CoefficientModel.power_weight_p_laplace(0.0, 3.0),
+    CoefficientModel.power_weight(-0.5),
+], ids=["mean-curvature", "p-laplace", "isotropic"])
+@pytest.mark.parametrize("nz", [None, 5], ids=["interval", "rectangle"])
+def test_energy_matrix_folds_the_rank_one_term_per_pair(model, nz):
+    domain = (DomainSpec.interval(0.0, PI) if nz is None
+              else DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI))
+    grid = build_grid(domain, nx=9, ny=7, y_max=2.0, grading=0.5, nz=nz)
+    u = CylinderField(grid, np.random.default_rng(14).standard_normal(
+        grid.shape))
+    reaction = ReactionSpec.cubic()
+    A = forms.assemble_energy_matrix(u, model, reaction)
+    ref = _pairwise_energy_matrix(u, model, reaction)
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    if model.has_t_dependence:
+        assert (np.abs(A.data - ref.data).max()
+                <= 1e-14 * np.abs(ref.data).max())
+    else:
+        assert np.array_equal(A.data, ref.data)
 
 
 # -- the damped-Newton loop ----------------------------------------------------
