@@ -35,6 +35,8 @@ converges in hundreds of solves, not tens).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +63,43 @@ EIGEN_RESIDUAL_RTOL = 1e-8
 # shift is certified and Lanczos converges in a few dozen solves.
 SHIFT_LADDER_START = -1.0
 SHIFT_LADDER_RATIO = 4.0
+
+
+def _load_malloc_trim():
+    """glibc's malloc_trim, or None under another C library."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _load_malloc_trim()
+
+
+def _returns_free_heap(fn):
+    """Decorate fn to give the C heap's free pages back to the system once
+    fn has returned and its locals are gone.
+
+    The shift-invert LU factors (SuperLU's own mallocs) and their U copy
+    are the largest blocks a classify allocates, tens of MB at 129^2 and
+    17^3.  Once glibc has freed one mmapped block of that order it serves
+    such blocks from the heap and keeps up to twice that much free heap
+    resident, and whether a freed top can be returned depends on where a
+    few small long-lived blocks happened to land.  So after the 17^3
+    classify the heap kept about 36 MB free and resident in some processes
+    and not in others, and the next 129^2 classify peaked 17 MB higher
+    there; after malloc_trim the resident set is what is still live.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if _MALLOC_TRIM is not None:
+                _MALLOC_TRIM(0)
+    return wrapper
 
 
 class EigenSolveError(RuntimeError):
@@ -279,6 +318,7 @@ def _solve_pairs(form: StabilityForm, k: int):
     return out_vals, out_fields, out_res, stats
 
 
+@_returns_free_heap
 def min_rayleigh(form: StabilityForm, k: int = 1):
     """k smallest eigenpairs of energy*phi = mu * mass * phi, ascending.
 
@@ -303,6 +343,7 @@ def classify_value(mu1: float, tol: float) -> str:
     return MARGINAL
 
 
+@_returns_free_heap
 def classify(u: CylinderField, model: CoefficientModel, reaction,
              tol: float | None = None) -> StabilityReport:
     """Assemble I at u, compute the ground state, apply the margin rule."""

@@ -305,3 +305,23 @@ def test_shift_invert_repeats_bit_identically_in_one_process():
     for r in reports[1:]:
         np.testing.assert_array_equal(r.ground_state.values,
                                       reports[0].ground_state.values)
+
+
+def test_classify_returns_free_heap_after_each_call(monkeypatch):
+    # classify and min_rayleigh hand free C-heap pages back once they have
+    # returned or raised, so the resident set after one does not depend on
+    # where the allocator left its freed LU blocks
+    calls = []
+    monkeypatch.setattr(stability, "_MALLOC_TRIM", calls.append)
+    p, grid, u = _preset_state("grow-cos-stable", nx=17, ny=17)
+    model, reaction = p.model_factory(), p.reaction_factory()
+    report = stability.classify(u, model, reaction)
+    assert report.classification == p.expected_classification
+    assert calls == [0]
+    with pytest.raises(ValueError):
+        stability.classify(u, model, reaction, tol=-1.0)
+    assert calls == [0, 0]
+    form = stability.assemble_I(u, model, reaction)
+    (mu, _), = stability.min_rayleigh(form)
+    assert mu == pytest.approx(report.mu1, rel=1e-12)
+    assert calls == [0, 0, 0]
