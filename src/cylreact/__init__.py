@@ -29,13 +29,11 @@ from .cylinder import (
     field_to_csv,
     gradient,
     integrate,
-    trace_bottom,
 )
 from .solver import (
     ReactionSpec,
     SolveReport,
     catalog_solution,
-    check_y_dependence,
     extremum_sign_check,
     residual_vector,
     solve_newton,
@@ -81,9 +79,9 @@ __all__ = [
     "CoefficientModel", "MatrixB", "StructuralReport", "check_structural",
     "eigvals_B_closed_form", "eval_a", "eval_a_t", "matrix_B",
     "CylinderField", "CylinderGrid", "DomainSpec", "Region", "build_grid",
-    "field_to_csv", "gradient", "integrate", "trace_bottom",
-    "ReactionSpec", "SolveReport", "catalog_solution", "check_y_dependence",
-    "extremum_sign_check", "residual_vector", "solve_newton",
+    "field_to_csv", "gradient", "integrate",
+    "ReactionSpec", "SolveReport", "catalog_solution", "extremum_sign_check",
+    "residual_vector", "solve_newton",
     "EigenSolveError", "StabilityReport", "classify",
     "LevelSetGeometry", "PoincareSides", "bulk_bracket",
     "lateral_boundary_term", "level_set_weights", "log_cutoff",

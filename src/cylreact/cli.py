@@ -33,15 +33,17 @@ criterion 7, Fractional criterion 9 (reads ``tolerances.s``),
 Counterexample criterion 10 (reads ``tolerances.eps`` and
 ``tolerances.s``); VerifyAll runs all eleven at the battery's values.
 
-Reaction entries are expressions in ``u`` (and ``y`` for the bulk source
-``g``); derivatives are taken symbolically.  ``tolerances.eps`` and
+Reaction entries are JSON strings or numbers, read as expressions in ``u``
+(and ``y`` for the bulk source ``g``); derivatives are taken symbolically,
+and a ``g`` that is identically zero is no source.  ``tolerances.eps`` and
 ``tolerances.s`` lie in (0, 1); ``grid.nz`` is for rectangle domains.
 Exit codes: 0 all applicable checks pass, 1 a check or solve failed, 2
 the config did not parse or validate: unknown ``grid``, ``tolerances``,
 ``model`` or ``reaction`` keys, ``domain`` keys other than ``kind`` and
 that kind's bounds, ``eps`` or ``s`` outside (0, 1), ``grid.nz`` on an
-interval, or a JSON string, boolean, NaN or Infinity where a number is
-expected.
+interval, a JSON string, boolean, NaN or Infinity where a number is
+expected, or a reaction entry that is neither a string nor a number, does
+not parse, is a relation, holds zoo, oo, nan or I, or uses another symbol.
 Environment override: CYLREACT_OUT replaces output_dir.  Reports are
 byte-identical across reruns of the same config and seed at a fixed BLAS
 thread count, except for wall-clock fields.
@@ -234,13 +236,22 @@ def _lambdify_reaction(cfg: ExperimentConfig) -> ReactionSpec:
         return ReactionSpec.constant(0.0)
     import sympy
     u_sym, y_sym = sympy.symbols("u y")
-    try:
-        f_expr = sympy.sympify(cfg.reaction["f"])
-    except (KeyError, sympy.SympifyError) as err:
-        raise ConfigError(f"reaction.f invalid: {err}")
-    extra = f_expr.free_symbols - {u_sym}
-    if extra:
-        raise ConfigError(f"reaction.f may only use u, found {extra}")
+
+    def _expr(key, symbols):
+        """reaction.<key>, a JSON string or number, as a real expression in
+        the symbol set ``symbols`` with no relation, infinity or NaN."""
+        raw = cfg.reaction.get(key)
+        try:
+            expr = sympy.sympify(raw) \
+                if isinstance(raw, str) or _is_number(raw) else None
+        except sympy.SympifyError as err:
+            raise ConfigError(f"reaction.{key} invalid: {err}") from None
+        if not isinstance(expr, sympy.Expr) or expr.free_symbols - symbols \
+                or expr.has(sympy.zoo, sympy.oo, -sympy.oo, sympy.nan, sympy.I):
+            raise ConfigError(
+                f"reaction.{key} must be a finite real expression in "
+                f"{' and '.join(sorted(map(str, symbols)))}, got {raw!r}")
+        return expr
 
     def _vectorized(expr, *symbols):
         raw = sympy.lambdify(symbols, expr, "numpy")
@@ -252,17 +263,14 @@ def _lambdify_reaction(cfg: ExperimentConfig) -> ReactionSpec:
                 if arrays else out
         return call
 
+    f_expr = _expr("f", {u_sym})
     f = _vectorized(f_expr, u_sym)
     fp = _vectorized(sympy.diff(f_expr, u_sym), u_sym)
     fs = _vectorized(sympy.diff(f_expr, u_sym, 2), u_sym)
     g = g_u = None
-    if cfg.reaction.get("g"):
-        try:
-            g_expr = sympy.sympify(cfg.reaction["g"])
-        except sympy.SympifyError as err:
-            raise ConfigError(f"reaction.g invalid: {err}")
-        if g_expr.free_symbols - {u_sym, y_sym}:
-            raise ConfigError("reaction.g may only use y and u")
+    g_expr = 0 if cfg.reaction.get("g") is None \
+        else _expr("g", {y_sym, u_sym})
+    if g_expr != 0:  # an identically zero source is no source
         g = _vectorized(g_expr, y_sym, u_sym)
         g_u = _vectorized(sympy.diff(g_expr, u_sym), y_sym, u_sym)
     return ReactionSpec.custom(f=f, f_prime=fp, f_second=fs, g=g, g_u=g_u)

@@ -83,17 +83,12 @@ class DomainSpec:
         axis order of the cross-section."""
         return ((self.x_min, self.x_max), (self.z_min, self.z_max))[:self.ndim]
 
-    def to_json_dict(self) -> dict:
-        out = {"kind": _KINDS[self.ndim - 1]}
-        for name, (lo, hi) in zip(_AXIS_NAMES, self.bounds):
-            out[f"{name}_min"], out[f"{name}_max"] = lo, hi
-        return out
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "DomainSpec":
-        """Inverse of to_json_dict; ValueError on a bad kind, a missing or
-        unknown key, or a bound that is not a finite JSON number (strings
-        and booleans included)."""
+        """The domain of a config section {"kind": "interval" | "rectangle",
+        "x_min", "x_max"[, "z_min", "z_max"]}; ValueError on a bad kind, a
+        missing or unknown key, or a bound that is not a finite JSON number
+        (strings and booleans included)."""
         if data.get("kind") not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
         names = _AXIS_NAMES[:_KINDS.index(data["kind"]) + 1]
@@ -310,11 +305,6 @@ class CylinderGrid:
         m[..., -1] = True
         return m
 
-    def bottom_mask(self) -> np.ndarray:
-        m = np.zeros(self.shape, dtype=bool)
-        m[..., 0] = True
-        return m
-
     # -- cached operators ---------------------------------------------------
 
     def _cached(self, key, build):
@@ -421,13 +411,6 @@ class CylinderField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
-    def ravel(self) -> np.ndarray:
-        """Flat copy in lexicographic (x[, z], y) order."""
-        return self.values.ravel()
-
-    def copy(self) -> "CylinderField":
-        return CylinderField(self.grid, self.values.copy())
-
 
 def gradient(u: CylinderField) -> list[np.ndarray]:
     """All first-derivative components of u, shaped like u.values.
@@ -438,11 +421,6 @@ def gradient(u: CylinderField) -> list[np.ndarray]:
     g = u.grid
     flat = u.values.ravel()
     return [(G @ flat).reshape(g.shape) for G in g.gradient_operators()]
-
-
-def trace_bottom(u: CylinderField) -> np.ndarray:
-    """Values on the bottom slice, shaped (nx,) or (nx, nz)."""
-    return u.values[..., 0].copy()
 
 
 def integrate(values, region: Region, grid: CylinderGrid) -> float:

@@ -157,10 +157,10 @@ def operator_rows(op: Fractional1DOperator,
 
 
 def fractional_normal_derivative(v, s: float, boundary_point: float,
-                                 side: Side, base_step: float | None = None,
-                                 levels: int = 5) -> float:
+                                 side: Side) -> float:
     """Extrapolated limit of (v(y) - v(x)) / t^s with y the interior point
-    at distance t from x, over t = base_step * 2^{-j}.
+    at distance t from x, over t = t0 * 2^{-j}, j = 0..4, where t0 is 1e-2
+    for a callable and eight node spacings for nodal data.
 
     `side` names where the interval lies relative to x: FROM_LEFT_INTERVAL
     approaches with y = x - t.  `v` is a callable, or a (nodes, values)
@@ -173,16 +173,13 @@ def fractional_normal_derivative(v, s: float, boundary_point: float,
         raise ValueError("need s in (0, 1)")
     inward = -1.0 if side is Side.FROM_LEFT_INTERVAL else 1.0
     if callable(v):
-        fn = v
-        if base_step is None:
-            base_step = 1e-2
+        fn, t0 = v, 1e-2
     else:
         nodes, values = v
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
-        if base_step is None:
-            base_step = 8.0 * (nodes[1] - nodes[0])
-        far = boundary_point + inward * base_step
+        t0 = 8.0 * (nodes[1] - nodes[0])
+        far = boundary_point + inward * t0
         lo, hi = min(boundary_point, far), max(boundary_point, far)
         if lo < nodes[0] or hi > nodes[-1] or \
                 np.count_nonzero((nodes >= lo) & (nodes <= hi)) < 4:
@@ -190,7 +187,7 @@ def fractional_normal_derivative(v, s: float, boundary_point: float,
                 "insufficient resolution around the boundary point")
         from scipy.interpolate import CubicSpline
         fn = CubicSpline(nodes, values)
-    t = base_step * 0.5 ** np.arange(levels)
+    t = t0 * 0.5 ** np.arange(5)
     q = np.array([(float(fn(boundary_point + inward * ti)) -
                    float(fn(boundary_point))) / ti ** s for ti in t])
     design = np.column_stack([np.ones_like(t), t ** (1 - s), t ** (2 - s)])
@@ -271,16 +268,8 @@ class CounterexampleResult:
     eps: float
     # Fit telemetry: "tikhonov" and the M "trail", one entry per fitted M
     # (M, c2_residual, band_c2_residual, qr_shape of the stacked
-    # least-squares matrix, odd); not part of the serialized result.
+    # least-squares matrix, odd); not written to report.json.
     stats: dict = field(default_factory=dict, compare=False)
-
-    def to_json_dict(self) -> dict:
-        return {"delta1": self.delta1, "delta2": self.delta2,
-                "c2_residual": self.c2_residual,
-                "band_c2_residual": self.band_c2_residual,
-                "interior_residual": self.interior_residual,
-                "M_used": self.M_used, "s": self.s, "eps": self.eps,
-                "delta_band": [self.eps / 11.0, 4.0 * self.eps / 11.0]}
 
 
 def _c2_stack(F: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
@@ -409,6 +398,15 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
     each M's residuals, stacked-QR shape and whether the odd reduction
     applied.
 
+    Which M is kept is noise, yet it moves the roots.  For h = 0 the M = 4
+    and M = 8 C^2 residuals differ by under 0.1% at every eps in 0.1..0.9
+    and fit_nodes 129..1025 (one BLAS thread).  At 513 nodes, eps = 0.6
+    keeps M = 8 (7648.44 against 7649.27, delta 0.2151); M = 4 gives
+    delta 0.1645, which fails criterion 10's 1e-4 boundary-limit gate.  At
+    eps = 0.4, 513 and 1025 nodes, the M = 8 pick finds no root and M = 4
+    passes criterion 10.  So choosing M needs a root certificate; the
+    M = 8 refit is not dead weight to drop.
+
     The derivative of the composed function is scanned outward from the
     inner band edge, on [1 + eps/11, 1 + 4 eps/11] and its mirror, for the
     first sign change.  The band slopes would force one if the band misfit
@@ -502,11 +500,11 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
                                 stats=stats)
 
 
-def compare_operators(domain, w, s: float, op_nodes: int = 2049,
-                      margin_fraction: float = 0.05) -> float:
+def compare_operators(domain, w, s: float, op_nodes: int = 2049) -> float:
     """Max pointwise difference between the spectrally defined fractional
     power (Neumann reflection) and the integral pv operator applied to the
-    zero extension of the same function, at interior nodes of the domain.
+    zero extension of the same function, at the nodes of the domain more
+    than 5% of its length from either end.
 
     The two operators genuinely differ: the spectral one sees Neumann
     reflections at the cross-section ends, the integral one sees the zero
@@ -535,7 +533,7 @@ def compare_operators(domain, w, s: float, op_nodes: int = 2049,
 
     from .spectral import apply_fractional
     frac = apply_fractional(basis, s, w)
-    margin = margin_fraction * L
+    margin = 0.05 * L
     compare = in_dom & (xs > domain.x_min + margin) & (xs < domain.x_max - margin)
     cmp_idx = np.flatnonzero(compare)
     spectral_vals = np.zeros(cmp_idx.size)

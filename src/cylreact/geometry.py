@@ -46,20 +46,6 @@ class LevelSetGeometry:
     Ksharp: np.ndarray
     mask: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        m = self.mask
-        def stats(arr):
-            vals = arr[m]
-            if vals.size == 0:
-                return {"min": None, "max": None}
-            return {"min": float(vals.min()), "max": float(vals.max())}
-        return {
-            "masked_nodes": int(np.count_nonzero(m)),
-            "K": stats(self.K),
-            "K0": stats(self.K0),
-            "Ksharp": stats(self.Ksharp),
-        }
-
 
 @dataclass(frozen=True)
 class PoincareSides:
@@ -72,12 +58,6 @@ class PoincareSides:
     lhs_bulk: float
     lhs_lateral: float
     rhs: float
-
-    def to_json_dict(self) -> dict:
-        return {"lhs_bulk": float(self.lhs_bulk),
-                "lhs_lateral": float(self.lhs_lateral),
-                "rhs": float(self.rhs),
-                "slack": float(self.rhs - self.lhs_bulk - self.lhs_lateral)}
 
 
 def _safe_divide(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ layer; every record either cites one or carries the literal "plumbing".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -71,8 +71,7 @@ class ReactionSpec:
     """Bottom nonlinearity f and bulk source g with their derivatives.
 
     g is None when identically zero (the common case).  All callables must
-    accept numpy arrays.  convexity marks f as strictly convex/concave for
-    the convexity-gap check; leave None when neither holds.
+    accept numpy arrays.
     """
 
     f: Callable
@@ -80,7 +79,6 @@ class ReactionSpec:
     f_second: Callable | None = None
     g: Callable | None = None
     g_u: Callable | None = None
-    convexity: str | None = None
 
     @classmethod
     def linear(cls, k: float) -> "ReactionSpec":
@@ -101,10 +99,9 @@ class ReactionSpec:
                    f_second=lambda u: -6.0 * np.asarray(u, dtype=float))
 
     @classmethod
-    def custom(cls, f, f_prime, f_second=None, g=None, g_u=None,
-               convexity=None) -> "ReactionSpec":
-        return cls(f=f, f_prime=f_prime, f_second=f_second, g=g, g_u=g_u,
-                   convexity=convexity)
+    def custom(cls, f, f_prime, f_second=None, g=None,
+               g_u=None) -> "ReactionSpec":
+        return cls(f=f, f_prime=f_prime, f_second=f_second, g=g, g_u=g_u)
 
     def shifted(self, delta: float) -> "ReactionSpec":
         """Replace f by f - delta*u (so f' drops by delta), keeping the pair
@@ -114,7 +111,7 @@ class ReactionSpec:
         return ReactionSpec(
             f=lambda u: f(u) - delta * np.asarray(u, dtype=float),
             f_prime=lambda u: fp(u) - delta,
-            f_second=fs, g=self.g, g_u=self.g_u, convexity=self.convexity)
+            f_second=fs, g=self.g, g_u=self.g_u)
 
 
 @dataclass
@@ -498,12 +495,6 @@ def _one_dim_profile(model: CoefficientModel, fc: float, c: float,
         acc += seg
         vals[j] = c - fc * acc
     return vals
-
-
-def check_y_dependence(u: CylinderField) -> float:
-    """Maximum over y-slices of the cross-sectional spread (max - min)."""
-    v = u.values.reshape(-1, u.grid.ny)
-    return float(np.max(v.max(axis=0) - v.min(axis=0)))
 
 
 def extremum_sign_check(u: CylinderField, reaction: ReactionSpec,

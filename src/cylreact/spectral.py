@@ -58,10 +58,6 @@ class SpectralBasis:
     eigenfields: np.ndarray      # (K, nx) or (K, nx, nz)
     weights: np.ndarray          # quadrature weights matching eigenfields
 
-    @property
-    def resolution(self) -> int:
-        return self.x_nodes.size
-
     def inner(self, values: np.ndarray, k: int) -> float:
         """Omega-quadrature inner product <values, phi_k>."""
         return float(np.sum(self.weights * values * self.eigenfields[k]))
@@ -78,16 +74,15 @@ class SpectralBasis:
             in zip(self.domain.bounds, self.modes[k], coords, strict=True)))
 
 
-def neumann_basis(domain: DomainSpec, K: int,
-                  resolution: int | None = None) -> SpectralBasis:
+def neumann_basis(domain: DomainSpec, K: int) -> SpectralBasis:
     """First K Neumann eigenpairs of -Laplace on the cross-section.
 
     Tensor cosines phi_(i[, j]) with lambda = (i pi/Lx)^2 [+ (j pi/Lz)^2],
     ordered by eigenvalue; equal eigenvalues are ordered lexicographically
-    in the mode indices, so (0, 1) precedes (1, 0) on a square.  The
-    sampling resolution defaults to 2*max_mode_index+1 per axis (at least
-    33), which keeps the trapezoid Gram matrix of the retained cosines
-    exact to roundoff.
+    in the mode indices, so (0, 1) precedes (1, 0) on a square.  Each axis
+    is sampled at 2*max_mode_index+1 uniform nodes (at least 33), which
+    keeps the trapezoid Gram matrix of the retained cosines exact to
+    roundoff.
     """
     if K < 1:
         raise ValueError("need K >= 1")
@@ -100,7 +95,7 @@ def neumann_basis(domain: DomainSpec, K: int,
     chosen = idx_box[:, order]
     modes = [tuple(m) for m in chosen.T.tolist()]
     max_idx = int(chosen.max())
-    n = resolution if resolution is not None else max(33, 2 * max_idx + 1)
+    n = max(33, 2 * max_idx + 1)
     nodes = [np.linspace(lo, hi, n) for lo, hi in bounds]
     cosines = [[_cosine(lo, hi, i, x) for i in range(max_idx + 1)]
                for (lo, hi), x in zip(bounds, nodes)]
@@ -123,24 +118,6 @@ class SpectralFunction:
         if c.shape != (self.basis.K,):
             raise ValueError("coefficient count must equal basis size")
         object.__setattr__(self, "coeffs", c)
-
-    def values(self) -> np.ndarray:
-        return self.basis.synthesize(self.coeffs)
-
-    def seminorm_h_half(self) -> float:
-        return float(np.sum(np.sqrt(self.basis.lambdas) * self.coeffs ** 2))
-
-    def to_json_dict(self) -> dict:
-        return {"domain": self.basis.domain.to_json_dict(), "K": self.basis.K,
-                "resolution": self.basis.resolution,
-                "coeffs": [float(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "SpectralFunction":
-        basis = neumann_basis(DomainSpec.from_json_dict(data["domain"]),
-                              int(data["K"]),
-                              resolution=int(data["resolution"]))
-        return SpectralFunction(basis, np.array(data["coeffs"], dtype=float))
 
 
 def _check_basis(basis: SpectralBasis, w: SpectralFunction) -> None:
@@ -251,19 +228,17 @@ def eig_growth_check(basis: SpectralBasis, beta: float):
 
 
 def extension_equivalence(basis: SpectralBasis, reaction, grid: CylinderGrid,
-                          tol: float = 1e-10,
-                          init: SpectralFunction | None = None,
-                          n_test_modes: int = 6) -> float:
+                          init: SpectralFunction | None = None) -> float:
     """Max cylinder weak residual of the harmonically extended s=1/2 solve.
 
-    Solves the fractional problem spectrally, extends to the cylinder, and
-    tests the extension in the cylinder weak form (a == 1, g == 0, bottom
-    reaction f) against tensor test fields phi_k(x) * p(y) with
-    top-vanishing y-profiles.
+    Solves the fractional problem by ``solve_semilinear`` at its defaults,
+    extends it to the cylinder, and tests the extension in the cylinder
+    weak form (a == 1, g == 0, bottom reaction f) against the tensor fields
+    phi_k(x) * p(y), k < 6, with top-vanishing y-profiles p.
     """
     if init is None:
         init = SpectralFunction(basis, np.zeros(basis.K))
-    v = solve_semilinear(basis, reaction, init, tol=tol)
+    v = solve_semilinear(basis, reaction, init)
     u = extend_harmonic(basis, v, grid)
     model_one = CoefficientModel.constant_one()
     y = grid.y_nodes
@@ -276,7 +251,7 @@ def extension_equivalence(basis: SpectralBasis, reaction, grid: CylinderGrid,
     r = forms.weak_residual_vector(u, model_one, reaction)
     cross = np.ix_(*grid.axes[:-1])
     worst = 0.0
-    for k in range(min(n_test_modes, basis.K)):
+    for k in range(min(6, basis.K)):
         phi_x = basis.mode_at(k, *cross)
         for p in profiles:
             p = p.copy()

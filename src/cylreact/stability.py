@@ -51,11 +51,6 @@ STABLE = "Stable"
 UNSTABLE = "Unstable"
 MARGINAL = "Marginal"
 
-STRICTLY_POSITIVE = "StrictlyPositive"
-STRICTLY_NEGATIVE = "StrictlyNegative"
-IDENTICALLY_ZERO = "IdenticallyZero"
-MIXED = "Mixed"
-
 EIGEN_RESIDUAL_RTOL = 1e-8
 
 # Shift-invert shifts tried in turn: -1, -4, -16, ... down to the
@@ -148,20 +143,9 @@ class StabilityReport:
     tol: float
     eigen_residual: float
     # Eigensolve telemetry (sigma, shifts_tried, fallback, lu_fill_nnz: the
-    # shift LU's stored L and U entries, operator_applications); not part
-    # of the serialized report.
+    # shift LU's stored L and U entries, operator_applications); not
+    # written to report.json.
     stats: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        g = self.ground_state.grid
-        return {
-            "mu1": float(self.mu1),
-            "classification": self.classification,
-            "tol": float(self.tol),
-            "grid": {"nx": g.nx, "nz": g.nz, "ny": g.ny,
-                     "y_max": g.y_max, "grading": g.grading},
-            "eigen_residual": float(self.eigen_residual),
-        }
 
 
 def _gated_state(u: CylinderField, model: CoefficientModel) -> dict:
@@ -359,24 +343,6 @@ def classify(u: CylinderField, model: CoefficientModel, reaction,
                            tol=tol, eigen_residual=residuals[0], stats=stats)
 
 
-def sign_trichotomy(ground_state: CylinderField, tol: float = 1e-6) -> str:
-    """Nodal sign pattern of an eigenfield over its support slice.
-
-    Nodes on the top slice are excluded (they are constrained to zero, not
-    part of the test space).  Mixed indicates genuinely both signs beyond
-    the threshold, which for a ground state only arises from discretization
-    error.
-    """
-    vals = ground_state.values[..., :-1].ravel()
-    if np.all(np.abs(vals) <= tol):
-        return IDENTICALLY_ZERO
-    has_pos = np.any(vals > tol)
-    has_neg = np.any(vals < -tol)
-    if has_pos and has_neg:
-        return MIXED
-    return STRICTLY_POSITIVE if has_pos else STRICTLY_NEGATIVE
-
-
 def form_J(u: CylinderField, model: CoefficientModel,
            phi: CylinderField) -> float:
     """J(phi) = -int (a_t/|grad u|) (grad u . grad phi)^2 (regularized).
@@ -394,17 +360,3 @@ def form_J(u: CylinderField, model: CoefficientModel,
     w_theta = grid.bulk_weights(state["theta"])
     integrand = (state["a_t_red"] / state["norm_reg"]) * dot * dot
     return -float(np.sum(w_theta * integrand))
-
-
-def convexity_gap(u_bottom: np.ndarray, reaction, c: float) -> float:
-    """min over bottom nodes of (f(u)+f'(u)(c-u))(c-u) - f(c)(c-u).
-
-    Requires the reaction's convexity flag to be declared; for convex f
-    with u >= c the tangent-line bound makes every term nonnegative.
-    """
-    if reaction.convexity is None:
-        raise ValueError("reaction must declare convex or concave")
-    u = np.asarray(u_bottom, dtype=float)
-    d = c - u
-    gap = (reaction.f(u) + reaction.f_prime(u) * d) * d - reaction.f(c) * d
-    return float(np.min(gap))

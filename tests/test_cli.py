@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import os
 import time
 
 import numpy as np
@@ -168,11 +167,16 @@ def test_lambdify_reaction_bulk_source_signature():
 
 
 def test_lambdify_reaction_rejects_stray_symbols():
+    # stray symbols, unparsable text, non-string non-number values,
+    # relations, infinities and complex values are config errors (exit 2)
     for reaction in ({"f": "u + x"}, {"f": "-u", "g": "z*u"},
-                     {"f": "spam("}):
+                     {"f": "spam("}, {"f": [1, 2]}, {"f": None},
+                     {"f": "u < 1"}, {"f": "zoo*u"}, {"f": "I*u"},
+                     {"f": "-u", "g": [1]}):
         cfg = cli.ExperimentConfig.from_dict(
             {"experiment": "Solve", "reaction": reaction})
-        with pytest.raises(cli.ConfigError):
+        key = "reaction.g" if "g" in reaction else "reaction.f"
+        with pytest.raises(cli.ConfigError, match=key):
             cli._lambdify_reaction(cfg)
 
 
@@ -250,6 +254,8 @@ def test_run_invalid_config_exits_two(tmp_path):
     ({"experiment": "Solve", "preset": "linear-y",
       "domain": {"kind": "interval", "x_min": 0, "x_max": 1, "z_min": 0,
                  "z_max": 1}}, "z_min"),
+    ({"experiment": "Solve", "preset": "linear-y",
+      "reaction": {"f": "zoo*u"}}, "reaction.f"),
 ])
 def test_run_out_of_range_config_exits_two(tmp_path, capsys, payload, key):
     out = tmp_path / "out"

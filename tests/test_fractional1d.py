@@ -1,7 +1,6 @@
 """Tests for the 1D integral fractional Laplacian and the counterexample
 construction."""
 
-import json
 import os
 import subprocess
 import sys
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import qr_multiply, solve_triangular
 
 from cylreact import fractional1d as fr
-from cylreact import spectral
+from cylreact import spectral, verify
 from cylreact.cylinder import DomainSpec
 
 
@@ -289,9 +288,6 @@ def test_construct_counterexample_default_succeeds():
         nd = fr.fractional_normal_derivative((res.x, res.v), res.s, point,
                                              side)
         assert abs(nd) <= 1e-4
-    d = res.to_json_dict()
-    assert d["delta_band"] == [pytest.approx(b), pytest.approx(4 * b)]
-    json.dumps(d)
 
 
 def test_construct_counterexample_roots_persist_under_refinement():
@@ -317,6 +313,15 @@ def test_construct_counterexample_interior_equations_hold_to_roundoff():
     assert res.interior_residual <= 1e-11
 
 
+def test_criterion_10_passes_away_from_the_battery_eps():
+    # eps = 0.6 at the default 513 fit nodes, the benchmark's nonlocal case;
+    # the loop keeps M = 8 here, whose roots pass the 1e-4 boundary gate
+    rec = verify.criterion_10(eps=0.6)
+    assert rec.status == verify.PASS
+    assert rec.details["outcome"] == "roots"
+    assert 0.6 / 11.0 <= rec.details["delta1"] <= 2.4 / 11.0
+
+
 def test_counterexample_stats_record_m_trail():
     res = fr.construct_counterexample(_zero_h, 0.5)
     trail = res.stats["trail"]
@@ -330,7 +335,6 @@ def test_counterexample_stats_record_m_trail():
     # at M = 8: 256 basis columns for 768 odd exterior unknowns, and
     # 3 * 255 left rows plus the centre first difference
     assert trail[1]["qr_shape"] == (3 * 255 + 1 + 256, 256)
-    assert "stats" not in res.to_json_dict()
 
 
 def _dense_fit_trail(h_callable, eps, fit_nodes, s=0.5, M=4.0,

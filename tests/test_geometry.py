@@ -1,7 +1,5 @@
 """Tests for level-set curvature weights and the directional Poincaré check."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -118,10 +116,6 @@ def test_level_set_weights_threshold_gates_reporting_only():
     assert not geo.mask.any()
     for arr in (geo.K, geo.K0, geo.Ksharp, geo.tangential_gradient_of_speed):
         assert np.all(np.isfinite(arr))
-    d = geo.to_json_dict()
-    assert d["masked_nodes"] == 0
-    assert d["K"] == {"min": None, "max": None}
-    json.dumps(d)
 
 
 def test_level_set_weights_circular_curves():
@@ -237,20 +231,6 @@ def test_poincare_sides_hold_for_stable_states():
         psi = geometry.log_cutoff(1e4, grid)
         sides = geometry.poincare_sides(u, model, reaction, psi)
         assert sides.lhs_bulk + sides.lhs_lateral <= sides.rhs + 1e-10, name
-
-
-def test_poincare_sides_serialization():
-    p = presets.get_preset("grow-cos-stable")
-    grid = p.build_grid(nx=17, ny=17)
-    u = p.exact_state(grid)
-    psi = geometry.log_cutoff(1e4, grid)
-    sides = geometry.poincare_sides(u, p.model_factory(), p.reaction_factory(),
-                                    psi)
-    d = sides.to_json_dict()
-    assert set(d) == {"lhs_bulk", "lhs_lateral", "rhs", "slack"}
-    assert d["slack"] == pytest.approx(
-        d["rhs"] - d["lhs_bulk"] - d["lhs_lateral"])
-    json.dumps(d)
 
 
 def test_poincare_sides_rhs_zero_for_y_only_state():

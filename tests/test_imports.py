@@ -1,6 +1,7 @@
 """Import budget: a cylreact process loads scipy's integrate, interpolate,
 optimize and special subpackages, and sympy, only in the routines that call
-them, and those routines still import what they need."""
+them, and those routines still import what they need.  Every name in
+``cylreact.__all__`` resolves."""
 
 import json
 import os
@@ -45,6 +46,14 @@ def test_cold_start_leaves_heavy_modules_unloaded():
     assert result["loaded"] == {"import cylreact": [],
                                 "import cylreact.cli": [],
                                 "list-presets": []}
+
+
+def test_star_import_resolves_every_public_name():
+    import cylreact
+    namespace = {}
+    exec("from cylreact import *", namespace)  # AttributeError on a stale name
+    assert sorted(set(cylreact.__all__)) == sorted(cylreact.__all__)
+    assert set(cylreact.__all__) <= namespace.keys()
 
 
 # Each routine below imports its scipy dependency on first call; the frozen

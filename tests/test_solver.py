@@ -13,7 +13,6 @@ from cylreact.cylinder import CylinderField, DomainSpec, build_grid
 from cylreact.solver import (
     ReactionSpec,
     catalog_solution,
-    check_y_dependence,
     extremum_sign_check,
     residual_vector,
     solve_newton,
@@ -504,13 +503,6 @@ def test_non_separable_3d_solve_converges_without_lu(monkeypatch):
 
 
 # -- derived checks ----------------------------------------------------------
-
-def test_check_y_dependence_flags_x_variation():
-    grid = _grid(nx=33, ny=17)
-    X, Y = grid.coordinate_arrays()
-    assert check_y_dependence(CylinderField(grid, Y ** 2)) < 1e-14
-    assert check_y_dependence(CylinderField(grid, np.cos(X))) > 0.1
-
 
 def test_extremum_sign_check_const_one():
     grid = _grid(nx=17, ny=17)

@@ -89,18 +89,6 @@ def test_classify_rejects_nonpositive_tol():
         stability.classify(u, p.model_factory(), p.reaction_factory(), tol=-1.0)
 
 
-def test_report_serialization_round_trip():
-    p, grid, u = _preset_state("decay-cos-unstable", nx=17, ny=17)
-    rep = stability.classify(u, p.model_factory(), p.reaction_factory())
-    d = rep.to_json_dict()
-    assert set(d) == {"mu1", "classification", "tol", "grid", "eigen_residual"}
-    assert d["classification"] == "Unstable"
-    assert d["grid"]["nx"] == 17 and d["grid"]["ny"] == 17
-    assert d["grid"]["y_max"] == pytest.approx(8.0)
-    import json
-    json.dumps(d)  # JSON-serializable without custom encoders
-
-
 def test_dense_and_shift_invert_routes_agree():
     p, grid, u = _preset_state("grow-cos-stable", nx=17, ny=17)
     form = stability.assemble_I(u, p.model_factory(), p.reaction_factory())
@@ -146,26 +134,9 @@ def test_min_rayleigh_k_validation():
 def test_ground_state_single_signed():
     p, grid, u = _preset_state("grow-cos-stable")
     rep = stability.classify(u, p.model_factory(), p.reaction_factory())
-    sign = stability.sign_trichotomy(rep.ground_state)
-    assert sign in (stability.STRICTLY_POSITIVE, stability.STRICTLY_NEGATIVE)
-
-
-def test_sign_trichotomy_synthetic_cases():
-    p = presets.get_preset("grow-cos-stable")
-    grid = p.build_grid(nx=9, ny=9)
-    zero = CylinderField(grid, np.zeros(grid.shape))
-    assert stability.sign_trichotomy(zero) == stability.IDENTICALLY_ZERO
-    mixed_vals = np.zeros(grid.shape)
-    mixed_vals[0, 0] = 1.0
-    mixed_vals[1, 0] = -1.0
-    mixed = CylinderField(grid, mixed_vals)
-    assert stability.sign_trichotomy(mixed) == stability.MIXED
-    # values only on the top slice belong to the constrained nodes and are
-    # ignored by the trichotomy
-    top_only = np.zeros(grid.shape)
-    top_only[:, -1] = 1.0
-    assert stability.sign_trichotomy(
-        CylinderField(grid, top_only)) == stability.IDENTICALLY_ZERO
+    # one sign beyond 1e-6 on the test space (the top slice is pinned to 0)
+    vals = rep.ground_state.values[..., :-1]
+    assert np.any(vals > 1e-6) != np.any(vals < -1e-6)
 
 
 def test_nested_test_spaces_monotone_ground_state():
@@ -202,24 +173,6 @@ def test_form_J_nonnegative_for_mean_curvature():
     for _ in range(5):
         phi = CylinderField(grid, rng.standard_normal(grid.shape))
         assert stability.form_J(u, model, phi) >= 0.0
-
-
-def test_convexity_gap_tangent_bound():
-    reaction = solver.ReactionSpec(
-        f=lambda u: np.asarray(u, dtype=float) ** 3,
-        f_prime=lambda u: 3.0 * np.asarray(u, dtype=float) ** 2,
-        f_second=lambda u: 6.0 * np.asarray(u, dtype=float),
-        convexity="convex",
-    )
-    u_bottom = np.linspace(1.0, 3.0, 11)  # u >= c on a convex branch
-    assert stability.convexity_gap(u_bottom, reaction, c=1.0) >= 0.0
-
-
-def test_convexity_gap_requires_declared_convexity():
-    reaction = solver.ReactionSpec.linear(1.0)
-    assert reaction.convexity is None
-    with pytest.raises(ValueError):
-        stability.convexity_gap(np.array([0.0, 1.0]), reaction, c=0.5)
 
 
 def _negative_pivots_at(form, sigma):
@@ -259,7 +212,6 @@ def test_shift_lu_fill_is_reported():
     C, _ = stability._scaled_pencil(stability.assemble_I(u, model, reaction))
     lu = stability._factor_shifted(C, rep.stats["sigma"])
     assert rep.stats["lu_fill_nnz"] == lu.nnz <= 1.0e5
-    assert "stats" not in rep.to_json_dict()
 
 
 def test_shift_ladder_steps_below_minus_one():
