@@ -266,14 +266,13 @@ def _lambdify_reaction(cfg: ExperimentConfig) -> ReactionSpec:
     f_expr = _expr("f", {u_sym})
     f = _vectorized(f_expr, u_sym)
     fp = _vectorized(sympy.diff(f_expr, u_sym), u_sym)
-    fs = _vectorized(sympy.diff(f_expr, u_sym, 2), u_sym)
     g = g_u = None
     g_expr = 0 if cfg.reaction.get("g") is None \
         else _expr("g", {y_sym, u_sym})
     if g_expr != 0:  # an identically zero source is no source
         g = _vectorized(g_expr, y_sym, u_sym)
         g_u = _vectorized(sympy.diff(g_expr, u_sym), y_sym, u_sym)
-    return ReactionSpec.custom(f=f, f_prime=fp, f_second=fs, g=g, g_u=g_u)
+    return ReactionSpec.custom(f=f, f_prime=fp, g=g, g_u=g_u)
 
 
 # -- experiments -------------------------------------------------------------

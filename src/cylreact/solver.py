@@ -16,13 +16,13 @@ linearizations, and steps are damped by Armijo backtracking on the squared
 residual norm in ``damped_newton``, the one loop that also drives the
 spectral semilinear solve.
 
-Each Newton system is solved by the first of four routes whose step meets
+Each Newton system is solved by the first of three routes whose step meets
 the linear residual bound (``_linear_step``): fast diagonalization where the
 matrix is a Kronecker sum of 1D operators (``forms.separable_factors``);
 otherwise conjugate gradients preconditioned by fast diagonalization of the
-cross-section-averaged Kronecker sum; then a sparse LU; then LSMR.  Fast
-diagonalization takes the eigenpairs of every axis, cross-section and y
-alike, so its solve is dense matrix products and one division.
+cross-section-averaged Kronecker sum; then LSMR.  Fast diagonalization takes
+the eigenpairs of every axis, cross-section and y alike, so its solve is
+dense matrix products and one division.
 
 A small catalog of closed-form solutions is included for residual and
 stability checks, together with a one-dimensional family u(y) = c -
@@ -46,23 +46,15 @@ from .cylinder import CylinderField, CylinderGrid, pencil_modes
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 MIN_STEP = 2.0 ** -20
-# SuperLU symmetric mode keeps the diagonal pivot unless it is smaller than
-# this fraction of its column's largest entry (see _linear_step).  The
-# indefinite 33x9x33 rectangle Jacobian solves a random right-hand side to a
-# relative residual of 1.2e-13 at 0.0 and at 0.01, with the same fill at
-# both on every benchmark state.
-LU_DIAG_PIVOT_THRESH = 0.01
 # Relative residual at which conjugate gradients stops on a non-separable
-# Newton block (see _separable_step).  At 1e-7 the 33^2 mean-curvature
-# solve of the tests takes 24 Newton steps instead of the LU's 21; at
-# 1e-10 both pinned mean-curvature traces keep the LU's step and halving
-# counts.
+# Newton block (see _linear_step).  At 1e-7 the 33^2 mean-curvature
+# solve of the tests takes 24 Newton steps; at 1e-10 it keeps the 21 steps
+# and 40 halvings of a sparse direct solve.
 KRYLOV_RTOL = 1e-10
 # Iteration cap of that solve.  The benchmark's p-Laplace and
 # mean-curvature steps take 14 to 137 iterations.  An inconsistent system
 # never converges: an all-Neumann p-Laplace step with f = -1 at 65^2 ran
-# 9122 iterations (3.9 s) before reaching the LU uncapped, 500 (0.2 s)
-# at the cap.
+# 9122 iterations (3.9 s) uncapped, 500 (0.2 s) at the cap.
 KRYLOV_MAXITER = 500
 
 
@@ -76,6 +68,7 @@ class ReactionSpec:
 
     f: Callable
     f_prime: Callable
+    # Never read; kept while benchmark/workloads.py passes it to custom.
     f_second: Callable | None = None
     g: Callable | None = None
     g_u: Callable | None = None
@@ -83,20 +76,17 @@ class ReactionSpec:
     @classmethod
     def linear(cls, k: float) -> "ReactionSpec":
         return cls(f=lambda u: k * np.asarray(u, dtype=float),
-                   f_prime=lambda u: np.full_like(np.asarray(u, dtype=float), k),
-                   f_second=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
+                   f_prime=lambda u: np.full_like(np.asarray(u, dtype=float), k))
 
     @classmethod
     def constant(cls, k: float) -> "ReactionSpec":
         return cls(f=lambda u: np.full_like(np.asarray(u, dtype=float), k),
-                   f_prime=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                   f_second=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
+                   f_prime=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
 
     @classmethod
     def cubic(cls) -> "ReactionSpec":
         return cls(f=lambda u: -np.asarray(u, dtype=float) ** 3,
-                   f_prime=lambda u: -3.0 * np.asarray(u, dtype=float) ** 2,
-                   f_second=lambda u: -6.0 * np.asarray(u, dtype=float))
+                   f_prime=lambda u: -3.0 * np.asarray(u, dtype=float) ** 2)
 
     @classmethod
     def custom(cls, f, f_prime, f_second=None, g=None,
@@ -107,11 +97,9 @@ class ReactionSpec:
         """Replace f by f - delta*u (so f' drops by delta), keeping the pair
         consistent.  The presets build 1 - u and -u - u^3 this way."""
         f, fp = self.f, self.f_prime
-        fs = self.f_second
         return ReactionSpec(
             f=lambda u: f(u) - delta * np.asarray(u, dtype=float),
-            f_prime=lambda u: fp(u) - delta,
-            f_second=fs, g=self.g, g_u=self.g_u)
+            f_prime=lambda u: fp(u) - delta, g=self.g, g_u=self.g_u)
 
 
 @dataclass
@@ -124,9 +112,8 @@ class SolveReport:
     final_residual: float
     residual_history: list = field(default_factory=list)
     # Linear-step telemetry (separable_solves, krylov_solves,
-    # krylov_iterations, factorizations, lu_fill_nnz, lsmr_fallbacks,
-    # backtracks: step halvings per accepted step); not part of the
-    # serialized report.
+    # krylov_iterations, lsmr_fallbacks, backtracks: step halvings per
+    # accepted step); not part of the serialized report.
     stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -242,23 +229,35 @@ def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
     return solve
 
 
-def _separable_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
-                    grid: CylinderGrid, m_y: np.ndarray, K_y: sp.csr_matrix,
-                    exact: bool) -> np.ndarray:
-    """A^{-1} rhs through the Kronecker sum of forms.separable_factors.
+def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
+                 separable: tuple) -> np.ndarray:
+    """Solve A delta = rhs through the Kronecker sum of
+    forms.separable_factors, else by LSMR.
 
-    The nodes at and above y index m_y.size are pinned, with unit rows in
-    A: their values are read off those rows and their coupling moves to the
+    ``separable`` is (grid, m_y, K_y, exact) from _newton_system.  The
+    nodes at and above y index m_y.size are pinned, with unit rows in A:
+    their values are read off those rows and their coupling moves to the
     right-hand side, which leaves the free block of A, symmetric like A
     before pinning.  When the sum is exact it is that block, and its solve
     (_separable_factor) is applied to the right-hand side and once more to
     the residual left in A's free rows (one step of iterative refinement).
     Otherwise the block is solved by conjugate gradients preconditioned
     with that solve (Concus & Golub 1973), to KRYLOV_RTOL or for at
-    most KRYLOV_MAXITER iterations; each iteration counts in
-    stats["krylov_iterations"], whether or not the step then meets
-    _linear_step's bound.
+    most KRYLOV_MAXITER iterations.
+
+    The step is accepted only if it is finite and meets the linear
+    residual bound ||A delta - rhs|| <= 1e-6 ||rhs|| on A itself.  If it
+    misses, or the solve raises LinAlgError, LSMR returns the minimum-norm
+    step, which keeps iterates bounded.  That covers singular-but-consistent
+    systems (all-Neumann with a zero reaction has the constants in its
+    kernel, and so does the sum) and a conjugate-gradient solve stopped at
+    its cap.
+
+    stats counts accepted separable solves (exact Kronecker sums) and
+    Krylov solves (conjugate gradients), every conjugate-gradient
+    iteration, whether or not its step is accepted, and LSMR fallbacks.
     """
+    grid, m_y, K_y, exact = separable
     nf = m_y.size
     delta = np.zeros(grid.shape)
     delta[..., nf:] = rhs.reshape(grid.shape)[..., nf:]
@@ -266,87 +265,30 @@ def _separable_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
     def free_residual():
         return (rhs - A @ delta.ravel()).reshape(grid.shape)[..., :nf]
 
-    solve = _separable_factor(grid, m_y, K_y)
-    if exact:
-        # the solve, then one step of iterative refinement
-        for _ in range(2):
-            delta[..., :nf] += solve(free_residual())
-        return delta.ravel()
-    r = free_residual()
-    free = np.arange(grid.n_nodes).reshape(grid.shape)[..., :nf].ravel()
-    A_free = A if nf == grid.ny else A[free][:, free]
-    M = spla.LinearOperator(A_free.shape, dtype=float,
-                            matvec=lambda v: solve(v.reshape(r.shape)).ravel())
-
-    def count(_):
-        stats["krylov_iterations"] += 1
-
-    x, _ = spla.cg(A_free, r.ravel(), rtol=KRYLOV_RTOL,
-                   maxiter=KRYLOV_MAXITER, M=M, callback=count)
-    delta[..., :nf] = x.reshape(r.shape)
-    return delta.ravel()
-
-
-def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
-                 separable: tuple | None = None) -> np.ndarray:
-    """Solve A delta = rhs: the separable route (fast diagonalization where
-    A is a Kronecker sum, else preconditioned conjugate gradients), then
-    sparse LU, then LSMR.
-
-    ``separable`` is (grid, m_y, K_y, exact) from _newton_system (see
-    _separable_step), or None to start at the LU.  Each route's step is
-    accepted only if it is finite and meets the linear residual bound
-    ||A delta - rhs|| <= 1e-6 ||rhs|| on A itself; otherwise, or if the
-    route raises, the next one runs.
-
-    The LU orders columns by minimum degree on the structure of A + A^T
-    (``MMD_AT_PLUS_A``) and runs SuperLU in symmetric mode, which keeps the
-    diagonal pivot unless it is below LU_DIAG_PIVOT_THRESH times the largest
-    entry left in its column.  That fits the Newton matrix: it is the
-    symmetric second-variation stencil, and pinned top rows are unit rows,
-    so A + A^T has the stencil's structure and diagonal pivots keep the
-    ordering's fill.  The small threshold still steps around tiny diagonals
-    of the indefinite (unstable) states.  A is factored as D A D with
-    D = diag(row max |A|)^{-1/2}, so unit pinned rows and stiffness rows meet
-    the threshold on one scale: with a = e^y up to y = 8 a unit pivot sits
-    beside couplings near 585, and unscaled the threshold took 463
-    off-diagonal pivots at 129^2 and more than doubled the fill (0.90M to
-    2.06M).
-
-    The fallback covers singular-but-consistent systems (all-Neumann with a
-    zero reaction has the constants in its kernel, and so does the separable
-    route's sum) and any factorization whose solve misses the linear
-    residual bound; LSMR then returns the minimum-norm step, which
-    keeps iterates bounded.
-
-    stats counts accepted separable solves (exact Kronecker sums) and
-    Krylov solves (conjugate gradients), the conjugate-gradient iterations,
-    LU factorizations and LSMR fallbacks, and keeps the largest
-    ``lu.nnz``, SuperLU's count of stored L and U entries.  It equals
-    L.nnz + U.nnz up to the explicit zeros of SuperLU's supernodes (none of
-    87 370 at 49^2) and, unlike them, does not copy the factors out.
-    """
-    if separable is not None:
-        try:
-            delta = _separable_step(A, rhs, stats, *separable)
-            if _solves(A, delta, rhs):
-                stats["separable_solves" if separable[-1]
-                      else "krylov_solves"] += 1
-                return delta
-        except np.linalg.LinAlgError:
-            pass
     try:
-        d = 1.0 / np.sqrt(abs(A).max(axis=1).toarray().ravel())
-        lu = spla.splu((sp.diags(d) @ A @ sp.diags(d)).tocsc(),
-                       permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=LU_DIAG_PIVOT_THRESH,
-                       options={"SymmetricMode": True})
-        stats["factorizations"] += 1
-        stats["lu_fill_nnz"] = max(stats["lu_fill_nnz"], int(lu.nnz))
-        delta = d * lu.solve(d * rhs)
-        if _solves(A, delta, rhs):
-            return delta
-    except RuntimeError:
+        solve = _separable_factor(grid, m_y, K_y)
+        if exact:
+            # the solve, then one step of iterative refinement
+            for _ in range(2):
+                delta[..., :nf] += solve(free_residual())
+        else:
+            r = free_residual()
+            free = np.arange(grid.n_nodes).reshape(grid.shape)[..., :nf].ravel()
+            A_free = A if nf == grid.ny else A[free][:, free]
+            M = spla.LinearOperator(
+                A_free.shape, dtype=float,
+                matvec=lambda v: solve(v.reshape(r.shape)).ravel())
+
+            def count(_):
+                stats["krylov_iterations"] += 1
+
+            x, _ = spla.cg(A_free, r.ravel(), rtol=KRYLOV_RTOL,
+                           maxiter=KRYLOV_MAXITER, M=M, callback=count)
+            delta[..., :nf] = x.reshape(r.shape)
+        if _solves(A, delta.ravel(), rhs):
+            stats["separable_solves" if exact else "krylov_solves"] += 1
+            return delta.ravel()
+    except np.linalg.LinAlgError:
         pass
     stats["lsmr_fallbacks"] += 1
     out = spla.lsmr(A, rhs, atol=1e-13, btol=1e-13, maxiter=10 * A.shape[0])
@@ -409,8 +351,7 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
     if init.grid is not grid and init.grid.shape != grid.shape:
         raise ValueError("init must live on the solve grid")
     stats = {"separable_solves": 0, "krylov_solves": 0,
-             "krylov_iterations": 0, "factorizations": 0, "lu_fill_nnz": 0,
-             "lsmr_fallbacks": 0}
+             "krylov_iterations": 0, "lsmr_fallbacks": 0}
 
     def residual(x):
         return residual_vector(CylinderField(grid, x), model, reaction, top_bc)

@@ -54,7 +54,6 @@ class SpectralBasis:
     lambdas: np.ndarray
     modes: list[tuple]           # per-basis-function cosine indices
     x_nodes: np.ndarray
-    z_nodes: np.ndarray | None
     eigenfields: np.ndarray      # (K, nx) or (K, nx, nz)
     weights: np.ndarray          # quadrature weights matching eigenfields
 
@@ -103,9 +102,8 @@ def neumann_basis(domain: DomainSpec, K: int) -> SpectralBasis:
                        for m in modes])
     weights = _outer([_trapezoid_weights(x) for x in nodes])
     return SpectralBasis(domain=domain, K=K, lambdas=lam_box[order],
-                         modes=modes, x_nodes=nodes[0],
-                         z_nodes=nodes[1] if len(nodes) > 1 else None,
-                         eigenfields=fields, weights=weights)
+                         modes=modes, x_nodes=nodes[0], eigenfields=fields,
+                         weights=weights)
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,6 @@ def test_lambdify_reaction_f_and_derivatives():
     u = np.array([0.0, 1.0, 2.0])
     assert np.allclose(r.f(u), [0.0, -2.0, -10.0])
     assert np.allclose(r.f_prime(u), [-1.0, -4.0, -13.0])
-    assert np.allclose(r.f_second(u), [0.0, -6.0, -12.0])
     assert r.g is None and r.g_u is None
 
 

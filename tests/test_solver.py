@@ -119,9 +119,9 @@ def test_newton_constant_flux_needs_dirichlet_top():
     rep = solve_newton(model, reaction, grid, exact)
     assert not rep.converged
     # f' = 0 leaves the all-Neumann matrix singular: its separable block
-    # and its LU both miss the residual bound, and LSMR takes every step
+    # misses the residual bound, and LSMR takes both steps
     assert rep.stats["separable_solves"] == 0
-    assert rep.stats["factorizations"] == rep.stats["lsmr_fallbacks"] == 2
+    assert rep.stats["lsmr_fallbacks"] == 2
     top = ("dirichlet", exact.values[..., -1].copy())
     rep2 = solve_newton(model, reaction, grid, exact, top_bc=top)
     assert rep2.converged
@@ -158,8 +158,8 @@ def test_solve_report_serializes():
     assert set(d) == {"converged", "newton_iterations", "final_residual",
                       "residual_history"}
     assert set(rep.stats) == {"separable_solves", "krylov_solves",
-                              "krylov_iterations", "factorizations",
-                              "lu_fill_nnz", "lsmr_fallbacks", "backtracks"}
+                              "krylov_iterations", "lsmr_fallbacks",
+                              "backtracks"}
 
 
 def test_top_bc_validation():
@@ -219,66 +219,40 @@ def _indefinite_problem(kind, n):
 
 def _stats():
     return {"separable_solves": 0, "krylov_solves": 0, "krylov_iterations": 0,
-            "factorizations": 0, "lu_fill_nnz": 0, "lsmr_fallbacks": 0}
-
-
-def _lu_step(model, reaction, grid, u, top):
-    """One Newton step at u through _linear_step without separable factors
-    (LU, then LSMR): (max |residual| after the full step, stats)."""
-    stats = _stats()
-    A, _ = solver._newton_system(u, model, reaction, top)
-    r = residual_vector(u, model, reaction, top)
-    delta = solver._linear_step(A, -r, stats).reshape(grid.shape)
-    after = residual_vector(CylinderField(grid, u.values + delta), model,
-                            reaction, top)
-    return float(np.max(np.abs(after))), stats
-
-
-# These exact states are Kronecker sums, so solve_newton steps them by the
-# separable route; the LU and LSMR routes are reached by _linear_step
-# without separable factors.
-
-@pytest.mark.parametrize("kind, n", [("preset", 49), ("rectangle", None)])
-def test_indefinite_newton_steps_stay_on_lu(kind, n):
-    model, reaction, grid, u, top = _indefinite_problem(kind, n)
-    res, stats = _lu_step(model, reaction, grid, u, top)
-    assert res <= 1e-10
-    assert stats["lsmr_fallbacks"] == 0
-    assert stats["factorizations"] == 1
-    assert stats["lu_fill_nnz"] > 0
+            "lsmr_fallbacks": 0}
 
 
 def test_newton_matrix_keeps_the_stencil_sparsity_at_129():
     # uniform axes store no round-off centre weights, so the energy matrix
-    # couples each node to itself and its +-2 neighbours on each axis, and
-    # the LU fills to 0.90M (1.61M with the round-off couplings)
+    # couples each node to itself and its +-2 neighbours on each axis
     p = presets.get_preset("grow-cos-stable")
     grid = p.build_grid(nx=129, ny=129)
     u = p.exact_state(grid)
     rep = solve_newton(p.model(), p.reaction(), grid, u,
                        top_bc=solver.pinned_top(u))
     assert rep.converged and rep.stats["lsmr_fallbacks"] == 0
-    _, stats = _lu_step(p.model(), p.reaction(), grid, u, solver.pinned_top(u))
-    assert stats["factorizations"] == 1 and stats["lsmr_fallbacks"] == 0
-    assert 0 < stats["lu_fill_nnz"] <= 1.0e6
     A = forms.assemble_energy_matrix(u, p.model(), p.reaction())
     assert np.diff(A.indptr).max() <= 5
 
 
-def _refuse_splu(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(solver.spla, "splu", refuse)
-
-
 @pytest.mark.parametrize("kind, n", [("preset", 17), ("rectangle", None)])
 def test_failed_factorization_falls_back_to_lsmr(kind, n, monkeypatch):
-    _refuse_splu(monkeypatch)
-    res, stats = _lu_step(*_indefinite_problem(kind, n))
-    assert res <= 1e-10
-    assert stats["factorizations"] == 0
-    assert stats["lsmr_fallbacks"] == 1
+    # a fast-diagonalization factor that raises leaves the step to LSMR,
+    # which still takes the indefinite exact state's full step to 1e-10
+    model, reaction, grid, u, top = _indefinite_problem(kind, n)
+
+    def refuse(*args):
+        raise np.linalg.LinAlgError("singular separable sum")
+
+    monkeypatch.setattr(solver, "_separable_factor", refuse)
+    A, separable = solver._newton_system(u, model, reaction, top)
+    r = residual_vector(u, model, reaction, top)
+    stats = _stats()
+    delta = solver._linear_step(A, -r, stats, separable).reshape(grid.shape)
+    after = residual_vector(CylinderField(grid, u.values + delta), model,
+                            reaction, top)
+    assert float(np.max(np.abs(after))) <= 1e-10
+    assert stats == dict(_stats(), lsmr_fallbacks=1)
 
 
 # -- the separable (fast diagonalization) route -----------------------------
@@ -319,26 +293,23 @@ SEPARABLE_CASES = ["preset-pinned", "preset-neumann", "rectangle-pinned",
 def test_separable_step_matches_the_lu_step(kind):
     model, reaction, grid, u, top = _separable_case(kind)
     A, separable = solver._newton_system(u, model, reaction, top)
-    assert separable is not None
     rhs = -residual_vector(u, model, reaction, top)
-    fast, lu = _stats(), _stats()
-    step = solver._linear_step(A, rhs, fast, separable)
-    ref = solver._linear_step(A, rhs, lu)
-    assert fast == dict(_stats(), separable_solves=1)
-    assert lu["factorizations"] == 1 and lu["lsmr_fallbacks"] == 0
+    stats = _stats()
+    step = solver._linear_step(A, rhs, stats, separable)
+    ref = spla.spsolve(A.tocsc(), rhs)
+    assert stats == dict(_stats(), separable_solves=1)
     assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("kind, n", [("preset", 17), ("preset", 65),
-                                     ("rectangle", None)])
-def test_separable_presets_converge_without_lu(kind, n, monkeypatch):
-    _refuse_splu(monkeypatch)
+@pytest.mark.parametrize("kind, n", [("preset", 17), ("preset", 49),
+                                     ("preset", 65), ("rectangle", None)])
+def test_separable_presets_converge_without_lu(kind, n):
     model, reaction, grid, u, top = _indefinite_problem(kind, n)
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
     assert rep.converged
     assert rep.newton_iterations >= 1
     assert rep.stats["separable_solves"] == rep.newton_iterations
-    assert rep.stats["factorizations"] == rep.stats["lsmr_fallbacks"] == 0
+    assert rep.stats["lsmr_fallbacks"] == 0
 
 
 def _kronecker_sum(grid, m_y, K_y):
@@ -428,13 +399,12 @@ def _non_separable_case(kind):
 
 @pytest.mark.parametrize("kind", ["p-laplace", "mean-curvature",
                                   "cubic-x-dependent"])
-def test_non_separable_states_take_the_krylov_route(kind, monkeypatch):
+def test_non_separable_states_take_the_krylov_route(kind):
     model, reaction, grid, u, top = _non_separable_case(kind)
     A, separable = solver._newton_system(u, model, reaction, top)
     assert separable[-1] is False
     rhs = -residual_vector(u, model, reaction, top)
-    ref = solver._linear_step(A, rhs, _stats())
-    _refuse_splu(monkeypatch)
+    ref = spla.spsolve(A.tocsc(), rhs)
     stats = _stats()
     step = solver._linear_step(A, rhs, stats, separable)
     assert stats["krylov_solves"] == 1 and stats["krylov_iterations"] >= 1
@@ -443,10 +413,10 @@ def test_non_separable_states_take_the_krylov_route(kind, monkeypatch):
     assert rep.converged and rep.newton_iterations >= 1
     assert rep.stats["separable_solves"] == 0
     assert rep.stats["krylov_solves"] == rep.newton_iterations
-    assert rep.stats["factorizations"] == rep.stats["lsmr_fallbacks"] == 0
+    assert rep.stats["lsmr_fallbacks"] == 0
 
 
-def test_missed_krylov_step_falls_through_to_the_lu(monkeypatch):
+def test_missed_krylov_step_falls_back_to_lsmr(monkeypatch):
     model, reaction, grid, u, top = _non_separable_case("p-laplace")
     A, separable = solver._newton_system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
@@ -454,29 +424,26 @@ def test_missed_krylov_step_falls_through_to_the_lu(monkeypatch):
                         lambda A, b, **kw: (np.zeros_like(b), 0))
     stats = _stats()
     step = solver._linear_step(A, rhs, stats, separable)
-    assert stats["krylov_solves"] == 0
-    assert stats["factorizations"] == 1 and stats["lsmr_fallbacks"] == 0
+    assert stats == dict(_stats(), lsmr_fallbacks=1)
     assert np.linalg.norm(A @ step - rhs) <= 1e-6 * np.linalg.norm(rhs)
 
 
-def test_krylov_step_at_its_iteration_cap_falls_through_to_the_lu(
-        monkeypatch):
+def test_krylov_step_at_its_iteration_cap_falls_back_to_lsmr(monkeypatch):
     model, reaction, grid, u, top = _non_separable_case("mean-curvature")
     A, separable = solver._newton_system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
     monkeypatch.setattr(solver, "KRYLOV_MAXITER", 1)
     stats = _stats()
-    solver._linear_step(A, rhs, stats, separable)
-    assert stats["krylov_iterations"] == 1 and stats["krylov_solves"] == 0
-    assert stats["factorizations"] == 1 and stats["lsmr_fallbacks"] == 0
+    step = solver._linear_step(A, rhs, stats, separable)
+    assert stats == dict(_stats(), krylov_iterations=1, lsmr_fallbacks=1)
+    assert np.linalg.norm(A @ step - rhs) <= 1e-6 * np.linalg.norm(rhs)
 
 
-def test_round_off_y_only_iterate_stays_off_the_lu(monkeypatch):
+def test_round_off_y_only_iterate_stays_off_the_lu():
     # f = u - u^3 from y-only data: after two steps the iterate's
     # cross-section spread is round-off (about 1e-16), so the Newton matrix
     # is no longer exactly a Kronecker sum, and its averaged sum is the
     # matrix up to round-off: one conjugate-gradient iteration per step
-    _refuse_splu(monkeypatch)
     grid = _grid(nx=33, ny=33)
     reaction = ReactionSpec.custom(f=lambda v: v - v ** 3,
                                    f_prime=lambda v: 1.0 - 3.0 * v ** 2)
@@ -486,11 +453,10 @@ def test_round_off_y_only_iterate_stays_off_the_lu(monkeypatch):
     assert rep.converged and rep.newton_iterations == 6
     assert rep.stats["separable_solves"] == 2
     assert rep.stats["krylov_solves"] == rep.stats["krylov_iterations"] == 4
-    assert rep.stats["factorizations"] == rep.stats["lsmr_fallbacks"] == 0
+    assert rep.stats["lsmr_fallbacks"] == 0
 
 
-def test_non_separable_3d_solve_converges_without_lu(monkeypatch):
-    _refuse_splu(monkeypatch)
+def test_non_separable_3d_solve_converges_without_lu():
     grid = build_grid(DomainSpec.rectangle(0.0, PI, 0.0, PI), nx=17, ny=17,
                       y_max=2.0, nz=17)
     reaction = ReactionSpec.cubic().shifted(1.0)
@@ -499,7 +465,7 @@ def test_non_separable_3d_solve_converges_without_lu(monkeypatch):
                        reaction, grid, init, top_bc=solver.pinned_top(init))
     assert rep.converged and rep.newton_iterations == 5
     assert rep.stats["krylov_solves"] == rep.newton_iterations
-    assert rep.stats["factorizations"] == rep.stats["lsmr_fallbacks"] == 0
+    assert rep.stats["lsmr_fallbacks"] == 0
 
 
 # -- derived checks ----------------------------------------------------------
@@ -716,9 +682,11 @@ def test_newton_trace_mean_curvature_converges_at_33():
 
 def test_newton_trace_mean_curvature_stalls_at_17():
     # the path past the tenth step rides on round-off: the Jacobian is
-    # nearly singular on the residual plateau near 1.4544
+    # nearly singular on the residual plateau near 1.4544, and LSMR takes
+    # the last steps
     rep = _mean_curvature_solve(17)
     assert not rep.converged
-    assert rep.newton_iterations == 11
-    assert rep.stats["backtracks"] == [0, 1, 1, 1, 1, 1, 3, 3, 10, 14, 1]
+    assert rep.newton_iterations == 13
+    assert rep.stats["backtracks"] == [0, 1, 1, 1, 1, 1, 3, 3, 10, 14, 1,
+                                       0, 0]
     assert rep.final_residual == rep.residual_history[-1] > 1.0
