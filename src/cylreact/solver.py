@@ -14,7 +14,9 @@ all-Neumann truncation is then incompatible).  The Newton matrix is the
 assembled second-variation form, i.e. the B-weighted stiffness plus reaction
 linearizations, and steps are damped by Armijo backtracking on the squared
 residual norm in ``damped_newton``, the one loop that also drives the
-spectral semilinear solve.
+spectral semilinear solve.  A pinned top with nonzero data is globalized
+by continuation in that data once Armijo damps a step after the first
+(``solve_newton``); every other solve is plain Armijo.
 
 Each Newton system is solved by the first of three routes whose step meets
 the linear residual bound (``_linear_step``): fast diagonalization where the
@@ -46,10 +48,13 @@ from .cylinder import CylinderField, CylinderGrid, pencil_modes
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 MIN_STEP = 2.0 ** -20
+# Smallest step in the pinned data that continuation takes (solve_newton);
+# a stage that fails closer than this to the last accepted one ends it.
+MIN_CONTINUATION_STEP = 2.0 ** -6
 # Relative residual at which conjugate gradients stops on a non-separable
-# Newton block (see _linear_step).  At 1e-7 the 33^2 mean-curvature
-# solve of the tests takes 24 Newton steps; at 1e-10 it keeps the 21 steps
-# and 40 halvings of a sparse direct solve.
+# Newton block (see _linear_step).  At 1e-7 plain Armijo on the 33^2
+# mean-curvature state of the tests takes 24 Newton steps; at 1e-10 it
+# keeps the 21 steps and 40 halvings of a sparse direct solve.
 KRYLOV_RTOL = 1e-10
 # Iteration cap of that solve.  The benchmark's p-Laplace and
 # mean-curvature steps take 14 to 137 iterations.  An inconsistent system
@@ -113,7 +118,9 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
     # Linear-step telemetry (separable_solves, krylov_solves,
     # krylov_iterations, lsmr_fallbacks, backtracks: step halvings per
-    # accepted step); not part of the serialized report.
+    # accepted step) and the continuation trail (continuation: one
+    # [lambda, accepted steps, accepted] per stage, empty when plain
+    # Armijo ran alone); not part of the serialized report.
     stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -296,7 +303,7 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
 
 
 def damped_newton(residual: Callable, newton_step: Callable, x: np.ndarray,
-                  tol: float, max_iter: int):
+                  tol: float, max_iter: int, stop_at_late_halving: bool = False):
     """Newton's method with Armijo backtracking on the squared residual norm.
 
     residual(x) is a flat vector and newton_step(x, r) solves the Newton
@@ -305,6 +312,11 @@ def damped_newton(residual: Callable, newton_step: Callable, x: np.ndarray,
     and a step shorter than MIN_STEP stalls the iteration.  Converged means
     max|r| <= tol.  Returns (x, r, history, halvings_per_step, stalled):
     history holds max|r| at the start and after every accepted step.
+
+    With stop_at_late_halving (solve_newton's continuation), the first
+    halving of any step after the first also stalls the iteration, before
+    that step is taken; such a stall has accepted steps, a MIN_STEP stall
+    of the first step has none.
     """
     r = residual(x)
     history = [float(np.max(np.abs(r)))]
@@ -320,6 +332,8 @@ def damped_newton(residual: Callable, newton_step: Callable, x: np.ndarray,
             r_trial = residual(trial)
             if float(np.dot(r_trial, r_trial)) <= (1.0 - ARMIJO_SLOPE * lam) * base_sq:
                 break
+            if stop_at_late_halving and halvings_per_step:
+                return x, r, history, halvings_per_step, True
             lam *= ARMIJO_FACTOR
             halvings += 1
         x, r = trial, r_trial
@@ -347,24 +361,72 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
     Convergence is max-norm of the nodal residual <= tol.  top_bc is
     ("neumann",) for the natural zero-flux truncation or
     ("dirichlet", value) to pin the top slice.
+
+    A pinned top with nonzero data is globalized by natural-parameter
+    continuation in that data (Allgower & Georg 2003) once plain Armijo
+    starts damping.  The plain run from init stops at the first halving of
+    any step after its first (the first moves the pinned rows to their
+    data, and damping it is normal).  Stages lambda in (0, 1] then pin the
+    top to lambda * value, starting from lambda * init for the first stage
+    and from (lambda / lambda_done) * u_done after an accepted one.  A
+    stage is accepted when it converges with no halving after its first
+    step, the adaptive rule of Deuflhard (2004, ch. 5); then lambda = 1 is
+    tried.  A failed stage bisects between lambda_done and lambda, and a
+    bisection step below MIN_CONTINUATION_STEP falls back to plain Armijo
+    from init with the full max_iter, so every solve that converges
+    without continuation still converges.  Neumann tops, zero data and
+    solves with no late halving run plain Armijo alone.
+
+    newton_iterations and residual_history count the accepted steps of
+    every run (history[0] is the residual at init); final_residual is that
+    of the last run, at lambda = 1.
     """
     if init.grid is not grid and init.grid.shape != grid.shape:
         raise ValueError("init must live on the solve grid")
     stats = {"separable_solves": 0, "krylov_solves": 0,
              "krylov_iterations": 0, "lsmr_fallbacks": 0}
-
-    def residual(x):
-        return residual_vector(CylinderField(grid, x), model, reaction, top_bc)
+    history, halvings, trail = [], [], []
 
     def newton_step(x, r):
         A, separable = _newton_system(CylinderField(grid, x), model,
                                       reaction, top_bc)
         return _linear_step(A, -r, stats, separable).reshape(grid.shape)
 
-    x, _, history, halvings, _ = damped_newton(
-        residual, newton_step, init.values.copy(), tol, max_iter)
+    def run(x, bc, stop_at_late_halving):
+        """damped_newton from x with the top condition bc; returns
+        (x, final residual, accepted steps, stalled)."""
+        def residual(x):
+            return residual_vector(CylinderField(grid, x), model, reaction, bc)
+
+        x, _, hist, halv, stalled = damped_newton(
+            residual, newton_step, x, tol, max_iter, stop_at_late_halving)
+        history.extend(hist if not history else hist[1:])
+        halvings.extend(halv)
+        return x, hist[-1], len(halv), stalled
+
+    pinned = top_bc[0] == "dirichlet"
+    value = np.asarray(top_bc[1], dtype=float) if pinned else None
+    continuation = pinned and bool(np.any(value))
+    x, rnorm, steps, stalled = run(init.values.copy(), top_bc, continuation)
+    # a stall after accepted steps is a late halving (see damped_newton)
+    damped = continuation and stalled and steps > 0
+    done, x_done, lam = 0.0, None, 0.5
+    while damped:
+        start = lam * init.values if x_done is None else (lam / done) * x_done
+        x, rnorm, steps, _ = run(start, ("dirichlet", lam * value), True)
+        accepted = rnorm <= tol
+        trail.append([lam, steps, accepted])
+        if accepted and lam == 1.0:
+            break
+        if accepted:
+            done, x_done, lam = lam, x, 1.0
+        elif 0.5 * (lam - done) >= MIN_CONTINUATION_STEP:
+            lam = 0.5 * (done + lam)
+        else:
+            x, rnorm, _, _ = run(init.values.copy(), top_bc, False)
+            break
     stats["backtracks"] = halvings
-    rnorm = history[-1]
+    stats["continuation"] = trail
     return SolveReport(u=CylinderField(grid, x), converged=bool(rnorm <= tol),
                        newton_iterations=len(halvings), final_residual=rnorm,
                        residual_history=history, stats=stats)

@@ -1,5 +1,6 @@
 """Newton solver, the closed-form solution catalog, and reaction handling."""
 
+import time
 from functools import reduce
 
 import numpy as np
@@ -159,7 +160,7 @@ def test_solve_report_serializes():
                       "residual_history"}
     assert set(rep.stats) == {"separable_solves", "krylov_solves",
                               "krylov_iterations", "lsmr_fallbacks",
-                              "backtracks"}
+                              "backtracks", "continuation"}
 
 
 def test_top_bc_validation():
@@ -661,32 +662,142 @@ def test_damped_newton_reports_a_stall_and_keeps_the_iterate():
     assert history == [0.25]
 
 
-def _mean_curvature_solve(n):
+def test_damped_newton_stops_at_a_late_halving_only_when_asked():
+    # r(x) = x; the first step goes half way, every later one overshoots
+    # to -2x and is accepted after one halving, at -x/2
+    def step(x, r):
+        return -0.5 * r if x[0] == 1.0 else -3.0 * r
+
+    def identity(x):
+        return x.copy()
+
+    x, _, history, halvings, stalled = solver.damped_newton(
+        identity, step, np.array([1.0]), tol=1e-3, max_iter=20)
+    assert not stalled and halvings == [0] + [1] * (len(halvings) - 1)
+    x, _, history, halvings, stalled = solver.damped_newton(
+        identity, step, np.array([1.0]), tol=1e-3, max_iter=20,
+        stop_at_late_halving=True)
+    assert stalled and halvings == [0]
+    assert x[0] == 0.5 and history == [1.0, 0.5]
+    # a halving of the first step does not stop it
+    x, _, history, halvings, stalled = solver.damped_newton(
+        identity, lambda x, r: -3.0 * r if x[0] == 1.0 else -r,
+        np.array([1.0]), tol=1e-3, max_iter=20, stop_at_late_halving=True)
+    assert not stalled and halvings == [1, 0] and x[0] == 0.0
+
+
+def _mean_curvature_problem(n):
     """theta = -1/2, f = -u - u^3, started from a cos x y / 2 with a = 2.5
-    and the top pinned to it (the benchmark's slow Newton family)."""
+    and the top pinned to it (the benchmark's slow Newton family):
+    (model, reaction, grid, init, top_bc)."""
     grid = build_grid(DomainSpec.interval(0.0, PI), nx=n, ny=n, y_max=2.0,
                       grading=0.5)
     init = grid.field(lambda x, y: 2.5 * np.cos(x) * y / 2.0)
-    return solve_newton(CoefficientModel.mean_curvature_weight(-0.5),
-                        ReactionSpec.cubic().shifted(1.0), grid, init,
-                        top_bc=solver.pinned_top(init))
+    return (CoefficientModel.mean_curvature_weight(-0.5),
+            ReactionSpec.cubic().shifted(1.0), grid, init,
+            solver.pinned_top(init))
+
+
+def _mean_curvature_solve(n, **kwargs):
+    model, reaction, grid, init, top = _mean_curvature_problem(n)
+    return solve_newton(model, reaction, grid, init, top_bc=top, **kwargs)
+
+
+def _plain_armijo(model, reaction, grid, init, top, tol=1e-10, max_iter=50):
+    """solve_newton's plain damped-Newton run, with no continuation."""
+    stats = _stats()
+
+    def residual(x):
+        return residual_vector(CylinderField(grid, x), model, reaction, top)
+
+    def step(x, r):
+        A, separable = solver._newton_system(CylinderField(grid, x), model,
+                                             reaction, top)
+        return solver._linear_step(A, -r, stats, separable).reshape(grid.shape)
+
+    return solver.damped_newton(residual, step, init.values.copy(), tol,
+                                max_iter)
 
 
 def test_newton_trace_mean_curvature_converges_at_33():
     rep = _mean_curvature_solve(33)
     assert rep.converged
-    assert rep.newton_iterations == 21
-    assert sum(rep.stats["backtracks"]) == 40
-    assert len(rep.residual_history) == 22
+    assert rep.newton_iterations == 11
+    assert sum(rep.stats["backtracks"]) == 0
+    assert len(rep.residual_history) == 12
 
 
-def test_newton_trace_mean_curvature_stalls_at_17():
-    # the path past the tenth step rides on round-off: the Jacobian is
-    # nearly singular on the residual plateau near 1.4544, and LSMR takes
-    # the last steps
+def test_newton_trace_mean_curvature_converges_at_17():
     rep = _mean_curvature_solve(17)
+    assert rep.converged
+    assert rep.newton_iterations == 10
+    assert rep.stats["backtracks"] == [0] * 10
+    assert rep.final_residual == rep.residual_history[-1] <= 1e-12
+
+
+# -- continuation in the pinned data -------------------------------------------
+
+def test_continuation_matches_plain_armijo_at_33():
+    rep = _mean_curvature_solve(33)
+    assert rep.stats["continuation"] == [[0.5, 5, True], [1.0, 5, True]]
+    # the first plain step, then the two stages
+    assert rep.newton_iterations == len(rep.stats["backtracks"]) == 1 + 5 + 5
+    # at tol = 1e-10 the two runs stop at residuals 1.2e-11 and 4.7e-14,
+    # 5.1e-10 apart next to the steep top slice; at 1e-12 continuation
+    # takes one more step and lands on plain Armijo's discrete solution
+    rep = _mean_curvature_solve(33, tol=1e-12)
+    assert rep.stats["continuation"] == [[0.5, 5, True], [1.0, 6, True]]
+    x, _, history, halvings, stalled = _plain_armijo(
+        *_mean_curvature_problem(33), tol=1e-12)
+    assert not stalled and history[-1] <= 1e-12
+    assert len(halvings) == 21 and sum(halvings) == 40
+    assert float(np.max(np.abs(rep.u.values - x))) <= 1e-12
+
+
+def test_continuation_solves_mean_curvature_at_129_in_time():
+    # plain Armijo runs for more than 90 s here
+    model, reaction, grid, init, top = _mean_curvature_problem(129)
+    t0 = time.perf_counter()
+    rep = solve_newton(model, reaction, grid, init, top_bc=top)
+    elapsed = time.perf_counter() - t0
+    assert rep.converged and rep.stats["continuation"][-1][0] == 1.0
+    r = residual_vector(rep.u, model, reaction, top)
+    assert float(np.max(np.abs(r))) <= 1e-10
+    assert elapsed < 30.0
+
+
+def test_continuation_falls_back_to_plain_armijo(monkeypatch):
+    # three steps do not finish the lambda = 1/2 stage, and the next
+    # bisection step (1/4) is below the floor: plain Armijo from init
+    monkeypatch.setattr(solver, "MIN_CONTINUATION_STEP", 0.5)
+    rep = _mean_curvature_solve(17, max_iter=3)
+    assert rep.stats["continuation"] == [[0.5, 3, False]]
+    assert rep.newton_iterations == len(rep.stats["backtracks"]) == 1 + 3 + 3
+    x, _, history, halvings, _ = _plain_armijo(*_mean_curvature_problem(17),
+                                               max_iter=3)
+    assert np.array_equal(rep.u.values, x)
+    assert rep.stats["backtracks"][-3:] == halvings
+    assert rep.final_residual == history[-1] == rep.residual_history[-1]
     assert not rep.converged
-    assert rep.newton_iterations == 13
-    assert rep.stats["backtracks"] == [0, 1, 1, 1, 1, 1, 3, 3, 10, 14, 1,
-                                       0, 0]
-    assert rep.final_residual == rep.residual_history[-1] > 1.0
+
+
+def test_continuation_stays_off_where_it_does_not_apply():
+    # a Neumann top, zero pinned data, and a solve whose only halving is
+    # that of its first step keep plain Armijo
+    grid = _grid(nx=33, ny=33)
+    cubic = ReactionSpec.custom(f=lambda v: v - v ** 3,
+                                f_prime=lambda v: 1.0 - 3.0 * v ** 2)
+    init = CylinderField(grid, np.full(grid.shape, 0.5))
+    model = CoefficientModel.constant_one()
+    neumann = solve_newton(model, cubic, grid, init)
+    first_only = solve_newton(model, cubic, grid, init,
+                              top_bc=("dirichlet", np.full(grid.nx, 0.3)))
+    assert first_only.stats["backtracks"] == [1, 0, 0, 0, 0, 0]
+    model, reaction, grid, init, _ = _mean_curvature_problem(17)
+    zero = solve_newton(model, reaction, grid, init,
+                        top_bc=("dirichlet", np.zeros(grid.nx)))
+    assert any(zero.stats["backtracks"][1:])
+    for rep in (neumann, first_only, zero):
+        assert rep.converged and rep.stats["continuation"] == []
+        assert rep.newton_iterations == len(rep.stats["backtracks"])
+        assert len(rep.residual_history) == rep.newton_iterations + 1
