@@ -37,13 +37,14 @@ Reaction entries are JSON strings or numbers, read as expressions in ``u``
 (and ``y`` for the bulk source ``g``); derivatives are taken symbolically,
 and a ``g`` that is identically zero is no source.  ``tolerances.eps`` and
 ``tolerances.s`` lie in (0, 1); ``grid.nz`` is for rectangle domains.
-Exit codes: 0 all applicable checks pass, 1 a check or solve failed, 2
-the config did not parse or validate: unknown ``grid``, ``tolerances``,
-``model`` or ``reaction`` keys, ``domain`` keys other than ``kind`` and
-that kind's bounds, ``eps`` or ``s`` outside (0, 1), ``grid.nz`` on an
-interval, a JSON string, boolean, NaN or Infinity where a number is
-expected, or a reaction entry that is neither a string nor a number, does
-not parse, is a relation, holds zoo, oo, nan or I, or uses another symbol.
+Exit codes: 0 all applicable checks pass, 1 a check or solve failed (a
+failed Newton solve prints its stop reason and records it), 2 the config
+did not parse or validate: unknown ``grid``, ``tolerances``, ``model`` or
+``reaction`` keys, ``domain`` keys other than ``kind`` and that kind's
+bounds, ``eps`` or ``s`` outside (0, 1), ``grid.nz`` on an interval, a
+JSON string, boolean, NaN or Infinity where a number is expected, or a
+reaction entry that is neither a string nor a number, does not parse, is
+a relation, holds zoo, oo, nan or I, or uses another symbol.
 Environment override: CYLREACT_OUT replaces output_dir.  Reports are
 byte-identical across reruns of the same config and seed at a fixed BLAS
 thread count, except for wall-clock fields.
@@ -316,9 +317,12 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
     tol = float(cfg.tolerances.get("newton", 1e-10))
     report = solver.solve_newton(model, reaction, grid, init, tol=tol,
                                  top_bc=top)
+    details = report.to_json_dict()
+    if not report.converged:
+        details["stop_reason"] = report.stats["stop_reason"]
     rec = _rec("newton-solve", PASS if report.converged else FAIL,
                report.final_residual, f"max residual <= {tol:g}",
-               _anchor(_preset(cfg)), report.to_json_dict())
+               _anchor(_preset(cfg)), details)
     return [rec], {"solution_field": report.u}
 
 
@@ -327,9 +331,10 @@ def _run_stability(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
     p = _preset(cfg)
     solve = solver.solve_newton(model, reaction, grid, state, top_bc=top)
     if not solve.converged:
+        stop = solve.stats["stop_reason"]
         return [_rec("stability-labels", FAIL, solve.final_residual,
-                     "Newton must converge before classification",
-                     _anchor(p), solve.to_json_dict())], {}
+                     "Newton must converge before classification", _anchor(p),
+                     dict(solve.to_json_dict(), stop_reason=stop))], {}
     case = (cfg.preset, p.expected_classification if p else None, solve.u,
             model, reaction)
     extras = {}
@@ -475,6 +480,8 @@ def _execute(cfg: ExperimentConfig, out_dir: str, note) -> int:
     for rec in records:
         print(f"  [{rec.status:>14}] {rec.name}: measured={rec.measured} "
               f"({note(rec)})")
+        if "stop_reason" in rec.details:
+            print(f"    stop reason: {rec.details['stop_reason']}")
     overall = verify.overall_status(records)
     print(f"report: {path} — overall {overall}")
     return 0 if overall == PASS else 1

@@ -18,13 +18,13 @@ spectral semilinear solve.  A pinned top with nonzero data is globalized
 by continuation in that data once Armijo damps a step after the first
 (``solve_newton``); every other solve is plain Armijo.
 
-Each Newton system is solved by the first of three routes whose step meets
-the linear residual bound (``_linear_step``): fast diagonalization where the
-matrix is a Kronecker sum of 1D operators (``forms.separable_factors``);
-otherwise conjugate gradients preconditioned by fast diagonalization of the
-cross-section-averaged Kronecker sum; then LSMR.  Fast diagonalization takes
-the eigenpairs of every axis, cross-section and y alike, so its solve is
-dense matrix products and one division.
+Each Newton system is solved by one of two routes (``_linear_step``): fast
+diagonalization where the matrix is a Kronecker sum of 1D operators
+(``forms.separable_factors``), otherwise conjugate gradients preconditioned
+by fast diagonalization of the cross-section-averaged Kronecker sum.  Fast
+diagonalization takes the eigenpairs of every axis, cross-section and y
+alike, so its solve is dense matrix products and one division.  A step
+that misses the linear residual bound ends the solve with a stop reason.
 
 A small catalog of closed-form solutions is included for residual and
 stability checks, together with a one-dimensional family u(y) = c -
@@ -48,6 +48,7 @@ from .cylinder import CylinderField, CylinderGrid, pencil_modes
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 MIN_STEP = 2.0 ** -20
+STALLED = "Armijo line search stalled"
 # Smallest step in the pinned data that continuation takes (solve_newton);
 # a stage that fails closer than this to the last accepted one ends it.
 MIN_CONTINUATION_STEP = 2.0 ** -6
@@ -117,10 +118,10 @@ class SolveReport:
     final_residual: float
     residual_history: list = field(default_factory=list)
     # Linear-step telemetry (separable_solves, krylov_solves,
-    # krylov_iterations, lsmr_fallbacks, backtracks: step halvings per
-    # accepted step) and the continuation trail (continuation: one
-    # [lambda, accepted steps, accepted] per stage, empty when plain
-    # Armijo ran alone); not part of the serialized report.
+    # krylov_iterations, backtracks: step halvings per accepted step), the
+    # continuation trail (continuation: one [lambda, accepted steps,
+    # accepted] per stage, empty when plain Armijo ran alone) and
+    # stop_reason (None when converged); not part of the serialized report.
     stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -183,13 +184,6 @@ def _newton_system(u: CylinderField, model, reaction, top_bc) -> tuple:
     return A, (u.grid, m_y, K_y, exact)
 
 
-def _solves(A: sp.csr_matrix, delta: np.ndarray, rhs: np.ndarray) -> bool:
-    """delta is finite and ||A delta - rhs|| <= 1e-6 ||rhs||."""
-    return bool(np.all(np.isfinite(delta))
-                and np.linalg.norm(A @ delta - rhs)
-                <= 1e-6 * (np.linalg.norm(rhs) + 1e-30))
-
-
 def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
                       K_y: sp.csr_matrix) -> Callable:
     """Diagonalize the Kronecker sum of forms.separable_factors once, by
@@ -205,8 +199,9 @@ def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
     and the returned solve maps a right-hand side shaped like the free nodes
     to that product: one matrix product per axis, a multiply by the
     precomputed 1 / (lam + mu), one product per axis back.  It is symmetric
-    by construction.  Raises LinAlgError when M_y is not positive or some
-    lam + mu is exactly zero.
+    by construction.  Kernel modes, |lam + mu| <= 64 eps max|lam + mu| (the
+    constants of an all-Neumann sum with f' = 0), get inverse 0: the solve
+    is a pseudo-inverse.  Raises LinAlgError when M_y is not positive.
     """
     if not np.all(m_y > 0.0):
         raise np.linalg.LinAlgError("separable mass is not positive")
@@ -214,9 +209,9 @@ def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
     lams, phis = zip(*[grid.cross_section_modes(k)
                        for k in range(grid.n_components - 1)])
     lam_mu = reduce(np.add.outer, lams + (mu,))
-    if not np.all(lam_mu):
-        raise np.linalg.LinAlgError("singular separable sum")
-    inv = 1.0 / lam_mu
+    size = np.abs(lam_mu)
+    inv = np.divide(1.0, lam_mu, out=np.zeros_like(lam_mu),
+                    where=size > 64.0 * np.finfo(float).eps * size.max())
     shape = inv.shape
 
     def along(z, k, op):
@@ -237,9 +232,9 @@ def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
 
 
 def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
-                 separable: tuple) -> np.ndarray:
+                 separable: tuple) -> np.ndarray | None:
     """Solve A delta = rhs through the Kronecker sum of
-    forms.separable_factors, else by LSMR.
+    forms.separable_factors, exactly or by preconditioned CG.
 
     ``separable`` is (grid, m_y, K_y, exact) from _newton_system.  The
     nodes at and above y index m_y.size are pinned, with unit rows in A:
@@ -252,19 +247,17 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
     with that solve (Concus & Golub 1973), to KRYLOV_RTOL or for at
     most KRYLOV_MAXITER iterations.
 
-    The step is accepted only if it is finite and meets the linear
-    residual bound ||A delta - rhs|| <= 1e-6 ||rhs|| on A itself.  If it
-    misses, or the solve raises LinAlgError, LSMR returns the minimum-norm
-    step, which keeps iterates bounded.  That covers singular-but-consistent
-    systems (all-Neumann with a zero reaction has the constants in its
-    kernel, and so does the sum) and a conjugate-gradient solve stopped at
-    its cap.
+    The step is returned only if it is finite and meets the linear
+    residual bound ||A delta - rhs|| <= 1e-6 ||rhs|| on A itself.  Else,
+    or if the factor raises LinAlgError, the return is None and
+    stats["stop_reason"] names the route and the relative residual.
 
-    stats counts accepted separable solves (exact Kronecker sums) and
-    Krylov solves (conjugate gradients), every conjugate-gradient
-    iteration, whether or not its step is accepted, and LSMR fallbacks.
+    stats counts returned separable solves (exact Kronecker sums) and
+    Krylov solves (conjugate gradients), and every conjugate-gradient
+    iteration, whether or not its step is returned.
     """
     grid, m_y, K_y, exact = separable
+    route = "separable" if exact else "krylov"
     nf = m_y.size
     delta = np.zeros(grid.shape)
     delta[..., nf:] = rhs.reshape(grid.shape)[..., nf:]
@@ -274,32 +267,35 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
 
     try:
         solve = _separable_factor(grid, m_y, K_y)
-        if exact:
-            # the solve, then one step of iterative refinement
-            for _ in range(2):
-                delta[..., :nf] += solve(free_residual())
-        else:
-            r = free_residual()
-            free = np.arange(grid.n_nodes).reshape(grid.shape)[..., :nf].ravel()
-            A_free = A if nf == grid.ny else A[free][:, free]
-            M = spla.LinearOperator(
-                A_free.shape, dtype=float,
-                matvec=lambda v: solve(v.reshape(r.shape)).ravel())
+    except np.linalg.LinAlgError as err:
+        stats["stop_reason"] = f"{route} factor raised LinAlgError: {err}"
+        return None
+    if exact:
+        # the solve, then one step of iterative refinement
+        for _ in range(2):
+            delta[..., :nf] += solve(free_residual())
+    else:
+        r = free_residual()
+        free = np.arange(grid.n_nodes).reshape(grid.shape)[..., :nf].ravel()
+        A_free = A if nf == grid.ny else A[free][:, free]
+        M = spla.LinearOperator(
+            A_free.shape, dtype=float,
+            matvec=lambda v: solve(v.reshape(r.shape)).ravel())
 
-            def count(_):
-                stats["krylov_iterations"] += 1
+        def count(_):
+            stats["krylov_iterations"] += 1
 
-            x, _ = spla.cg(A_free, r.ravel(), rtol=KRYLOV_RTOL,
-                           maxiter=KRYLOV_MAXITER, M=M, callback=count)
-            delta[..., :nf] = x.reshape(r.shape)
-        if _solves(A, delta.ravel(), rhs):
-            stats["separable_solves" if exact else "krylov_solves"] += 1
-            return delta.ravel()
-    except np.linalg.LinAlgError:
-        pass
-    stats["lsmr_fallbacks"] += 1
-    out = spla.lsmr(A, rhs, atol=1e-13, btol=1e-13, maxiter=10 * A.shape[0])
-    return out[0]
+        x, _ = spla.cg(A_free, r.ravel(), rtol=KRYLOV_RTOL,
+                       maxiter=KRYLOV_MAXITER, M=M, callback=count)
+        delta[..., :nf] = x.reshape(r.shape)
+    res = np.linalg.norm(A @ delta.ravel() - rhs)
+    scale = np.linalg.norm(rhs) + 1e-30
+    if np.all(np.isfinite(delta)) and res <= 1e-6 * scale:
+        stats[f"{route}_solves"] += 1
+        return delta.ravel()
+    stats["stop_reason"] = (f"{route} step missed: relative residual "
+                            f"{res / scale:.3e} > 1e-6")
+    return None
 
 
 def damped_newton(residual: Callable, newton_step: Callable, x: np.ndarray,
@@ -307,11 +303,12 @@ def damped_newton(residual: Callable, newton_step: Callable, x: np.ndarray,
     """Newton's method with Armijo backtracking on the squared residual norm.
 
     residual(x) is a flat vector and newton_step(x, r) solves the Newton
-    system J(x) delta = -r for a step shaped like x.  Each step halves its
-    length until ||r||^2 falls by the factor 1 - ARMIJO_SLOPE * length,
-    and a step shorter than MIN_STEP stalls the iteration.  Converged means
-    max|r| <= tol.  Returns (x, r, history, halvings_per_step, stalled):
-    history holds max|r| at the start and after every accepted step.
+    system J(x) delta = -r for a step of x's size (None stalls).  Each step
+    halves its length until ||r||^2 falls by the factor 1 - ARMIJO_SLOPE *
+    length, and a step shorter than MIN_STEP stalls the iteration.  Returns
+    (x, r, history, halvings_per_step, stop): history holds max|r| at the
+    start and after every accepted step; stop is None when max|r| <= tol,
+    else STALLED or "no convergence in max_iter iterations (...)".
 
     With stop_at_late_halving (solve_newton's continuation), the first
     halving of any step after the first also stalls the iteration, before
@@ -326,20 +323,23 @@ def damped_newton(residual: Callable, newton_step: Callable, x: np.ndarray,
         base_sq = float(np.dot(r, r))
         lam, halvings = 1.0, 0
         while True:
-            if lam < MIN_STEP:
-                return x, r, history, halvings_per_step, True
-            trial = x + lam * delta
+            if delta is None or lam < MIN_STEP:
+                return x, r, history, halvings_per_step, STALLED
+            trial = x + lam * delta.reshape(x.shape)
             r_trial = residual(trial)
             if float(np.dot(r_trial, r_trial)) <= (1.0 - ARMIJO_SLOPE * lam) * base_sq:
                 break
             if stop_at_late_halving and halvings_per_step:
-                return x, r, history, halvings_per_step, True
+                return x, r, history, halvings_per_step, STALLED
             lam *= ARMIJO_FACTOR
             halvings += 1
         x, r = trial, r_trial
         halvings_per_step.append(halvings)
         history.append(float(np.max(np.abs(r))))
-    return x, r, history, halvings_per_step, False
+    stop = None if history[-1] <= tol else (
+        f"no convergence in {max_iter} iterations "
+        f"(best residual {min(history):.3e})")
+    return x, r, history, halvings_per_step, stop
 
 
 def pinned_top(u: CylinderField) -> tuple:
@@ -375,58 +375,60 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
     bisection step below MIN_CONTINUATION_STEP falls back to plain Armijo
     from init with the full max_iter, so every solve that converges
     without continuation still converges.  Neumann tops, zero data and
-    solves with no late halving run plain Armijo alone.
+    solves with no late halving run plain Armijo alone.  A step that
+    _linear_step misses ends the solve at the last accepted iterate, with
+    no further stage or retry, and stats["stop_reason"] is its reason;
+    otherwise it is the last run's stop from damped_newton.
 
     newton_iterations and residual_history count the accepted steps of
     every run (history[0] is the residual at init); final_residual is that
-    of the last run, at lambda = 1.
+    of the last run, at lambda = 1 unless a missed step ended a stage.
     """
     if init.grid is not grid and init.grid.shape != grid.shape:
         raise ValueError("init must live on the solve grid")
-    stats = {"separable_solves": 0, "krylov_solves": 0,
-             "krylov_iterations": 0, "lsmr_fallbacks": 0}
     history, halvings, trail = [], [], []
+    stats = dict(separable_solves=0, krylov_solves=0, krylov_iterations=0,
+                 stop_reason=None, backtracks=halvings, continuation=trail)
 
     def newton_step(x, r):
         A, separable = _newton_system(CylinderField(grid, x), model,
                                       reaction, top_bc)
-        return _linear_step(A, -r, stats, separable).reshape(grid.shape)
+        return _linear_step(A, -r, stats, separable)
 
     def run(x, bc, stop_at_late_halving):
         """damped_newton from x with the top condition bc; returns
-        (x, final residual, accepted steps, stalled)."""
+        (x, final residual, accepted steps, stop)."""
         def residual(x):
             return residual_vector(CylinderField(grid, x), model, reaction, bc)
 
-        x, _, hist, halv, stalled = damped_newton(
+        x, _, hist, halv, stop = damped_newton(
             residual, newton_step, x, tol, max_iter, stop_at_late_halving)
         history.extend(hist if not history else hist[1:])
         halvings.extend(halv)
-        return x, hist[-1], len(halv), stalled
+        return x, hist[-1], len(halv), stop
 
     pinned = top_bc[0] == "dirichlet"
     value = np.asarray(top_bc[1], dtype=float) if pinned else None
     continuation = pinned and bool(np.any(value))
-    x, rnorm, steps, stalled = run(init.values.copy(), top_bc, continuation)
+    x, rnorm, steps, stop = run(init.values.copy(), top_bc, continuation)
     # a stall after accepted steps is a late halving (see damped_newton)
-    damped = continuation and stalled and steps > 0
+    damped = (continuation and stop == STALLED and steps > 0
+              and stats["stop_reason"] is None)
     done, x_done, lam = 0.0, None, 0.5
     while damped:
         start = lam * init.values if x_done is None else (lam / done) * x_done
-        x, rnorm, steps, _ = run(start, ("dirichlet", lam * value), True)
-        accepted = rnorm <= tol
-        trail.append([lam, steps, accepted])
-        if accepted and lam == 1.0:
+        x, rnorm, steps, stop = run(start, ("dirichlet", lam * value), True)
+        trail.append([lam, steps, stop is None])
+        if stats["stop_reason"] is not None or (stop is None and lam == 1.0):
             break
-        if accepted:
+        if stop is None:
             done, x_done, lam = lam, x, 1.0
         elif 0.5 * (lam - done) >= MIN_CONTINUATION_STEP:
             lam = 0.5 * (done + lam)
         else:
-            x, rnorm, _, _ = run(init.values.copy(), top_bc, False)
+            x, rnorm, _, stop = run(init.values.copy(), top_bc, False)
             break
-    stats["backtracks"] = halvings
-    stats["continuation"] = trail
+    stats["stop_reason"] = stats["stop_reason"] or stop
     return SolveReport(u=CylinderField(grid, x), converged=bool(rnorm <= tol),
                        newton_iterations=len(halvings), final_residual=rnorm,
                        residual_history=history, stats=stats)

@@ -171,15 +171,11 @@ def solve_semilinear(basis: SpectralBasis, reaction, init: SpectralFunction,
             # stalls the line search and surfaces as a solve error.
             return np.linalg.lstsq(J, -r, rcond=None)[0]
 
-    c, _, history, _, stalled = solver.damped_newton(
+    c, _, history, _, stop = solver.damped_newton(
         residual, newton_step, init.coeffs.copy(), tol, max_iter)
-    if stalled:
-        raise SpectralSolveError("Armijo line search stalled", history)
-    if history[-1] <= tol:
-        return SpectralFunction(basis, c)
-    raise SpectralSolveError(
-        f"no convergence in {max_iter} iterations "
-        f"(best residual {min(history):.3e})", history)
+    if stop is not None:
+        raise SpectralSolveError(stop, history)
+    return SpectralFunction(basis, c)
 
 
 def extend_harmonic(basis: SpectralBasis, v: SpectralFunction,

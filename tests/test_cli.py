@@ -217,6 +217,31 @@ def test_run_incompatible_flux_exits_one(tmp_path, capsys):
     assert cli.main(["run", path]) == 1
     report = json.loads((tmp_path / "out1" / "report.json").read_text())
     assert report["overall"] == "fail"
+    # f' = 0 leaves the all-Neumann Newton matrix singular, and the
+    # separable step misses the linear residual bound: the reason is
+    # printed and kept in the record
+    reason = report["records"][0]["details"]["stop_reason"]
+    assert reason.startswith("separable step missed: relative residual ")
+    assert f"stop reason: {reason}" in capsys.readouterr().out
+
+
+def test_stability_run_with_a_failed_solve_reports_its_reason(tmp_path,
+                                                              capsys):
+    path = _write_config(tmp_path, "bad.json", {
+        "experiment": "Stability",
+        "domain": {"kind": "interval", "x_min": 0.0, "x_max": 3.14159},
+        "grid": {"nx": 17, "ny": 17, "y_max": 4.0},
+        "reaction": {"f": "1"},
+        "output_dir": str(tmp_path / "out")})
+    assert cli.main(["run", path]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    rec = report["records"][0]
+    assert rec["name"] == "stability-labels" and rec["status"] == "fail"
+    assert rec["tolerance"] == "Newton must converge before classification"
+    assert rec["details"]["stop_reason"].startswith(
+        "separable step missed: relative residual ")
+    assert f"stop reason: {rec['details']['stop_reason']}" \
+        in capsys.readouterr().out
 
 
 def test_run_missing_file_exits_two(tmp_path):

@@ -119,15 +119,35 @@ def test_newton_constant_flux_needs_dirichlet_top():
     exact = catalog_solution("linear-y", grid)
     rep = solve_newton(model, reaction, grid, exact)
     assert not rep.converged
-    # f' = 0 leaves the all-Neumann matrix singular: its separable block
-    # misses the residual bound, and LSMR takes both steps
+    # f' = 0 leaves the all-Neumann matrix singular: its separable step
+    # misses the residual bound, which ends the solve before any step
     assert rep.stats["separable_solves"] == 0
-    assert rep.stats["lsmr_fallbacks"] == 2
+    assert rep.stats["stop_reason"].startswith(
+        "separable step missed: relative residual ")
+    assert rep.newton_iterations == 0 and rep.residual_history == [
+        rep.final_residual]
+    assert np.array_equal(rep.u.values, exact.values)
     top = ("dirichlet", exact.values[..., -1].copy())
     rep2 = solve_newton(model, reaction, grid, exact, top_bc=top)
     assert rep2.converged
     assert rep2.final_residual <= 1e-10
     assert rep2.stats["separable_solves"] == rep2.newton_iterations
+
+
+def test_all_neumann_kernel_keeps_the_weighted_mean():
+    # a = 1, f = 0 and a zero-flux top: the Newton matrix has the constants
+    # in its kernel.  The separable solve leaves that mode out, so the
+    # (W x M_y)-weighted mean of u stays at that of the initial state (1.2);
+    # dividing by the round-off eigenvalue moved it to 1.2120
+    grid = _grid(ny=17, y_max=8.0)
+    init = grid.field(lambda x, y: np.cos(x) * np.exp(-y) + 0.3 * y)
+    rep = solve_newton(CoefficientModel.constant_one(),
+                       ReactionSpec.constant(0.0), grid, init)
+    assert rep.converged and rep.stats["stop_reason"] is None
+    assert rep.stats["separable_solves"] == rep.newton_iterations >= 1
+    w = grid.bulk_weights(0.0)
+    for u in (init, rep.u):
+        assert abs(np.sum(w * u.values) / np.sum(w) - 1.2) <= 1e-12
 
 
 def test_newton_quadratic_history():
@@ -159,8 +179,9 @@ def test_solve_report_serializes():
     assert set(d) == {"converged", "newton_iterations", "final_residual",
                       "residual_history"}
     assert set(rep.stats) == {"separable_solves", "krylov_solves",
-                              "krylov_iterations", "lsmr_fallbacks",
+                              "krylov_iterations", "stop_reason",
                               "backtracks", "continuation"}
+    assert rep.stats["stop_reason"] is None
 
 
 def test_top_bc_validation():
@@ -219,8 +240,7 @@ def _indefinite_problem(kind, n):
 
 
 def _stats():
-    return {"separable_solves": 0, "krylov_solves": 0, "krylov_iterations": 0,
-            "lsmr_fallbacks": 0}
+    return {"separable_solves": 0, "krylov_solves": 0, "krylov_iterations": 0}
 
 
 def test_newton_matrix_keeps_the_stencil_sparsity_at_129():
@@ -231,15 +251,16 @@ def test_newton_matrix_keeps_the_stencil_sparsity_at_129():
     u = p.exact_state(grid)
     rep = solve_newton(p.model(), p.reaction(), grid, u,
                        top_bc=solver.pinned_top(u))
-    assert rep.converged and rep.stats["lsmr_fallbacks"] == 0
+    assert rep.converged
     A = forms.assemble_energy_matrix(u, p.model(), p.reaction())
     assert np.diff(A.indptr).max() <= 5
 
 
 @pytest.mark.parametrize("kind, n", [("preset", 17), ("rectangle", None)])
-def test_failed_factorization_falls_back_to_lsmr(kind, n, monkeypatch):
-    # a fast-diagonalization factor that raises leaves the step to LSMR,
-    # which still takes the indefinite exact state's full step to 1e-10
+def test_failed_factorization_stops_the_solve(kind, n, monkeypatch):
+    # a fast-diagonalization factor that raises leaves the step unsolved:
+    # the solve ends at its initial state with the factor's error as its
+    # reason, and its pinned nonzero data start no continuation
     model, reaction, grid, u, top = _indefinite_problem(kind, n)
 
     def refuse(*args):
@@ -249,11 +270,14 @@ def test_failed_factorization_falls_back_to_lsmr(kind, n, monkeypatch):
     A, separable = solver._newton_system(u, model, reaction, top)
     r = residual_vector(u, model, reaction, top)
     stats = _stats()
-    delta = solver._linear_step(A, -r, stats, separable).reshape(grid.shape)
-    after = residual_vector(CylinderField(grid, u.values + delta), model,
-                            reaction, top)
-    assert float(np.max(np.abs(after))) <= 1e-10
-    assert stats == dict(_stats(), lsmr_fallbacks=1)
+    assert solver._linear_step(A, -r, stats, separable) is None
+    reason = "separable factor raised LinAlgError: singular separable sum"
+    assert stats == dict(_stats(), stop_reason=reason)
+    rep = solve_newton(model, reaction, grid, u, top_bc=top)
+    assert not rep.converged and rep.stats["stop_reason"] == reason
+    assert rep.newton_iterations == 0 and rep.stats["continuation"] == []
+    assert np.array_equal(rep.u.values, u.values)
+    assert rep.final_residual == float(np.max(np.abs(r))) > 1e-10
 
 
 # -- the separable (fast diagonalization) route -----------------------------
@@ -310,7 +334,6 @@ def test_separable_presets_converge_without_lu(kind, n):
     assert rep.converged
     assert rep.newton_iterations >= 1
     assert rep.stats["separable_solves"] == rep.newton_iterations
-    assert rep.stats["lsmr_fallbacks"] == 0
 
 
 def _kronecker_sum(grid, m_y, K_y):
@@ -414,30 +437,35 @@ def test_non_separable_states_take_the_krylov_route(kind):
     assert rep.converged and rep.newton_iterations >= 1
     assert rep.stats["separable_solves"] == 0
     assert rep.stats["krylov_solves"] == rep.newton_iterations
-    assert rep.stats["lsmr_fallbacks"] == 0
 
 
-def test_missed_krylov_step_falls_back_to_lsmr(monkeypatch):
+def test_missed_krylov_step_stops_the_solve(monkeypatch):
     model, reaction, grid, u, top = _non_separable_case("p-laplace")
     A, separable = solver._newton_system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
     monkeypatch.setattr(solver.spla, "cg",
                         lambda A, b, **kw: (np.zeros_like(b), 0))
     stats = _stats()
-    step = solver._linear_step(A, rhs, stats, separable)
-    assert stats == dict(_stats(), lsmr_fallbacks=1)
-    assert np.linalg.norm(A @ step - rhs) <= 1e-6 * np.linalg.norm(rhs)
+    assert solver._linear_step(A, rhs, stats, separable) is None
+    reason = "krylov step missed: relative residual 1.000e+00 > 1e-6"
+    assert stats == dict(_stats(), stop_reason=reason)
+    rep = solve_newton(model, reaction, grid, u, top_bc=top)
+    assert not rep.converged and rep.newton_iterations == 0
+    assert rep.stats["stop_reason"] == reason
 
 
-def test_krylov_step_at_its_iteration_cap_falls_back_to_lsmr(monkeypatch):
+def test_krylov_step_at_its_iteration_cap_stops_the_solve(monkeypatch):
     model, reaction, grid, u, top = _non_separable_case("mean-curvature")
     A, separable = solver._newton_system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
     monkeypatch.setattr(solver, "KRYLOV_MAXITER", 1)
     stats = _stats()
-    step = solver._linear_step(A, rhs, stats, separable)
-    assert stats == dict(_stats(), krylov_iterations=1, lsmr_fallbacks=1)
-    assert np.linalg.norm(A @ step - rhs) <= 1e-6 * np.linalg.norm(rhs)
+    assert solver._linear_step(A, rhs, stats, separable) is None
+    reason = stats.pop("stop_reason")
+    assert stats == dict(_stats(), krylov_iterations=1)
+    prefix = "krylov step missed: relative residual "
+    assert reason.startswith(prefix) and reason.endswith(" > 1e-6")
+    assert float(reason[len(prefix):-len(" > 1e-6")]) > 1e-6
 
 
 def test_round_off_y_only_iterate_stays_off_the_lu():
@@ -454,7 +482,6 @@ def test_round_off_y_only_iterate_stays_off_the_lu():
     assert rep.converged and rep.newton_iterations == 6
     assert rep.stats["separable_solves"] == 2
     assert rep.stats["krylov_solves"] == rep.stats["krylov_iterations"] == 4
-    assert rep.stats["lsmr_fallbacks"] == 0
 
 
 def test_non_separable_3d_solve_converges_without_lu():
@@ -466,7 +493,6 @@ def test_non_separable_3d_solve_converges_without_lu():
                        reaction, grid, init, top_bc=solver.pinned_top(init))
     assert rep.converged and rep.newton_iterations == 5
     assert rep.stats["krylov_solves"] == rep.newton_iterations
-    assert rep.stats["lsmr_fallbacks"] == 0
 
 
 # -- derived checks ----------------------------------------------------------
@@ -779,6 +805,49 @@ def test_continuation_falls_back_to_plain_armijo(monkeypatch):
     assert rep.stats["backtracks"][-3:] == halvings
     assert rep.final_residual == history[-1] == rep.residual_history[-1]
     assert not rep.converged
+
+
+def test_missed_step_in_a_stage_ends_the_solve(monkeypatch):
+    # the plain run takes one step and stops at the second's halving, so
+    # the third linear step is the first of the lambda = 1/2 stage; when it
+    # is missed no further stage and no plain-Armijo retry runs
+    calls = []
+    linear_step = solver._linear_step
+
+    def miss_third(A, rhs, stats, separable):
+        calls.append(rhs)
+        if len(calls) == 3:
+            stats["stop_reason"] = "missed"
+            return None
+        return linear_step(A, rhs, stats, separable)
+
+    monkeypatch.setattr(solver, "_linear_step", miss_third)
+    rep = _mean_curvature_solve(17)
+    assert len(calls) == 3
+    assert not rep.converged and rep.stats["stop_reason"] == "missed"
+    assert rep.stats["continuation"] == [[0.5, 0, False]]
+    assert rep.newton_iterations == 1 and len(rep.residual_history) == 2
+    assert rep.final_residual == float(np.max(np.abs(calls[-1])))
+
+
+def test_stall_and_iteration_cap_name_their_reasons(monkeypatch):
+    # the pinned cubic solve halves its first step: with MIN_STEP = 1 that
+    # halving stalls it; at max_iter = 2 it stops short of convergence
+    grid = _grid(nx=33, ny=33)
+    cubic = ReactionSpec.custom(f=lambda v: v - v ** 3,
+                                f_prime=lambda v: 1.0 - 3.0 * v ** 2)
+    init = CylinderField(grid, np.full(grid.shape, 0.5))
+    args = (CoefficientModel.constant_one(), cubic, grid, init)
+    top = ("dirichlet", np.full(grid.nx, 0.3))
+    capped = solve_newton(*args, top_bc=top, max_iter=2)
+    assert not capped.converged and capped.newton_iterations == 2
+    assert capped.stats["stop_reason"].startswith(
+        "no convergence in 2 iterations (best residual ")
+    monkeypatch.setattr(solver, "MIN_STEP", 1.0)
+    stalled = solve_newton(*args, top_bc=top)
+    assert not stalled.converged and stalled.newton_iterations == 0
+    assert stalled.stats["stop_reason"] == "Armijo line search stalled"
+    assert np.array_equal(stalled.u.values, init.values)
 
 
 def test_continuation_stays_off_where_it_does_not_apply():
