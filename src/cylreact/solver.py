@@ -170,16 +170,17 @@ def _newton_system(u: CylinderField, model, reaction, top_bc) -> tuple:
     argument of _linear_step, (grid, m_y, K_y, exact) from
     forms.separable_factors.
 
-    One coefficient state serves both.  A pinned top slice has unit rows
-    in A and is cut from the y factors.
+    One coefficient state serves both.  A is assembled on the grid's
+    cached forms.EnergyLayout.  A pinned top slice is cut from the y
+    factors and has unit rows in A: the layout's pinned pattern, which
+    stores only the unit diagonal in the top rows, filled by one cached
+    boolean gather of the assembled values.
     """
     state = forms.coefficient_state(u, model)
     A = forms.assemble_energy_matrix(u, model, reaction, state=state)
     m_y, K_y, exact = forms.separable_factors(u, model, reaction, state)
     if top_bc[0] == "dirichlet":
-        keep = (~u.grid.top_mask().ravel()).astype(float)
-        # zero the top rows and put a unit on their diagonal, in CSR
-        A = (sp.diags(keep) @ A + sp.diags(1.0 - keep)).tocsr()
+        A = forms.energy_layout(u.grid, model.has_t_dependence).pinned(A)
         m_y, K_y = m_y[:-1], K_y[:-1, :-1]
     return A, (u.grid, m_y, K_y, exact)
 
@@ -245,7 +246,9 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
     the residual left in A's free rows (one step of iterative refinement).
     Otherwise the block is solved by conjugate gradients preconditioned
     with that solve (Concus & Golub 1973), to KRYLOV_RTOL or for at
-    most KRYLOV_MAXITER iterations.
+    most KRYLOV_MAXITER iterations.  Conjugate gradients get the block as
+    a CSR matrix of its own, cut from A by the boolean gather cached on
+    A's forms.EnergyLayout (forms.free_block) rather than by slicing.
 
     The step is returned only if it is finite and meets the linear
     residual bound ||A delta - rhs|| <= 1e-6 ||rhs|| on A itself.  Else,
@@ -276,8 +279,7 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
             delta[..., :nf] += solve(free_residual())
     else:
         r = free_residual()
-        free = np.arange(grid.n_nodes).reshape(grid.shape)[..., :nf].ravel()
-        A_free = A if nf == grid.ny else A[free][:, free]
+        A_free = A if nf == grid.ny else forms.free_block(grid, A, nf)
         M = spla.LinearOperator(
             A_free.shape, dtype=float,
             matvec=lambda v: solve(v.reshape(r.shape)).ravel())

@@ -169,18 +169,21 @@ def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
 
     The test space is all nodes strictly below the top slice; passing
     ``vanish_above`` shrinks it further to nodes with y < vanish_above
-    (nested spaces give monotone ground-state eigenvalues).
+    (nested spaces give monotone ground-state eigenvalues).  Those are the
+    nodes below a y index, so the energy block is the gather cached on the
+    grid's forms.EnergyLayout; the assembly is symmetric bit for bit, and
+    so is the block.  The mass is diagonal, and its block is its diagonal
+    on the free nodes.
     """
-    # The state is dropped once the energy matrix is built, so it is not
-    # live beside the one mass_matrix builds.
-    A_full = forms.assemble_energy_matrix(u, model, reaction,
-                                          state=_gated_state(u, model))
-    M_full = forms.mass_matrix(u, model)
-    free = forms.free_indices(u.grid, vanish_above=vanish_above)
-    A = A_full[free][:, free].tocsr()
-    A = ((A + A.T) * 0.5).tocsr()
-    M = M_full[free][:, free].tocsr()
-    return StabilityForm(energy_matrix=A, mass_matrix=M, grid=u.grid,
+    grid = u.grid
+    state = _gated_state(u, model)
+    A_full = forms.assemble_energy_matrix(u, model, reaction, state=state)
+    mass = forms.mass_matrix(u, model, state=state).diagonal()
+    free = forms.free_indices(grid, vanish_above=vanish_above)
+    nf = free.size // (grid.n_nodes // grid.ny)
+    A = forms.free_block(grid, A_full, nf)
+    M = sp.diags(mass[free], format="csr")
+    return StabilityForm(energy_matrix=A, mass_matrix=M, grid=grid,
                          free=free)
 
 

@@ -50,6 +50,9 @@ class CheckRecord:
 
     def to_json_dict(self) -> dict:
         def clean(v):
+            # bool before int: True is an int, and would serialize as 1
+            if isinstance(v, (bool, np.bool_)):
+                return bool(v)
             if isinstance(v, (np.floating, float)):
                 return float(v)
             if isinstance(v, (np.integer, int)):
@@ -60,8 +63,6 @@ class CheckRecord:
                 return [clean(x) for x in v]
             if isinstance(v, dict):
                 return {k: clean(x) for k, x in v.items()}
-            if isinstance(v, (bool, np.bool_)):
-                return bool(v)
             return v
         return {
             "name": self.name,

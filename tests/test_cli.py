@@ -464,6 +464,16 @@ def test_runner_record_is_the_battery_record(tmp_path, experiment,
 # report invariants
 
 
+def test_check_record_writes_booleans_as_json_booleans():
+    rec = verify.CheckRecord(
+        name="n", status=verify.PASS, measured=1.0, tolerance="t",
+        anchor="a", details={"converged": True, "cases": [
+            {"ok": np.bool_(False), "count": np.int64(2)}]})
+    text = json.dumps(rec.to_json_dict(), sort_keys=True)
+    assert '"converged": true' in text and '"ok": false' in text
+    assert '"count": 2' in text
+
+
 def test_every_record_carries_an_anchor(tmp_path):
     path = _write_config(tmp_path, "solve.json", {
         "experiment": "Solve", "preset": "one-dim-family",

@@ -634,6 +634,9 @@ def _pairwise_energy_matrix(u, model, reaction):
         for gc, Gc in zip(comps, Gs):
             for gd, Gd in zip(comps, Gs):
                 A = A + Gc.T @ (sp.diags(factor * gc * gd) @ Gd)
+    if reaction.g_u is not None:
+        A = A + sp.diags(grid.bulk_weights(0.0).ravel() * reaction.g_u(
+            state["y"].ravel(), u.values.ravel()))
     bottom = np.zeros(grid.shape)
     bottom[..., 0] = grid.bottom_weights() * reaction.f_prime(u.values[..., 0])
     return (A - sp.diags(bottom.ravel())).tocsr()
@@ -656,11 +659,131 @@ def test_energy_matrix_folds_the_rank_one_term_per_pair(model, nz):
     ref = _pairwise_energy_matrix(u, model, reaction)
     assert np.array_equal(A.indptr, ref.indptr)
     assert np.array_equal(A.indices, ref.indices)
-    if model.has_t_dependence:
-        assert (np.abs(A.data - ref.data).max()
-                <= 1e-14 * np.abs(ref.data).max())
-    else:
-        assert np.array_equal(A.data, ref.data)
+    # the layout sums each entry's slots in its own order, so the values
+    # agree to round-off, with or without the rank-one term
+    assert np.abs(A.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+
+
+# -- the fixed-pattern layout ---------------------------------------------------
+
+def _layout_case(model, nz, grading):
+    """(u, model, reaction) at a random state on a 9 x 7 (x 5) grid, with a
+    bulk source, so that g_u enters the diagonal."""
+    domain = (DomainSpec.interval(0.0, PI) if nz is None
+              else DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI))
+    grid = build_grid(domain, nx=9, ny=7, y_max=2.0, grading=grading, nz=nz)
+    u = CylinderField(grid, np.random.default_rng(21).standard_normal(
+        grid.shape))
+    return u, model, _cubic_source()
+
+
+LAYOUT_MODELS = [CoefficientModel.mean_curvature_weight(-0.5),
+                 CoefficientModel.power_weight(-0.5)]
+
+
+@pytest.mark.parametrize("model", LAYOUT_MODELS,
+                         ids=["rank-one", "isotropic"])
+@pytest.mark.parametrize("nz", [None, 5], ids=["interval", "rectangle"])
+@pytest.mark.parametrize("grading", [0.0, 0.5], ids=["uniform", "graded"])
+def test_layout_assembly_matches_the_pairwise_products(model, nz, grading):
+    u, model, reaction = _layout_case(model, nz, grading)
+    A = forms.assemble_energy_matrix(u, model, reaction)
+    ref = _pairwise_energy_matrix(u, model, reaction)
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.abs(A.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+    # each entry and its mirror read the same plane value
+    dense = A.toarray()
+    assert np.array_equal(dense, dense.T)
+
+
+@pytest.mark.parametrize("nz", [None, 3], ids=["interval", "rectangle"])
+def test_layout_on_three_node_axes(nz):
+    # with ny = 3 distinct stencil offsets share a flat offset, (1, -1)
+    # and (0, 2) in 2D: the layout sums them into one plane, which is
+    # right because the flat offset alone fixes the column
+    domain = (DomainSpec.interval(0.0, PI) if nz is None
+              else DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI))
+    grid = build_grid(domain, nx=3, ny=3, y_max=2.0, grading=0.5, nz=nz)
+    u = CylinderField(grid, np.random.default_rng(22).standard_normal(
+        grid.shape))
+    model, reaction = LAYOUT_MODELS[0], _cubic_source()
+    A = forms.assemble_energy_matrix(u, model, reaction).toarray()
+    ref = _pairwise_energy_matrix(u, model, reaction).toarray()
+    assert np.abs(A - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("model", LAYOUT_MODELS,
+                         ids=["rank-one", "isotropic"])
+@pytest.mark.parametrize("nz", [None, 5], ids=["interval", "rectangle"])
+def test_layout_gathers_match_scipy_slicing(model, nz):
+    u, model, reaction = _layout_case(model, nz, 0.5)
+    grid = u.grid
+    A = forms.assemble_energy_matrix(u, model, reaction)
+    layout = forms.energy_layout(grid, model.has_t_dependence)
+    pinned = layout.pinned(A)
+    top = grid.top_mask().ravel()
+    for nf in (grid.ny - 1, 3):
+        free = np.flatnonzero(np.arange(grid.n_nodes) % grid.ny < nf)
+        for M in (A, pinned):
+            block = forms.free_block(grid, M, nf)
+            ref = M[free][:, free]
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(block, name),
+                                      getattr(ref, name)), name
+    # the pinned matrix keeps every free row and only a unit in each top row
+    assert np.array_equal(pinned[~top].toarray(), A[~top].toarray())
+    assert np.array_equal(pinned[top].toarray(),
+                          np.eye(grid.n_nodes)[top])
+    with pytest.raises(ValueError, match="not on an energy layout"):
+        forms.free_block(grid, A.copy(), grid.ny - 1)
+
+
+def test_second_assembly_reuses_the_cached_pattern():
+    u, model, reaction = _layout_case(LAYOUT_MODELS[0], None, 0.5)
+    layout = forms.energy_layout(u.grid, True)
+    A1 = forms.assemble_energy_matrix(u, model, reaction)
+    v = CylinderField(u.grid, 2.0 * u.values)
+    A2 = forms.assemble_energy_matrix(v, model, reaction)
+    assert forms.energy_layout(u.grid, True) is layout
+    for A in (A1, A2):
+        assert A.indptr is layout.indptr
+        assert np.shares_memory(A.indices, layout.indices)
+    assert not np.array_equal(A1.data, A2.data)
+    P1, P2 = layout.pinned(A1), layout.pinned(A2)
+    assert P1.indptr is P2.indptr
+    assert np.shares_memory(P1.indices, P2.indices)
+
+
+@pytest.mark.parametrize("model", LAYOUT_MODELS,
+                         ids=["rank-one", "isotropic"])
+def test_warm_assembly_runs_no_sparse_product(model, monkeypatch):
+    # once the layout and its gathers are built, assembling, pinning and
+    # cutting the free block neither multiply nor add sparse matrices (the
+    # Newton system's 1D y factor still does, on ny x ny)
+    import scipy.sparse._compressed as compressed
+    u, model, reaction = _layout_case(model, 5, 0.5)
+    grid = u.grid
+    layout = forms.energy_layout(grid, model.has_t_dependence)
+
+    def run():
+        A = forms.assemble_energy_matrix(u, model, reaction)
+        pinned = layout.pinned(A)
+        return (pinned, forms.free_block(grid, A, grid.ny - 1),
+                forms.free_block(grid, pinned, grid.ny - 1))
+
+    cold = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse product or sum on a warm layout")
+
+    monkeypatch.setattr(compressed._cs_matrix, "_matmul_sparse", refuse)
+    monkeypatch.setattr(compressed._cs_matrix, "_binopt", refuse)
+    with pytest.raises(AssertionError, match="warm layout"):
+        sp.identity(3, format="csr") @ sp.identity(3, format="csr")
+    for a, b in zip(cold, run()):
+        assert np.array_equal(a.data, b.data)
 
 
 # -- the damped-Newton loop ----------------------------------------------------

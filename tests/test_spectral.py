@@ -235,6 +235,20 @@ def test_solve_semilinear_zero_root_damped_cubic():
     assert np.max(np.abs(v.coeffs)) < 1e-10
 
 
+def test_solve_semilinear_leaves_a_round_off_kernel_mode():
+    # f(u) = u on (0, 2 pi) at s = 1/2: lambda_2**s = 1 = f', so the
+    # Jacobian's mode 2 is a round-off kernel.  Dividing by it stalled the
+    # line search; the pseudo-inverse solves the other modes and leaves
+    # mode 2 at its initial value
+    b = spectral.neumann_basis(DomainSpec.interval(0.0, 2 * np.pi), 12)
+    assert b.lambdas[2] == 1.0
+    c0 = np.random.default_rng(0).standard_normal(12)
+    v = spectral.solve_semilinear(b, solver.ReactionSpec.linear(1.0),
+                                  spectral.SpectralFunction(b, c0))
+    assert np.max(np.abs(np.delete(v.coeffs, 2))) <= 1e-12
+    assert abs(v.coeffs[2] - c0[2]) <= 1e-12
+
+
 def test_solve_semilinear_inconsistent_problem_raises():
     # f(v) = v^2 + 1 has positive mean for every v: the zero-mode equation
     # 0 = <f(v), phi_0> is unsolvable

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cylreact import presets, solver, stability
+from cylreact import forms, presets, solver, stability
+from cylreact.coefficients import CoefficientModel
 from cylreact.cylinder import CylinderField
 
 
@@ -277,3 +278,25 @@ def test_classify_returns_free_heap_after_each_call(monkeypatch):
     (mu, _), = stability.min_rayleigh(form)
     assert mu == pytest.approx(report.mu1, rel=1e-12)
     assert calls == [0, 0, 0]
+
+
+@pytest.mark.parametrize("model", [None, "mean-curvature"],
+                         ids=["preset", "rank-one"])
+@pytest.mark.parametrize("vanish_above", [None, 2.0])
+def test_assemble_I_takes_exact_symmetric_free_blocks(model, vanish_above):
+    # the free blocks are gathers of the full matrices, and the energy
+    # block is symmetric bit for bit without symmetrizing
+    p = presets.get_preset("decay-cos-unstable")
+    grid = p.build_grid(nx=17, ny=17)
+    u, reaction = p.exact_state(grid), p.reaction()
+    model = (p.model() if model is None
+             else CoefficientModel.mean_curvature_weight(0.0))
+    form = stability.assemble_I(u, model, reaction, vanish_above=vanish_above)
+    A, free = form.energy_matrix, form.free
+    assert np.array_equal(A.toarray(), A.toarray().T)
+    full = forms.assemble_energy_matrix(u, model, reaction)
+    ref = full[free][:, free]
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(ref, name))
+    mass = forms.mass_matrix(u, model).diagonal()
+    assert np.array_equal(form.mass_matrix.toarray(), np.diag(mass[free]))
