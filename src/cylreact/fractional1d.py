@@ -23,9 +23,10 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import (lu_factor, lu_solve, qr, qr_multiply,
-                          solve_triangular)
+                          solve_triangular, svd)
 
 from .geometry import _smoothstep
+from .stability import _returns_free_heap
 
 
 class Side(Enum):
@@ -268,7 +269,8 @@ class CounterexampleResult:
     eps: float
     # Fit telemetry: "tikhonov" and the M "trail", one entry per fitted M
     # (M, c2_residual, band_c2_residual, qr_shape of the stacked
-    # least-squares matrix, odd); not written to report.json.
+    # least-squares matrix, the coupling basis's kept rank, final
+    # sketch_width and range_residual, odd); not written to report.json.
     stats: dict = field(default_factory=dict, compare=False)
 
 
@@ -280,14 +282,66 @@ def _c2_stack(F: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
                            (hi - 2.0 * mid + lo) * (1.0 / h ** 2)])
 
 
+# The exterior coupling [A_ie^T | E] has numerical rank about 20 at M = 4
+# and 8 (fit_nodes 513 and 1025) against 256 or 512 columns; its singular
+# values reach the round-off floor near 1e-14 sigma_1.  Directions under
+# this relative cut, a decade above that floor, are dropped.
+_RANK_CUT = 1e-13
+# First sketch width: the rank above plus about ten columns of oversampling
+# (Halko, Martinsson & Tropp, SIAM Review 2011); the width doubles while
+# the residual bound fails.
+_SKETCH_WIDTH = 32
+# The sketch draws from its own generator, so a fit is reproducible and
+# never reads or advances the global random state.
+_SKETCH_SEED = 20110101
+
+
+def _coupling_basis(X: np.ndarray):
+    """Rank-revealed orthonormal basis of range(X) by a randomized range
+    finder: the QR of a Gaussian sketch Y = X Omega, then the SVD of the
+    small projection Q_Y^T X = U S V^T, keeping the directions with
+    S > _RANK_CUT S_1.  Q = Q_Y U_keep and Q^T X = S_keep V_keep^T.
+
+    The basis is accepted when the projection residual meets
+
+        |X - Q Q^T X|_F <= sqrt(ncols) _RANK_CUT S_1,
+
+    which is what the cut alone leaves if every dropped direction sat just
+    under it; a sketch that missed part of the range fails it.  Otherwise
+    the width doubles, up to the column count of X, where the sketch spans
+    range(X) and the basis is taken as it is.  Returns Q, Q^T X and
+    (rank, sketch width, residual).
+    """
+    rng = np.random.default_rng(_SKETCH_SEED)
+    ncols = X.shape[1]
+    width = _SKETCH_WIDTH
+    while True:
+        width = min(width, ncols)
+        Q_Y = qr(X @ rng.standard_normal((ncols, width)), mode="economic")[0]
+        U, S, Vt = svd(Q_Y.T @ X, full_matrices=False)
+        keep = S > _RANK_CUT * S[0]
+        Q = Q_Y @ U[:, keep]
+        QtX = S[keep, None] * Vt[keep]
+        R = Q @ QtX
+        R -= X
+        resid = float(np.linalg.norm(R))
+        if resid <= np.sqrt(ncols) * _RANK_CUT * S[0] or width == ncols:
+            return Q, QtX, (Q.shape[1], width, resid)
+        width *= 2
+
+
 def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
                idx_un: np.ndarray, midx: np.ndarray, target: np.ndarray,
                odd: bool, tikhonov: float, grid_h: float):
     """Tikhonov fit of the exterior values in the range of the coupling.
 
-    Returns the composed nodal function w (s-harmonic at idx_in, fitted
-    exterior values at idx_un, zero at the two end nodes) and the shape
-    of the stacked least-squares matrix.  See construct_counterexample.
+    The unknowns are c = Q z, with Q the rank-revealed basis of
+    [A_ie^T | E] from _coupling_basis (about 20 columns against 256 or 512
+    at fit_nodes 513 or 1025).  Returns the composed nodal function w
+    (s-harmonic at idx_in, fitted exterior values at idx_un, zero at the
+    two end nodes), the shape of the stacked least-squares matrix and the
+    basis's kept rank, sketch width and projection residual.  See
+    construct_counterexample.
     """
     n, k = op.n, idx_un.size
     if odd:
@@ -339,13 +393,13 @@ def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
         return np.concatenate([out, np.sqrt(0.5) * fd[None]])
 
     # c* lies in range(G^T), spanned by the kernel rows A^T and the unit
-    # vectors of the touched exterior unknowns: c = Q z is exact
+    # vectors of the touched exterior unknowns, to within the basis's cut
     touched = np.unique(np.minimum(ext_pos, k - 1 - ext_pos) if odd
                         else ext_pos)
     E = np.zeros((A.shape[1], touched.size))
     E[touched, np.arange(touched.size)] = 1.0
-    Q, T = qr(np.hstack([A.T, E]), mode="economic")
-    AQ = T[:, :A.shape[0]].T                  # A Q, as [A^T | E] = Q T
+    Q, QtX, basis = _coupling_basis(np.hstack([A.T, E]))
+    AQ = QtX[:, :A.shape[0]].T                # A Q, as Q^T A^T = (Q^T X)_A
     lu = lu_factor(H)
     r = Q.shape[1]
     K = np.vstack([c2_rows(on_window(-lu_solve(lu, AQ), Q)),
@@ -357,9 +411,14 @@ def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
 
     w = np.zeros(n)
     w[idx_in], w[idx_un] = unfold(-lu_solve(lu, A @ c), c)
-    return w, shape
+    return w, shape, basis
 
 
+# The M = 8 fit at 1025 nodes allocates tens of MB in blocks that glibc
+# serves from the heap once a larger block has been freed; in some
+# processes about 45 MB of it then stayed free and resident, and the
+# benchmark's next large operator build peaked about 18 MB higher.
+@_returns_free_heap
 def construct_counterexample(h_callable, eps: float, s: float = 0.5,
                              M: float = 4.0, fit_nodes: int = 513,
                              tikhonov: float = 1e-8,
@@ -373,12 +432,17 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
     the banded target.  G sees e only through the kernel rows A_ie and the
     few exterior nodes the difference stencil touches, so the Tikhonov
     minimiser of |G e - r|^2 + tikhonov |e|^2, which lies in range(G^T),
-    lies in the span of [A_ie^T | E] (E: unit columns of the touched
-    nodes; Elden, BIT 1977).  One economic QR of that matrix gives an
-    orthonormal basis Q (r columns, about the interior size, against k
-    exterior unknowns), e = Q z is exact, and |e| = |z|.  One LU of A_ii,
-    applied to A_ie Q (read off the QR's triangular factor), gives the
-    basis's interior response; the reduced problem
+    lies in the span of X = [A_ie^T | E] (E: unit columns of the touched
+    nodes; Elden, BIT 1977).  X has numerical rank about 20 against its
+    256 or 512 columns (fit_nodes 513 or 1025), so a randomized range
+    finder (_coupling_basis: Gaussian sketch, QR, SVD of the projection)
+    gives an orthonormal basis Q of r columns, r the count of singular
+    values above 1e-13 sigma_1, accepted once |X - Q Q^T X| meets the
+    bound stated there.  e = Q z holds the minimiser to within that cut
+    (at eps = 0.5 the roots sit 2.7e-9 relative from a full basis's at
+    513 nodes and 1.1e-8 at 1025), and |e| = |z|.
+    One LU of A_ii, applied to A_ie Q (read off the kept singular
+    triplets), gives the basis's interior response; the reduced problem
     [G Q; sqrt(tikhonov) I_r] z = [r; 0] is solved by Householder QR,
     never through the normal equations, whose squared condition number
     (sigma_max / sqrt(tikhonov) is about 7e7 here) makes the answer depend
@@ -395,8 +459,8 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
     halved) and the centre first-difference row is scaled by sqrt(1/2).
     w is exactly odd and delta1 = delta2.  M doubles (same spacing) until
     the misfit stops improving by 10% or max_M is reached; `stats` records
-    each M's residuals, stacked-QR shape and whether the odd reduction
-    applied.
+    each M's residuals, stacked-QR shape, basis rank, sketch width and
+    projection residual, and whether the odd reduction applied.
 
     Which M is kept is noise, yet it moves the roots.  For h = 0 the M = 4
     and M = 8 C^2 residuals differ by under 0.1% at every eps in 0.1..0.9
@@ -440,8 +504,8 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
         target = np.where(np.abs(x) <= 2.0, target, 0.0)
         odd = np.array_equal(target, -target[::-1])
 
-        w, qr_shape = _range_fit(op, idx_in, idx_un, midx, target, odd,
-                                 tikhonov, grid_h)
+        w, qr_shape, (rank, width, range_res) = _range_fit(
+            op, idx_in, idx_un, midx, target, odd, tikhonov, grid_h)
         resid = _c2_stack(w, midx, grid_h) - _c2_stack(target, midx, grid_h)
         c2_res = float(np.max(np.abs(resid)))
 
@@ -451,7 +515,8 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
         band_res = float(np.max(np.abs(resid[band3]))) if band3.any() else c2_res
         trail.append({"M": M_cur, "c2_residual": c2_res,
                       "band_c2_residual": band_res, "qr_shape": qr_shape,
-                      "odd": odd})
+                      "rank": rank, "sketch_width": width,
+                      "range_residual": range_res, "odd": odd})
 
         cand = (op, w, c2_res, band_res, M_cur)
         if best is None or c2_res < best[2]:

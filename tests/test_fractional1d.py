@@ -332,9 +332,50 @@ def test_counterexample_stats_record_m_trail():
     assert trail[1]["c2_residual"] > 0.9 * trail[0]["c2_residual"]
     assert res.stats["tikhonov"] == 1e-8
     assert all(t["odd"] for t in trail)
-    # at M = 8: 256 basis columns for 768 odd exterior unknowns, and
-    # 3 * 255 left rows plus the centre first difference
-    assert trail[1]["qr_shape"] == (3 * 255 + 1 + 256, 256)
+    # at M = 8: the kept rank of the coupling's 256 columns (768 odd
+    # exterior unknowns) stacked under 3 * 255 left rows plus the centre
+    # first difference
+    rank = trail[1]["rank"]
+    assert rank <= 256
+    assert trail[1]["qr_shape"] == (3 * 255 + 1 + rank, rank)
+
+
+def test_counterexample_basis_widens_from_a_narrow_sketch(monkeypatch):
+    ref = fr.construct_counterexample(_zero_h, 0.5)
+    monkeypatch.setattr(fr, "_SKETCH_WIDTH", 2)
+    res = fr.construct_counterexample(_zero_h, 0.5)
+    for t, t_ref in zip(res.stats["trail"], ref.stats["trail"]):
+        # 2 columns cannot hold a rank near 20: the width doubles until
+        # the projection residual meets its bound
+        assert t["sketch_width"] > t["rank"] > 2
+        assert t["rank"] == t_ref["rank"]
+        assert t["range_residual"] <= 10.0 * t_ref["range_residual"]
+    assert res.M_used == ref.M_used
+    assert abs(res.delta1 - ref.delta1) <= 1e-9
+    assert abs(res.delta2 - ref.delta2) <= 1e-9
+
+
+def test_counterexample_repeatable_and_leaves_global_rng_alone():
+    state = np.random.get_state()
+    one = fr.construct_counterexample(_zero_h, 0.5)
+    two = fr.construct_counterexample(_zero_h, 0.5)
+    np.testing.assert_array_equal(one.v, two.v)
+    after = np.random.get_state()
+    assert after[0] == state[0]
+    np.testing.assert_array_equal(after[1], state[1])
+    assert after[2:] == state[2:]
+
+
+@pytest.mark.parametrize("fit_nodes, delta, M_used",
+                         [(513, 0.21512913125522615, 8.0),
+                          (1025, 0.1613464089524168, 4.0)])
+def test_construct_counterexample_m_sensitive_eps(fit_nodes, delta, M_used):
+    # eps = 0.6, where the M = 4 and M = 8 misfits are within 0.1% and the
+    # kept M moves the roots; frozen at one BLAS thread
+    res = fr.construct_counterexample(_zero_h, 0.6, fit_nodes=fit_nodes)
+    assert res.M_used == M_used
+    assert res.delta1 == pytest.approx(delta, rel=1e-7)
+    assert res.delta2 == pytest.approx(delta, rel=1e-7)
 
 
 def _dense_fit_trail(h_callable, eps, fit_nodes, s=0.5, M=4.0,
