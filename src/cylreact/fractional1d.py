@@ -14,6 +14,12 @@ kernel moments, a Taylor-corrected singular cell, and an analytic tail
 weights are nonnegative and the diagonal strictly dominates, so interior
 collocation systems are M-matrices: uniquely solvable and
 maximum-principle preserving.
+
+The discrete operator is symmetric Toeplitz, entry (i, j) = t[|i - j|],
+so everything here reads its first column t.  The blocks that are
+factored are gathered from t; products are taken with the whole matrix by
+direct correlation of the mirrored column with the nodal vector, in O(n)
+memory.  No dense row block is built except by `operator_rows`.
 """
 
 from __future__ import annotations
@@ -132,6 +138,32 @@ def apply_integral_fraclap(op: Fractional1DOperator, v: np.ndarray,
     return acc
 
 
+def _toeplitz_column(op: Fractional1DOperator) -> np.ndarray:
+    """First column t of the discrete operator: entry (i, j) = t[|i - j|]."""
+    t = np.empty(op.n)
+    t[0] = 2.0 * float(np.sum(op.pair_weights)) + 2.0 * op.singular_coeff \
+        + op.tail_coeff
+    t[1:] = -op.pair_weights
+    t[1] -= op.singular_coeff
+    return t
+
+
+def _toeplitz_block(t: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray) -> np.ndarray:
+    """Dense block of the operator at (rows, cols), gathered from t."""
+    return t[np.abs(np.subtract.outer(rows, cols))]
+
+
+def _toeplitz_product(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T v for the symmetric Toeplitz T with first column t, at every node.
+
+    Direct sums: output k of the "valid" correlation of the mirrored
+    column with v is row n - 1 - k of T v.  O(n) memory, and the sums are
+    dot products of length n, so no FFT round-off enters.
+    """
+    return np.correlate(np.concatenate([t[:0:-1], t]), v, "valid")[::-1]
+
+
 def operator_rows(op: Fractional1DOperator,
                   row_indices: np.ndarray) -> np.ndarray:
     """Dense matrix rows of the discrete operator at the given node indices.
@@ -140,21 +172,16 @@ def operator_rows(op: Fractional1DOperator,
     nonpositive off-diagonal entries -omega_j at i +- j (plus the singular
     correction at i +- 1): an M-matrix on any interior collocation set.
     The matrix is symmetric Toeplitz (Huang & Oberman, SINUM 2014), entry
-    (i, j) = t[|i - j|], so each row is a window of the mirrored first
-    column [t[n-1], ..., t[1], t[0], t[1], ..., t[n-1]].
+    (i, j) = t[|i - j|], and the rows are gathered from t.  The solvers in
+    this module never build these rows: they gather only the blocks they
+    factor and take products with the whole matrix by direct correlation
+    of the mirrored column (_toeplitz_product).
     """
     n = op.n
     row_indices = np.asarray(row_indices, dtype=int)
     if np.any((row_indices <= 0) | (row_indices >= n - 1)):
         raise ValueError("collocation node too close to the grid edge")
-    t = np.empty(n)
-    t[0] = 2.0 * float(np.sum(op.pair_weights)) + 2.0 * op.singular_coeff \
-        + op.tail_coeff
-    t[1:] = -op.pair_weights
-    t[1] -= op.singular_coeff
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([t[:0:-1], t]), n)
-    return windows[n - 1 - row_indices]
+    return _toeplitz_block(_toeplitz_column(op), row_indices, np.arange(n))
 
 
 def fractional_normal_derivative(v, s: float, boundary_point: float,
@@ -210,10 +237,10 @@ def solve_exterior_value(op: Fractional1DOperator, exterior_data: np.ndarray,
     idx_in = np.flatnonzero(inside)
     if idx_in.size == 0:
         return exterior_data.copy()
-    rows = operator_rows(op, idx_in)
-    A_ii = rows[:, idx_in]
+    t = _toeplitz_column(op)
+    A_ii = _toeplitz_block(t, idx_in, idx_in)
     ext = np.where(inside, 0.0, exterior_data)
-    rhs = -rows @ ext
+    rhs = -_toeplitz_product(t, ext)[idx_in]
     try:
         v_in = np.linalg.solve(A_ii, rhs)
     except np.linalg.LinAlgError as exc:   # M-matrix: not expected
@@ -330,6 +357,27 @@ def _coupling_basis(X: np.ndarray):
         width *= 2
 
 
+def _fit_blocks(op: Fractional1DOperator, idx_in: np.ndarray,
+                idx_un: np.ndarray, odd: bool):
+    """(H, A): the interior block the fit factors and its coupling to the
+    exterior unknowns, gathered from the operator's first column.
+
+    When odd, e = [c; -reverse(c)] and w = [w_L; 0; -reverse(w_L)] inside,
+    so the left rows alone carry the centrosymmetric half system: each
+    block is its left columns minus their mirror images.
+    """
+    n, k = op.n, idx_un.size
+    t = _toeplitz_column(op)
+    if not odd:
+        return (_toeplitz_block(t, idx_in, idx_in),
+                _toeplitz_block(t, idx_in, idx_un))
+    rows = idx_in[:idx_in.size // 2]
+    return (_toeplitz_block(t, rows, rows)
+            - _toeplitz_block(t, rows, n - 1 - rows),
+            _toeplitz_block(t, rows, idx_un[:k // 2])
+            - _toeplitz_block(t, rows, idx_un[::-1][:k // 2]))
+
+
 def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
                idx_un: np.ndarray, midx: np.ndarray, target: np.ndarray,
                odd: bool, tikhonov: float, grid_h: float):
@@ -344,17 +392,7 @@ def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
     construct_counterexample.
     """
     n, k = op.n, idx_un.size
-    if odd:
-        # e = [c; -reverse(c)] and w = [w_L; 0; -reverse(w_L)] inside, so
-        # the left rows alone carry the centrosymmetric half system
-        rows_idx = idx_in[:idx_in.size // 2]
-        rows = operator_rows(op, rows_idx)
-        H = rows[:, rows_idx] - rows[:, n - 1 - rows_idx]
-        A = rows[:, idx_un[:k // 2]] - rows[:, idx_un[::-1][:k // 2]]
-    else:
-        rows = operator_rows(op, idx_in)
-        H, A = rows[:, idx_in], rows[:, idx_un]
-    del rows
+    H, A = _fit_blocks(op, idx_in, idx_un, odd)
     # the difference stencil reads the interior and the exterior nodes
     # just outside it: window = idx_in plus those touched nodes
     window = np.arange(midx[0] - 1, midx[-1] + 2)
@@ -414,10 +452,11 @@ def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
     return w, shape, basis
 
 
-# The M = 8 fit at 1025 nodes allocates tens of MB in blocks that glibc
-# serves from the heap once a larger block has been freed; in some
-# processes about 45 MB of it then stayed free and resident, and the
-# benchmark's next large operator build peaked about 18 MB higher.
+# The M = 8 fit at 1025 nodes peaks at about 21 MiB of arrays, in blocks
+# of up to 6 MB (the gathered coupling A, 511 x 1,536, its index array and
+# the range finder's [A^T | E]).  glibc serves such blocks from the heap
+# and may keep them free and resident after the call: 12 MB after the
+# eps = 0.4 no-root call in one process, until the next fit reused it.
 @_returns_free_heap
 def construct_counterexample(h_callable, eps: float, s: float = 0.5,
                              M: float = 4.0, fit_nodes: int = 513,
@@ -555,7 +594,8 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
     delta1 = -left - 1.0
 
     res_idx = np.flatnonzero((x > -1.0 - delta1) & (x < 1.0 + delta2))
-    interior_res = float(np.max(np.abs(operator_rows(op, res_idx) @ w)))
+    Tw = _toeplitz_product(_toeplitz_column(op), w)
+    interior_res = float(np.max(np.abs(Tw[res_idx])))
 
     return CounterexampleResult(x=x, v=w, delta1=delta1, delta2=delta2,
                                 c2_residual=c2_res,
@@ -604,5 +644,5 @@ def compare_operators(domain, w, s: float, op_nodes: int = 2049) -> float:
     spectral_vals = np.zeros(cmp_idx.size)
     for k in range(basis.K):
         spectral_vals += frac.coeffs[k] * basis.mode_at(k, xs[cmp_idx])
-    integral_vals = operator_rows(op, cmp_idx) @ v
+    integral_vals = _toeplitz_product(_toeplitz_column(op), v)[cmp_idx]
     return float(np.max(np.abs(integral_vals - spectral_vals), initial=0.0))

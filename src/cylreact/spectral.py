@@ -98,8 +98,9 @@ def neumann_basis(domain: DomainSpec, K: int) -> SpectralBasis:
     nodes = [np.linspace(lo, hi, n) for lo, hi in bounds]
     cosines = [[_cosine(lo, hi, i, x) for i in range(max_idx + 1)]
                for (lo, hi), x in zip(bounds, nodes)]
-    fields = np.stack([_outer([c[i] for c, i in zip(cosines, m)])
-                       for m in modes])
+    fields = np.empty((K,) + (n,) * len(bounds))
+    for k, m in enumerate(modes):
+        fields[k] = _outer([c[i] for c, i in zip(cosines, m)])
     weights = _outer([_trapezoid_weights(x) for x in nodes])
     return SpectralBasis(domain=domain, K=K, lambdas=lam_box[order],
                          modes=modes, x_nodes=nodes[0], eigenfields=fields,
@@ -220,7 +221,8 @@ def eig_growth_check(basis: SpectralBasis, beta: float):
             K_beta = k0
         else:
             break
-    sup = np.max(np.abs(basis.eigenfields.reshape(basis.K, -1)), axis=1)
+    flat = basis.eigenfields.reshape(basis.K, -1)
+    sup = np.maximum(flat.max(axis=1), -flat.min(axis=1))   # no |phi| copy
     lam = basis.lambdas[1:]
     slope, intercept = np.polyfit(np.log(lam), np.log(sup[1:]), 1)
     return int(K_beta), (float(np.exp(intercept)), float(slope))

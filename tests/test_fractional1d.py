@@ -4,6 +4,7 @@ construction."""
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,56 @@ def test_operator_rows_match_row_loop(s):
     op = fr.make_operator(s, 2.0, 33)
     for idx in (np.array([1, 2, 16, 30, 31]), np.arange(1, 32)):
         assert np.array_equal(fr.operator_rows(op, idx), _row_loop(op, idx))
+
+
+def _fit_masks(n, inner):
+    """Symmetric interior / exterior node sets as construct_counterexample
+    draws them: interior where the doubled centre offset is below inner."""
+    m = np.abs(2 * np.arange(n) - (n - 1))
+    return (np.flatnonzero(m < inner),
+            np.flatnonzero((m >= inner) & (m < n - 1)))
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_gathered_blocks_match_operator_rows(s):
+    # the fit's H and A are gathered from the first column; each must
+    # equal the operator_rows slice bit for bit
+    for n in (33, 34):
+        op = fr.make_operator(s, 2.0, n)
+        idx_in, idx_un = _fit_masks(n, 15)
+        k = idx_un.size
+        rows = fr.operator_rows(op, idx_in)
+        H, A = fr._fit_blocks(op, idx_in, idx_un, odd=False)
+        assert np.array_equal(H, rows[:, idx_in])
+        assert np.array_equal(A, rows[:, idx_un])
+        half = idx_in[:idx_in.size // 2]
+        rows = fr.operator_rows(op, half)
+        H, A = fr._fit_blocks(op, idx_in, idx_un, odd=True)
+        assert np.array_equal(H, rows[:, half] - rows[:, n - 1 - half])
+        assert np.array_equal(A, rows[:, idx_un[:k // 2]]
+                              - rows[:, idx_un[::-1][:k // 2]])
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_toeplitz_product_and_exterior_solve_match_operator_rows(s):
+    rng = np.random.default_rng(7)
+    for n in (33, 1025):
+        op = fr.make_operator(s, 2.0, n)
+        v = rng.standard_normal(n)
+        idx = np.arange(1, n - 1)
+        ref = fr.operator_rows(op, idx) @ v
+        got = fr._toeplitz_product(fr._toeplitz_column(op), v)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got[idx] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the exterior solve: gathered A_ii, right-hand side by the product
+        inside = np.abs(op.x) < 1.0
+        rows = fr.operator_rows(op, np.flatnonzero(inside))
+        ref = np.linalg.solve(rows[:, inside],
+                              -rows @ np.where(inside, 0.0, v))
+        got = fr.solve_exterior_value(op, v, (-1.0, 1.0))
+        assert np.array_equal(got[~inside], v[~inside])
+        assert np.max(np.abs(got[inside] - ref)) <= \
+            1e-13 * np.max(np.abs(ref))
 
 
 def test_apply_matches_rows():
@@ -532,3 +583,34 @@ def test_compare_operators_validation():
     iw = spectral.SpectralFunction(ibasis, np.zeros(8))
     with pytest.raises(ValueError):
         fr.compare_operators(DomainSpec.interval(0.0, 1.0), iw, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# memory: no dense row block of the operator
+
+
+def _traced_peak_mib(fn):
+    """tracemalloc peak of fn() in MiB, after one warm call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_operators_peak_memory():
+    # a dense block of the compared rows would be 1,843 x 4,097 (58 MiB)
+    dom = DomainSpec.interval(0.0, np.pi)
+    w = _bump_function(spectral.neumann_basis(dom, 32))
+    peak = _traced_peak_mib(
+        lambda: fr.compare_operators(dom, w, 0.5, op_nodes=4097))
+    assert peak <= 2.0
+
+
+def test_construct_counterexample_peak_memory():
+    # gathering H and A from dense operator rows peaked at 36 MiB
+    peak = _traced_peak_mib(
+        lambda: fr.construct_counterexample(_zero_h, eps=0.5, fit_nodes=1025))
+    assert peak <= 28.0
