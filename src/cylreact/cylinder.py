@@ -11,10 +11,12 @@ order yields the lexicographic (x[, z], y) node order used for flat vectors,
 CSV rows and sparse operators.
 
 Derivatives are second-order finite differences (centered at interior nodes,
-one-sided at boundary nodes, both on nonuniform spacings).  On a uniform
-axis (x and z always, y at grading 0) the centered stencil's centre weight
-is zero and is not stored, so every interior row holds two entries and the
-sparse operators carry the stencil's own sparsity.  Quadrature is the
+one-sided at boundary nodes, both on nonuniform spacings), read from one
+cached stencil table per axis by the flat operators, the energy layout and
+the banded Gram matrices.  On a uniform axis (x and z always, y at grading
+0) the centered stencil's centre weight is zero and is not stored, so
+every interior row holds two entries and the sparse operators carry the
+stencil's own sparsity.  Quadrature is the
 tensor trapezoid rule; integrals weighted by a singular power y**theta use
 exact moments of the weight against the piecewise-linear hat functions, so
 the first cell is integrated analytically.
@@ -123,13 +125,22 @@ def _graded_nodes(y_max: float, ny: int, grading: float) -> np.ndarray:
     return y
 
 
-def _diff_matrix_1d(x: np.ndarray) -> sp.csr_matrix:
-    """Second-order first-derivative matrix on a nonuniform 1D grid.
+def _stencil_rows(x: np.ndarray, pairing: bool) -> np.ndarray:
+    """(5, n) table T of the second-order first-derivative matrix D on a
+    nonuniform 1D grid, T[a + 2, k] = D[k, k + a] (0: no entry).
+
+    The boundary rows are three-point one-sided, or two-point with
+    ``pairing``.  With trapezoid weights the pairing variant satisfies the
+    exact summation-by-parts identity W·D + Dᵀ·W = diag(-1, 0, ..., 0, +1)
+    on uniform grids, which makes nodal (hat-tested) weak residuals
+    second-order accurate next to flux-carrying boundaries.  No diagonal
+    weight gives a three-point closure that identity, so it is kept only
+    in the pointwise ``gradient`` operator.
 
     An interior row's centre weight (hs - hd) / (hs * hd) vanishes where
     the two spacings are equal.  There the row is the uniform stencil
     (u[i+1] - u[i-1]) / (hs + hd): two weights of opposite sign, which
-    annihilate constants exactly, and no stored centre.  Spacings count as
+    annihilate constants exactly, and a zero centre.  Spacings count as
     equal when they differ by no more than the coordinates' round-off: on
     the axes ``np.linspace`` and ``_graded_nodes`` (grading 0) build, each
     node lies within 2 ulps of the axis's largest |x| from an exact
@@ -138,59 +149,26 @@ def _diff_matrix_1d(x: np.ndarray) -> sp.csr_matrix:
     node to its neighbours in Gᵀ W G: the Newton LU at 257^2 filled to
     8.57M entries with them and fills to 4.56M without.
     """
-    n = x.size
-    roundoff = 8.0 * np.spacing(np.max(np.abs(x)))
-    rows, cols, vals = [], [], []
-    # one-sided at the left end
-    h1, h2 = x[1] - x[0], x[2] - x[1]
-    rows += [0, 0, 0]
-    cols += [0, 1, 2]
-    vals += [-(2 * h1 + h2) / (h1 * (h1 + h2)),
-             (h1 + h2) / (h1 * h2),
-             -h1 / (h2 * (h1 + h2))]
-    # centered in the interior
-    for i in range(1, n - 1):
-        hd = x[i] - x[i - 1]
-        hs = x[i + 1] - x[i]
-        if abs(hs - hd) <= roundoff:
-            rows += [i, i]
-            cols += [i - 1, i + 1]
-            vals += [-1.0 / (hs + hd), 1.0 / (hs + hd)]
-        else:
-            den = hs * hd * (hd + hs)
-            rows += [i, i, i]
-            cols += [i - 1, i, i + 1]
-            vals += [-hs * hs / den, (hs * hs - hd * hd) / den, hd * hd / den]
-    # one-sided at the right end
-    hn, hm = x[-1] - x[-2], x[-2] - x[-3]
-    rows += [n - 1, n - 1, n - 1]
-    cols += [n - 1, n - 2, n - 3]
-    vals += [(2 * hn + hm) / (hn * (hn + hm)),
-             -(hn + hm) / (hn * hm),
-             hn / (hm * (hn + hm))]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _pairing_diff_matrix_1d(x: np.ndarray) -> sp.csr_matrix:
-    """First-derivative matrix used inside bilinear pairings.
-
-    Interior rows are the same second-order centered stencils as
-    ``_diff_matrix_1d``; the two boundary rows are the two-point one-sided
-    differences.  With trapezoid weights this pair satisfies the exact
-    summation-by-parts identity W·D + Dᵀ·W = diag(-1, 0, ..., 0, +1) on
-    uniform grids, which is what makes nodal (hat-tested) weak residuals
-    second-order accurate next to flux-carrying boundaries.  A three-point
-    one-sided closure cannot satisfy that identity with any diagonal weight,
-    so it is kept only in the pointwise ``gradient`` operator.
-    """
-    d = _diff_matrix_1d(x).tolil()
-    n = x.size
-    d.rows[0], d.data[0] = [0, 1], [-1.0 / (x[1] - x[0]), 1.0 / (x[1] - x[0])]
-    d.rows[n - 1], d.data[n - 1] = (
-        [n - 2, n - 1],
-        [-1.0 / (x[-1] - x[-2]), 1.0 / (x[-1] - x[-2])],
-    )
-    return d.tocsr()
+    T = np.zeros((5, x.size))
+    h = np.diff(x)
+    hd, hs = h[:-1], h[1:]
+    uniform = np.abs(hs - hd) <= 8.0 * np.spacing(np.max(np.abs(x)))
+    den = hs * hd * (hd + hs)
+    T[1, 1:-1] = np.where(uniform, -1.0 / (hs + hd), -hs * hs / den)
+    T[2, 1:-1] = np.where(uniform, 0.0, (hs * hs - hd * hd) / den)
+    T[3, 1:-1] = np.where(uniform, 1.0 / (hs + hd), hd * hd / den)
+    if pairing:
+        T[2:4, 0] = -1.0 / h[0], 1.0 / h[0]
+        T[1:3, -1] = -1.0 / h[-1], 1.0 / h[-1]
+    else:
+        (h1, h2), (hn, hm) = h[:2], h[:-3:-1]
+        T[2:, 0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)),
+                    (h1 + h2) / (h1 * h2),
+                    -h1 / (h2 * (h1 + h2)))
+        T[:3, -1] = (hn / (hm * (hn + hm)),
+                     -(hn + hm) / (hn * hm),
+                     (2 * hn + hm) / (hn * (hn + hm)))
+    return T
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -206,18 +184,19 @@ def _outer(factors: list[np.ndarray]) -> np.ndarray:
     return reduce(np.multiply.outer, factors[1:], factors[0].copy())
 
 
-def pencil_modes(K: sp.spmatrix, w: np.ndarray) -> tuple:
+def pencil_modes(band: np.ndarray, w: np.ndarray) -> tuple:
     """(lam, phi) with K phi = diag(w) phi diag(lam) and phi^T diag(w) phi
-    = I, ascending, for a symmetric banded K and positive weights w.
+    = I, ascending, for positive weights w and a symmetric banded K given
+    by its lower band, band[r, j] = K[j + r, j] (read only for j + r < n).
 
     eig_banded diagonalizes the banded diag(w)^{-1/2} K diag(w)^{-1/2}, and
     phi is its eigenvectors scaled back by diag(w)^{-1/2}.
     """
-    s = 1.0 / np.sqrt(w)
-    L = sp.tril(K).tocoo()
-    band = np.zeros((int((L.row - L.col).max()) + 1, w.size))
-    band[L.row - L.col, L.col] = s[L.row] * L.data * s[L.col]
-    lam, U = scipy.linalg.eig_banded(band, lower=True)
+    s, n = 1.0 / np.sqrt(w), w.size
+    scaled = np.zeros_like(band)
+    for r, row in enumerate(band):
+        scaled[r, :n - r] = s[r:] * row[:n - r] * s[:n - r]
+    lam, U = scipy.linalg.eig_banded(scaled, lower=True)
     return lam, s[:, None] * U
 
 
@@ -312,31 +291,55 @@ class CylinderGrid:
             self._cache[key] = build()
         return self._cache[key]
 
-    def diff_1d(self, axis: int) -> sp.csr_matrix:
-        return self._cached(("diff1d", axis),
-                            lambda: _diff_matrix_1d(self.axes[axis]))
+    def stencil_table(self, axis: int, pairing: bool = False) -> np.ndarray:
+        """The axis's (5, n) table T[a + 2, k] = D[k, k + a] of the
+        pointwise or pairing first difference D (see _stencil_rows)."""
+        return self._cached(("table", axis, bool(pairing)),
+                            lambda: _stencil_rows(self.axes[axis], pairing))
 
-    def pairing_diff_1d(self, axis: int) -> sp.csr_matrix:
-        return self._cached(("pdiff1d", axis),
-                            lambda: _pairing_diff_matrix_1d(self.axes[axis]))
-
-    def _tensor_gradient(self, diff) -> list[sp.csr_matrix]:
-        """One Kronecker product per axis: diff(axis) in that slot,
-        identities elsewhere."""
-        eye = [sp.identity(a.size, format="csr") for a in self.axes]
-        return [reduce(lambda A, B: sp.kron(A, B, format="csr"),
-                       eye[:k] + [diff(k)] + eye[k + 1:])
-                for k in range(len(self.axes))]
+    def _flat_gradient(self, pairing: bool) -> list[sp.csr_matrix]:
+        """One CSR operator per axis, read off its stencil table T: row i
+        holds T[a + 2, k] at column i + a·stride (k the node's index on the
+        axis), columns ascending; zero weights are not stored."""
+        n = self.n_nodes
+        rows = np.arange(n)
+        ops = []
+        for axis, size in enumerate(self.shape):
+            stride = int(np.prod(self.shape[axis + 1:]))
+            T = self.stencil_table(axis, pairing).T
+            k1, a1 = np.nonzero(T)          # the 1D entries, row by row
+            start1 = np.searchsorted(k1, np.arange(size + 1))
+            k = rows // stride % size
+            counts = np.diff(start1)[k]
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+            # entry e of row i copies 1D entry start1[k] + e - indptr[i]
+            src = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - start1[k],
+                                                    counts)
+            indices = np.repeat(rows, counts) + ((a1 - 2) * stride)[src]
+            ops.append(sp.csr_matrix((T[k1, a1][src], indices, indptr),
+                                     shape=(n, n)))
+        return ops
 
     def gradient_operators(self) -> list[sp.csr_matrix]:
         """Sparse flat-vector operators, one per component (x[, z], y)."""
-        return self._cached("grad_ops",
-                            lambda: self._tensor_gradient(self.diff_1d))
+        return self._cached("grad_ops", lambda: self._flat_gradient(False))
 
     def pairing_gradient_operators(self) -> list[sp.csr_matrix]:
-        """Gradient operators for bilinear pairings (see _pairing_diff_matrix_1d)."""
-        return self._cached(
-            "pgrad_ops", lambda: self._tensor_gradient(self.pairing_diff_1d))
+        """Gradient operators for bilinear pairings (see _stencil_rows)."""
+        return self._cached("pgrad_ops", lambda: self._flat_gradient(True))
+
+    def gram_band(self, axis: int, m: np.ndarray) -> np.ndarray:
+        """(3, n) lower band of K = Dᵀ diag(m) D, D the axis's pairing
+        difference: band[r, j] = K[j + r, j] = sum over k ascending of
+        D[k, j]·(m_k·D[k, j + r]), scipy's sparse product bit for bit."""
+        lo, mid, hi = self.stencil_table(axis, pairing=True)[1:4]
+        band = np.zeros((3, m.size))
+        band[0] = mid * (m * mid)
+        band[0, 1:] = hi[:-1] * (m[:-1] * hi[:-1]) + band[0, 1:]
+        band[0, :-1] += lo[1:] * (m[1:] * lo[1:])
+        band[1, :-1] = mid[:-1] * (m[:-1] * hi[:-1]) + lo[1:] * (m[1:] * mid[1:])
+        band[2, :-2] = lo[1:-1] * (m[1:-1] * hi[1:-1])
+        return band
 
     def axis_weights(self, axis: int) -> np.ndarray:
         return self._cached(("w1d", axis),
@@ -350,12 +353,13 @@ class CylinderGrid:
         """(lam, phi) with K phi = W phi diag(lam) and phi^T W phi = I.
 
         K = D^T W D is the pairing stiffness of cross-section axis ``axis``
-        (D its pairing difference, W = diag of its trapezoid weights):
-        the discrete Neumann eigenmodes of that axis, ascending.
+        (D its pairing difference, W = diag of its trapezoid weights; band
+        gram_band(axis, w)): the discrete Neumann eigenmodes of that axis,
+        ascending.
         """
         def build():
-            D, w = self.pairing_diff_1d(axis), self.axis_weights(axis)
-            return pencil_modes(D.T @ sp.diags(w) @ D, w)
+            w = self.axis_weights(axis)
+            return pencil_modes(self.gram_band(axis, w), w)
         return self._cached(("modes", axis), build)
 
     def _omega_weights(self) -> list[np.ndarray]:

@@ -22,11 +22,11 @@ The energy matrix has one sparsity pattern per grid, whatever the state:
 each G_c is I x D_c x I with at most three entries per row of the 1D
 difference D_c, so row i couples node i only to i + s e_c + t e_d
 (s, t in {-1, 0, 1}).  ``EnergyLayout``, built once per grid and cached
-on it, holds that pattern as CSR arrays.  An assembly multiplies 1D-table
-planes by shifted weight planes, one value plane per offset, and fills
-``data`` with one gather; no sparse product runs.  The Dirichlet-pinned
-pattern and the free blocks below a y index are cached gathers of those
-values.
+on it, holds that pattern as CSR arrays.  An assembly multiplies planes of
+the grid's pairing stencil tables by shifted weight planes, one value
+plane per offset, and fills ``data`` with one gather; no sparse product
+runs.  The Dirichlet-pinned pattern and the free blocks below a y index
+are cached gathers of those values.
 
 Gradient magnitudes feeding the eta/|eta| factor are regularized as
 sqrt(|g|^2 + eps^2) with eps = 1e-10 whenever the model has genuine
@@ -114,15 +114,6 @@ def weak_residual_vector(u: CylinderField, model: CoefficientModel,
     return r
 
 
-def _stencil_table(D: sp.csr_matrix) -> np.ndarray:
-    """(3, n) table T of a 1D difference matrix with at most three entries
-    per row, k - 1 to k + 1: T[a + 1, k] = D[k, k + a], 0 where not stored."""
-    coo = D.tocoo()
-    T = np.zeros((3, D.shape[0]))
-    T[coo.col - coo.row + 1, coo.row] = coo.data
-    return T
-
-
 def _at(t: np.ndarray, shift: int) -> np.ndarray:
     """t read at i - shift: out[i] = t[i - shift], 0 outside t."""
     out = np.zeros_like(t)
@@ -151,10 +142,11 @@ class EnergyLayout:
     fill it, pin its top rows and cut its free block.
 
     Every G_c is I x D_c x I, and each row of the 1D pairing difference D_c
-    has its entries at k - 1, k, k + 1 at most.  So G_c^T diag(w) G_d
-    couples node k + a e_c to node k + b e_d (a, b in {-1, 0, 1}) with the
-    coefficient D_c[k_c, k_c + a] D_d[k_d, k_d + b] w[k]: a 1D-table
-    product times the weight at k.  A "slot" is one (c, d, a, b) with its
+    has its entries at k - 1, k, k + 1 at most: rows 1 to 3 of the grid's
+    pairing stencil table.  So G_c^T diag(w) G_d couples node k + a e_c to
+    node k + b e_d (a, b in {-1, 0, 1}) with the coefficient
+    D_c[k_c, k_c + a] D_d[k_d, k_d + b] w[k]: a 1D-table product times the
+    weight at k.  A "slot" is one (c, d, a, b) with its
     table product as a broadcastable plane.  Only the pairs c <= d are
     slotted, and each slot writes the one of its entry and the entry's
     mirror that lies in the upper triangle.  Slots with the same flat
@@ -182,7 +174,8 @@ class EnergyLayout:
         ndim = len(shape)
         self.n, self.ny = grid.n_nodes, grid.ny
         strides = [int(np.prod(shape[k + 1:])) for k in range(ndim)]
-        tables = [_stencil_table(grid.pairing_diff_1d(c)) for c in range(ndim)]
+        tables = [grid.stencil_table(c, pairing=True)[1:4]
+                  for c in range(ndim)]
 
         # The entry of (c, d, a, b) runs from k + a e_c to k + b e_d, a flat
         # offset f = b stride_d - a stride_c.  For f >= 0 its row is
@@ -407,8 +400,9 @@ def separable_factors(u: CylinderField, model: CoefficientModel, reaction,
 
     with W_m, K_k the trapezoid weights and pairing stiffness of cross-section
     axis k (see CylinderGrid.cross_section_modes), M_y = diag(m_y) for
-    m_y = y_weights(theta) * mean a, and the pentadiagonal sparse
-    K_y = D_y^T M_y D_y - mean f' e_0 e_0^T + diag(y_weights(0) * mean g_u).
+    m_y = y_weights(theta) * mean a, and the lower band (gram_band plus a
+    diagonal) of K_y = D_y^T M_y D_y - mean f' e_0 e_0^T
+    + diag(y_weights(0) * mean g_u).
     exact is True when the model has no rank-one term and those three are
     each equal across the cross-section (exactly, no tolerance); their
     common values then stand in for the means, so the sum is
@@ -427,13 +421,11 @@ def separable_factors(u: CylinderField, model: CoefficientModel, reaction,
                  or any(np.any(v != v[0]) for v in varying))
     a_y, fp_0, *gu_y = [v[0] if exact else v.mean(axis=0) for v in varying]
     m_y = grid.y_weights(state["theta"]) * a_y
-    D = grid.pairing_diff_1d(grid.n_components - 1)
-    K_y = D.T @ sp.diags(m_y) @ D
-    zero_order = np.zeros(grid.ny)
-    zero_order[0] = -fp_0
-    if gu_y:
-        zero_order += grid.y_weights(0.0) * gu_y[0]
-    return m_y, (K_y + sp.diags(zero_order)).tocsr(), exact
+    zero_order = grid.y_weights(0.0) * gu_y[0] if gu_y else np.zeros(grid.ny)
+    zero_order[0] -= fp_0
+    K_y = grid.gram_band(grid.n_components - 1, m_y)
+    K_y[0] += zero_order
+    return m_y, K_y, exact
 
 
 def energy_quadrature(u: CylinderField, model: CoefficientModel, reaction,

@@ -172,28 +172,29 @@ def _newton_system(u: CylinderField, model, reaction, top_bc) -> tuple:
 
     One coefficient state serves both.  A is assembled on the grid's
     cached forms.EnergyLayout.  A pinned top slice is cut from the y
-    factors and has unit rows in A: the layout's pinned pattern, which
-    stores only the unit diagonal in the top rows, filled by one cached
-    boolean gather of the assembled values.
+    factors (K_y's band loses its last column) and has unit rows in A: the
+    layout's pinned pattern, which stores only the unit diagonal in the
+    top rows, filled by one cached boolean gather of the assembled values.
     """
     state = forms.coefficient_state(u, model)
     A = forms.assemble_energy_matrix(u, model, reaction, state=state)
     m_y, K_y, exact = forms.separable_factors(u, model, reaction, state)
     if top_bc[0] == "dirichlet":
         A = forms.energy_layout(u.grid, model.has_t_dependence).pinned(A)
-        m_y, K_y = m_y[:-1], K_y[:-1, :-1]
+        m_y, K_y = m_y[:-1], K_y[:, :-1]
     return A, (u.grid, m_y, K_y, exact)
 
 
 def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
-                      K_y: sp.csr_matrix) -> Callable:
+                      K_y: np.ndarray) -> Callable:
     """Diagonalize the Kronecker sum of forms.separable_factors once, by
     fast diagonalization (Lynch, Rice & Thomas 1964), and return its solve.
 
-    The sum acts on the free nodes, those below y index m_y.size.  (lam, Phi)
-    are the W-orthonormal modes of every cross-section axis
-    (CylinderGrid.cross_section_modes) and (mu, V) the M_y-orthonormal
-    eigenpairs of K_y V = M_y V diag(mu) (cylinder.pencil_modes).  Then
+    The sum acts on the free nodes, those below y index m_y.size, and K_y
+    is the lower band of its y stiffness.  (lam, Phi) are the W-orthonormal
+    modes of every cross-section axis (CylinderGrid.cross_section_modes)
+    and (mu, V) the M_y-orthonormal eigenpairs of K_y V = M_y V diag(mu)
+    (cylinder.pencil_modes).  Then
 
         A^{-1} = (Phi x V) diag(1 / (lam + mu)) (Phi x V)^T,
 

@@ -1,5 +1,7 @@
 """Grids, quadrature weights, and discrete gradients on the half-cylinder."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,12 +18,68 @@ from cylreact.cylinder import (
     integrate,
     pencil_modes,
     weighted_y_weights,
-    _diff_matrix_1d,
-    _pairing_diff_matrix_1d,
     _trapezoid_weights,
 )
 
 PI = np.pi
+
+
+# -- reference constructions of the 1D differences ----------------------------
+
+def _diff_matrix_1d(x):
+    """The pointwise difference, row by row: three-point one-sided boundary
+    rows, centered interior rows with no stored centre where the two
+    spacings agree to round-off."""
+    n = x.size
+    roundoff = 8.0 * np.spacing(np.max(np.abs(x)))
+    rows, cols, vals = [], [], []
+    h1, h2 = x[1] - x[0], x[2] - x[1]
+    rows += [0, 0, 0]
+    cols += [0, 1, 2]
+    vals += [-(2 * h1 + h2) / (h1 * (h1 + h2)),
+             (h1 + h2) / (h1 * h2),
+             -h1 / (h2 * (h1 + h2))]
+    for i in range(1, n - 1):
+        hd = x[i] - x[i - 1]
+        hs = x[i + 1] - x[i]
+        if abs(hs - hd) <= roundoff:
+            rows += [i, i]
+            cols += [i - 1, i + 1]
+            vals += [-1.0 / (hs + hd), 1.0 / (hs + hd)]
+        else:
+            den = hs * hd * (hd + hs)
+            rows += [i, i, i]
+            cols += [i - 1, i, i + 1]
+            vals += [-hs * hs / den, (hs * hs - hd * hd) / den, hd * hd / den]
+    hn, hm = x[-1] - x[-2], x[-2] - x[-3]
+    rows += [n - 1, n - 1, n - 1]
+    cols += [n - 1, n - 2, n - 3]
+    vals += [(2 * hn + hm) / (hn * (hn + hm)),
+             -(hn + hm) / (hn * hm),
+             hn / (hm * (hn + hm))]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _pairing_diff_matrix_1d(x):
+    """The pairing difference: the pointwise one with two-point boundary
+    rows, edited in LIL format."""
+    d = _diff_matrix_1d(x).tolil()
+    n = x.size
+    d.rows[0], d.data[0] = [0, 1], [-1.0 / (x[1] - x[0]), 1.0 / (x[1] - x[0])]
+    d.rows[n - 1], d.data[n - 1] = (
+        [n - 2, n - 1],
+        [-1.0 / (x[-1] - x[-2]), 1.0 / (x[-1] - x[-2])],
+    )
+    return d.tocsr()
+
+
+def _dense_1d(grid, axis, pairing):
+    """The axis's 1D difference as a dense matrix, read off its stencil
+    table: T[a + 2, k] = D[k, k + a]."""
+    T = grid.stencil_table(axis, pairing)
+    n = T.shape[1]
+    return sum(np.diag(T[a + 2, max(0, -a):n - max(0, a)], a)
+               for a in range(-2, 3))
 
 
 def _interval_grid(nx=17, ny=17, y_max=2.0, grading=0.0):
@@ -94,7 +152,7 @@ def test_pairing_summation_by_parts():
     # pairing derivative D and weights w satisfy (Du, v)_w + (u, Dv)_w
     # = boundary product exactly on uniform grids
     g = _interval_grid(nx=23, ny=9)
-    D = g.pairing_diff_1d(0)
+    D = _dense_1d(g, 0, pairing=True)
     w = g.axis_weights(0)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(23)
@@ -129,18 +187,20 @@ _SPARSITY_GRIDS = {
 
 
 @pytest.mark.parametrize("name", sorted(_SPARSITY_GRIDS))
-@pytest.mark.parametrize("diff", ["diff_1d", "pairing_diff_1d"])
-def test_interior_rows_store_the_stencil(name, diff):
+@pytest.mark.parametrize("pairing", [pytest.param(False, id="diff_1d"),
+                                     pytest.param(True, id="pairing_diff_1d")])
+def test_interior_rows_store_the_stencil(name, pairing):
     # on a uniform axis the centre weight is zero and is not stored, and
     # the two outer weights cancel on constants; a graded y axis keeps it
     g = _SPARSITY_GRIDS[name]()
-    for axis in range(g.n_components):
+    ops = g.pairing_gradient_operators() if pairing else g.gradient_operators()
+    for axis, G in enumerate(ops):
         uniform = axis < g.n_components - 1 or g.grading == 0.0
-        D = getattr(g, diff)(axis)
-        counts = np.diff(D.indptr)[1:-1]
-        assert np.all(counts == (2 if uniform else 3)), (axis, counts)
+        counts = np.moveaxis(np.diff(G.indptr).reshape(g.shape), axis, 0)
+        assert np.all(counts[1:-1] == (2 if uniform else 3)), axis
         if uniform:
-            assert np.all((D @ np.ones(D.shape[0]))[1:-1] == 0.0)
+            ones = (G @ np.ones(g.n_nodes)).reshape(g.shape)
+            assert np.all(np.moveaxis(ones, axis, 0)[1:-1] == 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(_SPARSITY_GRIDS))
@@ -152,8 +212,8 @@ def test_operators_match_the_three_point_formula(name):
         R = _three_point(x)
         f = np.sin(1.3 * x) + 0.5 * x
         scale = (np.abs(R) @ np.abs(f))[1:-1]
-        for D in (g.diff_1d(axis), g.pairing_diff_1d(axis)):
-            err = ((D @ f) - R @ f)[1:-1]
+        for pairing in (False, True):
+            err = ((_dense_1d(g, axis, pairing) @ f) - R @ f)[1:-1]
             assert np.all(np.abs(err) <= 1e-13 * scale)
 
 
@@ -220,9 +280,19 @@ def test_graded_coordinates_monotone(grading, ny):
 def _assert_same_csr(A, B):
     assert A.format == B.format == "csr"
     assert A.shape == B.shape
-    np.testing.assert_array_equal(A.indptr, B.indptr)
-    np.testing.assert_array_equal(A.indices, B.indices)
-    np.testing.assert_array_equal(A.data, B.data)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b)
+
+
+def _explicit_kron(g, diff_1d):
+    """One Kronecker product per axis of the reference 1D difference in
+    that slot and identities elsewhere."""
+    eye = [sp.identity(a.size, format="csr") for a in g.axes]
+    return [reduce(lambda A, B: sp.kron(A, B, format="csr"),
+                   eye[:k] + [diff_1d(x)] + eye[k + 1:])
+            for k, x in enumerate(g.axes)]
 
 
 @pytest.mark.parametrize("diff_1d, method", [
@@ -245,6 +315,44 @@ def test_rectangle_operators_match_explicit_kron(diff_1d, method):
     assert len(ops) == 3
     for G, R in zip(ops, reference):
         _assert_same_csr(G, R)
+
+
+_KRON_GRIDS = {
+    "graded-129": lambda: _interval_grid(nx=129, ny=129, grading=0.5),
+    "flat-257": _SPARSITY_GRIDS["interval-257"],
+    "graded-rectangle": lambda: build_grid(
+        DomainSpec.rectangle(-1.0, 2.5, 0.1, 3.7), nx=33, ny=17, y_max=3.0,
+        nz=65, grading=0.7),
+    "graded-rectangle-small": lambda: build_grid(
+        DomainSpec.rectangle(0.0, PI, 0.0, 2 * PI), nx=9, ny=11, y_max=2.0,
+        nz=7, grading=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KRON_GRIDS))
+def test_flat_operators_match_explicit_kron(name):
+    # the operators built from the stencil tables store the same CSR
+    # arrays, dtypes included, as the Kronecker products of the row loops
+    g = _KRON_GRIDS[name]()
+    for diff_1d, ops in ((_diff_matrix_1d, g.gradient_operators()),
+                         (_pairing_diff_matrix_1d,
+                          g.pairing_gradient_operators())):
+        for G, R in zip(ops, _explicit_kron(g, diff_1d)):
+            _assert_same_csr(G, R)
+
+
+@pytest.mark.parametrize("grading", [0.0, 0.5], ids=["uniform", "graded"])
+def test_gram_band_matches_the_sparse_product(grading):
+    # the band of D^T diag(m) D for random positive m, bit for bit against
+    # scipy's product of the row-loop pairing difference
+    g = _interval_grid(nx=9, ny=41, grading=grading)
+    m = np.random.default_rng(6).uniform(0.1, 3.0, g.ny)
+    D = _pairing_diff_matrix_1d(g.y_nodes)
+    L = sp.tril(D.T @ sp.diags(m) @ D).tocoo()
+    ref = np.zeros((3, g.ny))
+    ref[L.row - L.col, L.col] = L.data
+    band = g.gram_band(g.n_components - 1, m)
+    assert np.array_equal(band, ref)
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.5])
@@ -371,10 +479,12 @@ def test_domain_spec_from_json_dict_rejects(data):
                          ids=["x", "graded-y"])
 def test_pencil_modes_match_the_dense_generalized_eigensolve(axis, theta):
     grid = _interval_grid(nx=33, ny=41, grading=0.5)
-    D = grid.pairing_diff_1d(axis)
+    D = _pairing_diff_matrix_1d(grid.axes[axis])
     w = grid.axis_weights(0) if axis == 0 else grid.y_weights(theta)
     K = D.T @ sp.diags(w) @ D + sp.diags(np.linspace(0.0, 1.0, w.size))
-    lam, phi = pencil_modes(K, w)
+    band = grid.gram_band(axis, w)
+    band[0] += np.linspace(0.0, 1.0, w.size)
+    lam, phi = pencil_modes(band, w)
     ref = scipy.linalg.eigh(K.toarray(), np.diag(w), eigvals_only=True)
     scale = np.abs(ref).max()
     assert np.all(np.diff(lam) >= 0.0)

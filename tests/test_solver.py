@@ -336,14 +336,24 @@ def test_separable_presets_converge_without_lu(kind, n):
     assert rep.stats["separable_solves"] == rep.newton_iterations
 
 
+def _band_matrix(band):
+    """The symmetric sparse matrix whose lower band is ``band``
+    (band[r, j] = K[j + r, j]; entries past the last row are not read)."""
+    n = band.shape[1]
+    lower = [band[r, :n - r] for r in range(band.shape[0])]
+    offsets = list(range(band.shape[0]))
+    return sp.diags(lower + lower[1:], [-r for r in offsets] + offsets[1:],
+                    format="csr")
+
+
 def _kronecker_sum(grid, m_y, K_y):
     """The assembled sum of forms.separable_factors on the free nodes:
-    sum_k (x_{m != k} W_m) x K_k x M_y  +  (x_m W_m) x K_y."""
+    sum_k (x_{m != k} W_m) x K_k x M_y  +  (x_m W_m) x K_y, for K_y given
+    by its lower band."""
     axes = range(grid.n_components - 1)
     W = [sp.diags(grid.axis_weights(k)) for k in axes]
-    K = [grid.pairing_diff_1d(k).T @ W[k] @ grid.pairing_diff_1d(k)
-         for k in axes]
-    S = reduce(sp.kron, W + [K_y])
+    K = [_band_matrix(grid.gram_band(k, grid.axis_weights(k))) for k in axes]
+    S = reduce(sp.kron, W + [_band_matrix(K_y)])
     for k in axes:
         S = S + reduce(sp.kron, [K[m] if m == k else W[m] for m in axes]
                        + [sp.diags(m_y)])
@@ -361,6 +371,39 @@ def test_separable_factor_inverts_the_kronecker_sum(kind):
     z = solver._separable_factor(grid, m_y, K_y)(r)
     assert z.shape == r.shape
     assert np.linalg.norm(z.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _sparse_y_factor(u, model, reaction):
+    """(m_y, K_y) of a y-only state and an isotropic model by sparse
+    products of the y pairing difference D (the first block of the flat
+    y operator): K_y = D^T M_y D - f' e_0 e_0^T + diag(y_weights(0) g_u)."""
+    grid = u.grid
+    state = forms.coefficient_state(u, model)
+    m_y = grid.y_weights(state["theta"]) * state["a_red"][0]
+    D = grid.pairing_gradient_operators()[-1][:grid.ny, :grid.ny]
+    zero_order = np.zeros(grid.ny)
+    zero_order[0] = -reaction.f_prime(u.values[:1, 0])[0]
+    zero_order += grid.y_weights(0.0) * reaction.g_u(grid.y_nodes,
+                                                     u.values[0])
+    return m_y, (D.T @ sp.diags(m_y) @ D + sp.diags(zero_order)).tocsr()
+
+
+def test_y_factor_is_the_band_of_the_sparse_product():
+    # the Neumann y factor is the lower band of the sparse construction,
+    # and the pinned one, its band with the last column dropped, that of
+    # its leading block K_y[:-1, :-1], bit for bit
+    model, reaction, grid, u, top = _separable_case(
+        "graded-power-weight-pinned")
+    m_ref, K_ref = _sparse_y_factor(u, model, reaction)
+    for bc, n in ((("neumann",), grid.ny), (top, grid.ny - 1)):
+        _, (_, m_y, K_y, exact) = solver._newton_system(u, model, reaction, bc)
+        L = sp.tril(K_ref[:n, :n]).tocoo()
+        ref = np.zeros((3, n))
+        ref[L.row - L.col, L.col] = L.data
+        assert exact and np.array_equal(m_y, m_ref[:n])
+        assert K_y.shape == (3, n)
+        for r in range(3):
+            assert np.array_equal(K_y[r, :n - r], ref[r, :n - r])
 
 
 def test_averaged_separable_factor_is_symmetric():
@@ -760,8 +803,7 @@ def test_second_assembly_reuses_the_cached_pattern():
                          ids=["rank-one", "isotropic"])
 def test_warm_assembly_runs_no_sparse_product(model, monkeypatch):
     # once the layout and its gathers are built, assembling, pinning and
-    # cutting the free block neither multiply nor add sparse matrices (the
-    # Newton system's 1D y factor still does, on ny x ny)
+    # cutting the free block neither multiply nor add sparse matrices
     import scipy.sparse._compressed as compressed
     u, model, reaction = _layout_case(model, 5, 0.5)
     grid = u.grid
@@ -784,6 +826,42 @@ def test_warm_assembly_runs_no_sparse_product(model, monkeypatch):
         sp.identity(3, format="csr") @ sp.identity(3, format="csr")
     for a, b in zip(cold, run()):
         assert np.array_equal(a.data, b.data)
+
+
+def test_cold_grid_runs_no_sparse_product(monkeypatch):
+    # a fresh grid builds its operators, cross-section modes and energy
+    # layouts and its Newton systems from its stencil tables: no sparse
+    # product or sum, Kronecker product or LIL edit runs
+    import scipy.sparse._compressed as compressed
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse construction on a cold grid")
+
+    monkeypatch.setattr(compressed._cs_matrix, "_matmul_sparse", refuse)
+    monkeypatch.setattr(compressed._cs_matrix, "_binopt", refuse)
+    monkeypatch.setattr(sp, "kron", refuse)
+    monkeypatch.setattr(sp.csr_matrix, "tolil", refuse)
+    eye = sp.identity(3, format="csr")
+    for op in (lambda: eye @ eye, lambda: eye + eye, lambda: sp.kron(eye, eye),
+               eye.tolil):
+        with pytest.raises(AssertionError, match="cold grid"):
+            op()
+    grid = build_grid(DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI), nx=9, ny=7,
+                      y_max=2.0, grading=0.5, nz=5)
+    u = CylinderField(grid, np.random.default_rng(23).standard_normal(
+        grid.shape))
+    grid.gradient_operators()
+    grid.pairing_gradient_operators()
+    for k in range(grid.n_components - 1):
+        grid.cross_section_modes(k)
+    for model in LAYOUT_MODELS:
+        forms.energy_layout(grid, model.has_t_dependence)
+        for top in (("neumann",), solver.pinned_top(u)):
+            A, (_, m_y, K_y, _) = solver._newton_system(u, model,
+                                                        ReactionSpec.cubic(),
+                                                        top)
+            assert A.shape == (grid.n_nodes,) * 2
+            solver._separable_factor(grid, m_y, K_y)
 
 
 # -- the damped-Newton loop ----------------------------------------------------
@@ -882,6 +960,50 @@ def test_newton_trace_mean_curvature_converges_at_17():
     assert rep.newton_iterations == 10
     assert rep.stats["backtracks"] == [0] * 10
     assert rep.final_residual == rep.residual_history[-1] <= 1e-12
+
+
+# -- refinement of the nonlinear states -----------------------------------------
+
+def _refinement_orders(model, grading):
+    """Observed orders of the pinned a = 1.5 state of ``model`` (f = -u - u^3
+    on (0, pi) x (0, 2), top pinned to a cos x) on nested grids n = 33, 65,
+    129: (max-norm order, bottom-trace order, the y index of the coarse
+    grid's worst node in each nested difference), from the differences of
+    successive solutions at the coarser grid's nodes (Roache 1998)."""
+    sols = []
+    for n in (33, 65, 129):
+        grid = build_grid(DomainSpec.interval(0.0, PI), nx=n, ny=n,
+                          y_max=2.0, grading=grading)
+        init = grid.field(lambda x, y: 1.5 * np.cos(x) * y / 2.0)
+        rep = solve_newton(model, ReactionSpec.cubic().shifted(1.0), grid,
+                           init, top_bc=solver.pinned_top(init))
+        assert rep.converged
+        sols.append(rep.u.values)
+    diffs = [np.abs(c - f[::2, ::2]) for c, f in zip(sols, sols[1:])]
+    full = [float(d.max()) for d in diffs]
+    bottom = [float(d[:, 0].max()) for d in diffs]
+    worst_rows = [int(d.max(axis=0).argmax()) for d in diffs]
+    return (np.log2(full[0] / full[1]), np.log2(bottom[0] / bottom[1]),
+            worst_rows)
+
+
+def test_p_laplace_state_converges_at_second_order():
+    # measured: 1.78 in max norm, 1.97 on the bottom trace
+    full, bottom, _ = _refinement_orders(
+        CoefficientModel.power_weight_p_laplace(0.0, 3.0), 0.0)
+    assert full >= 1.7 and bottom >= 1.9
+
+
+def test_mean_curvature_state_converges_at_first_order_in_max_norm():
+    # measured: 1.02 in max norm, 1.90 on the bottom trace.  The max-norm
+    # error sits in the last cell below the pinned top (row n - 2 of both
+    # coarse grids), a layer the nested grids do not resolve; the bottom
+    # trace still converges at about second order
+    full, bottom, worst_rows = _refinement_orders(
+        CoefficientModel.mean_curvature_weight(-0.5), 0.5)
+    assert 0.9 <= full <= 1.2
+    assert bottom >= 1.8
+    assert worst_rows == [31, 63]
 
 
 # -- continuation in the pinned data -------------------------------------------
