@@ -389,12 +389,14 @@ def assemble_energy_matrix(u: CylinderField, model: CoefficientModel,
 
 
 def separable_factors(u: CylinderField, model: CoefficientModel, reaction,
-                      state: dict) -> tuple:
+                      state: dict, reduce=None) -> tuple:
     """(m_y, K_y, exact): the y factors of the Kronecker sum nearest the
     energy matrix at u, and whether that sum is the energy matrix itself.
 
     The sum drops the rank-one term and replaces a_red, the bottom f'(u)
-    and g_u(y, u) by their means across the cross-section at each height:
+    and g_u(y, u) by their means across the cross-section at each height,
+    or by the list reduce(a, f', *g_u) returns: a caller's reduction of the
+    same samples (a, g_u shaped (cross-section nodes, ny), f' flat):
 
         A ~ sum_k (x_{m != k} W_m) x K_k x M_y  +  (x_m W_m) x K_y,
 
@@ -419,7 +421,10 @@ def separable_factors(u: CylinderField, model: CoefficientModel, reaction,
                                        grid.shape).reshape(-1, grid.ny))
     exact = not (model.has_t_dependence
                  or any(np.any(v != v[0]) for v in varying))
-    a_y, fp_0, *gu_y = [v[0] if exact else v.mean(axis=0) for v in varying]
+    if reduce is None:
+        def reduce(*samples):
+            return [v[0] if exact else v.mean(axis=0) for v in samples]
+    a_y, fp_0, *gu_y = reduce(*varying)
     m_y = grid.y_weights(state["theta"]) * a_y
     zero_order = grid.y_weights(0.0) * gu_y[0] if gu_y else np.zeros(grid.ny)
     zero_order[0] -= fp_0

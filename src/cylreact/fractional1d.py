@@ -24,6 +24,8 @@ memory.  No dense row block is built except by `operator_rows`.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -32,7 +34,27 @@ from scipy.linalg import (lu_factor, lu_solve, qr, qr_multiply,
                           solve_triangular, svd)
 
 from .geometry import _smoothstep
-from .stability import _returns_free_heap
+
+
+try:                     # glibc's malloc_trim; None under another C library
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
+    _MALLOC_TRIM.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+
+
+def _returns_free_heap(fn):
+    """Decorate fn to give the C heap's free pages back to the system once
+    fn has returned or raised (see the note on construct_counterexample)."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if _MALLOC_TRIM is not None:
+                _MALLOC_TRIM(0)
+    return wrapper
 
 
 class Side(Enum):

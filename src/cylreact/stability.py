@@ -16,28 +16,37 @@ within a margin ``tol`` of zero are reported as Marginal rather than
 signed; the default margin is 1e-6 times the infinity norm of the energy
 matrix.
 
-The lumped mass matrix is diagonal, so the pencil is solved exactly as the
-symmetric matrix C = M^{-1/2} A M^{-1/2}, by shift-invert Lanczos at every
-size.  The Lanczos shift sigma is taken from the ladder -1, -4, -16, ...
-and accepted once the symmetric sparse LU of C - sigma I pivots on the
-diagonal with no negative pivot.  Sylvester's law of inertia then proves
-that C has no eigenvalue below sigma, so the iteration converges to the
-lowest pairs; the same LU serves every Lanczos solve.  The proof holds up
-to the rounding of the factorization: the computed factors are those of a
-matrix within rounding of C - sigma I, so only an eigenvalue within that
-distance of sigma could be miscounted.  The residual gate checks each
-returned pair; it cannot tell whether a lower one was skipped, which is
-what the shift certificate rules out.  If no ladder shift above the
-Gershgorin lower bound is certified, the shift falls back to that bound
-minus one, which lies below the spectrum by Gershgorin's theorem alone (it
-converges in hundreds of solves, not tens).
+No matrix is factored: mu_1 is bracketed as nu <= mu_1 <= theta.
+Pointwise B(y, grad u) >= beta I, beta = a + min(0, (a_t/|grad u|_reg)
+|grad u|^2), and the weights are a tensor product, so the cross-section
+minima of beta and g_u at each height and the maximum of f' on the bottom
+give a Kronecker sum L <= A (forms.separable_factors with that reduction).
+The mass lies between W x M_lo and W x M_hi, from a's cross-section
+minimum and maximum plus the bottom term.  Cross-section modes only add
+lam_k diag(w_theta min beta) >= 0 to the constant mode's y pencil, so by
+Courant-Fischer nu is that banded pencil's lowest eigenvalue (with M_lo
+if it is negative, else M_hi), less a rounding allowance of the free
+height count times eps times the pencil's spectral norm.  theta is a
+Rayleigh quotient, so theta >= mu_1 however it was found.  LOBPCG
+(Knyazev, SIAM J. Sci. Comput. 23, 2001) finds it on the free pencil
+(A, M), from the comparison pencil's lowest pairs, preconditioned by the
+fast diagonalization (solver._separable_factor) of forms.separable_factors'
+mean sum shifted to A_mean - sigma M_mean, sigma = min(nu, 0) - 1/2.  The
+residual gate checks every returned pair.
+
+The label is Stable when nu > tol, Unstable when theta < -tol, and
+Marginal otherwise; mu_1 is reported as theta.  On an exact Kronecker sum
+(forms.separable_factors says exact) L is A and both masses are M, so the
+bracket closes to rounding and theta is the lowest eigenvalue.  On other
+states both labels are still proved, but nothing proves that theta is the
+lowest eigenvalue rather than a higher one the iteration settled on; the
+residual gate cannot tell the difference.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,56 +54,17 @@ import scipy.sparse.linalg as spla
 
 from . import forms
 from .coefficients import CoefficientModel, check_structural
-from .cylinder import CylinderField, CylinderGrid
+from .cylinder import CylinderField, CylinderGrid, pencil_modes
+from .solver import _separable_factor
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
 MARGINAL = "Marginal"
 
 EIGEN_RESIDUAL_RTOL = 1e-8
-
-# Shift-invert shifts tried in turn: -1, -4, -16, ... down to the
-# Gershgorin bound.  Every preset's mu_1 lies above -1, where the first
-# shift is certified and Lanczos converges in a few dozen solves.
-SHIFT_LADDER_START = -1.0
-SHIFT_LADDER_RATIO = 4.0
-
-
-def _load_malloc_trim():
-    """glibc's malloc_trim, or None under another C library."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return None
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
-
-
-_MALLOC_TRIM = _load_malloc_trim()
-
-
-def _returns_free_heap(fn):
-    """Decorate fn to give the C heap's free pages back to the system once
-    fn has returned and its locals are gone.
-
-    The shift-invert LU factors (SuperLU's own mallocs) and their U copy
-    are the largest blocks a classify allocates, tens of MB at 129^2 and
-    17^3.  Once glibc has freed one mmapped block of that order it serves
-    such blocks from the heap and keeps up to twice that much free heap
-    resident, and whether a freed top can be returned depends on where a
-    few small long-lived blocks happened to land.  So after the 17^3
-    classify the heap kept about 36 MB free and resident in some processes
-    and not in others, and the next 129^2 classify peaked 17 MB higher
-    there; after malloc_trim the resident set is what is still live.
-    """
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if _MALLOC_TRIM is not None:
-                _MALLOC_TRIM(0)
-    return wrapper
+# LOBPCG iteration cap.  Exact Kronecker sums start converged; the graded
+# mean-curvature 65^2, a = 2 state takes about 80 iterations.
+LOBPCG_MAXITER = 500
 
 
 class EigenSolveError(RuntimeError):
@@ -107,12 +77,16 @@ class EigenSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class StabilityForm:
-    """Energy/mass pair restricted to the free (test-space) nodes."""
+    """Energy/mass pair restricted to the free (test-space) nodes, with the
+    y factors the eigensolve reads on the free heights: ``comparison``
+    (m_b, K_L, m_lo, m_hi) and ``mean`` (m_y, K_y) (see assemble_I)."""
 
     energy_matrix: sp.csr_matrix
     mass_matrix: sp.csr_matrix
     grid: CylinderGrid
     free: np.ndarray = field(repr=False)
+    comparison: tuple = field(repr=False)
+    mean: tuple = field(repr=False)
 
     def __post_init__(self):
         for name, m in (("energy", self.energy_matrix),
@@ -142,8 +116,9 @@ class StabilityReport:
     classification: str
     tol: float
     eigen_residual: float
-    # Eigensolve telemetry (sigma, shifts_tried, fallback, lu_fill_nnz: the
-    # shift LU's stored L and U entries, operator_applications); not
+    # Eigensolve telemetry: nu (the certified lower bound on mu1),
+    # bracket_closed (mu1 - nu within twice nu's rounding allowance),
+    # lobpcg_iterations and preconditioner_applications (vectors); not
     # written to report.json.
     stats: dict = field(default_factory=dict)
 
@@ -173,7 +148,9 @@ def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
     nodes below a y index, so the energy block is the gather cached on the
     grid's forms.EnergyLayout; the assembly is symmetric bit for bit, and
     so is the block.  The mass is diagonal, and its block is its diagonal
-    on the free nodes.
+    on the free nodes.  The y factors of the comparison sum L and of
+    forms.separable_factors' mean sum, and the y mass profiles M_lo and
+    M_hi (see the module docstring), are kept cut to the free heights.
     """
     grid = u.grid
     state = _gated_state(u, model)
@@ -183,135 +160,125 @@ def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
     nf = free.size // (grid.n_nodes // grid.ny)
     A = forms.free_block(grid, A_full, nf)
     M = sp.diags(mass[free], format="csr")
-    return StabilityForm(energy_matrix=A, mass_matrix=M, grid=grid,
-                         free=free)
+    a = beta = state["a_red"]
+    if state["a_t_red"] is not None:
+        sq = sum(c * c for c in state["comps"])
+        beta = a + np.minimum(0.0, state["a_t_red"] / state["norm_reg"] * sq)
+    if not np.all(beta > 0.0):
+        raise ValueError("the linearization B is not positive definite at "
+                         "every node of the solution")
+    a, beta = (v.reshape(-1, grid.ny) for v in (a, beta))
+    m_b, K_L, _ = forms.separable_factors(
+        u, model, reaction, state,
+        reduce=lambda _, fp, *gu: [beta.min(axis=0), fp.max()]
+        + [g.min(axis=0) for g in gu])
+    w = grid.y_weights(state["theta"])
+    m_lo, m_hi = w * a.min(axis=0), w * a.max(axis=0)
+    m_lo[0] += 1.0           # the bottom mass, W x e_0 e_0^T
+    m_hi[0] += 1.0
+    m_y, K_y, _ = forms.separable_factors(u, model, reaction, state)
+    return StabilityForm(
+        energy_matrix=A, mass_matrix=M, grid=grid, free=free,
+        comparison=(m_b[:nf], K_L[:, :nf], m_lo[:nf], m_hi[:nf]),
+        mean=(m_y[:nf], K_y[:, :nf]))
 
 
-def _eigen_residual_ok(A, M, mu, vec) -> tuple[bool, float]:
-    res = float(np.linalg.norm(A @ vec - mu * (M @ vec)))
-    scale = float(spla.norm(A, np.inf)) * float(np.linalg.norm(vec))
-    return res <= EIGEN_RESIDUAL_RTOL * max(scale, 1e-300), res
-
-
-def _scaled_pencil(form: StabilityForm):
-    """(C, s): C = S A S with S = diag(s) = M^{-1/2}, symmetric CSC.
-
-    The mass matrix is diagonal, so A phi = mu M phi is exactly
-    C w = mu w with phi = S w.
+def _comparison_pairs(form: StabilityForm, k: int) -> tuple:
+    """(nu, slack, X): the comparison pencil's lowest eigenvalue nu less
+    its rounding allowance slack, and its k lowest pairs Phi_i x V_ij as
+    the columns of X.  They come from the k lowest cross-section modes, one
+    y pencil (lam_i diag(m_b) + K_L, mass) each, since a pencil's
+    eigenvalues rise with lam_i.  The lowest mode is the constant one,
+    with lam 0 exactly, and its pencil gives nu.
     """
-    s = 1.0 / np.sqrt(form.mass_matrix.diagonal())
-    C = sp.diags(s) @ form.energy_matrix @ sp.diags(s)
-    return ((C + C.T) * 0.5).tocsc(), s
-
-
-def _gershgorin_bound(C) -> float:
-    """Lower bound on the spectrum of the symmetric matrix C."""
-    row_rest = np.asarray(abs(C).sum(axis=1)).ravel() - np.abs(C.diagonal())
-    return float(np.min(C.diagonal() - row_rest))
-
-
-def _shifted(C, sigma: float):
-    return (C - sigma * sp.identity(C.shape[0], format="csc")).tocsc()
-
-
-def _factor_shifted(C, sigma: float):
-    """Symmetric-mode sparse LU of C - sigma I, or None if it is singular.
-
-    diag_pivot_thresh=0 keeps every nonzero diagonal pivot, so the row
-    permutation equals the column one unless a pivot was exactly zero.
-    """
-    try:
-        return spla.splu(_shifted(C, sigma), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
-    except RuntimeError:           # exactly singular: sigma is an eigenvalue
-        return None
-
-
-def _negative_pivots(lu) -> int | None:
-    """Number of eigenvalues of the factored symmetric matrix below zero.
-
-    When perm_r == perm_c the factorization is P (C - sigma I) P^T = L U
-    with U = D L^T, D = diag(U), so by Sylvester's law of inertia the
-    count of negative entries of D is the count of eigenvalues below
-    sigma.  None when the permutations differ and D says nothing.
-    """
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
-
-
-def _certified_shift(C):
-    """(sigma, lu, shifts_tried, fallback) for shift-invert on C.
-
-    Tries SHIFT_LADDER_START * SHIFT_LADDER_RATIO**j above the Gershgorin
-    bound and accepts the first whose factorization shows no negative
-    pivot; otherwise takes the Gershgorin bound minus one, which lies
-    below the spectrum without any check.  The floor is factored like
-    every ladder shift: C - floor I is strictly diagonally dominant with a
-    positive diagonal, so no diagonal pivot vanishes.
-    """
-    floor = _gershgorin_bound(C) - 1.0
-    tried = []
-    sigma = SHIFT_LADDER_START
-    while sigma > floor:
-        tried.append(sigma)
-        lu = _factor_shifted(C, sigma)
-        if lu is not None and _negative_pivots(lu) == 0:
-            return sigma, lu, tried, False
-        sigma *= SHIFT_LADDER_RATIO
-    tried.append(floor)
-    return floor, _factor_shifted(C, floor), tried, True
+    grid = form.grid
+    m_b, K_L, m_lo, m_hi = form.comparison
+    lams, phis = zip(*[grid.cross_section_modes(axis)
+                       for axis in range(grid.n_components - 1)])
+    lam = reduce(np.add.outer, lams)
+    modes = np.argsort(lam, axis=None, kind="stable")[:k]
+    mass = m_lo
+    mu, V = pencil_modes(K_L, mass)
+    if mu[0] >= 0.0:
+        mass = m_hi
+        mu, V = pencil_modes(K_L, mass)
+    slack = mass.size * np.finfo(float).eps * max(-mu[0], mu[-1])
+    nu = float(mu[0] - slack)
+    pairs = []               # (eigenvalue, cross-section mode, y vector)
+    for rank, flat in enumerate(modes):
+        index = np.unravel_index(flat, lam.shape)
+        if rank:
+            band = K_L.copy()
+            band[0] += lam[index] * m_b
+            mu, V = pencil_modes(band, mass)
+        phi = reduce(np.multiply.outer,
+                     [p[:, i] for p, i in zip(phis, index)]).ravel()
+        pairs += [(mu[j], phi, V[:, j]) for j in range(min(k, mu.size))]
+    pairs.sort(key=lambda pair: pair[0])
+    X = np.column_stack([np.outer(phi, v).ravel()
+                         for _, phi, v in pairs[:k]])
+    return nu, slack, X
 
 
 def _solve_pairs(form: StabilityForm, k: int):
     """(values, fields, residuals, stats) for the k smallest eigenpairs.
 
-    Shift-invert Lanczos on the scaled problem C w = mu w of
-    ``_scaled_pencil``, at the shift of ``_certified_shift``.
+    LOBPCG on (A, M) from the comparison pairs, preconditioned by the
+    shifted mean Kronecker sum (see the module docstring).  It stops once
+    every M-normalized x has ||A x - mu M x|| <= EIGEN_RESIDUAL_RTOL
+    sqrt(min M).  Then w = M^{1/2} x is a unit vector with
+    ||M^{-1/2} A M^{-1/2} w - mu w|| <= EIGEN_RESIDUAL_RTOL, so mu lies
+    within EIGEN_RESIDUAL_RTOL^2 / gap of an eigenvalue of the pencil.
     """
     if k < 1 or k >= form.dim:
         raise ValueError("need 1 <= k < dimension of the form")
     A, M = form.energy_matrix, form.mass_matrix
-    C, s = _scaled_pencil(form)
-    sigma, lu, tried, fallback = _certified_shift(C)
-    stats = {"sigma": sigma, "shifts_tried": tried, "fallback": fallback,
-             "lu_fill_nnz": int(lu.nnz), "operator_applications": 0}
+    nu, slack, X = _comparison_pairs(form, k)
+    stats = {"nu": nu, "lobpcg_iterations": 0,
+             "preconditioner_applications": 0}
 
-    def solve(x):
-        stats["operator_applications"] += 1
-        return lu.solve(x)
+    m_y, K_y = form.mean
+    sigma = min(nu, 0.0) - 0.5
+    band = K_y.copy()
+    band[0] -= sigma * m_y
+    band[0, 0] -= sigma      # the bottom mass
+    solve = _separable_factor(form.grid, m_y, band)
+    shape = form.grid.shape[:-1] + (m_y.size,)
 
-    OPinv = spla.LinearOperator(C.shape, matvec=solve, dtype=float)
-    # Fixed start vector M^{1/2} 1 (s = M^{-1/2}): positive, close to the
-    # single-signed ground state, and the same on every call, so repeated
-    # solves in one process give bit-identical pairs.
-    vals, w = spla.eigsh(C, k=k, sigma=sigma, OPinv=OPinv, v0=1.0 / s)
-    order = np.argsort(vals)
-    vals, w = vals[order], w[:, order]
-    vecs = s[:, None] * w
+    def precondition(R):
+        stats["lobpcg_iterations"] += 1
+        stats["preconditioner_applications"] += R.shape[1]
+        return np.column_stack([solve(r.reshape(shape)).ravel()
+                                for r in R.T])
+
+    mass, norm_A = M.diagonal(), float(spla.norm(A, np.inf))
+    tol = EIGEN_RESIDUAL_RTOL * float(np.sqrt(mass.min()))
+    vals, vecs = spla.lobpcg(A, X, B=M, M=precondition, tol=tol,
+                             maxiter=LOBPCG_MAXITER, largest=False)
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
     out_vals, out_fields, out_res = [], [], []
     for i in range(k):
         mu, vec = float(vals[i]), vecs[:, i]
-        norm_m = float(np.sqrt(vec @ (M @ vec)))
-        vec = vec / norm_m
-        ok, res = _eigen_residual_ok(A, M, mu, vec)
-        if not ok:
+        vec = vec / float(np.sqrt(vec @ (mass * vec)))
+        res = float(np.linalg.norm(A @ vec - mu * (mass * vec)))
+        if res > EIGEN_RESIDUAL_RTOL * max(norm_A * np.linalg.norm(vec),
+                                           1e-300):
             raise EigenSolveError(
                 f"eigenpair {i} residual {res:.3e} exceeds tolerance", res)
         out_vals.append(mu)
         out_fields.append(form.embed(vec))
         out_res.append(res)
+    stats["bracket_closed"] = bool(out_vals[0] - nu <= 2.0 * slack)
     return out_vals, out_fields, out_res, stats
 
 
-@_returns_free_heap
 def min_rayleigh(form: StabilityForm, k: int = 1):
     """k smallest eigenpairs of energy*phi = mu * mass * phi, ascending.
 
-    Mass-normalized eigenfields, from certified shift-invert Lanczos on
-    C = M^{-1/2} A M^{-1/2} (see the module docstring).  Each pair must
-    satisfy ||A phi - mu M phi|| <= 1e-8 * ||A||_inf * ||phi||.
+    Mass-normalized eigenfields, from LOBPCG on the free pencil (see the
+    module docstring).  Each pair must satisfy
+    ||A phi - mu M phi|| <= 1e-8 * ||A||_inf * ||phi||.
     """
     vals, fields, _, _ = _solve_pairs(form, k)
     return list(zip(vals, fields))
@@ -322,18 +289,20 @@ def default_tol(form: StabilityForm) -> float:
     return 1e-6 * float(spla.norm(form.energy_matrix, np.inf))
 
 
-def classify_value(mu1: float, tol: float) -> str:
-    if mu1 > tol:
+def classify_value(mu1: float, tol: float, nu: float | None = None) -> str:
+    """Stable when nu > tol, Unstable when mu1 < -tol, else Marginal, for
+    a lower bound nu on mu1 (mu1 itself when None)."""
+    if (mu1 if nu is None else nu) > tol:
         return STABLE
     if mu1 < -tol:
         return UNSTABLE
     return MARGINAL
 
 
-@_returns_free_heap
 def classify(u: CylinderField, model: CoefficientModel, reaction,
              tol: float | None = None) -> StabilityReport:
-    """Assemble I at u, compute the ground state, apply the margin rule."""
+    """Assemble I at u, bracket its lowest eigenvalue, apply the margin
+    rule to the bracket (see the module docstring)."""
     form = assemble_I(u, model, reaction)
     if tol is None:
         tol = default_tol(form)
@@ -341,9 +310,10 @@ def classify(u: CylinderField, model: CoefficientModel, reaction,
         raise ValueError("tol must be positive")
     vals, fields, residuals, stats = _solve_pairs(form, k=1)
     mu1, ground = vals[0], fields[0]
-    return StabilityReport(mu1=mu1, ground_state=ground,
-                           classification=classify_value(mu1, tol),
-                           tol=tol, eigen_residual=residuals[0], stats=stats)
+    return StabilityReport(
+        mu1=mu1, ground_state=ground,
+        classification=classify_value(mu1, tol, nu=stats["nu"]),
+        tol=tol, eigen_residual=residuals[0], stats=stats)
 
 
 def form_J(u: CylinderField, model: CoefficientModel,

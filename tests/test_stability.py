@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from cylreact import forms, presets, solver, stability
+from cylreact import forms, fractional1d, presets, solver, stability
 from cylreact.coefficients import CoefficientModel
-from cylreact.cylinder import CylinderField
+from cylreact.cylinder import CylinderField, DomainSpec, build_grid
 
 
 def _preset_state(name, nx=33, ny=33):
@@ -176,9 +178,54 @@ def test_form_J_nonnegative_for_mean_curvature():
         assert stability.form_J(u, model, phi) >= 0.0
 
 
+# -- the LU inertia oracle ----------------------------------------------------
+# Reference code: classify factors nothing, so these tests prove "lowest"
+# the way it did before, by Sylvester's law of inertia on a sparse LU.
+
+def _scaled_pencil(form):
+    """(C, s): C = S A S with S = diag(s) = M^{-1/2}, symmetric CSC, so
+    A phi = mu M phi is exactly C w = mu w with phi = S w."""
+    s = 1.0 / np.sqrt(form.mass_matrix.diagonal())
+    C = sp.diags(s) @ form.energy_matrix @ sp.diags(s)
+    return ((C + C.T) * 0.5).tocsc(), s
+
+
+def _factor_shifted(C, sigma):
+    """Symmetric-mode sparse LU of C - sigma I.  diag_pivot_thresh=0 keeps
+    every nonzero diagonal pivot, so the row permutation equals the column
+    one unless a pivot was exactly zero."""
+    shifted = (C - sigma * sp.identity(C.shape[0], format="csc")).tocsc()
+    return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def _negative_pivots(lu):
+    """Eigenvalues of the factored symmetric matrix below zero: with
+    perm_r == perm_c, P (C - sigma I) P^T = L D L^T and D = diag(U)."""
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
 def _negative_pivots_at(form, sigma):
-    C, _ = stability._scaled_pencil(form)
-    return stability._negative_pivots(stability._factor_shifted(C, sigma))
+    C, _ = _scaled_pencil(form)
+    return _negative_pivots(_factor_shifted(C, sigma))
+
+
+def _oracle_mu1(form):
+    """mu1 by shift-invert Lanczos at a shift the inertia proves below it."""
+    C, s = _scaled_pencil(form)
+    sigma = -1.0
+    while _negative_pivots(lu := _factor_shifted(C, sigma)):
+        sigma *= 4.0
+    OPinv = spla.LinearOperator(C.shape, matvec=lu.solve, dtype=float)
+    vals = spla.eigsh(C, k=1, sigma=sigma, OPinv=OPinv, v0=1.0 / s,
+                      return_eigenvectors=False)
+    return float(vals[0])
+
+
+def _below(theta):
+    """A shift just below theta, by more than LOBPCG's eigenvalue error."""
+    return theta - 1e-8 * max(1.0, abs(theta))
 
 
 @pytest.mark.parametrize("name, n", [
@@ -187,16 +234,19 @@ def _negative_pivots_at(form, sigma):
     pytest.param("decay-cos-unstable", 17, id="decay-cos-unstable-17"),
 ])
 def test_certified_shift_lies_below_mu1_above_dense_limit(name, n):
+    # the certified lower bound nu is a shift below mu1: the oracle LU at
+    # nu, and just below theta, has no negative pivot.  These states are
+    # exact Kronecker sums, so the bracket closes.
     p, grid, u = _preset_state(name, nx=n, ny=n)
     model, reaction = p.model_factory(), p.reaction_factory()
     form = stability.assemble_I(u, model, reaction)
     rep = stability.classify(u, model, reaction)
     stats = rep.stats
-    assert stats["fallback"] is False
-    assert stats["shifts_tried"] == [stats["sigma"]]
-    assert 0 < stats["operator_applications"] < 100
-    assert stats["sigma"] < rep.mu1
-    assert _negative_pivots_at(form, stats["sigma"]) == 0
+    assert stats["bracket_closed"] is True
+    assert stats["nu"] <= rep.mu1
+    assert 0 <= stats["lobpcg_iterations"] < 100
+    assert _negative_pivots_at(form, stats["nu"]) == 0
+    assert _negative_pivots_at(form, _below(rep.mu1)) == 0
     # the pivot count is the inertia: exactly one eigenvalue lies below a
     # shift between mu1 and mu2
     (mu1, _), (mu2, _) = stability.min_rayleigh(form, k=2)
@@ -204,53 +254,90 @@ def test_certified_shift_lies_below_mu1_above_dense_limit(name, n):
     assert _negative_pivots_at(form, 0.5 * (mu1 + mu2)) == 1
 
 
-def test_shift_lu_fill_is_reported():
-    # the stored L and U entries of the certified shift's LU: 81 918 at
-    # 49^2, 212 568 when uniform axes stored round-off centre weights
-    p, grid, u = _preset_state("decay-cos-unstable", nx=49, ny=49)
-    model, reaction = p.model_factory(), p.reaction_factory()
-    rep = stability.classify(u, model, reaction)
-    C, _ = stability._scaled_pencil(stability.assemble_I(u, model, reaction))
-    lu = stability._factor_shifted(C, rep.stats["sigma"])
-    assert rep.stats["lu_fill_nnz"] == lu.nnz <= 1.0e5
-
-
-def test_shift_ladder_steps_below_minus_one():
-    # a steep linear boundary reaction pushes mu1 to about -3.2
+def test_steep_reaction_matches_dense():
+    # a steep linear boundary reaction pushes mu1 to about -3.2, below the
+    # preconditioner's shift of -1/2
     p, grid, u = _preset_state("grow-cos-stable")
     form = stability.assemble_I(u, p.model_factory(),
                                 solver.ReactionSpec.linear(5.0))
     vals, _, _, stats = stability._solve_pairs(form, 3)
     assert vals[0] < -1.0
-    assert stats["shifts_tried"] == [-1.0, -4.0]
-    assert stats["sigma"] == -4.0 and stats["fallback"] is False
+    assert stats["nu"] <= vals[0] and stats["bracket_closed"] is True
     for mu_s, mu_d in zip(vals, _dense_reference(form, 3)):
         assert mu_s == pytest.approx(mu_d, rel=1e-8)
 
 
-def test_gershgorin_fallback_when_no_shift_is_certified(monkeypatch):
-    p, grid, u = _preset_state("decay-cos-unstable", nx=49, ny=49)
-    model, reaction = p.model_factory(), p.reaction_factory()
-    certified = stability.classify(u, model, reaction)
-    monkeypatch.setattr(stability, "_negative_pivots", lambda lu: None)
-    fallback = stability.classify(u, model, reaction)
-    assert fallback.stats["fallback"] is True
+def _p_laplace_3d(n):
+    """p = 3, f = -u - u^3 on (0, pi)^2 x (0, 2), the top pinned to
+    1.5 cos x cos z, solved from 1.5 cos x cos z y / 2."""
+    model = CoefficientModel.power_weight_p_laplace(0.0, 3.0)
+    grid = build_grid(DomainSpec.rectangle(0.0, np.pi, 0.0, np.pi),
+                      nx=n, ny=n, y_max=2.0)
+    init = grid.field(lambda x, z, y: 1.5 * np.cos(x) * np.cos(z) * y / 2.0)
+    reaction = solver.ReactionSpec.cubic().shifted(1.0)
+    report = solver.solve_newton(model, reaction, grid, init,
+                                 top_bc=solver.pinned_top(init))
+    assert report.converged
+    return report.u, model, reaction
+
+
+def _mean_curvature_2d(n):
+    """The graded mean-curvature state (theta = -1/2), f = -u - u^3 on
+    (0, pi) x (0, 2) with the top pinned to 2 cos x; its linearization
+    carries the rank-one term."""
+    model = CoefficientModel.mean_curvature_weight(-0.5)
+    grid = build_grid(DomainSpec.interval(0.0, np.pi), nx=n, ny=n,
+                      y_max=2.0, grading=0.5)
+    init = grid.field(lambda x, y: 2.0 * np.cos(x) * y / 2.0)
+    reaction = solver.ReactionSpec.cubic().shifted(1.0)
+    report = solver.solve_newton(model, reaction, grid, init,
+                                 top_bc=solver.pinned_top(init))
+    assert report.converged
+    return report.u, model, reaction
+
+
+@pytest.fixture(scope="module")
+def p_laplace_3d():
+    return _p_laplace_3d(13)
+
+
+def test_non_separable_3d_state_is_bracketed(p_laplace_3d):
+    u, model, reaction = p_laplace_3d
+    rep = stability.classify(u, model, reaction)
+    nu = rep.stats["nu"]
+    assert rep.classification == stability.STABLE
+    assert rep.mu1 == pytest.approx(1.14625, abs=1e-5)
+    assert nu == pytest.approx(0.639, abs=1e-3)
+    assert nu <= rep.mu1 and rep.stats["bracket_closed"] is False
     form = stability.assemble_I(u, model, reaction)
-    C, _ = stability._scaled_pencil(form)
-    assert fallback.stats["sigma"] == stability._gershgorin_bound(C) - 1.0
-    assert fallback.stats["operator_applications"] > \
-        certified.stats["operator_applications"]
-    assert fallback.mu1 == pytest.approx(certified.mu1, rel=1e-8)
-    assert fallback.classification == certified.classification
-    # the floor is factored like every ladder shift (symmetric-mode MMD),
-    # not with SuperLU's COLAMD and partial pivoting (151,544 entries)
-    assert fallback.stats["lu_fill_nnz"] == certified.stats["lu_fill_nnz"] \
-        == 81918
+    assert abs(rep.mu1 - _oracle_mu1(form)) <= 1e-10
+
+
+@pytest.mark.parametrize("state", ["p-laplace-3d", "mean-curvature-17"])
+def test_non_separable_theta_is_lowest_by_the_oracle(state, p_laplace_3d):
+    # theta is not proved lowest by classify on these states; the oracle's
+    # inertia at a shift just below it shows no eigenvalue was skipped
+    u, model, reaction = (p_laplace_3d if state == "p-laplace-3d"
+                          else _mean_curvature_2d(17))
+    rep = stability.classify(u, model, reaction)
+    form = stability.assemble_I(u, model, reaction)
+    assert rep.stats["nu"] <= rep.mu1
+    assert _negative_pivots_at(form, _below(rep.mu1)) == 0
+
+
+def test_classify_runs_no_factorization(monkeypatch, p_laplace_3d):
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify called a sparse factorization")
+    monkeypatch.setattr(spla, "splu", refuse)
+    monkeypatch.setattr(spla, "eigsh", refuse)
+    for u, model, reaction in (p_laplace_3d, _mean_curvature_2d(17)):
+        rep = stability.classify(u, model, reaction)
+        assert rep.classification == stability.STABLE
 
 
 def test_shift_invert_repeats_bit_identically_in_one_process():
-    # ARPACK's own random start vector carries its seed across calls; the
-    # fixed start vector makes every call return the same pair
+    # LOBPCG starts from the comparison pairs, not from a random block, so
+    # every call returns the same pair
     p, grid, u = _preset_state("grow-cos-stable", nx=49, ny=49)
     model, reaction = p.model_factory(), p.reaction_factory()
     reports = [stability.classify(u, model, reaction) for _ in range(3)]
@@ -261,22 +348,26 @@ def test_shift_invert_repeats_bit_identically_in_one_process():
 
 
 def test_classify_returns_free_heap_after_each_call(monkeypatch):
-    # classify and min_rayleigh hand free C-heap pages back once they have
-    # returned or raised, so the resident set after one does not depend on
-    # where the allocator left its freed LU blocks
+    # classify factors nothing and leaves no LU heap behind, so it makes no
+    # trim call.  The counterexample fit hands free C-heap pages back once
+    # it has returned or raised, so the resident set after one does not
+    # depend on where the allocator left its freed blocks.
     calls = []
-    monkeypatch.setattr(stability, "_MALLOC_TRIM", calls.append)
+    monkeypatch.setattr(fractional1d, "_MALLOC_TRIM", calls.append)
     p, grid, u = _preset_state("grow-cos-stable", nx=17, ny=17)
-    model, reaction = p.model_factory(), p.reaction_factory()
-    report = stability.classify(u, model, reaction)
+    report = stability.classify(u, p.model_factory(), p.reaction_factory())
     assert report.classification == p.expected_classification
+    assert calls == []
+    first = fractional1d.construct_counterexample(np.zeros_like, 0.5,
+                                                  fit_nodes=129)
     assert calls == [0]
     with pytest.raises(ValueError):
-        stability.classify(u, model, reaction, tol=-1.0)
+        fractional1d.construct_counterexample(np.zeros_like, 1.5,
+                                              fit_nodes=129)
     assert calls == [0, 0]
-    form = stability.assemble_I(u, model, reaction)
-    (mu, _), = stability.min_rayleigh(form)
-    assert mu == pytest.approx(report.mu1, rel=1e-12)
+    again = fractional1d.construct_counterexample(np.zeros_like, 0.5,
+                                                  fit_nodes=129)
+    assert again.delta1 == pytest.approx(first.delta1, rel=1e-12)
     assert calls == [0, 0, 0]
 
 
