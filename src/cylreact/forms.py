@@ -388,49 +388,60 @@ def assemble_energy_matrix(u: CylinderField, model: CoefficientModel,
     return layout.matrix(planes)
 
 
-def separable_factors(u: CylinderField, model: CoefficientModel, reaction,
-                      state: dict, reduce=None) -> tuple:
-    """(m_y, K_y, exact): the y factors of the Kronecker sum nearest the
-    energy matrix at u, and whether that sum is the energy matrix itself.
+def separable_samples(u: CylinderField, reaction, state: dict) -> list:
+    """[a, f', g_u]: the samples the y factors of a Kronecker sum reduce
+    across the cross-section, a_red and g_u(y, u) shaped (cross-section
+    nodes, ny) and the bottom f'(u) flat; g_u only when the reaction has
+    one.  ``state`` is coefficient_state(u, model)."""
+    grid, bottom = u.grid, u.values[..., 0]
+    samples = [state["a_red"].reshape(-1, grid.ny),
+               np.broadcast_to(reaction.f_prime(bottom), bottom.shape).ravel()]
+    if reaction.g_u is not None:
+        samples.append(np.broadcast_to(reaction.g_u(state["y"], u.values),
+                                       grid.shape).reshape(-1, grid.ny))
+    return samples
 
-    The sum drops the rank-one term and replaces a_red, the bottom f'(u)
-    and g_u(y, u) by their means across the cross-section at each height,
-    or by the list reduce(a, f', *g_u) returns: a caller's reduction of the
-    same samples (a, g_u shaped (cross-section nodes, ny), f' flat):
+
+def separable_band(grid: CylinderGrid, theta: float, a_y: np.ndarray,
+                   fp_0: float, gu_y: np.ndarray | None = None) -> tuple:
+    """(m_y, K_y) of the Kronecker sum with y profiles a_y, g_u and bottom
+    f'(u) value fp_0:
 
         A ~ sum_k (x_{m != k} W_m) x K_k x M_y  +  (x_m W_m) x K_y,
 
     with W_m, K_k the trapezoid weights and pairing stiffness of cross-section
     axis k (see CylinderGrid.cross_section_modes), M_y = diag(m_y) for
-    m_y = y_weights(theta) * mean a, and the lower band (gram_band plus a
-    diagonal) of K_y = D_y^T M_y D_y - mean f' e_0 e_0^T
-    + diag(y_weights(0) * mean g_u).
-    exact is True when the model has no rank-one term and those three are
-    each equal across the cross-section (exactly, no tolerance); their
-    common values then stand in for the means, so the sum is
-    assemble_energy_matrix's matrix.  ``state`` is
-    coefficient_state(u, model).
+    m_y = y_weights(theta) * a_y, and the lower band (gram_band plus a
+    diagonal) of K_y = D_y^T M_y D_y - fp_0 e_0 e_0^T
+    + diag(y_weights(0) * gu_y).
     """
-    grid = u.grid
-    a = state["a_red"].reshape(-1, grid.ny)
-    bottom = u.values[..., 0]
-    fp = np.broadcast_to(reaction.f_prime(bottom), bottom.shape).ravel()
-    varying = [a, fp]
-    if reaction.g_u is not None:
-        varying.append(np.broadcast_to(reaction.g_u(state["y"], u.values),
-                                       grid.shape).reshape(-1, grid.ny))
-    exact = not (model.has_t_dependence
-                 or any(np.any(v != v[0]) for v in varying))
-    if reduce is None:
-        def reduce(*samples):
-            return [v[0] if exact else v.mean(axis=0) for v in samples]
-    a_y, fp_0, *gu_y = reduce(*varying)
-    m_y = grid.y_weights(state["theta"]) * a_y
-    zero_order = grid.y_weights(0.0) * gu_y[0] if gu_y else np.zeros(grid.ny)
+    m_y = grid.y_weights(theta) * a_y
+    zero_order = (grid.y_weights(0.0) * gu_y if gu_y is not None
+                  else np.zeros(grid.ny))
     zero_order[0] -= fp_0
     K_y = grid.gram_band(grid.n_components - 1, m_y)
     K_y[0] += zero_order
-    return m_y, K_y, exact
+    return m_y, K_y
+
+
+def separable_factors(u: CylinderField, model: CoefficientModel, reaction,
+                      state: dict) -> tuple:
+    """(m_y, K_y, exact): the y factors of the Kronecker sum nearest the
+    energy matrix at u, and whether that sum is the energy matrix itself.
+
+    The sum (separable_band) drops the rank-one term and replaces a_red,
+    the bottom f'(u) and g_u(y, u) (separable_samples) by their means
+    across the cross-section at each height.  exact is True when the model
+    has no rank-one term and those three are each equal across the
+    cross-section (exactly, no tolerance); their common values then stand
+    in for the means, so the sum is assemble_energy_matrix's matrix.
+    ``state`` is coefficient_state(u, model).
+    """
+    samples = separable_samples(u, reaction, state)
+    exact = not (model.has_t_dependence
+                 or any(np.any(v != v[0]) for v in samples))
+    profiles = [v[0] if exact else v.mean(axis=0) for v in samples]
+    return *separable_band(u.grid, state["theta"], *profiles), exact
 
 
 def energy_quadrature(u: CylinderField, model: CoefficientModel, reaction,

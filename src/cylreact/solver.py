@@ -185,6 +185,16 @@ def _newton_system(u: CylinderField, model, reaction, top_bc) -> tuple:
     return A, (u.grid, m_y, K_y, exact)
 
 
+def cross_section_spectrum(grid: CylinderGrid) -> tuple:
+    """(lam, phis): the eigenvalues lam_i + lam_j + ... of the cross-section
+    Kronecker sum, shaped like the cross-section, and each axis's modes
+    (CylinderGrid.cross_section_modes), whose tensor products are its
+    eigenvectors."""
+    lams, phis = zip(*[grid.cross_section_modes(k)
+                       for k in range(grid.n_components - 1)])
+    return reduce(np.add.outer, lams), phis
+
+
 def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
                       K_y: np.ndarray) -> Callable:
     """Diagonalize the Kronecker sum of forms.separable_factors once, by
@@ -192,8 +202,8 @@ def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
 
     The sum acts on the free nodes, those below y index m_y.size, and K_y
     is the lower band of its y stiffness.  (lam, Phi) are the W-orthonormal
-    modes of every cross-section axis (CylinderGrid.cross_section_modes)
-    and (mu, V) the M_y-orthonormal eigenpairs of K_y V = M_y V diag(mu)
+    modes of the cross-section (cross_section_spectrum) and (mu, V) the
+    M_y-orthonormal eigenpairs of K_y V = M_y V diag(mu)
     (cylinder.pencil_modes).  Then
 
         A^{-1} = (Phi x V) diag(1 / (lam + mu)) (Phi x V)^T,
@@ -208,9 +218,8 @@ def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
     if not np.all(m_y > 0.0):
         raise np.linalg.LinAlgError("separable mass is not positive")
     mu, V = pencil_modes(K_y, m_y)
-    lams, phis = zip(*[grid.cross_section_modes(k)
-                       for k in range(grid.n_components - 1)])
-    lam_mu = reduce(np.add.outer, lams + (mu,))
+    lam, phis = cross_section_spectrum(grid)
+    lam_mu = np.add.outer(lam, mu)
     size = np.abs(lam_mu)
     inv = np.divide(1.0, lam_mu, out=np.zeros_like(lam_mu),
                     where=size > 64.0 * np.finfo(float).eps * size.max())

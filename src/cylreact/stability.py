@@ -16,31 +16,29 @@ within a margin ``tol`` of zero are reported as Marginal rather than
 signed; the default margin is 1e-6 times the infinity norm of the energy
 matrix.
 
-No matrix is factored: mu_1 is bracketed as nu <= mu_1 <= theta.
-Pointwise B(y, grad u) >= beta I, beta = a + min(0, (a_t/|grad u|_reg)
-|grad u|^2), and the weights are a tensor product, so the cross-section
-minima of beta and g_u at each height and the maximum of f' on the bottom
-give a Kronecker sum L <= A (forms.separable_factors with that reduction).
-The mass lies between W x M_lo and W x M_hi, from a's cross-section
-minimum and maximum plus the bottom term.  Cross-section modes only add
-lam_k diag(w_theta min beta) >= 0 to the constant mode's y pencil, so by
-Courant-Fischer nu is that banded pencil's lowest eigenvalue (with M_lo
-if it is negative, else M_hi), less a rounding allowance of the free
-height count times eps times the pencil's spectral norm.  theta is a
-Rayleigh quotient, so theta >= mu_1 however it was found.  LOBPCG
-(Knyazev, SIAM J. Sci. Comput. 23, 2001) finds it on the free pencil
-(A, M), from the comparison pencil's lowest pairs, preconditioned by the
-fast diagonalization (solver._separable_factor) of forms.separable_factors'
-mean sum shifted to A_mean - sigma M_mean, sigma = min(nu, 0) - 1/2.  The
-residual gate checks every returned pair.
+mu_1 is bracketed as nu <= mu_1 <= theta.  Pointwise B >= beta I, beta =
+a + min(0, (a_t/|grad u|_reg) |grad u|^2); the cross-section minima of beta
+and g_u at each height and the bottom maximum of f' give a Kronecker sum
+L <= A (forms.separable_band), and the mass lies between W x M_lo and
+W x M_hi (a's cross-section extremes plus the bottom term).  Cross-section
+modes only add lam_k diag(w_theta min beta) >= 0 to the constant mode's y
+pencil, so by Courant-Fischer nu is that pencil's lowest eigenvalue (M_lo
+if it is negative, else M_hi), less a rounding allowance.  theta, a
+Rayleigh quotient, comes from LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
+2001) on (A, M), started on the comparison pencil's lowest pairs and
+preconditioned by fast diagonalization of forms.separable_factors' mean
+sum (solver._separable_factor).  The residual gate checks every pair.
 
-The label is Stable when nu > tol, Unstable when theta < -tol, and
-Marginal otherwise; mu_1 is reported as theta.  On an exact Kronecker sum
-(forms.separable_factors says exact) L is A and both masses are M, so the
-bracket closes to rounding and theta is the lowest eigenvalue.  On other
-states both labels are still proved, but nothing proves that theta is the
-lowest eigenvalue rather than a higher one the iteration settled on; the
-residual gate cannot tell the difference.
+Stable needs a proof of mu_1 > tol, Unstable theta < -tol; otherwise the
+label is Marginal.  mu_1 is reported as theta.  nu > tol is such a proof.
+A strong rank-one term of B that turns across the cross-section defeats
+both Kronecker sums (nu <= tol < mu_1, or LOBPCG misses the gate); then,
+and only then, LAPACK's banded Cholesky factor of A - tol M proves
+mu_1 > tol by existing and preconditions the solve, and theta > tol
+without it is an error.  On an exact Kronecker sum (separable_factors'
+exact) L = A and both masses are M, so the bracket closes to rounding.
+On other states nothing proves that theta is the lowest eigenvalue rather
+than a higher one LOBPCG settled on; the residual gate cannot tell.
 """
 
 from __future__ import annotations
@@ -49,13 +47,14 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import forms
 from .coefficients import CoefficientModel, check_structural
 from .cylinder import CylinderField, CylinderGrid, pencil_modes
-from .solver import _separable_factor
+from .solver import _separable_factor, cross_section_spectrum
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -79,7 +78,8 @@ class EigenSolveError(RuntimeError):
 class StabilityForm:
     """Energy/mass pair restricted to the free (test-space) nodes, with the
     y factors the eigensolve reads on the free heights: ``comparison``
-    (m_b, K_L, m_lo, m_hi) and ``mean`` (m_y, K_y) (see assemble_I)."""
+    (m_b, K_L, m_lo, m_hi) and ``mean`` (m_y, K_y, exact) (see
+    assemble_I)."""
 
     energy_matrix: sp.csr_matrix
     mass_matrix: sp.csr_matrix
@@ -118,6 +118,7 @@ class StabilityReport:
     eigen_residual: float
     # Eigensolve telemetry: nu (the certified lower bound on mu1),
     # bracket_closed (mu1 - nu within twice nu's rounding allowance),
+    # factored (the banded Cholesky factor of A - tol M proved mu1 > tol),
     # lobpcg_iterations and preconditioner_applications (vectors); not
     # written to report.json.
     stats: dict = field(default_factory=dict)
@@ -148,9 +149,8 @@ def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
     nodes below a y index, so the energy block is the gather cached on the
     grid's forms.EnergyLayout; the assembly is symmetric bit for bit, and
     so is the block.  The mass is diagonal, and its block is its diagonal
-    on the free nodes.  The y factors of the comparison sum L and of
-    forms.separable_factors' mean sum, and the y mass profiles M_lo and
-    M_hi (see the module docstring), are kept cut to the free heights.
+    on the free nodes.  The comparison and mean y factors (see the module
+    docstring) are kept cut to the free heights.
     """
     grid = u.grid
     state = _gated_state(u, model)
@@ -160,27 +160,27 @@ def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
     nf = free.size // (grid.n_nodes // grid.ny)
     A = forms.free_block(grid, A_full, nf)
     M = sp.diags(mass[free], format="csr")
-    a = beta = state["a_red"]
+    a, fp, *gu = forms.separable_samples(u, reaction, state)
+    beta = state["a_red"]
     if state["a_t_red"] is not None:
         sq = sum(c * c for c in state["comps"])
-        beta = a + np.minimum(0.0, state["a_t_red"] / state["norm_reg"] * sq)
+        ratio = state["a_t_red"] / state["norm_reg"]
+        beta = beta + np.minimum(0.0, ratio * sq)
     if not np.all(beta > 0.0):
         raise ValueError("the linearization B is not positive definite at "
                          "every node of the solution")
-    a, beta = (v.reshape(-1, grid.ny) for v in (a, beta))
-    m_b, K_L, _ = forms.separable_factors(
-        u, model, reaction, state,
-        reduce=lambda _, fp, *gu: [beta.min(axis=0), fp.max()]
-        + [g.min(axis=0) for g in gu])
+    m_b, K_L = forms.separable_band(
+        grid, state["theta"], beta.reshape(a.shape).min(axis=0), fp.max(),
+        *[g.min(axis=0) for g in gu])
     w = grid.y_weights(state["theta"])
     m_lo, m_hi = w * a.min(axis=0), w * a.max(axis=0)
     m_lo[0] += 1.0           # the bottom mass, W x e_0 e_0^T
     m_hi[0] += 1.0
-    m_y, K_y, _ = forms.separable_factors(u, model, reaction, state)
+    m_y, K_y, exact = forms.separable_factors(u, model, reaction, state)
     return StabilityForm(
         energy_matrix=A, mass_matrix=M, grid=grid, free=free,
         comparison=(m_b[:nf], K_L[:, :nf], m_lo[:nf], m_hi[:nf]),
-        mean=(m_y[:nf], K_y[:, :nf]))
+        mean=(m_y[:nf], K_y[:, :nf], exact))
 
 
 def _comparison_pairs(form: StabilityForm, k: int) -> tuple:
@@ -191,11 +191,8 @@ def _comparison_pairs(form: StabilityForm, k: int) -> tuple:
     eigenvalues rise with lam_i.  The lowest mode is the constant one,
     with lam 0 exactly, and its pencil gives nu.
     """
-    grid = form.grid
     m_b, K_L, m_lo, m_hi = form.comparison
-    lams, phis = zip(*[grid.cross_section_modes(axis)
-                       for axis in range(grid.n_components - 1)])
-    lam = reduce(np.add.outer, lams)
+    lam, phis = cross_section_spectrum(form.grid)
     modes = np.argsort(lam, axis=None, kind="stable")[:k]
     mass = m_lo
     mu, V = pencil_modes(K_L, mass)
@@ -220,57 +217,92 @@ def _comparison_pairs(form: StabilityForm, k: int) -> tuple:
     return nu, slack, X
 
 
-def _solve_pairs(form: StabilityForm, k: int):
-    """(values, fields, residuals, stats) for the k smallest eigenpairs.
-
-    LOBPCG on (A, M) from the comparison pairs, preconditioned by the
-    shifted mean Kronecker sum (see the module docstring).  It stops once
-    every M-normalized x has ||A x - mu M x|| <= EIGEN_RESIDUAL_RTOL
-    sqrt(min M).  Then w = M^{1/2} x is a unit vector with
-    ||M^{-1/2} A M^{-1/2} w - mu w|| <= EIGEN_RESIDUAL_RTOL, so mu lies
-    within EIGEN_RESIDUAL_RTOL^2 / gap of an eigenvalue of the pencil.
-    """
-    if k < 1 or k >= form.dim:
-        raise ValueError("need 1 <= k < dimension of the form")
-    A, M = form.energy_matrix, form.mass_matrix
-    nu, slack, X = _comparison_pairs(form, k)
-    stats = {"nu": nu, "lobpcg_iterations": 0,
-             "preconditioner_applications": 0}
-
-    m_y, K_y = form.mean
+def _mean_preconditioner(form: StabilityForm, nu: float):
+    """Block solve with the mean Kronecker sum shifted to A_mean - sigma
+    M_mean, sigma = min(nu, 0) - 1/2, by fast diagonalization."""
+    m_y, K_y, _ = form.mean
     sigma = min(nu, 0.0) - 0.5
     band = K_y.copy()
     band[0] -= sigma * m_y
     band[0, 0] -= sigma      # the bottom mass
     solve = _separable_factor(form.grid, m_y, band)
     shape = form.grid.shape[:-1] + (m_y.size,)
+    return lambda R: np.column_stack([solve(r.reshape(shape)).ravel()
+                                      for r in R.T])
 
-    def precondition(R):
-        stats["lobpcg_iterations"] += 1
-        stats["preconditioner_applications"] += R.shape[1]
-        return np.column_stack([solve(r.reshape(shape)).ravel()
-                                for r in R.T])
 
+def _banded_cholesky(form: StabilityForm, shift: float):
+    """Block solve with A - shift M by LAPACK's banded Cholesky factor, or
+    None when it is not positive definite.  DIA row k and the upper band
+    storage's row width - offsets[k] hold diagonal offsets[k] alike."""
+    dia = (form.energy_matrix - shift * form.mass_matrix).todia()
+    upper = dia.offsets >= 0
+    width = int(dia.offsets.max())
+    band = np.zeros((width + 1, form.dim))
+    band[width - dia.offsets[upper]] = dia.data[upper]
+    try:
+        factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True)
+    except np.linalg.LinAlgError:
+        return None
+    return lambda R: scipy.linalg.cho_solve_banded((factor, False), R)
+
+
+def _solve_pairs(form: StabilityForm, k: int, tol: float | None = None):
+    """(values, fields, residuals, stats) for the k smallest eigenpairs.
+
+    LOBPCG (see the module docstring) stops once every M-normalized x has
+    ||A x - mu M x|| <= EIGEN_RESIDUAL_RTOL sqrt(min M), so mu lies within
+    EIGEN_RESIDUAL_RTOL^2 / gap of an eigenvalue of M^{-1/2} A M^{-1/2}.
+    The solve with A - tol M (tol defaults to default_tol) preconditions
+    it from the start when nu <= tol on an inexact sum, and again from the
+    last block when a pair misses the gate.
+    """
+    if k < 1 or k >= form.dim:
+        raise ValueError("need 1 <= k < dimension of the form")
+    A, M = form.energy_matrix, form.mass_matrix
+    tol = default_tol(form) if tol is None else tol
+    nu, slack, X = _comparison_pairs(form, k)
+    stats = {"nu": nu, "lobpcg_iterations": 0,
+             "preconditioner_applications": 0}
     mass, norm_A = M.diagonal(), float(spla.norm(A, np.inf))
-    tol = EIGEN_RESIDUAL_RTOL * float(np.sqrt(mass.min()))
-    vals, vecs = spla.lobpcg(A, X, B=M, M=precondition, tol=tol,
-                             maxiter=LOBPCG_MAXITER, largest=False)
-    order = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    out_vals, out_fields, out_res = [], [], []
-    for i in range(k):
-        mu, vec = float(vals[i]), vecs[:, i]
-        vec = vec / float(np.sqrt(vec @ (mass * vec)))
-        res = float(np.linalg.norm(A @ vec - mu * (mass * vec)))
-        if res > EIGEN_RESIDUAL_RTOL * max(norm_A * np.linalg.norm(vec),
-                                           1e-300):
-            raise EigenSolveError(
-                f"eigenpair {i} residual {res:.3e} exceeds tolerance", res)
-        out_vals.append(mu)
-        out_fields.append(form.embed(vec))
-        out_res.append(res)
-    stats["bracket_closed"] = bool(out_vals[0] - nu <= 2.0 * slack)
-    return out_vals, out_fields, out_res, stats
+
+    def lobpcg(X, solve):
+        def precondition(R):
+            stats["lobpcg_iterations"] += 1
+            stats["preconditioner_applications"] += R.shape[1]
+            return solve(R)
+
+        vals, vecs = spla.lobpcg(
+            A, X, B=M, M=precondition, maxiter=LOBPCG_MAXITER,
+            tol=EIGEN_RESIDUAL_RTOL * float(np.sqrt(mass.min())),
+            largest=False)
+        order = np.argsort(vals, kind="stable")
+        vals, vecs = [float(mu) for mu in vals[order]], vecs[:, order]
+        vecs /= [np.sqrt(v @ (mass * v)) for v in vecs.T]
+        res = [float(np.linalg.norm(A @ v - mu * (mass * v)))
+               for mu, v in zip(vals, vecs.T)]
+        bad = [i for i, v in enumerate(vecs.T) if res[i] > EIGEN_RESIDUAL_RTOL
+               * max(norm_A * np.linalg.norm(v), 1e-300)]
+        return vals, vecs, res, bad
+
+    # only a factor of A - tol M can prove mu_1 > tol when nu <= tol < mu_1
+    factor_first = nu <= tol and not form.mean[2]
+    solve = _banded_cholesky(form, tol) if factor_first else None
+    vals, vecs, res, bad = lobpcg(X, solve or _mean_preconditioner(form, nu))
+    if bad and not factor_first:
+        solve = _banded_cholesky(form, tol)
+        if solve is not None:
+            vals, vecs, res, bad = lobpcg(vecs, solve)
+    if bad:
+        raise EigenSolveError(
+            f"eigenpair {bad[0]} residual {res[bad[0]]:.3e} exceeds "
+            "tolerance", res[bad[0]])
+    if nu <= tol < vals[0] and solve is None:
+        raise EigenSolveError(f"LOBPCG settled at {vals[0]:.6e}, but A - tol "
+                              "M is not positive definite", res[0])
+    stats["factored"] = solve is not None
+    stats["bracket_closed"] = bool(vals[0] - nu <= 2.0 * slack)
+    return vals, [form.embed(v) for v in vecs.T], res, stats
 
 
 def min_rayleigh(form: StabilityForm, k: int = 1):
@@ -289,10 +321,8 @@ def default_tol(form: StabilityForm) -> float:
     return 1e-6 * float(spla.norm(form.energy_matrix, np.inf))
 
 
-def classify_value(mu1: float, tol: float, nu: float | None = None) -> str:
-    """Stable when nu > tol, Unstable when mu1 < -tol, else Marginal, for
-    a lower bound nu on mu1 (mu1 itself when None)."""
-    if (mu1 if nu is None else nu) > tol:
+def classify_value(mu1: float, tol: float) -> str:
+    if mu1 > tol:
         return STABLE
     if mu1 < -tol:
         return UNSTABLE
@@ -302,17 +332,16 @@ def classify_value(mu1: float, tol: float, nu: float | None = None) -> str:
 def classify(u: CylinderField, model: CoefficientModel, reaction,
              tol: float | None = None) -> StabilityReport:
     """Assemble I at u, bracket its lowest eigenvalue, apply the margin
-    rule to the bracket (see the module docstring)."""
+    rule (see the module docstring)."""
     form = assemble_I(u, model, reaction)
     if tol is None:
         tol = default_tol(form)
     elif not tol > 0.0:
         raise ValueError("tol must be positive")
-    vals, fields, residuals, stats = _solve_pairs(form, k=1)
-    mu1, ground = vals[0], fields[0]
+    vals, fields, residuals, stats = _solve_pairs(form, 1, tol)
     return StabilityReport(
-        mu1=mu1, ground_state=ground,
-        classification=classify_value(mu1, tol, nu=stats["nu"]),
+        mu1=vals[0], ground_state=fields[0],
+        classification=classify_value(vals[0], tol),
         tol=tol, eigen_residual=residuals[0], stats=stats)
 
 

@@ -327,12 +327,77 @@ def test_non_separable_theta_is_lowest_by_the_oracle(state, p_laplace_3d):
 
 def test_classify_runs_no_factorization(monkeypatch, p_laplace_3d):
     def refuse(*args, **kwargs):
-        raise AssertionError("classify called a sparse factorization")
+        raise AssertionError("classify called a factorization")
     monkeypatch.setattr(spla, "splu", refuse)
     monkeypatch.setattr(spla, "eigsh", refuse)
+    monkeypatch.setattr(stability, "_banded_cholesky", refuse)
     for u, model, reaction in (p_laplace_3d, _mean_curvature_2d(17)):
         rep = stability.classify(u, model, reaction)
         assert rep.classification == stability.STABLE
+
+
+def _steep_mean_curvature(n):
+    """grow-cos-stable's u = e^y cos x under the mean-curvature weight with
+    theta = 0: |grad u| = e^y reaches 2,981 at y = 8, so B's eigenvalues
+    differ by the factor 1 + |grad u|^2, up to 8.9e6, along a direction
+    that turns with x."""
+    p = presets.get_preset("grow-cos-stable")
+    u = p.exact_state(p.build_grid(nx=n, ny=n))
+    return u, CoefficientModel.mean_curvature_weight(0.0), p.reaction_factory()
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_steep_rank_one_state_is_proved_stable_by_the_banded_factor(n):
+    # neither Kronecker sum of classify sees this anisotropy: at 17^2 the
+    # comparison bound nu lies below tol, and at 33^2 it clears tol but
+    # the mean sum does not precondition LOBPCG to the residual gate.  The
+    # banded Cholesky factor of A - tol M proves mu1 > tol and
+    # preconditions the solve; the oracle's LU inertia agrees.
+    u, model, reaction = _steep_mean_curvature(n)
+    rep = stability.classify(u, model, reaction)
+    form = stability.assemble_I(u, model, reaction)
+    assert rep.classification == stability.STABLE
+    assert rep.stats["factored"] is True
+    assert (rep.stats["nu"] <= rep.tol) == (n == 17)
+    assert rep.stats["nu"] <= rep.mu1
+    assert rep.mu1 == pytest.approx(_oracle_mu1(form), rel=1e-10)
+    assert _negative_pivots_at(form, rep.tol) == 0
+
+
+def test_no_factor_exists_above_mu1():
+    # with the margin set above mu1, A - tol M has no Cholesky factor, and
+    # theta labels the steep 17^2 state Marginal
+    u, model, reaction = _steep_mean_curvature(17)
+    mu1 = stability.classify(u, model, reaction).mu1
+    rep = stability.classify(u, model, reaction, tol=2.0 * mu1)
+    assert rep.classification == stability.MARGINAL
+    assert rep.stats["factored"] is False
+    assert rep.mu1 == pytest.approx(mu1, rel=1e-4)
+
+
+def test_a_stable_label_needs_a_proof(monkeypatch):
+    # without the banded factor nothing proves mu1 > tol on the steep 17^2
+    # state, and a theta above tol alone gives no label
+    monkeypatch.setattr(stability, "_banded_cholesky", lambda form, s: None)
+    u, model, reaction = _steep_mean_curvature(17)
+    with pytest.raises(stability.EigenSolveError, match="not positive"):
+        stability.classify(u, model, reaction)
+
+
+@pytest.mark.parametrize("state", ["steep-9", "p-laplace-3d-5"])
+def test_banded_cholesky_factors_the_shifted_energy(state):
+    u, model, reaction = (_steep_mean_curvature(9) if state == "steep-9"
+                          else _p_laplace_3d(5))
+    form = stability.assemble_I(u, model, reaction)
+    mu1 = _dense_reference(form, 1)[0]
+    assert mu1 > 0.0
+    solve = stability._banded_cholesky(form, 0.5 * mu1)
+    R = np.random.default_rng(5).standard_normal((form.dim, 3))
+    X = solve(R)
+    shifted = form.energy_matrix - 0.5 * mu1 * form.mass_matrix
+    np.testing.assert_allclose(X, np.linalg.solve(shifted.toarray(), R),
+                               rtol=1e-9, atol=1e-9 * np.abs(X).max())
+    assert stability._banded_cholesky(form, 1.5 * mu1) is None
 
 
 def test_shift_invert_repeats_bit_identically_in_one_process():
@@ -355,8 +420,12 @@ def test_classify_returns_free_heap_after_each_call(monkeypatch):
     calls = []
     monkeypatch.setattr(fractional1d, "_MALLOC_TRIM", calls.append)
     p, grid, u = _preset_state("grow-cos-stable", nx=17, ny=17)
-    report = stability.classify(u, p.model_factory(), p.reaction_factory())
+    model, reaction = p.model_factory(), p.reaction_factory()
+    report = stability.classify(u, model, reaction)
     assert report.classification == p.expected_classification
+    form = stability.assemble_I(u, model, reaction)
+    (mu, _), = stability.min_rayleigh(form)
+    assert mu == pytest.approx(report.mu1, rel=1e-12)
     assert calls == []
     first = fractional1d.construct_counterexample(np.zeros_like, 0.5,
                                                   fit_nodes=129)
