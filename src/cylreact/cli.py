@@ -34,17 +34,24 @@ Counterexample criterion 10 (reads ``tolerances.eps`` and
 ``tolerances.s``); VerifyAll runs all eleven at the battery's values.
 
 Reaction entries are JSON strings or numbers, read as expressions in ``u``
-(and ``y`` for the bulk source ``g``); derivatives are taken symbolically,
-and a ``g`` that is identically zero is no source.  ``tolerances.eps`` and
-``tolerances.s`` lie in (0, 1); ``grid.nz`` is for rectangle domains.
-Exit codes: 0 all applicable checks pass, 1 a check or solve failed (a
-failed Newton solve prints its stop reason and records it), 2 the config
-did not parse or validate: unknown ``grid``, ``tolerances``, ``model`` or
-``reaction`` keys, ``domain`` keys other than ``kind`` and that kind's
-bounds, ``eps`` or ``s`` outside (0, 1), ``grid.nz`` on an interval, a
-JSON string, boolean, NaN or Infinity where a number is expected, or a
-reaction entry that is neither a string nor a number, does not parse, is
-a relation, holds zoo, oo, nan or I, or uses another symbol.
+(and ``y`` for the bulk source ``g``) over numpy arrays.  The grammar is
+finite numbers, ``u`` (``y`` in ``g``), ``pi``, unary + and -, binary
++ - * / and ** (``^`` is ** too: ``2^3^2`` is 512), and one-argument calls
+of exp, log, sqrt, sin, cos, tan, sinh, cosh, tanh, atan, asin, acos and
+asinh.  Derivatives are complex steps, d/du r = Im r(u + ih) / h, NaN
+wherever r is not finite; only analytic functions are admitted, since the
+step needs them.  A ``g`` that is null or the constant 0 is no source.
+``tolerances.eps`` and ``tolerances.s`` lie in (0, 1); ``grid.nz`` is
+for rectangle domains.  Exit codes: 0 all applicable checks pass, 1 a
+check or solve failed (a failed Newton solve prints its stop reason and
+records it), 2 the config did not parse or validate: unknown ``grid``,
+``tolerances``, ``model`` or ``reaction`` keys, ``domain`` keys other
+than ``kind`` and that kind's bounds, ``eps`` or ``s`` outside (0, 1),
+``grid.nz`` on an interval, a JSON string, boolean, NaN or Infinity where
+a number is expected, or a reaction entry that is neither a string nor a
+number, does not parse, or steps outside the grammar (a relation, another
+name such as zoo, oo, nan, I or Abs, a constant part that is not finite,
+a division by a constant zero).
 Environment override: CYLREACT_OUT replaces output_dir.  Reports are
 byte-identical across reruns of the same config and seed at a fixed BLAS
 thread count, except for wall-clock fields.
@@ -53,8 +60,10 @@ thread count, except for wall-clock fields.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -134,6 +143,8 @@ class ExperimentConfig:
                 if k in section and not _is_number(section[k]):
                     raise ConfigError(f"{name}.{k} must be a number")
         reaction = _section(raw, "reaction", _REACTION_KEYS)
+        if reaction:
+            _reaction_spec(reaction)
         tolerances = _section(raw, "tolerances", _TOLERANCE_KEYS)
         for k, v in tolerances.items():
             hi = 1.0 if k in ("eps", "s") else math.inf
@@ -235,45 +246,140 @@ def _lambdify_reaction(cfg: ExperimentConfig) -> ReactionSpec:
         if cfg.preset:
             return presets.get_preset(cfg.preset).reaction()
         return ReactionSpec.constant(0.0)
-    import sympy
-    u_sym, y_sym = sympy.symbols("u y")
+    return _reaction_spec(cfg.reaction)
 
-    def _expr(key, symbols):
-        """reaction.<key>, a JSON string or number, as a real expression in
-        the symbol set ``symbols`` with no relation, infinity or NaN."""
-        raw = cfg.reaction.get(key)
+
+# -- reaction expressions ----------------------------------------------------
+
+# The functions a reaction may call.  Only analytic ones: derivatives are
+# complex steps.
+_FUNCTIONS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin,
+              "cos": np.cos, "tan": np.tan, "sinh": np.sinh, "cosh": np.cosh,
+              "tanh": np.tanh, "atan": np.arctan, "asin": np.arcsin,
+              "acos": np.arccos, "asinh": np.arcsinh}
+_UNARY = {ast.UAdd: np.positive, ast.USub: np.negative}
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+           ast.Div: np.divide, ast.Pow: np.power}
+# d/du r(u) = Im r(u + ih) / h (Squire & Trapp, SIAM Rev. 40, 1998).  No
+# difference is taken, so nothing cancels, and the error term h^2 r'''(u) / 6
+# is far below rounding at this h.
+COMPLEX_STEP = 1e-30
+
+
+def _reaction_spec(section: dict) -> ReactionSpec:
+    """The reaction section as a ReactionSpec: ``f`` in u and ``g`` in y
+    and u, with f' and g_u by complex step.  A g that is null or the
+    constant 0 is no source."""
+    f = _compile_entry(section, "f", ("u",))
+    g = None if section.get("g") is None \
+        else _compile_entry(section, "g", ("y", "u"))
+    source = {} if g is None or g == 0.0 else \
+        {"g": _real(g, ("y", "u")), "g_u": _complex_step(g, ("y", "u"))}
+    return ReactionSpec.custom(f=_real(f, ("u",)),
+                               f_prime=_complex_step(f, ("u",)), **source)
+
+
+def _compile_entry(section: dict, key: str, names: tuple):
+    """reaction.<key>, a JSON string or number, compiled over ``names``
+    (see _compile).  ``^`` is read as ``**``, so it is a right-associative
+    power."""
+    raw = section.get(key)
+    reason = "it is neither a string nor a number"
+    if isinstance(raw, str) or _is_number(raw):
         try:
-            expr = sympy.sympify(raw) \
-                if isinstance(raw, str) or _is_number(raw) else None
-        except sympy.SympifyError as err:
+            tree = ast.parse(str(raw).strip().replace("^", "**"), mode="eval")
+        except (SyntaxError, ValueError, RecursionError) as err:
             raise ConfigError(f"reaction.{key} invalid: {err}") from None
-        if not isinstance(expr, sympy.Expr) or expr.free_symbols - symbols \
-                or expr.has(sympy.zoo, sympy.oo, -sympy.oo, sympy.nan, sympy.I):
-            raise ConfigError(
-                f"reaction.{key} must be a finite real expression in "
-                f"{' and '.join(sorted(map(str, symbols)))}, got {raw!r}")
-        return expr
+        try:
+            return _compile(tree.body, names)
+        except (ValueError, RecursionError) as err:
+            reason = str(err)
+    raise ConfigError(
+        f"reaction.{key} must be a finite real expression in "
+        f"{' and '.join(sorted(names))}, got {raw!r}: {reason}")
 
-    def _vectorized(expr, *symbols):
-        raw = sympy.lambdify(symbols, expr, "numpy")
 
-        def call(*arrays):
-            arrays = [np.asarray(a, dtype=float) for a in arrays]
-            out = np.asarray(raw(*arrays), dtype=float)
-            return np.broadcast_to(out, np.broadcast(*arrays).shape).copy() \
-                if arrays else out
-        return call
+def _compile(node: ast.AST, names: tuple):
+    """A reaction's syntax tree as a float when it is constant, else as a
+    function of {name: array}; ValueError for anything outside the
+    grammar: finite numbers, ``names``, pi, unary +/-, binary + - * / **
+    and one-argument calls of _FUNCTIONS."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return _fold(node, float, node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return operator.itemgetter(node.id)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _fold(node, _UNARY[type(node.op)],
+                     _compile(node.operand, names))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        left, right = _compile(node.left, names), _compile(node.right, names)
+        op = _BINARY[type(node.op)]
+        if op is np.divide and right == 0.0:
+            raise ValueError(f"{ast.unparse(node)} divides by zero")
+        if op is np.power and callable(right):
+            op = _variable_power
+        return _fold(node, op, left, right)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in _FUNCTIONS and len(node.args) == 1 \
+            and not node.keywords:
+        return _fold(node, _FUNCTIONS[node.func.id],
+                     _compile(node.args[0], names))
+    raise ValueError(f"{ast.unparse(node)} is outside the grammar")
 
-    f_expr = _expr("f", {u_sym})
-    f = _vectorized(f_expr, u_sym)
-    fp = _vectorized(sympy.diff(f_expr, u_sym), u_sym)
-    g = g_u = None
-    g_expr = 0 if cfg.reaction.get("g") is None \
-        else _expr("g", {y_sym, u_sym})
-    if g_expr != 0:  # an identically zero source is no source
-        g = _vectorized(g_expr, y_sym, u_sym)
-        g_u = _vectorized(sympy.diff(g_expr, u_sym), y_sym, u_sym)
-    return ReactionSpec.custom(f=f, f_prime=fp, g=g, g_u=g_u)
+
+def _fold(node: ast.AST, op, *parts):
+    """op of the compiled parts: a finite float when every part is one,
+    else a function of {name: array}."""
+    if not all(isinstance(p, (int, float)) for p in parts):
+        return lambda env: op(*[p(env) if callable(p) else p for p in parts])
+    try:
+        with np.errstate(all="ignore"):
+            value = float(op(*parts))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{ast.unparse(node)} is not finite")
+    return value
+
+
+def _variable_power(a, b):
+    """a**b for an exponent that varies: a complex (stepped) power is kept
+    only where Re a > 0, since off that a**b has no real derivative."""
+    out = np.power(a, b)
+    if np.iscomplexobj(out):
+        out = np.where(np.real(a) > 0.0, out, complex(np.nan, np.nan))
+    return out
+
+
+def _evaluate(compiled, names: tuple, arrays: list) -> np.ndarray:
+    out = compiled(dict(zip(names, arrays))) if callable(compiled) \
+        else compiled
+    return np.broadcast_to(out, np.broadcast(*arrays).shape)
+
+
+def _real(compiled, names: tuple):
+    """The compiled reaction as a function of float arrays, one per name,
+    returning a new array of their broadcast shape."""
+    def call(*arrays):
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        return _evaluate(compiled, names, arrays).astype(float)
+    return call
+
+
+def _complex_step(compiled, names: tuple):
+    """Its derivative in the last name, Im r(u + ih) / h, and NaN wherever
+    r's real value is not finite (a complex branch would give a slope
+    there)."""
+    def call(*arrays):
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        stepped = arrays[:-1] + [arrays[-1] + 1j * COMPLEX_STEP]
+        with np.errstate(all="ignore"):
+            value = _evaluate(compiled, names, arrays)
+            slope = np.imag(_evaluate(compiled, names, stepped))
+        return np.where(np.isfinite(value), slope / COMPLEX_STEP, np.nan)
+    return call
 
 
 # -- experiments -------------------------------------------------------------

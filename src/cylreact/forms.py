@@ -89,15 +89,17 @@ def coefficient_state(u: CylinderField, model: CoefficientModel) -> dict:
 
 
 def weak_residual_vector(u: CylinderField, model: CoefficientModel,
-                         reaction) -> np.ndarray:
+                         reaction, state: dict | None = None) -> np.ndarray:
     """Flat nodal residual r with r[j] = weak form tested on the j-th hat.
 
     r[j] = int a grad u . grad e_j + int g(y, u) e_j - int_bottom f(u) e_j.
     Natural (zero-flux) conditions on every boundary face are built in; the
-    bottom reaction replaces the flux there.
+    bottom reaction replaces the flux there.  ``state`` is
+    coefficient_state(u, model) when the caller already holds it.
     """
     grid = u.grid
-    state = coefficient_state(u, model)
+    if state is None:
+        state = coefficient_state(u, model)
     w_theta = grid.bulk_weights(state["theta"]).ravel()
     r = np.zeros(grid.n_nodes)
     a_red_flat = state["a_red"].ravel()

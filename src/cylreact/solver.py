@@ -154,9 +154,12 @@ def residual_weak(u: CylinderField, model: CoefficientModel,
 
 
 def residual_vector(u: CylinderField, model: CoefficientModel,
-                    reaction: ReactionSpec, top_bc=("neumann",)) -> np.ndarray:
-    """Nodal residual of the discrete system (flat, lexicographic)."""
-    r = forms.weak_residual_vector(u, model, reaction)
+                    reaction: ReactionSpec, top_bc=("neumann",),
+                    state: dict | None = None) -> np.ndarray:
+    """Nodal residual of the discrete system (flat, lexicographic);
+    ``state`` is forms.coefficient_state(u, model) when the caller holds
+    it."""
+    r = forms.weak_residual_vector(u, model, reaction, state=state)
     if top_bc[0] == "dirichlet":
         top = np.flatnonzero(u.grid.top_mask().ravel())
         r[top] = u.values.ravel()[top] - top_bc[1]
@@ -165,18 +168,22 @@ def residual_vector(u: CylinderField, model: CoefficientModel,
     return r
 
 
-def _newton_system(u: CylinderField, model, reaction, top_bc) -> tuple:
+def _newton_system(u: CylinderField, model, reaction, top_bc,
+                   state: dict | None = None) -> tuple:
     """(A, separable): the Newton matrix at u and the ``separable``
     argument of _linear_step, (grid, m_y, K_y, exact) from
     forms.separable_factors.
 
-    One coefficient state serves both.  A is assembled on the grid's
-    cached forms.EnergyLayout.  A pinned top slice is cut from the y
-    factors (K_y's band loses its last column) and has unit rows in A: the
-    layout's pinned pattern, which stores only the unit diagonal in the
-    top rows, filled by one cached boolean gather of the assembled values.
+    One coefficient state serves both: ``state`` when the caller holds
+    forms.coefficient_state(u, model), else a new one.  A is assembled on
+    the grid's cached forms.EnergyLayout.  A pinned top slice is cut from
+    the y factors (K_y's band loses its last column) and has unit rows in
+    A: the layout's pinned pattern, which stores only the unit diagonal in
+    the top rows, filled by one cached boolean gather of the assembled
+    values.
     """
-    state = forms.coefficient_state(u, model)
+    if state is None:
+        state = forms.coefficient_state(u, model)
     A = forms.assemble_energy_matrix(u, model, reaction, state=state)
     m_y, K_y, exact = forms.separable_factors(u, model, reaction, state)
     if top_bc[0] == "dirichlet":
@@ -402,16 +409,23 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
     stats = dict(separable_solves=0, krylov_solves=0, krylov_iterations=0,
                  stop_reason=None, backtracks=halvings, continuation=trail)
 
+    # the coefficient state of the last residual: damped_newton steps from
+    # the iterate it evaluated last, so each step reuses its state
+    last = [None, None]
+
     def newton_step(x, r):
+        state = last[1] if last[0] is x else None
         A, separable = _newton_system(CylinderField(grid, x), model,
-                                      reaction, top_bc)
+                                      reaction, top_bc, state)
         return _linear_step(A, -r, stats, separable)
 
     def run(x, bc, stop_at_late_halving):
         """damped_newton from x with the top condition bc; returns
         (x, final residual, accepted steps, stop)."""
         def residual(x):
-            return residual_vector(CylinderField(grid, x), model, reaction, bc)
+            u = CylinderField(grid, x)
+            last[:] = x, forms.coefficient_state(u, model)
+            return residual_vector(u, model, reaction, bc, state=last[1])
 
         x, _, hist, halv, stop = damped_newton(
             residual, newton_step, x, tol, max_iter, stop_at_late_halving)

@@ -44,7 +44,7 @@ than a higher one LOBPCG settled on; the residual gate cannot tell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.linalg
@@ -101,6 +101,11 @@ class StabilityForm:
     @property
     def dim(self) -> int:
         return self.energy_matrix.shape[0]
+
+    @cached_property
+    def energy_norm(self) -> float:
+        """||A||_inf, read by the margin and by the residual gate."""
+        return float(spla.norm(self.energy_matrix, np.inf))
 
     def embed(self, phi_free: np.ndarray) -> CylinderField:
         """Zero-extend a free-space vector to a full grid field."""
@@ -219,16 +224,23 @@ def _comparison_pairs(form: StabilityForm, k: int) -> tuple:
 
 def _mean_preconditioner(form: StabilityForm, nu: float):
     """Block solve with the mean Kronecker sum shifted to A_mean - sigma
-    M_mean, sigma = min(nu, 0) - 1/2, by fast diagonalization."""
+    M_mean, sigma = min(nu, 0) - 1/2, by fast diagonalization.  The factor
+    is built on the first call: LOBPCG started on an exact sum's lowest
+    pairs is converged and never calls it."""
     m_y, K_y, _ = form.mean
-    sigma = min(nu, 0.0) - 0.5
-    band = K_y.copy()
-    band[0] -= sigma * m_y
-    band[0, 0] -= sigma      # the bottom mass
-    solve = _separable_factor(form.grid, m_y, band)
     shape = form.grid.shape[:-1] + (m_y.size,)
-    return lambda R: np.column_stack([solve(r.reshape(shape)).ravel()
-                                      for r in R.T])
+    factor = []
+
+    def apply(R):
+        if not factor:
+            sigma = min(nu, 0.0) - 0.5
+            band = K_y.copy()
+            band[0] -= sigma * m_y
+            band[0, 0] -= sigma      # the bottom mass
+            factor.append(_separable_factor(form.grid, m_y, band))
+        return np.column_stack([factor[0](r.reshape(shape)).ravel()
+                                for r in R.T])
+    return apply
 
 
 def _banded_cholesky(form: StabilityForm, shift: float):
@@ -264,7 +276,7 @@ def _solve_pairs(form: StabilityForm, k: int, tol: float | None = None):
     nu, slack, X = _comparison_pairs(form, k)
     stats = {"nu": nu, "lobpcg_iterations": 0,
              "preconditioner_applications": 0}
-    mass, norm_A = M.diagonal(), float(spla.norm(A, np.inf))
+    mass, norm_A = M.diagonal(), form.energy_norm
 
     def lobpcg(X, solve):
         def precondition(R):
@@ -318,7 +330,7 @@ def min_rayleigh(form: StabilityForm, k: int = 1):
 
 def default_tol(form: StabilityForm) -> float:
     """Stability margin: 1e-6 times the energy matrix's infinity norm."""
-    return 1e-6 * float(spla.norm(form.energy_matrix, np.inf))
+    return 1e-6 * form.energy_norm
 
 
 def classify_value(mu1: float, tol: float) -> str:

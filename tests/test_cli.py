@@ -103,6 +103,18 @@ def test_config_round_trip():
      "reaction": {"f": "-1", "gg": "u"}},          # unknown reaction key
     {"experiment": "Solve", "domain": {"kind": "interval", "x_min": 0,
                                        "x_max": 1, "z_min": 0, "z_max": 1}},
+    # reaction entries outside the grammar
+    {"experiment": "Solve", "reaction": {"f": "__import__('os')"}},
+    {"experiment": "Solve", "reaction": {"f": "u.real"}},
+    {"experiment": "Solve", "reaction": {"f": "Abs(u)"}},   # not analytic
+    {"experiment": "Solve", "reaction": {"f": "(lambda: u)()"}},
+    {"experiment": "Solve", "reaction": {"f": "[u]"}},
+    {"experiment": "Solve", "reaction": {"f": "1e999*u"}},  # inf constant
+    {"experiment": "Solve", "reaction": {"f": "exp(u, 2)"}},
+    {"experiment": "Solve", "reaction": {"f": "u**"}},
+    {"experiment": "Solve", "reaction": {"f": "u/0"}},
+    {"experiment": "Solve", "reaction": {"f": "-u", "g": "log(0)*u"}},
+    {"experiment": "Solve", "reaction": {"f": "y*u"}},      # y only in g
 ])
 def test_config_validation_rejects(raw):
     with pytest.raises(cli.ConfigError):
@@ -116,6 +128,7 @@ def test_config_validation_rejects(raw):
                                        "x_max": 1, "z_min": 0, "z_max": 1},
      "grid": {"nx": 5, "ny": 5, "y_max": 1.0, "nz": 3}},
     {"experiment": "Counterexample", "tolerances": {"eps": 0.25, "s": 0.75}},
+    {"experiment": "Solve", "reaction": {"f": "u^3"}},   # ^ is power
 ])
 def test_config_validation_accepts(raw):
     cfg = cli.ExperimentConfig.from_dict(raw)
@@ -172,11 +185,31 @@ def test_lambdify_reaction_rejects_stray_symbols():
                      {"f": "spam("}, {"f": [1, 2]}, {"f": None},
                      {"f": "u < 1"}, {"f": "zoo*u"}, {"f": "I*u"},
                      {"f": "-u", "g": [1]}):
-        cfg = cli.ExperimentConfig.from_dict(
-            {"experiment": "Solve", "reaction": reaction})
         key = "reaction.g" if "g" in reaction else "reaction.f"
         with pytest.raises(cli.ConfigError, match=key):
+            cli.ExperimentConfig.from_dict(
+                {"experiment": "Solve", "reaction": reaction})
+        cfg = cli.ExperimentConfig(experiment="Solve", reaction=reaction)
+        with pytest.raises(cli.ConfigError, match=key):
             cli._lambdify_reaction(cfg)
+
+
+def test_caret_is_right_associative_power():
+    # sympy's reading: ^ is **, so u^3 is u**3 and 2^3^2 is 2**9
+    u = np.linspace(-2.0, 2.0, 9)
+    caret, star = (cli._lambdify_reaction(cli.ExperimentConfig.from_dict(
+        {"experiment": "Solve", "reaction": {"f": f}}))
+        for f in ("u^3 + 2^3^2", "u**3 + 2**3**2"))
+    assert np.array_equal(caret.f(u), star.f(u))
+    assert np.array_equal(caret.f_prime(u), star.f_prime(u))
+    assert caret.f(np.array(0.0)) == 512.0
+
+
+def test_lambdify_reaction_zero_source_is_no_source():
+    for g in (None, 0, "0", "0.0", "-0", "sin(0)", "1 - 1"):
+        r = cli._lambdify_reaction(cli.ExperimentConfig.from_dict(
+            {"experiment": "Solve", "reaction": {"f": "-u", "g": g}}))
+        assert r.g is None and r.g_u is None
 
 
 def test_lambdify_reaction_preset_fallback():
@@ -280,6 +313,10 @@ def test_run_invalid_config_exits_two(tmp_path):
                  "z_max": 1}}, "z_min"),
     ({"experiment": "Solve", "preset": "linear-y",
       "reaction": {"f": "zoo*u"}}, "reaction.f"),
+    ({"experiment": "Solve", "preset": "linear-y",
+      "reaction": {"f": "__import__('os')"}}, "reaction.f"),
+    ({"experiment": "Solve", "preset": "linear-y",
+      "reaction": {"f": "-u", "g": "Abs(u)"}}, "reaction.g"),
 ])
 def test_run_out_of_range_config_exits_two(tmp_path, capsys, payload, key):
     out = tmp_path / "out"

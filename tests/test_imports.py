@@ -1,7 +1,7 @@
 """Import budget: a cylreact process loads scipy's integrate, interpolate,
-optimize and special subpackages, and sympy, only in the routines that call
-them, and those routines still import what they need.  Every name in
-``cylreact.__all__`` resolves."""
+optimize and special subpackages only in the routines that call them, and
+those routines still import what they need; it never loads sympy, not even
+for a symbolic reaction.  Every name in ``cylreact.__all__`` resolves."""
 
 import json
 import os
@@ -35,17 +35,37 @@ print(json.dumps({{"code": code, "loaded": loaded}}))
 """
 
 
-def test_cold_start_leaves_heavy_modules_unloaded():
+def _child_env() -> dict:
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(SRC)] + ([path] if path else [])))
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env,
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([path] if path else [])))
+
+
+def test_cold_start_leaves_heavy_modules_unloaded():
+    out = subprocess.run([sys.executable, "-c", _PROBE], env=_child_env(),
                          capture_output=True, text=True, check=True)
     result = json.loads(out.stdout)
     assert result["code"] == 0
     assert result["loaded"] == {"import cylreact": [],
                                 "import cylreact.cli": [],
                                 "list-presets": []}
+
+
+def test_symbolic_reaction_solve_leaves_sympy_unloaded(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "experiment": "Solve",
+        "domain": {"kind": "interval", "x_min": 0.0, "x_max": 3.0},
+        "grid": {"nx": 9, "ny": 9, "y_max": 2.0},
+        "reaction": {"f": "-u - u^3 + sin(u)", "g": "y*u**2"},
+        "output_dir": str(tmp_path / "out")}))
+    probe = ("import contextlib, io, sys, cylreact.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cylreact.cli.main(['run', {str(config)!r}])\n"
+             "print(code, 'sympy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_star_import_resolves_every_public_name():

@@ -1052,6 +1052,29 @@ def test_continuation_falls_back_to_plain_armijo(monkeypatch):
     assert not rep.converged
 
 
+def test_each_step_reuses_its_residuals_coefficient_state(monkeypatch):
+    # the Newton matrix at an iterate reuses the coefficient state of the
+    # residual evaluated there, so a solve computes one state per residual;
+    # this one runs a stage, the plain-Armijo fallback and halvings
+    calls = {"state": 0, "residual": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(forms, "coefficient_state",
+                        counted("state", forms.coefficient_state))
+    monkeypatch.setattr(forms, "weak_residual_vector",
+                        counted("residual", forms.weak_residual_vector))
+    monkeypatch.setattr(solver, "MIN_CONTINUATION_STEP", 0.5)
+    rep = _mean_curvature_solve(17, max_iter=3)
+    assert sum(rep.stats["backtracks"]) > 0
+    assert calls["residual"] > rep.newton_iterations > 0
+    assert calls["state"] == calls["residual"]
+
+
 def test_missed_step_in_a_stage_ends_the_solve(monkeypatch):
     # the plain run takes one step and stops at the second's halving, so
     # the third linear step is the first of the lambda = 1/2 stage; when it

@@ -336,6 +336,29 @@ def test_classify_runs_no_factorization(monkeypatch, p_laplace_3d):
         assert rep.classification == stability.STABLE
 
 
+@pytest.mark.parametrize("name", sorted(FROZEN_MU1))
+def test_exact_sum_classify_builds_no_preconditioner(name, monkeypatch):
+    # LOBPCG starts converged on an exact Kronecker sum's comparison pairs,
+    # so the mean preconditioner's factor is never built, and ||A||_inf is
+    # taken once for the margin and the residual gate
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify built the mean preconditioner")
+
+    norms, norm = [], spla.norm
+
+    def counted_norm(*args, **kwargs):
+        norms.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "_separable_factor", refuse)
+    monkeypatch.setattr(spla, "norm", counted_norm)
+    p, grid, u = _preset_state(name)
+    rep = stability.classify(u, p.model(), p.reaction())
+    assert rep.classification == p.expected_classification
+    assert rep.stats["lobpcg_iterations"] == 0
+    assert len(norms) == 1
+
+
 def _steep_mean_curvature(n):
     """grow-cos-stable's u = e^y cos x under the mean-curvature weight with
     theta = 0: |grad u| = e^y reaches 2,981 at y = 8, so B's eigenvalues
