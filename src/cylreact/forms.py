@@ -25,8 +25,10 @@ difference D_c, so row i couples node i only to i + s e_c + t e_d
 on it, holds that pattern as CSR arrays.  An assembly multiplies planes of
 the grid's pairing stencil tables by shifted weight planes, one value
 plane per offset, and fills ``data`` with one gather; no sparse product
-runs.  The Dirichlet-pinned pattern and the free blocks below a y index
-are cached gathers of those values.
+runs.  The one block cut from it is the free block, on the nodes below a
+y index nf, also a cached gather: a pinned top slice in the Newton solve
+(nf = ny - 1) and the stability test space (nodes below vanish_above) are
+both that block.
 
 Gradient magnitudes feeding the eta/|eta| factor are regularized as
 sqrt(|g|^2 + eps^2) with eps = 1e-10 whenever the model has genuine
@@ -140,8 +142,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class EnergyLayout:
-    """The energy matrix's CSR pattern on one grid, and the gathers that
-    fill it, pin its top rows and cut its free block.
+    """The energy matrix's CSR pattern on one grid, the gather that fills
+    it, and the gathers that cut its free blocks.
 
     Every G_c is I x D_c x I, and each row of the 1D pairing difference D_c
     has its entries at k - 1, k, k + 1 at most: rows 1 to 3 of the grid's
@@ -165,10 +167,9 @@ class EnergyLayout:
     make exactly zero.
 
     ``rank_one`` adds the c < d pairs of the linearization's rank-one term.
-    The pinned pattern (only a unit diagonal in the top rows) and the free
-    blocks (nodes below a y index) are boolean gathers of a matrix's
-    ``data``, built once and cached.  Every pattern array is shared by the
-    matrices on it and is read-only.
+    The free block below a y index (free_block) is a boolean gather of a
+    matrix's ``data``, built once per index and cached.  Every pattern
+    array is shared by the matrices on it and is read-only.
     """
 
     def __init__(self, grid: CylinderGrid, rank_one: bool):
@@ -246,7 +247,7 @@ class EnergyLayout:
         source = np.abs(np.arange(2 * P - 1) - (P - 1)) * n + np.minimum(full, 0)
         rows += source.astype(np.int32).take(q)
         self.take = _frozen(rows)
-        self._derived = {}
+        self._blocks = {}      # nf -> (keep, indptr, indices)
 
     def planes(self, weights: dict) -> np.ndarray:
         """The value planes, shaped (n_planes,) + grid shape, for the pair
@@ -274,57 +275,22 @@ class EnergyLayout:
         return _csr(planes.reshape(-1).take(self.take), self.indices,
                     self.indptr, self.n)
 
-    def _derive(self, key, build):
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
-
-    def _pinning(self) -> tuple:
-        """(keep, indptr, indices, unit): the pinned pattern as a mask on
-        this pattern's entries, and the positions of its top-row units."""
-        top = self._iy == self.ny - 1
-        counts = np.diff(self.indptr)
-        rows = np.repeat(np.arange(self.n, dtype=np.int32), counts)
-        keep = ~np.repeat(top, counts) | (self.indices == rows)
-        counts[top] = 1
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-        return (_frozen(keep), _frozen(indptr),
-                _frozen(self.indices[keep]), indptr[:-1][top])
-
-    def pinned(self, A: sp.csr_matrix) -> sp.csr_matrix:
-        """A, a matrix on this layout, with each top row replaced by a unit
-        on its diagonal (the Dirichlet rows of a pinned top slice)."""
-        keep, indptr, indices, unit = self._derive("pinned", self._pinning)
-        data = A.data[keep]
-        data[unit] = 1.0
-        return _csr(data, indices, indptr, self.n)
-
-    def owns(self, A: sp.csr_matrix) -> bool:
-        """Whether A is on this layout's pattern or its pinned pattern (a
-        matrix keeps the pattern's indptr itself; scipy views indices)."""
-        return A.indptr is self.indptr or (
-            "pinned" in self._derived
-            and A.indptr is self._derived["pinned"][1])
-
     def free_block(self, A: sp.csr_matrix, nf: int) -> sp.csr_matrix:
-        """The block of A (a matrix on this layout, pinned or not) on the
-        nodes below y index nf, in their flat order."""
-        if not self.owns(A):
+        """The block of A, a matrix on this layout, on the nodes below y
+        index nf, in their flat order."""
+        if A.indptr is not self.indptr:
             raise ValueError("matrix is not on this energy layout")
-
-        def build():
-            indptr, indices = A.indptr, A.indices
+        if nf not in self._blocks:
             free = self._iy < nf
-            keep = np.repeat(free, np.diff(indptr)) & free[indices]
-            kept = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            keep = np.repeat(free, np.diff(self.indptr)) & free[self.indices]
+            kept = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
             block_indptr = np.concatenate(
                 ([0], np.cumsum(np.diff(kept)[free]))).astype(np.int32)
             renumber = (np.arange(self.n) // self.ny * nf
                         + self._iy).astype(np.int32)
-            return (_frozen(keep), _frozen(block_indptr),
-                    _frozen(renumber[indices[keep]]))
-        source = "full" if A.indptr is self.indptr else "pinned"
-        keep, indptr, indices = self._derive((source, nf), build)
+            self._blocks[nf] = (_frozen(keep), _frozen(block_indptr),
+                                _frozen(renumber[self.indices[keep]]))
+        keep, indptr, indices = self._blocks[nf]
         return _csr(A.data[keep], indices, indptr, indptr.size - 1)
 
 
@@ -337,11 +303,11 @@ def energy_layout(grid: CylinderGrid, rank_one: bool) -> EnergyLayout:
 
 
 def free_block(grid: CylinderGrid, A: sp.csr_matrix, nf: int) -> sp.csr_matrix:
-    """The block of A, an energy matrix of grid (pinned or not), on the
-    nodes below y index nf, by the gather cached on A's layout."""
+    """The block of A, an energy matrix of grid, on the nodes below y index
+    nf, by the gather cached on A's layout."""
     for rank_one in (False, True):
         layout = grid._cache.get(("energy_layout", rank_one))
-        if layout is not None and layout.owns(A):
+        if layout is not None and A.indptr is layout.indptr:
             return layout.free_block(A, nf)
     raise ValueError("matrix is not on an energy layout of this grid")
 
@@ -483,12 +449,3 @@ def mass_matrix(u: CylinderField, model: CoefficientModel,
     diag = diag + bottom.ravel()
     return sp.diags(diag).tocsr()
 
-
-def free_indices(grid: CylinderGrid, vanish_above: float | None = None) -> np.ndarray:
-    """Flat indices of the discrete test space: nodes below the top slice,
-    optionally further restricted to y < vanish_above."""
-    keep = ~grid.top_mask()
-    if vanish_above is not None:
-        # y is the trailing axis, so a 1D mask broadcasts across the slice.
-        keep = keep & np.broadcast_to(grid.y_nodes < vanish_above, grid.shape)
-    return np.flatnonzero(keep.ravel())

@@ -12,18 +12,22 @@ their own weak row (natural zero-flux truncation, the default) or are pinned
 to a Dirichlet value (needed when the bottom flux has nonzero mean, since an
 all-Neumann truncation is then incompatible).  The Newton matrix is the
 assembled second-variation form, i.e. the B-weighted stiffness plus reaction
-linearizations, and steps are damped by Armijo backtracking on the squared
-residual norm in ``damped_newton``, the one loop that also drives the
-spectral semilinear solve.  A pinned top with nonzero data is globalized
-by continuation in that data once Armijo damps a step after the first
-(``solve_newton``); every other solve is plain Armijo.
+linearizations, for either top: a pinned top's step is read off its
+residual rows, and the rest is solved on the matrix's free block below the
+top slice, the block the stability test space also uses.  Steps are damped
+by Armijo backtracking on the squared residual norm in ``damped_newton``,
+the one loop that also drives the spectral semilinear solve.  A pinned top
+with nonzero data is globalized by continuation in that data once Armijo
+damps a step after the first (``solve_newton``); every other solve is
+plain Armijo.
 
 Each Newton system is solved by one of two routes (``_linear_step``): fast
 diagonalization where the matrix is a Kronecker sum of 1D operators
 (``forms.separable_factors``), otherwise conjugate gradients preconditioned
 by fast diagonalization of the cross-section-averaged Kronecker sum.  Fast
 diagonalization takes the eigenpairs of every axis, cross-section and y
-alike, so its solve is dense matrix products and one division.  A step
+alike, so its solve is dense matrix products and one multiplication by the
+inverse eigenvalues (``pseudo_inverse``).  A step
 that misses the linear residual bound ends the solve with a stop reason.
 
 A small catalog of closed-form solutions is included for residual and
@@ -175,19 +179,18 @@ def _newton_system(u: CylinderField, model, reaction, top_bc,
     forms.separable_factors.
 
     One coefficient state serves both: ``state`` when the caller holds
-    forms.coefficient_state(u, model), else a new one.  A is assembled on
-    the grid's cached forms.EnergyLayout.  A pinned top slice is cut from
-    the y factors (K_y's band loses its last column) and has unit rows in
-    A: the layout's pinned pattern, which stores only the unit diagonal in
-    the top rows, filled by one cached boolean gather of the assembled
-    values.
+    forms.coefficient_state(u, model), else a new one.  A is
+    forms.assemble_energy_matrix's matrix, on the grid's cached
+    forms.EnergyLayout, for either top.  A pinned top slice is cut from
+    the y factors alone (m_y and K_y's band lose their last entry), so
+    m_y.size is the number of free heights; _linear_step leaves A's top
+    rows unread.
     """
     if state is None:
         state = forms.coefficient_state(u, model)
     A = forms.assemble_energy_matrix(u, model, reaction, state=state)
     m_y, K_y, exact = forms.separable_factors(u, model, reaction, state)
     if top_bc[0] == "dirichlet":
-        A = forms.energy_layout(u.grid, model.has_t_dependence).pinned(A)
         m_y, K_y = m_y[:-1], K_y[:, :-1]
     return A, (u.grid, m_y, K_y, exact)
 
@@ -200,6 +203,15 @@ def cross_section_spectrum(grid: CylinderGrid) -> tuple:
     lams, phis = zip(*[grid.cross_section_modes(k)
                        for k in range(grid.n_components - 1)])
     return reduce(np.add.outer, lams), phis
+
+
+def pseudo_inverse(x: np.ndarray) -> np.ndarray:
+    """1 / x entrywise, with 0 where |x| <= 64 eps max|x|: the inverse
+    eigenvalues of a symmetric solve that leaves out its (numerical)
+    kernel."""
+    size = np.abs(x)
+    return np.divide(1.0, x, out=np.zeros_like(x),
+                     where=size > 64.0 * np.finfo(float).eps * size.max())
 
 
 def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
@@ -219,17 +231,14 @@ def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
     to that product: one matrix product per axis, a multiply by the
     precomputed 1 / (lam + mu), one product per axis back.  It is symmetric
     by construction.  Kernel modes, |lam + mu| <= 64 eps max|lam + mu| (the
-    constants of an all-Neumann sum with f' = 0), get inverse 0: the solve
-    is a pseudo-inverse.  Raises LinAlgError when M_y is not positive.
+    constants of an all-Neumann sum with f' = 0), get inverse 0
+    (pseudo_inverse).  Raises LinAlgError when M_y is not positive.
     """
     if not np.all(m_y > 0.0):
         raise np.linalg.LinAlgError("separable mass is not positive")
     mu, V = pencil_modes(K_y, m_y)
     lam, phis = cross_section_spectrum(grid)
-    lam_mu = np.add.outer(lam, mu)
-    size = np.abs(lam_mu)
-    inv = np.divide(1.0, lam_mu, out=np.zeros_like(lam_mu),
-                    where=size > 64.0 * np.finfo(float).eps * size.max())
+    inv = pseudo_inverse(np.add.outer(lam, mu))
     shape = inv.shape
 
     def along(z, k, op):
@@ -255,21 +264,24 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
     forms.separable_factors, exactly or by preconditioned CG.
 
     ``separable`` is (grid, m_y, K_y, exact) from _newton_system.  The
-    nodes at and above y index m_y.size are pinned, with unit rows in A:
-    their values are read off those rows and their coupling moves to the
-    right-hand side, which leaves the free block of A, symmetric like A
-    before pinning.  When the sum is exact it is that block, and its solve
-    (_separable_factor) is applied to the right-hand side and once more to
-    the residual left in A's free rows (one step of iterative refinement).
-    Otherwise the block is solved by conjugate gradients preconditioned
-    with that solve (Concus & Golub 1973), to KRYLOV_RTOL or for at
-    most KRYLOV_MAXITER iterations.  Conjugate gradients get the block as
-    a CSR matrix of its own, cut from A by the boolean gather cached on
-    A's forms.EnergyLayout (forms.free_block) rather than by slicing.
+    nodes at and above y index nf = m_y.size are pinned (none for a
+    Neumann top): their step is read off the right-hand side, which is
+    their residual, and A's rows there are never read.  The coupling of
+    the free rows to them moves to the right-hand side, which leaves A's
+    free block below nf, symmetric like A.  When the sum is exact it is
+    that block, and its solve (_separable_factor) is applied to the
+    right-hand side and once more to the residual left in A's free rows
+    (one step of iterative refinement).  Otherwise the block is solved by
+    conjugate gradients preconditioned with that solve (Concus & Golub
+    1973), to KRYLOV_RTOL or for at most KRYLOV_MAXITER iterations.
+    Conjugate gradients get the block as a CSR matrix of its own, cut
+    from A by the boolean gather cached on A's forms.EnergyLayout
+    (forms.free_block) rather than by slicing.
 
     The step is returned only if it is finite and meets the linear
-    residual bound ||A delta - rhs|| <= 1e-6 ||rhs|| on A itself.  Else,
-    or if the factor raises LinAlgError, the return is None and
+    residual bound ||A delta - rhs|| <= 1e-6 ||rhs|| over A's free rows
+    (on the pinned rows that residual is 0 by construction).  Else, or if
+    the factor raises LinAlgError, the return is None and
     stats["stop_reason"] names the route and the relative residual.
 
     stats counts returned separable solves (exact Kronecker sums) and
@@ -307,7 +319,7 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
         x, _ = spla.cg(A_free, r.ravel(), rtol=KRYLOV_RTOL,
                        maxiter=KRYLOV_MAXITER, M=M, callback=count)
         delta[..., :nf] = x.reshape(r.shape)
-    res = np.linalg.norm(A @ delta.ravel() - rhs)
+    res = np.linalg.norm(free_residual())
     scale = np.linalg.norm(rhs) + 1e-30
     if np.all(np.isfinite(delta)) and res <= 1e-6 * scale:
         stats[f"{route}_solves"] += 1

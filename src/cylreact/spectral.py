@@ -164,18 +164,15 @@ def solve_semilinear(basis: SpectralBasis, reaction, init: SpectralFunction,
         fp = reaction.f_prime(basis.synthesize(c).ravel())
         J = np.diag(lam_s) - (flatfields * (wflat * fp)) @ flatfields.T
         # J is symmetric and K x K: step by the pseudo-inverse of its
-        # eigenpairs, leaving out |ev| <= 64 eps max|ev| (the rule of
-        # solver._separable_factor).  Such a kernel is exact where the
-        # annihilated zero mode meets f' = 0, and round-off where
-        # lambda_k**s equals f' (f(u) = u on (0, 2 pi) at s = 1/2), whose
-        # inverse sent the step to about 1e15.  A consistent system keeps
-        # its kernel modes; an inconsistent one stalls the line search and
-        # surfaces as a solve error.
+        # eigenpairs, leaving out |ev| <= 64 eps max|ev|
+        # (solver.pseudo_inverse, as in the cylinder's separable solve).
+        # Such a kernel is exact where the annihilated zero mode meets
+        # f' = 0, and round-off where lambda_k**s equals f' (f(u) = u on
+        # (0, 2 pi) at s = 1/2), whose inverse sent the step to about 1e15.
+        # A consistent system keeps its kernel modes; an inconsistent one
+        # stalls the line search and surfaces as a solve error.
         ev, V = np.linalg.eigh(J)
-        size = np.abs(ev)
-        inv = np.divide(1.0, ev, out=np.zeros_like(ev),
-                        where=size > 64.0 * np.finfo(float).eps * size.max())
-        return -(V @ (inv * (V.T @ r)))
+        return -(V @ (solver.pseudo_inverse(ev) * (V.T @ r)))
 
     c, _, history, _, stop = solver.damped_newton(
         residual, newton_step, init.coeffs.copy(), tol, max_iter)

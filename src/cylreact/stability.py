@@ -5,10 +5,17 @@ The quadratic form
     I(phi) = int <B(y, grad u) grad phi, grad phi>
            + int g_u(y, u) phi^2  -  int_bottom f'(u) phi^2
 
-is assembled over the discrete test space of nodal fields vanishing at the
-top slice, together with the weighted mass
+is assembled over the discrete test space, together with the weighted
+mass
 
     M(phi) = int a(y, |grad u|) phi^2  +  int_bottom phi^2.
+
+The paper tests stability against fields with bounded support in y; the
+discrete stand-in is the nodal fields that vanish at and above a y index
+nf, at most the top slice's.  So the pencil is the energy matrix's free
+block below nf (forms.free_block, the block a pinned-top Newton step
+solves on) and the mass's diagonal there, and a test field is a grid
+field whose y axis is cut at nf (StabilityForm.embed pads it back).
 
 The sign of the smallest generalized eigenvalue mu_1 of (I, M) classifies
 the solution.  Because discrete eigenvalues carry O(h^2) error, values
@@ -43,6 +50,7 @@ than a higher one LOBPCG settled on; the residual gate cannot tell.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -76,15 +84,15 @@ class EigenSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class StabilityForm:
-    """Energy/mass pair restricted to the free (test-space) nodes, with the
-    y factors the eigensolve reads on the free heights: ``comparison``
-    (m_b, K_L, m_lo, m_hi) and ``mean`` (m_y, K_y, exact) (see
-    assemble_I)."""
+    """Energy/mass pair restricted to the test space, the nodes below y
+    index nf, with the y factors the eigensolve reads on those nf heights:
+    ``comparison`` (m_b, K_L, m_lo, m_hi) and ``mean`` (m_y, K_y, exact)
+    (see assemble_I)."""
 
     energy_matrix: sp.csr_matrix
     mass_matrix: sp.csr_matrix
     grid: CylinderGrid
-    free: np.ndarray = field(repr=False)
+    nf: int
     comparison: tuple = field(repr=False)
     mean: tuple = field(repr=False)
 
@@ -108,10 +116,11 @@ class StabilityForm:
         return float(spla.norm(self.energy_matrix, np.inf))
 
     def embed(self, phi_free: np.ndarray) -> CylinderField:
-        """Zero-extend a free-space vector to a full grid field."""
-        full = np.zeros(self.grid.n_nodes)
-        full[self.free] = phi_free
-        return CylinderField(self.grid, full.reshape(self.grid.shape))
+        """Zero-extend a test-space vector to a full grid field: its y
+        axis, cut at nf, is padded with zeros."""
+        full = np.zeros(self.grid.shape)
+        full[..., :self.nf] = phi_free.reshape(full[..., :self.nf].shape)
+        return CylinderField(self.grid, full)
 
 
 @dataclass(frozen=True)
@@ -146,25 +155,30 @@ def _gated_state(u: CylinderField, model: CoefficientModel) -> dict:
 
 def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
                vanish_above: float | None = None) -> StabilityForm:
-    """Assemble the stability form at state u on the free test space.
+    """Assemble the stability form at state u on the test space.
 
-    The test space is all nodes strictly below the top slice; passing
-    ``vanish_above`` shrinks it further to nodes with y < vanish_above
-    (nested spaces give monotone ground-state eigenvalues).  Those are the
-    nodes below a y index, so the energy block is the gather cached on the
-    grid's forms.EnergyLayout; the assembly is symmetric bit for bit, and
-    so is the block.  The mass is diagonal, and its block is its diagonal
-    on the free nodes.  The comparison and mean y factors (see the module
-    docstring) are kept cut to the free heights.
+    The test space is the nodes below y index nf = min(ny - 1,
+    #{y_j < vanish_above}): all nodes strictly below the top slice, or
+    with ``vanish_above`` only those with y < vanish_above (nested spaces
+    give monotone ground-state eigenvalues).  A ``vanish_above`` that
+    leaves no height, nf < 1, is refused.  The energy block is the gather
+    cached on the grid's forms.EnergyLayout; the assembly is symmetric bit
+    for bit, and so is the block.  The mass is diagonal, and its block is
+    its diagonal below nf.  The comparison and mean y factors (see the
+    module docstring) are kept cut to the nf heights.
     """
     grid = u.grid
+    nf = grid.ny - 1
+    if vanish_above is not None:
+        nf = min(nf, np.count_nonzero(grid.y_nodes < vanish_above))
+        if nf < 1:
+            raise ValueError(f"vanish_above={vanish_above!r} leaves no node "
+                             "in the test space")
     state = _gated_state(u, model)
     A_full = forms.assemble_energy_matrix(u, model, reaction, state=state)
     mass = forms.mass_matrix(u, model, state=state).diagonal()
-    free = forms.free_indices(grid, vanish_above=vanish_above)
-    nf = free.size // (grid.n_nodes // grid.ny)
     A = forms.free_block(grid, A_full, nf)
-    M = sp.diags(mass[free], format="csr")
+    M = sp.diags(mass.reshape(grid.shape)[..., :nf].ravel(), format="csr")
     a, fp, *gu = forms.separable_samples(u, reaction, state)
     beta = state["a_red"]
     if state["a_t_red"] is not None:
@@ -183,7 +197,7 @@ def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
     m_hi[0] += 1.0
     m_y, K_y, exact = forms.separable_factors(u, model, reaction, state)
     return StabilityForm(
-        energy_matrix=A, mass_matrix=M, grid=grid, free=free,
+        energy_matrix=A, mass_matrix=M, grid=grid, nf=nf,
         comparison=(m_b[:nf], K_L[:, :nf], m_lo[:nf], m_hi[:nf]),
         mean=(m_y[:nf], K_y[:, :nf], exact))
 
@@ -284,10 +298,14 @@ def _solve_pairs(form: StabilityForm, k: int, tol: float | None = None):
             stats["preconditioner_applications"] += R.shape[1]
             return solve(R)
 
-        vals, vecs = spla.lobpcg(
-            A, X, B=M, M=precondition, maxiter=LOBPCG_MAXITER,
-            tol=EIGEN_RESIDUAL_RTOL * float(np.sqrt(mass.min())),
-            largest=False)
+        # lobpcg warns when it stops at its cap or falls back to a dense
+        # solve; the residual gate below judges every pair either way
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            vals, vecs = spla.lobpcg(
+                A, X, B=M, M=precondition, maxiter=LOBPCG_MAXITER,
+                tol=EIGEN_RESIDUAL_RTOL * float(np.sqrt(mass.min())),
+                largest=False)
         order = np.argsort(vals, kind="stable")
         vals, vecs = [float(mu) for mu in vals[order]], vecs[:, order]
         vecs /= [np.sqrt(v @ (mass * v)) for v in vecs.T]

@@ -202,25 +202,54 @@ def _lil_pinned(u, model, reaction):
     return A.tocsr()
 
 
+def _lu_matrix(u, model, reaction, top):
+    """The matrix whose direct solve is the Newton step: the energy matrix,
+    with unit top rows (_lil_pinned) for a pinned top."""
+    if top[0] == "dirichlet":
+        return _lil_pinned(u, model, reaction)
+    return forms.assemble_energy_matrix(u, model, reaction)
+
+
 @pytest.mark.parametrize("domain, nz, model", [
     (DomainSpec.interval(0.0, PI), None,
      CoefficientModel.power_weight_p_laplace(0.0, 3.0)),
     (DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI), 5,
      CoefficientModel.constant_one()),
 ], ids=["interval", "rectangle"])
-def test_pinned_newton_matrix_matches_lil_pinning(domain, nz, model):
+def test_newton_matrix_is_the_energy_matrix_for_either_top(domain, nz, model):
+    # a pinned top changes only the y factors: the matrix is the assembled
+    # energy matrix on the layout's own pattern
     grid = build_grid(domain, nx=9, ny=7, y_max=2.0, nz=nz)
     rng = np.random.default_rng(5)
     u = CylinderField(grid, rng.standard_normal(grid.shape))
     reaction = ReactionSpec.cubic()
-    top_bc = ("dirichlet", u.values[..., -1].ravel().copy())
-    A, _ = solver._newton_system(u, model, reaction, top_bc)
-    ref = _lil_pinned(u, model, reaction)
-    assert np.array_equal(A.toarray(), ref.toarray())
-    for i in np.flatnonzero(grid.top_mask().ravel()):
-        row = slice(A.indptr[i], A.indptr[i + 1])
-        assert A.indices[row].tolist() == [i]
-        assert A.data[row].tolist() == [1.0]
+    ref = forms.assemble_energy_matrix(u, model, reaction)
+    layout = forms.energy_layout(grid, model.has_t_dependence)
+    for top in (("neumann",), solver.pinned_top(u)):
+        A, (_, m_y, _, _) = solver._newton_system(u, model, reaction, top)
+        assert A.indptr is layout.indptr
+        assert np.shares_memory(A.indices, layout.indices)
+        assert np.array_equal(A.data, ref.data)
+        assert m_y.size == grid.ny - (top[0] == "dirichlet")
+
+
+@pytest.mark.parametrize("kind", ["preset-pinned", "rectangle-pinned",
+                                  "krylov-p-laplace", "krylov-mean-curvature"])
+def test_pinned_step_reads_the_top_rows_off_the_residual(kind):
+    # the step on a pinned top slice is -r there, exactly, on both routes;
+    # the data are moved off u's trace so that r is nonzero there
+    if kind.startswith("krylov"):
+        case = _non_separable_case(kind.split("-", 1)[1])
+    else:
+        case = _separable_case(kind)
+    model, reaction, grid, u, (_, value) = case
+    top = ("dirichlet", value + 0.25)
+    A, separable = solver._newton_system(u, model, reaction, top)
+    r = residual_vector(u, model, reaction, top)
+    step = solver._linear_step(A, -r, _stats(), separable)
+    top_rows = grid.top_mask().ravel()
+    assert np.any(r[top_rows] != 0.0)
+    assert np.array_equal(step[top_rows], -r[top_rows])
 
 
 def _indefinite_problem(kind, n):
@@ -321,7 +350,7 @@ def test_separable_step_matches_the_lu_step(kind):
     rhs = -residual_vector(u, model, reaction, top)
     stats = _stats()
     step = solver._linear_step(A, rhs, stats, separable)
-    ref = spla.spsolve(A.tocsc(), rhs)
+    ref = spla.spsolve(_lu_matrix(u, model, reaction, top).tocsc(), rhs)
     assert stats == dict(_stats(), separable_solves=1)
     assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -441,7 +470,7 @@ def test_exact_separable_step_is_accurate_on_a_nearly_singular_state():
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
     assert rep.converged and rep.newton_iterations == 1
     assert rep.stats["separable_solves"] == 1
-    A, _ = solver._newton_system(u, model, reaction, top)
+    A = _lil_pinned(u, model, reaction)
     rhs = -residual_vector(u, model, reaction, top)
     lu = spla.splu(A.tocsc())
     A_ext, rhs_ext = A.astype(np.longdouble), rhs.astype(np.longdouble)
@@ -471,7 +500,7 @@ def test_non_separable_states_take_the_krylov_route(kind):
     A, separable = solver._newton_system(u, model, reaction, top)
     assert separable[-1] is False
     rhs = -residual_vector(u, model, reaction, top)
-    ref = spla.spsolve(A.tocsc(), rhs)
+    ref = spla.spsolve(_lil_pinned(u, model, reaction).tocsc(), rhs)
     stats = _stats()
     step = solver._linear_step(A, rhs, stats, separable)
     assert stats["krylov_solves"] == 1 and stats["krylov_iterations"] >= 1
@@ -765,22 +794,18 @@ def test_layout_gathers_match_scipy_slicing(model, nz):
     grid = u.grid
     A = forms.assemble_energy_matrix(u, model, reaction)
     layout = forms.energy_layout(grid, model.has_t_dependence)
-    pinned = layout.pinned(A)
-    top = grid.top_mask().ravel()
     for nf in (grid.ny - 1, 3):
         free = np.flatnonzero(np.arange(grid.n_nodes) % grid.ny < nf)
-        for M in (A, pinned):
-            block = forms.free_block(grid, M, nf)
-            ref = M[free][:, free]
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(block, name),
-                                      getattr(ref, name)), name
-    # the pinned matrix keeps every free row and only a unit in each top row
-    assert np.array_equal(pinned[~top].toarray(), A[~top].toarray())
-    assert np.array_equal(pinned[top].toarray(),
-                          np.eye(grid.n_nodes)[top])
+        block = forms.free_block(grid, A, nf)
+        ref = A[free][:, free]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, name),
+                                  getattr(ref, name)), name
+    # a matrix on any other pattern, a copy of A's included, is refused
     with pytest.raises(ValueError, match="not on an energy layout"):
         forms.free_block(grid, A.copy(), grid.ny - 1)
+    with pytest.raises(ValueError, match="not on this energy layout"):
+        layout.free_block(_lil_pinned(u, model, reaction), grid.ny - 1)
 
 
 def test_second_assembly_reuses_the_cached_pattern():
@@ -794,26 +819,24 @@ def test_second_assembly_reuses_the_cached_pattern():
         assert A.indptr is layout.indptr
         assert np.shares_memory(A.indices, layout.indices)
     assert not np.array_equal(A1.data, A2.data)
-    P1, P2 = layout.pinned(A1), layout.pinned(A2)
-    assert P1.indptr is P2.indptr
-    assert np.shares_memory(P1.indices, P2.indices)
+    B1, B2 = (forms.free_block(u.grid, A, u.grid.ny - 1) for A in (A1, A2))
+    assert B1.indptr is B2.indptr
+    assert np.shares_memory(B1.indices, B2.indices)
 
 
 @pytest.mark.parametrize("model", LAYOUT_MODELS,
                          ids=["rank-one", "isotropic"])
 def test_warm_assembly_runs_no_sparse_product(model, monkeypatch):
-    # once the layout and its gathers are built, assembling, pinning and
-    # cutting the free block neither multiply nor add sparse matrices
+    # once the layout and its gathers are built, assembling and cutting
+    # free blocks neither multiply nor add sparse matrices
     import scipy.sparse._compressed as compressed
     u, model, reaction = _layout_case(model, 5, 0.5)
     grid = u.grid
-    layout = forms.energy_layout(grid, model.has_t_dependence)
 
     def run():
         A = forms.assemble_energy_matrix(u, model, reaction)
-        pinned = layout.pinned(A)
-        return (pinned, forms.free_block(grid, A, grid.ny - 1),
-                forms.free_block(grid, pinned, grid.ny - 1))
+        return (A, forms.free_block(grid, A, grid.ny - 1),
+                forms.free_block(grid, A, 3))
 
     cold = run()
 

@@ -1,5 +1,7 @@
 """Tests for the second-variation stability analysis."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -121,7 +123,7 @@ def test_min_rayleigh_values_ascending_and_mass_normalized():
     assert vals == sorted(vals)
     M = form.mass_matrix
     for _, phi in pairs:
-        v = phi.values.ravel()[form.free]
+        v = phi.values[..., :form.nf].ravel()
         assert float(v @ (M @ v)) == pytest.approx(1.0, rel=1e-10)
 
 
@@ -151,6 +153,38 @@ def test_nested_test_spaces_monotone_ground_state():
     mu_full = stability.min_rayleigh(full, k=1)[0][0]
     mu_shrunk = stability.min_rayleigh(shrunk, k=1)[0][0]
     assert mu_shrunk >= mu_full - 1e-12
+
+
+def test_vanish_above_is_strict_and_must_leave_a_node():
+    # the test space is the nodes with y < vanish_above: a node at
+    # vanish_above is outside it, and a value at or below y = 0 leaves none
+    p, grid, u = _preset_state("grow-cos-stable", nx=9, ny=9)
+    model, reaction = p.model_factory(), p.reaction_factory()
+    form = stability.assemble_I(u, model, reaction,
+                                vanish_above=float(grid.y_nodes[4]))
+    assert form.nf == 4 and form.dim == 4 * grid.nx
+    assert stability.assemble_I(u, model, reaction,
+                                vanish_above=1e9).nf == grid.ny - 1
+    for vanish_above in (0.0, -1.0):
+        with pytest.raises(ValueError, match="vanish_above"):
+            stability.assemble_I(u, model, reaction,
+                                 vanish_above=vanish_above)
+
+
+def test_pinned_solve_and_classify_share_one_free_block_gather():
+    # a pinned Krylov Newton solve and the classify of its solution cut the
+    # same block of the energy matrix, by one cached gather at ny - 1
+    grid = build_grid(DomainSpec.interval(0.0, np.pi), nx=17, ny=17,
+                      y_max=2.0)
+    init = grid.field(lambda x, y: np.cos(x) * np.exp(-y))
+    model = CoefficientModel.mean_curvature_weight(0.0)
+    reaction = solver.ReactionSpec.cubic()
+    rep = solver.solve_newton(model, reaction, grid, init,
+                              top_bc=solver.pinned_top(init))
+    assert rep.converged and rep.stats["krylov_solves"] >= 1
+    stability.classify(rep.u, model, reaction)
+    layout = forms.energy_layout(grid, model.has_t_dependence)
+    assert list(layout._blocks) == [grid.ny - 1]
 
 
 def test_structural_gate_rejects_bad_model():
@@ -387,6 +421,17 @@ def test_steep_rank_one_state_is_proved_stable_by_the_banded_factor(n):
     assert _negative_pivots_at(form, rep.tol) == 0
 
 
+def test_lobpcg_at_its_cap_warns_nothing():
+    # at 33^2 LOBPCG stops at its cap on the mean preconditioner and the
+    # banded factor proves the label; the stats report that, not a warning
+    u, model, reaction = _steep_mean_curvature(33)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = stability.classify(u, model, reaction)
+    assert rep.classification == stability.STABLE and rep.stats["factored"]
+    assert caught == []
+
+
 def test_no_factor_exists_above_mu1():
     # with the margin set above mu1, A - tol M has no Cholesky factor, and
     # theta labels the steep 17^2 state Marginal
@@ -475,7 +520,10 @@ def test_assemble_I_takes_exact_symmetric_free_blocks(model, vanish_above):
     model = (p.model() if model is None
              else CoefficientModel.mean_curvature_weight(0.0))
     form = stability.assemble_I(u, model, reaction, vanish_above=vanish_above)
-    A, free = form.energy_matrix, form.free
+    A = form.energy_matrix
+    assert form.nf == (grid.ny - 1 if vanish_above is None
+                       else np.count_nonzero(grid.y_nodes < vanish_above))
+    free = np.flatnonzero(np.arange(grid.n_nodes) % grid.ny < form.nf)
     assert np.array_equal(A.toarray(), A.toarray().T)
     full = forms.assemble_energy_matrix(u, model, reaction)
     ref = full[free][:, free]
