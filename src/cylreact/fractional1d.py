@@ -66,11 +66,11 @@ class NoRootError(RuntimeError):
     """The derivative sign change needed for the construction was not found."""
 
     def __init__(self, message: str, c2_residual: float,
-                 band_c2_residual: float, stats: dict | None = None):
+                 band_c2_residual: float, stats: dict):
         super().__init__(message)
         self.c2_residual = c2_residual
         self.band_c2_residual = band_c2_residual
-        self.stats = stats or {}   # as CounterexampleResult.stats
+        self.stats = stats         # as CounterexampleResult.stats
 
 
 @dataclass(frozen=True)
@@ -343,6 +343,10 @@ _SKETCH_WIDTH = 32
 # The sketch draws from its own generator, so a fit is reproducible and
 # never reads or advances the global random state.
 _SKETCH_SEED = 20110101
+# M's start and cap, and the Tikhonov weight (see construct_counterexample).
+FIT_M = 4.0
+FIT_MAX_M = 64.0
+FIT_TIKHONOV = 1e-8
 
 
 def _coupling_basis(X: np.ndarray):
@@ -402,7 +406,7 @@ def _fit_blocks(op: Fractional1DOperator, idx_in: np.ndarray,
 
 def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
                idx_un: np.ndarray, midx: np.ndarray, target: np.ndarray,
-               odd: bool, tikhonov: float, grid_h: float):
+               odd: bool, grid_h: float):
     """Tikhonov fit of the exterior values in the range of the coupling.
 
     The unknowns are c = Q z, with Q the rank-revealed basis of
@@ -463,7 +467,7 @@ def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
     lu = lu_factor(H)
     r = Q.shape[1]
     K = np.vstack([c2_rows(on_window(-lu_solve(lu, AQ), Q)),
-                   np.sqrt(tikhonov) * np.eye(r)])
+                   np.sqrt(FIT_TIKHONOV) * np.eye(r)])
     rhs = np.concatenate([c2_rows(target[window]), np.zeros(r)])
     shape = K.shape
     Qt_rhs, R = qr_multiply(K, rhs, mode="right", overwrite_a=True)
@@ -481,9 +485,7 @@ def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
 # eps = 0.4 no-root call in one process, until the next fit reused it.
 @_returns_free_heap
 def construct_counterexample(h_callable, eps: float, s: float = 0.5,
-                             M: float = 4.0, fit_nodes: int = 513,
-                             tikhonov: float = 1e-8,
-                             max_M: float = 64.0) -> CounterexampleResult:
+                             fit_nodes: int = 513) -> CounterexampleResult:
     """Compactly supported numeric s-harmonic function close to the banded
     target in C^2(-2, 2), with the derivative roots bracketing the bands.
 
@@ -492,22 +494,22 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
     -A_ii^{-1} A_ie e; the misfit G e - r is the discrete C^2 distance to
     the banded target.  G sees e only through the kernel rows A_ie and the
     few exterior nodes the difference stencil touches, so the Tikhonov
-    minimiser of |G e - r|^2 + tikhonov |e|^2, which lies in range(G^T),
-    lies in the span of X = [A_ie^T | E] (E: unit columns of the touched
-    nodes; Elden, BIT 1977).  X has numerical rank about 20 against its
-    256 or 512 columns (fit_nodes 513 or 1025), so a randomized range
-    finder (_coupling_basis: Gaussian sketch, QR, SVD of the projection)
-    gives an orthonormal basis Q of r columns, r the count of singular
-    values above 1e-13 sigma_1, accepted once |X - Q Q^T X| meets the
-    bound stated there.  e = Q z holds the minimiser to within that cut
-    (at eps = 0.5 the roots sit 2.7e-9 relative from a full basis's at
-    513 nodes and 1.1e-8 at 1025), and |e| = |z|.
+    minimiser of |G e - r|^2 + t |e|^2 (t = FIT_TIKHONOV), which lies in
+    range(G^T), lies in the span of X = [A_ie^T | E] (E: unit columns of
+    the touched nodes; Elden, BIT 1977).  X has numerical rank about 20
+    against its 256 or 512 columns (fit_nodes 513 or 1025), so a
+    randomized range finder (_coupling_basis: Gaussian sketch, QR, SVD of
+    the projection) gives an orthonormal basis Q of r columns, r the count
+    of singular values above 1e-13 sigma_1, accepted once |X - Q Q^T X|
+    meets the bound stated there.  e = Q z holds the minimiser to within
+    that cut (at eps = 0.5 the roots sit 2.7e-9 relative from a full
+    basis's at 513 nodes and 1.1e-8 at 1025), and |e| = |z|.
     One LU of A_ii, applied to A_ie Q (read off the kept singular
     triplets), gives the basis's interior response; the reduced problem
-    [G Q; sqrt(tikhonov) I_r] z = [r; 0] is solved by Householder QR,
-    never through the normal equations, whose squared condition number
-    (sigma_max / sqrt(tikhonov) is about 7e7 here) makes the answer depend
-    on BLAS blocking and thread count.  w is then composed by one more
+    [G Q; sqrt(t) I_r] z = [r; 0] is solved by Householder QR, never
+    through the normal equations, whose squared condition number
+    (sigma_max / sqrt(t) is about 7e7 here) makes the answer depend on
+    BLAS blocking and thread count.  w is then composed by one more
     solve with the same LU, so the interior equations hold to round-off;
     the n x k composed map is never formed.
 
@@ -516,12 +518,13 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
     offsets), the unique minimiser is odd: e = [c; -reverse(c)] and the
     interior is solved on its left half by the centrosymmetric system
     A_LL - A_LR J.  The mirror rows of G repeat the left residuals exactly,
-    so they are dropped, the penalty keeps weight tikhonov (both terms are
+    so they are dropped, the penalty keeps weight t (both terms are
     halved) and the centre first-difference row is scaled by sqrt(1/2).
-    w is exactly odd and delta1 = delta2.  M doubles (same spacing) until
-    the misfit stops improving by 10% or max_M is reached; `stats` records
-    each M's residuals, stacked-QR shape, basis rank, sketch width and
-    projection residual, and whether the odd reduction applied.
+    w is exactly odd and delta1 = delta2.  M starts at FIT_M and doubles
+    (same spacing) until the misfit stops improving by 10% or the next M
+    would pass FIT_MAX_M; `stats` records t and each M's residuals,
+    stacked-QR shape, basis rank, sketch width and projection residual,
+    and whether the odd reduction applied.
 
     Which M is kept is noise, yet it moves the roots.  For h = 0 the M = 4
     and M = 8 C^2 residuals differ by under 0.1% at every eps in 0.1..0.9
@@ -541,15 +544,13 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("need eps in (0, 1)")
-    if M < 4.0:
-        raise ValueError("need M >= 4")
     grid_h = 4.0 / (fit_nodes - 1)
     b = eps / 11.0
 
     trail = []
     best = None
     prev_res = np.inf
-    M_cur = float(M)
+    M_cur = FIT_M
     while True:
         n = int(round(2.0 * M_cur / grid_h)) + 1
         op = make_operator(s, M_cur, n)
@@ -566,7 +567,7 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
         odd = np.array_equal(target, -target[::-1])
 
         w, qr_shape, (rank, width, range_res) = _range_fit(
-            op, idx_in, idx_un, midx, target, odd, tikhonov, grid_h)
+            op, idx_in, idx_un, midx, target, odd, grid_h)
         resid = _c2_stack(w, midx, grid_h) - _c2_stack(target, midx, grid_h)
         c2_res = float(np.max(np.abs(resid)))
 
@@ -582,7 +583,7 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
         cand = (op, w, c2_res, band_res, M_cur)
         if best is None or c2_res < best[2]:
             best = cand
-        if (prev_res - c2_res) < 0.1 * prev_res or 2.0 * M_cur > max_M:
+        if (prev_res - c2_res) < 0.1 * prev_res or 2.0 * M_cur > FIT_MAX_M:
             break
         prev_res = c2_res
         M_cur *= 2.0
@@ -604,7 +605,7 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
         k = sign_change[0]
         return brentq(dspline, *sorted((ts[k], ts[k + 1])))
 
-    stats = {"tikhonov": tikhonov, "trail": trail}
+    stats = {"tikhonov": FIT_TIKHONOV, "trail": trail}
     right = find_root(1.0 + b, 1.0 + 4.0 * b)
     left = find_root(-1.0 - b, -1.0 - 4.0 * b)
     if right is None or left is None:

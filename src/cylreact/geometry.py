@@ -212,18 +212,16 @@ def lateral_boundary_term(u: CylinderField, model: CoefficientModel,
                     psi_sq)
 
 
-def poincare_sides(u: CylinderField, model: CoefficientModel, reaction,
-                   psi: CylinderField,
-                   threshold: float | None = None) -> PoincareSides:
+def poincare_sides(u: CylinderField, model: CoefficientModel,
+                   psi: CylinderField) -> PoincareSides:
     """Evaluate both sides of the directional Poincaré inequality at u, psi.
 
-    The reaction argument is part of the reporting interface (it identifies
-    the problem the solution came from) but the inequality itself involves
-    only the coefficient model and u.  No stability assertion is made here:
-    for unstable u the inequality may genuinely fail.
+    The inequality involves only the coefficient model and u, not the
+    reaction.  No stability assertion is made here: for unstable u the
+    inequality may genuinely fail.
     """
     grid = u.grid
-    der = _derivatives(u, threshold)
+    der = _derivatives(u, None)
     state = forms.coefficient_state(u, model)
     w_theta = grid.bulk_weights(state["theta"])
 

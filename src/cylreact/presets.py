@@ -76,17 +76,10 @@ class Preset:
         """Sample the closed-form state on the grid, if one exists."""
         if self.catalog_name is None:
             return None
-        if self.catalog_name == CONSTANT_ONE_STATE:
-            return CylinderField(grid, np.ones(grid.shape))
         return catalog_solution(self.catalog_name, grid,
                                 model=self.model(),
                                 reaction=self.reaction(),
                                 c=self.one_dim_c)
-
-
-# A constant state is not part of the solver catalog; presets sample it
-# directly.  The sentinel keeps exact_state uniform.
-CONSTANT_ONE_STATE = "constant-one"
 
 
 _INTERVAL_PI = DomainSpec.interval(0.0, np.pi)
@@ -154,7 +147,7 @@ PRESETS: tuple[Preset, ...] = (
         domain=_INTERVAL_PI, nx=65, ny=65, y_max=8.0,
         model_factory=CoefficientModel.constant_one,
         reaction_factory=lambda: ReactionSpec.constant(1.0).shifted(1.0),
-        catalog_name=CONSTANT_ONE_STATE,
+        catalog_name=solver.CONSTANT_ONE,
         expected_classification="Stable",
         bounded_below=True,
         reciprocal_a_integral_diverges=True,

@@ -66,6 +66,8 @@ KRYLOV_RTOL = 1e-10
 # never converges: an all-Neumann p-Laplace step with f = -1 at 65^2 ran
 # 9122 iterations (3.9 s) uncapped, 500 (0.2 s) at the cap.
 KRYLOV_MAXITER = 500
+NEWTON_MAXITER = 50
+EXTREMUM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -385,13 +387,13 @@ def pinned_top(u: CylinderField) -> tuple:
 
 def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
                  grid: CylinderGrid, init: CylinderField,
-                 tol: float = 1e-10, max_iter: int = 50,
-                 top_bc=("neumann",)) -> SolveReport:
+                 tol: float = 1e-10, top_bc=("neumann",)) -> SolveReport:
     """Damped Newton on the nodal weak residual.
 
-    Convergence is max-norm of the nodal residual <= tol.  top_bc is
-    ("neumann",) for the natural zero-flux truncation or
-    ("dirichlet", value) to pin the top slice.
+    Convergence is max-norm of the nodal residual <= tol within
+    NEWTON_MAXITER steps of a damped_newton run.  top_bc is ("neumann",)
+    for the natural zero-flux truncation or ("dirichlet", value) to pin
+    the top slice.
 
     A pinned top with nonzero data is globalized by natural-parameter
     continuation in that data (Allgower & Georg 2003) once plain Armijo
@@ -404,7 +406,7 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
     step, the adaptive rule of Deuflhard (2004, ch. 5); then lambda = 1 is
     tried.  A failed stage bisects between lambda_done and lambda, and a
     bisection step below MIN_CONTINUATION_STEP falls back to plain Armijo
-    from init with the full max_iter, so every solve that converges
+    from init with the full NEWTON_MAXITER, so every solve that converges
     without continuation still converges.  Neumann tops, zero data and
     solves with no late halving run plain Armijo alone.  A step that
     _linear_step misses ends the solve at the last accepted iterate, with
@@ -440,7 +442,8 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
             return residual_vector(u, model, reaction, bc, state=last[1])
 
         x, _, hist, halv, stop = damped_newton(
-            residual, newton_step, x, tol, max_iter, stop_at_late_halving)
+            residual, newton_step, x, tol, NEWTON_MAXITER,
+            stop_at_late_halving)
         history.extend(hist if not history else hist[1:])
         halvings.extend(halv)
         return x, hist[-1], len(halv), stop
@@ -478,6 +481,7 @@ DECAY_COS = "decay-cos"
 GROW_COS = "grow-cos"
 LINEAR_Y = "linear-y"
 EXP_DECAY = "exp-decay"
+CONSTANT_ONE = "constant-one"
 ONE_DIM_FAMILY = "one-dim-family"
 
 
@@ -490,6 +494,7 @@ def catalog_solution(name: str, grid: CylinderGrid, model=None, reaction=None,
     grow-cos:  e^{y} cos x, same setup with f(u) = -u.
     linear-y:  u = y, a = 1, g = 0, f = -1.
     exp-decay: u = e^{-y}, a = e^y, g = 0, f = 1.
+    constant-one: u = 1, a = 1, g = 0, f(u) = 1 - u.
     one-dim-family: u(y) = c - f(c) int_0^y dz/a(z, 0), for y-only
       coefficients; needs model and reaction, and a locally integrable 1/a.
     """
@@ -504,6 +509,8 @@ def catalog_solution(name: str, grid: CylinderGrid, model=None, reaction=None,
         return CylinderField(grid, y.copy())
     if name == EXP_DECAY:
         return CylinderField(grid, np.exp(-y))
+    if name == CONSTANT_ONE:
+        return CylinderField(grid, np.ones(grid.shape))
     if name == ONE_DIM_FAMILY:
         if model is None or reaction is None:
             raise ValueError("one-dim-family needs model and reaction")
@@ -540,14 +547,14 @@ def _one_dim_profile(model: CoefficientModel, fc: float, c: float,
     return vals
 
 
-def extremum_sign_check(u: CylinderField, reaction: ReactionSpec,
-                        tol: float = 1e-8) -> dict:
+def extremum_sign_check(u: CylinderField, reaction: ReactionSpec) -> dict:
     """Check the extremum-location and reaction-sign conclusions.
 
     For bounded stable states under a t-monotone coefficient and zero bulk
     source, the discrete infimum c should be attained on the bottom slice and
-    f(c) should be nonpositive.  Returns the measured pieces; hypothesis
-    gating (a_t <= 0, g absent) is the caller's job.
+    f(c) should be nonpositive, both up to EXTREMUM_TOL.  Returns the
+    measured pieces; hypothesis gating (a_t <= 0, g absent) is the caller's
+    job.
     """
     c = float(np.min(u.values))
     bottom_min = float(np.min(u.values[..., 0]))
@@ -555,8 +562,8 @@ def extremum_sign_check(u: CylinderField, reaction: ReactionSpec,
     return {
         "infimum": c,
         "bottom_min": bottom_min,
-        "attained_on_bottom": bool(bottom_min <= c + tol),
+        "attained_on_bottom": bool(bottom_min <= c + EXTREMUM_TOL),
         "f_at_infimum": fc,
-        "sign_ok": bool(fc <= tol),
-        "ok": bool(bottom_min <= c + tol and fc <= tol),
+        "sign_ok": bool(fc <= EXTREMUM_TOL),
+        "ok": bool(bottom_min <= c + EXTREMUM_TOL and fc <= EXTREMUM_TOL),
     }

@@ -27,6 +27,8 @@ from .cylinder import (CylinderField, CylinderGrid, DomainSpec, _outer,
                        _trapezoid_weights)
 
 DEFAULT_S = 0.5
+SEMILINEAR_TOL = 1e-10
+SEMILINEAR_MAXITER = 60
 
 
 class SpectralSolveError(RuntimeError):
@@ -137,19 +139,18 @@ def apply_fractional(basis: SpectralBasis, s: float,
     return SpectralFunction(basis, factors * w.coeffs)
 
 
-def solve_semilinear(basis: SpectralBasis, reaction, init: SpectralFunction,
-                     tol: float = 1e-10, max_iter: int = 60,
-                     s: float = DEFAULT_S) -> SpectralFunction:
-    """Damped Galerkin-Newton for lambda^s v_k = <f(v), phi_k>.
+def solve_semilinear(basis: SpectralBasis, reaction,
+                     init: SpectralFunction) -> SpectralFunction:
+    """Damped Galerkin-Newton for lambda^s v_k = <f(v), phi_k>, s = DEFAULT_S.
 
     The residual is r_k = lambda_k**s v_k - <f(v), phi_k> with the inner
     product by cross-section quadrature; convergence means
-    max|r_k| <= tol.  The iteration is solver.damped_newton, the cylinder
-    solve's loop.  Failure raises SpectralSolveError carrying the residual
-    history.
+    max|r_k| <= SEMILINEAR_TOL within SEMILINEAR_MAXITER steps.  The
+    iteration is solver.damped_newton, the cylinder solve's loop.  Failure
+    raises SpectralSolveError carrying the residual history.
     """
     _check_basis(basis, init)
-    lam_s = np.where(basis.lambdas > 0.0, basis.lambdas ** s, 0.0)
+    lam_s = np.where(basis.lambdas > 0.0, basis.lambdas ** DEFAULT_S, 0.0)
     flatfields = basis.eigenfields.reshape(basis.K, -1)
     wflat = basis.weights.ravel()
 
@@ -175,7 +176,8 @@ def solve_semilinear(basis: SpectralBasis, reaction, init: SpectralFunction,
         return -(V @ (solver.pseudo_inverse(ev) * (V.T @ r)))
 
     c, _, history, _, stop = solver.damped_newton(
-        residual, newton_step, init.coeffs.copy(), tol, max_iter)
+        residual, newton_step, init.coeffs.copy(), SEMILINEAR_TOL,
+        SEMILINEAR_MAXITER)
     if stop is not None:
         raise SpectralSolveError(stop, history)
     return SpectralFunction(basis, c)
@@ -229,7 +231,7 @@ def extension_equivalence(basis: SpectralBasis, reaction, grid: CylinderGrid,
                           init: SpectralFunction | None = None) -> float:
     """Max cylinder weak residual of the harmonically extended s=1/2 solve.
 
-    Solves the fractional problem by ``solve_semilinear`` at its defaults,
+    Solves the fractional problem by ``solve_semilinear``,
     extends it to the cylinder, and tests the extension in the cylinder
     weak form (a == 1, g == 0, bottom reaction f) against the tensor fields
     phi_k(x) * p(y), k < 6, with top-vanishing y-profiles p.

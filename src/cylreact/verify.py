@@ -228,11 +228,10 @@ def _psi_battery(grid):
 
 def _poincare_slacks(preset, n):
     grid = preset.build_grid(nx=n, ny=n)
-    u = preset.exact_state(grid)
-    model, reaction = preset.model(), preset.reaction()
+    u, model = preset.exact_state(grid), preset.model()
     out = []
     for label, psi in _psi_battery(grid):
-        sides = geometry.poincare_sides(u, model, reaction, psi)
+        sides = geometry.poincare_sides(u, model, psi)
         out.append((label, sides.lhs_bulk + sides.lhs_lateral, sides.rhs))
     return out
 
@@ -535,7 +534,7 @@ def criterion_11() -> CheckRecord:
             rows.append(row)
             continue
         applicable += 1
-        check = solver.extremum_sign_check(report.u, reaction, tol=1e-8)
+        check = solver.extremum_sign_check(report.u, reaction)
         row.update(check)
         row["status"] = PASS if check["ok"] else FAIL
         worst_f = max(worst_f, check["f_at_infimum"])

@@ -544,8 +544,6 @@ def test_construct_counterexample_validation():
         fr.construct_counterexample(_zero_h, 0.0)
     with pytest.raises(ValueError):
         fr.construct_counterexample(_zero_h, 1.5)
-    with pytest.raises(ValueError):
-        fr.construct_counterexample(_zero_h, 0.5, M=2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -227,9 +227,8 @@ def test_poincare_sides_hold_for_stable_states():
         p = presets.get_preset(name)
         grid = p.build_grid(nx=33, ny=33)
         u = p.exact_state(grid)
-        model, reaction = p.model_factory(), p.reaction_factory()
         psi = geometry.log_cutoff(1e4, grid)
-        sides = geometry.poincare_sides(u, model, reaction, psi)
+        sides = geometry.poincare_sides(u, p.model_factory(), psi)
         assert sides.lhs_bulk + sides.lhs_lateral <= sides.rhs + 1e-10, name
 
 
@@ -240,8 +239,7 @@ def test_poincare_sides_rhs_zero_for_y_only_state():
     grid = p.build_grid(nx=17, ny=17)
     u = p.exact_state(grid)
     psi = geometry.log_cutoff(1e4, grid)
-    sides = geometry.poincare_sides(u, p.model_factory(), p.reaction_factory(),
-                                    psi)
+    sides = geometry.poincare_sides(u, p.model_factory(), psi)
     assert abs(sides.rhs) < 1e-20
     assert abs(sides.lhs_bulk) < 1e-20
 
@@ -335,7 +333,7 @@ def test_poincare_sides_match_bracket_and_lateral_term(case):
     # cross-section the bracket cancels exactly, so only the rectangle
     # tests a nonzero bulk side)
     name, u, model, psi = case
-    sides = geometry.poincare_sides(u, model, None, psi)
+    sides = geometry.poincare_sides(u, model, psi)
     w_theta = u.grid.bulk_weights(model.y_exponent)
     bracket = geometry.bulk_bracket(u, model)
     assert sides.lhs_lateral != 0.0 and sides.rhs != 0.0

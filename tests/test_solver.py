@@ -574,7 +574,7 @@ def test_extremum_sign_check_const_one():
     u = CylinderField(grid, np.ones(grid.shape))
     reaction = ReactionSpec.custom(
         f=lambda v: 1.0 - v, f_prime=lambda v: -np.ones_like(v))
-    out = extremum_sign_check(u, reaction, tol=1e-8)
+    out = extremum_sign_check(u, reaction)
     assert out["ok"]
     assert out["attained_on_bottom"]
     assert out["f_at_infimum"] == pytest.approx(0.0, abs=1e-14)
@@ -586,7 +586,7 @@ def test_extremum_sign_check_flags_positive_f():
     u = CylinderField(grid, 1.0 + Y)  # infimum 1 on the bottom
     reaction = ReactionSpec.custom(
         f=lambda v: np.ones_like(v), f_prime=lambda v: np.zeros_like(v))
-    out = extremum_sign_check(u, reaction, tol=1e-8)
+    out = extremum_sign_check(u, reaction)
     assert not out["sign_ok"]
     assert not out["ok"]
 
@@ -1064,7 +1064,8 @@ def test_continuation_falls_back_to_plain_armijo(monkeypatch):
     # three steps do not finish the lambda = 1/2 stage, and the next
     # bisection step (1/4) is below the floor: plain Armijo from init
     monkeypatch.setattr(solver, "MIN_CONTINUATION_STEP", 0.5)
-    rep = _mean_curvature_solve(17, max_iter=3)
+    monkeypatch.setattr(solver, "NEWTON_MAXITER", 3)
+    rep = _mean_curvature_solve(17)
     assert rep.stats["continuation"] == [[0.5, 3, False]]
     assert rep.newton_iterations == len(rep.stats["backtracks"]) == 1 + 3 + 3
     x, _, history, halvings, _ = _plain_armijo(*_mean_curvature_problem(17),
@@ -1092,7 +1093,8 @@ def test_each_step_reuses_its_residuals_coefficient_state(monkeypatch):
     monkeypatch.setattr(forms, "weak_residual_vector",
                         counted("residual", forms.weak_residual_vector))
     monkeypatch.setattr(solver, "MIN_CONTINUATION_STEP", 0.5)
-    rep = _mean_curvature_solve(17, max_iter=3)
+    monkeypatch.setattr(solver, "NEWTON_MAXITER", 3)
+    rep = _mean_curvature_solve(17)
     assert sum(rep.stats["backtracks"]) > 0
     assert calls["residual"] > rep.newton_iterations > 0
     assert calls["state"] == calls["residual"]
@@ -1123,17 +1125,19 @@ def test_missed_step_in_a_stage_ends_the_solve(monkeypatch):
 
 def test_stall_and_iteration_cap_name_their_reasons(monkeypatch):
     # the pinned cubic solve halves its first step: with MIN_STEP = 1 that
-    # halving stalls it; at max_iter = 2 it stops short of convergence
+    # halving stalls it; at a cap of 2 steps it stops short of convergence
     grid = _grid(nx=33, ny=33)
     cubic = ReactionSpec.custom(f=lambda v: v - v ** 3,
                                 f_prime=lambda v: 1.0 - 3.0 * v ** 2)
     init = CylinderField(grid, np.full(grid.shape, 0.5))
     args = (CoefficientModel.constant_one(), cubic, grid, init)
     top = ("dirichlet", np.full(grid.nx, 0.3))
-    capped = solve_newton(*args, top_bc=top, max_iter=2)
+    monkeypatch.setattr(solver, "NEWTON_MAXITER", 2)
+    capped = solve_newton(*args, top_bc=top)
     assert not capped.converged and capped.newton_iterations == 2
     assert capped.stats["stop_reason"].startswith(
         "no convergence in 2 iterations (best residual ")
+    monkeypatch.undo()
     monkeypatch.setattr(solver, "MIN_STEP", 1.0)
     stalled = solve_newton(*args, top_bc=top)
     assert not stalled.converged and stalled.newton_iterations == 0

@@ -249,7 +249,7 @@ def test_solve_semilinear_leaves_a_round_off_kernel_mode():
     assert abs(v.coeffs[2] - c0[2]) <= 1e-12
 
 
-def test_solve_semilinear_inconsistent_problem_raises():
+def test_solve_semilinear_inconsistent_problem_raises(monkeypatch):
     # f(v) = v^2 + 1 has positive mean for every v: the zero-mode equation
     # 0 = <f(v), phi_0> is unsolvable
     b = spectral.neumann_basis(INTERVAL_PI, 4)
@@ -257,18 +257,20 @@ def test_solve_semilinear_inconsistent_problem_raises():
         f=lambda v: np.asarray(v, float) ** 2 + 1.0,
         f_prime=lambda v: 2.0 * np.asarray(v, float))
     init = spectral.SpectralFunction(b, np.zeros(4))
+    monkeypatch.setattr(spectral, "SEMILINEAR_MAXITER", 25)
     with pytest.raises(spectral.SpectralSolveError) as exc:
-        spectral.solve_semilinear(b, reaction, init, max_iter=25)
+        spectral.solve_semilinear(b, reaction, init)
     assert len(exc.value.residual_history) >= 1
 
 
-def test_solve_semilinear_reports_iteration_cap():
+def test_solve_semilinear_reports_iteration_cap(monkeypatch):
     b = spectral.neumann_basis(INTERVAL_PI, 8)
     init = spectral.SpectralFunction(
         b, 0.1 * np.random.default_rng(7).standard_normal(8))
+    monkeypatch.setattr(spectral, "SEMILINEAR_MAXITER", 1)
     with pytest.raises(spectral.SpectralSolveError,
                        match="no convergence in 1 iterations") as exc:
-        spectral.solve_semilinear(b, _damped_cubic(), init, max_iter=1)
+        spectral.solve_semilinear(b, _damped_cubic(), init)
     history = exc.value.residual_history
     assert len(history) == 2 and history[1] < history[0]
 

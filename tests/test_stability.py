@@ -423,13 +423,18 @@ def test_steep_rank_one_state_is_proved_stable_by_the_banded_factor(n):
 
 def test_lobpcg_at_its_cap_warns_nothing():
     # at 33^2 LOBPCG stops at its cap on the mean preconditioner and the
-    # banded factor proves the label; the stats report that, not a warning
+    # banded factor proves the label; the stats report that, not a warning:
+    # lobpcg_runs shows the capped run before the factor's (scipy's loop
+    # runs passes 0..maxiter and preconditions once in each)
     u, model, reaction = _steep_mean_curvature(33)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rep = stability.classify(u, model, reaction)
     assert rep.classification == stability.STABLE and rep.stats["factored"]
     assert caught == []
+    runs = rep.stats["lobpcg_runs"]
+    assert len(runs) == 2 and runs[0] == stability.LOBPCG_MAXITER + 1
+    assert sum(runs) == rep.stats["lobpcg_iterations"]
 
 
 def test_no_factor_exists_above_mu1():
