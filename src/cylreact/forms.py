@@ -18,17 +18,18 @@ boundary rows), which keeps nodal hat-tested residuals second-order accurate
 next to flux-carrying boundaries; the pointwise second-order ``gradient``
 operator is reserved for direct derivative evaluation.
 
-The energy matrix has one sparsity pattern per grid, whatever the state:
-each G_c is I x D_c x I with at most three entries per row of the 1D
-difference D_c, so row i couples node i only to i + s e_c + t e_d
-(s, t in {-1, 0, 1}).  ``EnergyLayout``, built once per grid and cached
-on it, holds that pattern as CSR arrays.  An assembly multiplies planes of
-the grid's pairing stencil tables by shifted weight planes, one value
-plane per offset, and fills ``data`` with one gather; no sparse product
-runs.  The one block cut from it is the free block, on the nodes below a
-y index nf, also a cached gather: a pinned top slice in the Newton solve
-(nf = ny - 1) and the stability test space (nodes below vanish_above) are
-both that block.
+The energy matrix is stored by its diagonals: each G_c is I x D_c x I with
+at most three entries per row of the 1D difference D_c, so row i couples
+node i only to i + s e_c + t e_d (s, t in {-1, 0, 1}), a neighbour offset
+fixed by the grid whatever the state.  ``EnergyLayout``, built once per
+grid and cached on it, multiplies planes of the grid's pairing stencil
+tables by shifted weight planes, one value plane per neighbour offset; no
+sparse product runs.  The planes are the upper diagonals, and one builder
+(EnergyLayout.matrix) stores them as a symmetric DIA matrix, either the
+whole matrix or its free block on the nodes below a y index nf, whose
+planes are a slice of the whole matrix's: a pinned top slice in the Newton
+solve (nf = ny - 1) and the stability test space (nodes below
+vanish_above) are both that block.
 
 Gradient magnitudes feeding the eta/|eta| factor are regularized as
 sqrt(|g|^2 + eps^2) with eps = 1e-10 whenever the model has genuine
@@ -128,22 +129,9 @@ def _at(t: np.ndarray, shift: int) -> np.ndarray:
     return out
 
 
-def _csr(data, indices, indptr, n_rows: int) -> sp.csr_matrix:
-    """Square CSR matrix on a sorted, duplicate-free pattern, sharing the
-    pattern's arrays."""
-    A = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_rows))
-    A.has_canonical_format = True
-    return A
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 class EnergyLayout:
-    """The energy matrix's CSR pattern on one grid, the gather that fills
-    it, and the gathers that cut its free blocks.
+    """The slots that fill the energy matrix's value planes on one grid,
+    and the builder of the matrix and its free blocks from the planes.
 
     Every G_c is I x D_c x I, and each row of the 1D pairing difference D_c
     has its entries at k - 1, k, k + 1 at most: rows 1 to 3 of the grid's
@@ -153,29 +141,25 @@ class EnergyLayout:
     weight at k.  A "slot" is one (c, d, a, b) with its
     table product as a broadcastable plane.  Only the pairs c <= d are
     slotted, and each slot writes the one of its entry and the entry's
-    mirror that lies in the upper triangle.  Slots with the same flat
-    offset j - i >= 0 sum into one value plane over the row nodes i
-    (plane 0 is the diagonal), so a matrix is
+    mirror that lies in the upper triangle, the entry from row node i to
+    i + delta with delta = +-(b e_d - a e_c) and a flat offset >= 0.
+    Slots with the same neighbour offset delta sum into one value plane
+    over the row nodes i (plane 0, delta = 0, is the diagonal), so a
+    matrix is
 
-        planes[p][i] = sum over the slots of p of table[i] * w[i - shift],
+        planes[p][i] = sum over the slots of p of table[i] * w[i - shift].
 
-    and its CSR ``data`` is one gather from the slot-major planes: entry
-    (i, j) reads plane |j - i| at node min(i, j).  A is therefore
-    symmetric bit for bit.  The pattern holds every entry whose table
-    product is nonzero for some slot, whatever the weights, so it is the
-    same for every state on the grid; it keeps an entry that the weights
-    make exactly zero.
+    A plane is zero wherever i + delta leaves the grid, because the tables
+    are.  The planes are the matrix's upper diagonals, read at row
+    min(i, j), and ``matrix`` stores them as a symmetric DIA matrix.
 
     ``rank_one`` adds the c < d pairs of the linearization's rank-one term.
-    The free block below a y index (free_block) is a boolean gather of a
-    matrix's ``data``, built once per index and cached.  Every pattern
-    array is shared by the matrices on it and is read-only.
     """
 
     def __init__(self, grid: CylinderGrid, rank_one: bool):
         shape = grid.shape
         ndim = len(shape)
-        self.n, self.ny = grid.n_nodes, grid.ny
+        self.shape = shape
         strides = [int(np.prod(shape[k + 1:])) for k in range(ndim)]
         tables = [grid.stencil_table(c, pairing=True)[1:4]
                   for c in range(ndim)]
@@ -190,7 +174,7 @@ class EnergyLayout:
         pairs = [(c, c) for c in range(ndim)] + (
             [(c, d) for c in range(ndim) for d in range(c + 1, ndim)]
             if rank_one else [])
-        raw = []     # (|f|, shift axis, shift, table plane, pair)
+        raw = []     # (delta, shift axis, shift, table plane, pair)
         for c, d in pairs:
             for a in (-1, 0, 1):
                 for b in (-1, 0, 1):
@@ -198,6 +182,9 @@ class EnergyLayout:
                         continue
                     f = b * strides[d] - a * strides[c]
                     axis, shift = (c, a) if f >= 0 else (d, b)
+                    sign = 1 if f >= 0 else -1
+                    delta = tuple(sign * (b * (m == d) - a * (m == c))
+                                  for m in range(ndim))
                     table = np.ones([1] * ndim)
                     for ax, row in ((c, tables[c][a + 1]),
                                     (d, tables[d][b + 1])):
@@ -206,60 +193,29 @@ class EnergyLayout:
                             [-1 if m == ax else 1 for m in range(ndim)])
                     if np.any(table):
                         scale = 2.0 if c != d and f == 0 else 1.0
-                        raw.append((abs(f), axis, shift, scale * table,
+                        raw.append((delta, axis, shift, scale * table,
                                     (c, d)))
-        offsets = sorted({r[0] for r in raw})
+        # the zero delta, the diagonal, sorts first
+        self.deltas = sorted({r[0] for r in raw})
         # (plane, padded-weight window, table plane, pair) per slot
         self.slots = []
-        mask = np.zeros((len(offsets),) + shape, dtype=bool)
-        mask[0] = True
-        for f, axis, shift, table, pair in raw:
-            p = offsets.index(f)
+        for delta, axis, shift, table, pair in raw:
             window = tuple(slice(1 - shift * (k == axis),
                                  1 - shift * (k == axis) + shape[k])
                            for k in range(ndim))
-            self.slots.append((p, window, table, pair))
-            mask[p] |= table != 0.0
-        P, n = len(offsets), self.n
-        self.n_planes = P
-        self._iy = np.tile(np.arange(self.ny, dtype=np.int32), n // self.ny)
-
-        # Entry (i, i + full[q]) is stored where present[q, i], q over the
-        # full offsets -off[P-1] .. -off[1], 0, off[1] .. off[P-1]
-        full = np.array([-o for o in offsets[:0:-1]] + offsets)
-        flat_mask = mask.reshape(P, n)
-        present = np.zeros((2 * P - 1, n), dtype=bool)
-        for p, off in enumerate(offsets):
-            present[P - 1 + p] = flat_mask[p]
-            if p:
-                present[P - 1 - p, off:] = flat_mask[p, :n - off]
-        counts = np.zeros(n, dtype=np.int32)
-        for row in present:
-            counts += row
-        self.indptr = _frozen(np.concatenate(([0], np.cumsum(counts)))
-                              .astype(np.int32))
-        # CSR order is row-major in (i, q)
-        rows = np.repeat(np.arange(n, dtype=np.int32), counts)
-        q = np.flatnonzero(present.T)
-        q -= rows * (2 * P - 1)
-        self.indices = _frozen(rows + full.astype(np.int32).take(q))
-        # entry (i, j) reads plane |j - i| at node min(i, j)
-        source = np.abs(np.arange(2 * P - 1) - (P - 1)) * n + np.minimum(full, 0)
-        rows += source.astype(np.int32).take(q)
-        self.take = _frozen(rows)
-        self._blocks = {}      # nf -> (keep, indptr, indices)
+            self.slots.append((self.deltas.index(delta), window, table, pair))
 
     def planes(self, weights: dict) -> np.ndarray:
-        """The value planes, shaped (n_planes,) + grid shape, for the pair
-        weights {(c, d): shaped w_cd} (c <= d; the c < d pairs only with
-        rank_one).  Plane 0 is the diagonal."""
+        """The value planes, shaped (len(deltas),) + grid shape, for the
+        pair weights {(c, d): shaped w_cd} (c <= d; the c < d pairs only
+        with rank_one).  Plane 0 is the diagonal."""
         padded = {}           # by array: the isotropic pairs share one
         for w in weights.values():
             if id(w) not in padded:
                 padded[id(w)] = np.pad(w, 1)
-        out = np.empty((self.n_planes,) + next(iter(weights.values())).shape)
+        out = np.empty((len(self.deltas),) + self.shape)
         tmp = np.empty_like(out[0])
-        started = [False] * self.n_planes
+        started = [False] * len(self.deltas)
         for p, window, table, pair in self.slots:
             src = padded[id(weights[pair])][window]
             if started[p]:
@@ -270,28 +226,43 @@ class EnergyLayout:
                 started[p] = True
         return out
 
-    def matrix(self, planes: np.ndarray) -> sp.csr_matrix:
-        """The matrix whose value planes are ``planes``."""
-        return _csr(planes.reshape(-1).take(self.take), self.indices,
-                    self.indptr, self.n)
+    def matrix(self, planes: np.ndarray, nf: int) -> sp.dia_matrix:
+        """The symmetric DIA matrix with value planes ``planes`` on the
+        nodes below y index nf, in their flat order: the whole matrix for
+        nf = ny, and its free block below nf otherwise.
 
-    def free_block(self, A: sp.csr_matrix, nf: int) -> sp.csr_matrix:
-        """The block of A, a matrix on this layout, on the nodes below y
-        index nf, in their flat order."""
-        if A.indptr is not self.indptr:
-            raise ValueError("matrix is not on this energy layout")
-        if nf not in self._blocks:
-            free = self._iy < nf
-            keep = np.repeat(free, np.diff(self.indptr)) & free[self.indices]
-            kept = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
-            block_indptr = np.concatenate(
-                ([0], np.cumsum(np.diff(kept)[free]))).astype(np.int32)
-            renumber = (np.arange(self.n) // self.ny * nf
-                        + self._iy).astype(np.int32)
-            self._blocks[nf] = (_frozen(keep), _frozen(block_indptr),
-                                _frozen(renumber[self.indices[keep]]))
-        keep, indptr, indices = self._blocks[nf]
-        return _csr(A.data[keep], indices, indptr, indptr.size - 1)
+        y is the fastest axis, so a block's planes are planes[..., :nf]
+        on the strides of the cut shape, less the rows whose neighbour
+        i + delta lies at or above nf.  Planes whose deltas share a flat
+        offset sum into one diagonal (on a three-node axis, delta = (0, 2)
+        and (1, -1) in 2D); a node reaches a given node by one delta at
+        most, so the sum adds zeros only.  The lower diagonal at -f holds
+        at column j the value of row node j, and the upper one at f the
+        same values moved by f, so each entry and its mirror read one
+        plane value: the matrix is symmetric bit for bit.
+        """
+        shape = self.shape[:-1] + (nf,)
+        n = int(np.prod(shape))
+        strides = [int(np.prod(shape[k + 1:])) for k in range(len(shape))]
+        kept = [(int(np.dot(delta, strides)), p)
+                for p, delta in enumerate(self.deltas) if abs(delta[-1]) < nf]
+        offsets = sorted({f for f, _ in kept})
+        P = len(offsets)
+        data = np.zeros((2 * P - 1, n))
+        lower = data[P - 1::-1]       # lower[q]: the diagonal at -offsets[q]
+        filled = set()
+        for f, p in kept:
+            rows = nf - max(self.deltas[p][-1], 0)
+            out = lower[offsets.index(f)].reshape(shape)[..., :rows]
+            if f in filled:
+                out += planes[p][..., :rows]
+            else:
+                out[...] = planes[p][..., :rows]
+                filled.add(f)
+        for q in range(1, P):
+            data[P - 1 + q, offsets[q]:] = lower[q, :n - offsets[q]]
+        return sp.dia_matrix(
+            (data, [-f for f in offsets[:0:-1]] + offsets), shape=(n, n))
 
 
 def energy_layout(grid: CylinderGrid, rank_one: bool) -> EnergyLayout:
@@ -302,29 +273,21 @@ def energy_layout(grid: CylinderGrid, rank_one: bool) -> EnergyLayout:
                         lambda: EnergyLayout(grid, rank_one))
 
 
-def free_block(grid: CylinderGrid, A: sp.csr_matrix, nf: int) -> sp.csr_matrix:
-    """The block of A, an energy matrix of grid, on the nodes below y index
-    nf, by the gather cached on A's layout."""
-    for rank_one in (False, True):
-        layout = grid._cache.get(("energy_layout", rank_one))
-        if layout is not None and A.indptr is layout.indptr:
-            return layout.free_block(A, nf)
-    raise ValueError("matrix is not on an energy layout of this grid")
-
-
-def assemble_energy_matrix(u: CylinderField, model: CoefficientModel,
-                           reaction,
-                           state: dict | None = None) -> sp.csr_matrix:
-    """Sparse symmetric matrix of the second-variation quadratic form.
+def energy_planes(u: CylinderField, model: CoefficientModel, reaction,
+                  state: dict | None = None) -> tuple:
+    """(layout, planes): the grid's EnergyLayout for the model and the value
+    planes of the second-variation quadratic form at u,
 
     phi^T A phi = int <B(y, grad u) grad phi, grad phi>
                 + int g_u(y, u) phi^2 - int_bottom f'(u) phi^2,
 
     assembled with the same operators and weights as the weak residual, so A
     is also the Newton Jacobian of the residual vector.  The flux part is
-    sum_{c,d} G_c^T diag(w (a delta_cd + (a_t/|g|) g_c g_d)) G_d, filled on
-    the grid's cached EnergyLayout; it is symmetric bit for bit.  ``state``
-    is coefficient_state(u, model) when the caller already holds it.
+    sum_{c,d} G_c^T diag(w (a delta_cd + (a_t/|g|) g_c g_d)) G_d; the
+    zero-order and bottom terms add to the diagonal plane.
+    layout.matrix(planes, nf) is A, or its free block below y index nf.
+    ``state`` is coefficient_state(u, model) when the caller already holds
+    it.
     """
     grid = u.grid
     if state is None:
@@ -353,7 +316,19 @@ def assemble_energy_matrix(u: CylinderField, model: CoefficientModel,
     w_b = grid.bottom_weights()
     fp = reaction.f_prime(u.values[..., 0].ravel())
     planes[0][..., 0] -= (w_b.ravel() * fp).reshape(w_b.shape)
-    return layout.matrix(planes)
+    return layout, planes
+
+
+def assemble_energy_matrix(u: CylinderField, model: CoefficientModel,
+                           reaction, state: dict | None = None,
+                           nf: int | None = None) -> sp.dia_matrix:
+    """Sparse symmetric matrix of the second-variation quadratic form at u
+    (energy_planes), or with ``nf`` its free block below y index nf.  It
+    is symmetric bit for bit.  ``state`` is coefficient_state(u, model)
+    when the caller already holds it.
+    """
+    layout, planes = energy_planes(u, model, reaction, state)
+    return layout.matrix(planes, u.grid.ny if nf is None else nf)
 
 
 def separable_samples(u: CylinderField, reaction, state: dict) -> list:
@@ -436,7 +411,7 @@ def energy_quadrature(u: CylinderField, model: CoefficientModel, reaction,
 
 
 def mass_matrix(u: CylinderField, model: CoefficientModel,
-                state: dict | None = None) -> sp.csr_matrix:
+                state: dict | None = None) -> sp.dia_matrix:
     """Diagonal SPD mass: int a(y, |grad u|) phi^2 + int_bottom phi^2.
     ``state`` is coefficient_state(u, model) when the caller holds it."""
     grid = u.grid
@@ -447,5 +422,5 @@ def mass_matrix(u: CylinderField, model: CoefficientModel,
     bottom = np.zeros(grid.shape)
     bottom[..., 0] = grid.bottom_weights()
     diag = diag + bottom.ravel()
-    return sp.diags(diag).tocsr()
+    return sp.diags(diag)
 

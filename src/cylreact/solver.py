@@ -176,25 +176,27 @@ def residual_vector(u: CylinderField, model: CoefficientModel,
 
 def _newton_system(u: CylinderField, model, reaction, top_bc,
                    state: dict | None = None) -> tuple:
-    """(A, separable): the Newton matrix at u and the ``separable``
-    argument of _linear_step, (grid, m_y, K_y, exact) from
-    forms.separable_factors.
+    """(A, A_free, separable): the Newton matrix at u, its free block, and
+    the ``separable`` argument of _linear_step, (grid, m_y, K_y, exact)
+    from forms.separable_factors.
 
     One coefficient state serves both: ``state`` when the caller holds
-    forms.coefficient_state(u, model), else a new one.  A is
-    forms.assemble_energy_matrix's matrix, on the grid's cached
-    forms.EnergyLayout, for either top.  A pinned top slice is cut from
-    the y factors alone (m_y and K_y's band lose their last entry), so
-    m_y.size is the number of free heights; _linear_step leaves A's top
-    rows unread.
+    forms.coefficient_state(u, model), else a new one.  A is the energy
+    matrix (forms.energy_planes) for either top.  A pinned top slice is cut
+    from the y factors (m_y and K_y's band lose their last entry), so
+    m_y.size is the number of free heights, and A_free is the block of A
+    below that y index, built from the same planes; with a Neumann top it
+    is A.  _linear_step leaves A's top rows unread.
     """
     if state is None:
         state = forms.coefficient_state(u, model)
-    A = forms.assemble_energy_matrix(u, model, reaction, state=state)
+    layout, planes = forms.energy_planes(u, model, reaction, state)
     m_y, K_y, exact = forms.separable_factors(u, model, reaction, state)
     if top_bc[0] == "dirichlet":
         m_y, K_y = m_y[:-1], K_y[:, :-1]
-    return A, (u.grid, m_y, K_y, exact)
+    A = layout.matrix(planes, u.grid.ny)
+    A_free = A if m_y.size == u.grid.ny else layout.matrix(planes, m_y.size)
+    return A, A_free, (u.grid, m_y, K_y, exact)
 
 
 def cross_section_spectrum(grid: CylinderGrid) -> tuple:
@@ -260,8 +262,8 @@ def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
     return solve
 
 
-def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
-                 separable: tuple) -> np.ndarray | None:
+def _linear_step(A: sp.dia_matrix, A_free: sp.dia_matrix, rhs: np.ndarray,
+                 stats: dict, separable: tuple) -> np.ndarray | None:
     """Solve A delta = rhs through the Kronecker sum of
     forms.separable_factors, exactly or by preconditioned CG.
 
@@ -275,10 +277,8 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
     right-hand side and once more to the residual left in A's free rows
     (one step of iterative refinement).  Otherwise the block is solved by
     conjugate gradients preconditioned with that solve (Concus & Golub
-    1973), to KRYLOV_RTOL or for at most KRYLOV_MAXITER iterations.
-    Conjugate gradients get the block as a CSR matrix of its own, cut
-    from A by the boolean gather cached on A's forms.EnergyLayout
-    (forms.free_block) rather than by slicing.
+    1973), to KRYLOV_RTOL or for at most KRYLOV_MAXITER iterations, on
+    A_free, the block as a matrix of its own (_newton_system).
 
     The step is returned only if it is finite and meets the linear
     residual bound ||A delta - rhs|| <= 1e-6 ||rhs|| over A's free rows
@@ -310,7 +310,6 @@ def _linear_step(A: sp.csr_matrix, rhs: np.ndarray, stats: dict,
             delta[..., :nf] += solve(free_residual())
     else:
         r = free_residual()
-        A_free = A if nf == grid.ny else forms.free_block(grid, A, nf)
         M = spla.LinearOperator(
             A_free.shape, dtype=float,
             matvec=lambda v: solve(v.reshape(r.shape)).ravel())
@@ -429,9 +428,9 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
 
     def newton_step(x, r):
         state = last[1] if last[0] is x else None
-        A, separable = _newton_system(CylinderField(grid, x), model,
-                                      reaction, top_bc, state)
-        return _linear_step(A, -r, stats, separable)
+        A, A_free, separable = _newton_system(CylinderField(grid, x), model,
+                                              reaction, top_bc, state)
+        return _linear_step(A, A_free, -r, stats, separable)
 
     def run(x, bc, stop_at_late_halving):
         """damped_newton from x with the top condition bc; returns

@@ -13,9 +13,10 @@ mass
 The paper tests stability against fields with bounded support in y; the
 discrete stand-in is the nodal fields that vanish at and above a y index
 nf, at most the top slice's.  So the pencil is the energy matrix's free
-block below nf (forms.free_block, the block a pinned-top Newton step
-solves on) and the mass's diagonal there, and a test field is a grid
-field whose y axis is cut at nf (StabilityForm.embed pads it back).
+block below nf (forms.assemble_energy_matrix with nf, the block a
+pinned-top Newton step solves on) and the mass's diagonal there, and a
+test field is a grid field whose y axis is cut at nf (StabilityForm.embed
+pads it back).
 
 The sign of the smallest generalized eigenvalue mu_1 of (I, M) classifies
 the solution.  Because discrete eigenvalues carry O(h^2) error, values
@@ -90,8 +91,8 @@ class StabilityForm:
     assemble_I makes both matrices symmetric and the mass diagonal and
     positive."""
 
-    energy_matrix: sp.csr_matrix
-    mass_matrix: sp.csr_matrix
+    energy_matrix: sp.dia_matrix
+    mass_matrix: sp.dia_matrix
     grid: CylinderGrid
     nf: int
     comparison: tuple = field(repr=False)
@@ -104,7 +105,7 @@ class StabilityForm:
     @cached_property
     def energy_norm(self) -> float:
         """||A||_inf, read by the margin and by the residual gate."""
-        return float(spla.norm(self.energy_matrix, np.inf))
+        return float(abs(self.energy_matrix).sum(axis=1).max())
 
     def embed(self, phi_free: np.ndarray) -> CylinderField:
         """Zero-extend a test-space vector to a full grid field: its y
@@ -124,9 +125,9 @@ class StabilityReport:
     # Eigensolve telemetry: nu (the certified lower bound on mu1),
     # bracket_closed (mu1 - nu within twice nu's rounding allowance),
     # factored (the banded Cholesky factor of A - tol M proved mu1 > tol),
-    # lobpcg_runs (the preconditioner calls of each LOBPCG run, in order),
-    # lobpcg_iterations (their sum) and preconditioner_applications
-    # (vectors); not written to report.json.
+    # lobpcg_runs (the preconditioner calls of each LOBPCG run, in order)
+    # and preconditioner_applications (vectors); not written to
+    # report.json.
     stats: dict = field(default_factory=dict)
 
 
@@ -153,9 +154,9 @@ def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
     #{y_j < vanish_above}): all nodes strictly below the top slice, or
     with ``vanish_above`` only those with y < vanish_above (nested spaces
     give monotone ground-state eigenvalues).  A ``vanish_above`` that
-    leaves no height, nf < 1, is refused.  The energy block is the gather
-    cached on the grid's forms.EnergyLayout; the assembly is symmetric bit
-    for bit, and so is the block.  The mass is diagonal, and its block is
+    leaves no height, nf < 1, is refused.  The energy block is built from
+    the energy matrix's value planes cut at nf (forms.EnergyLayout.matrix)
+    and is symmetric bit for bit.  The mass is diagonal, and its block is
     its diagonal below nf.  A state where B fails to be positive definite
     is refused; otherwise a >= beta > 0 at every node, and with positive
     weights the mass diagonal is positive.  The comparison and mean y
@@ -169,10 +170,9 @@ def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
             raise ValueError(f"vanish_above={vanish_above!r} leaves no node "
                              "in the test space")
     state = _gated_state(u, model)
-    A_full = forms.assemble_energy_matrix(u, model, reaction, state=state)
+    A = forms.assemble_energy_matrix(u, model, reaction, state=state, nf=nf)
     mass = forms.mass_matrix(u, model, state=state).diagonal()
-    A = forms.free_block(grid, A_full, nf)
-    M = sp.diags(mass.reshape(grid.shape)[..., :nf].ravel(), format="csr")
+    M = sp.diags(mass.reshape(grid.shape)[..., :nf].ravel())
     a, fp, *gu = forms.separable_samples(u, reaction, state)
     beta = state["a_red"]
     if state["a_t_red"] is not None:
@@ -253,13 +253,15 @@ def _mean_preconditioner(form: StabilityForm, nu: float):
 
 def _banded_cholesky(form: StabilityForm, shift: float):
     """Block solve with A - shift M by LAPACK's banded Cholesky factor, or
-    None when it is not positive definite.  DIA row k and the upper band
-    storage's row width - offsets[k] hold diagonal offsets[k] alike."""
-    dia = (form.energy_matrix - shift * form.mass_matrix).todia()
-    upper = dia.offsets >= 0
-    width = int(dia.offsets.max())
+    None when it is not positive definite.  A's DIA row k and the upper
+    band storage's row width - offsets[k] hold diagonal offsets[k] alike,
+    and M is diagonal."""
+    A = form.energy_matrix
+    upper = A.offsets >= 0
+    width = int(A.offsets.max())
     band = np.zeros((width + 1, form.dim))
-    band[width - dia.offsets[upper]] = dia.data[upper]
+    band[width - A.offsets[upper]] = A.data[upper]
+    band[width] -= shift * form.mass_matrix.diagonal()
     try:
         factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True)
     except np.linalg.LinAlgError:
@@ -282,8 +284,7 @@ def _solve_pairs(form: StabilityForm, k: int, tol: float | None = None):
     A, M = form.energy_matrix, form.mass_matrix
     tol = default_tol(form) if tol is None else tol
     nu, slack, X = _comparison_pairs(form, k)
-    stats = {"nu": nu, "lobpcg_iterations": 0,
-             "preconditioner_applications": 0, "lobpcg_runs": []}
+    stats = {"nu": nu, "preconditioner_applications": 0, "lobpcg_runs": []}
     mass, norm_A = M.diagonal(), form.energy_norm
 
     def lobpcg(X, solve):
@@ -292,7 +293,6 @@ def _solve_pairs(form: StabilityForm, k: int, tol: float | None = None):
 
         def precondition(R):
             runs[-1] += 1
-            stats["lobpcg_iterations"] += 1
             stats["preconditioner_applications"] += R.shape[1]
             return solve(R)
 

@@ -218,19 +218,21 @@ def _lu_matrix(u, model, reaction, top):
 ], ids=["interval", "rectangle"])
 def test_newton_matrix_is_the_energy_matrix_for_either_top(domain, nz, model):
     # a pinned top changes only the y factors: the matrix is the assembled
-    # energy matrix on the layout's own pattern
+    # energy matrix, and the conjugate-gradient block its free block below
+    # the free heights
     grid = build_grid(domain, nx=9, ny=7, y_max=2.0, nz=nz)
     rng = np.random.default_rng(5)
     u = CylinderField(grid, rng.standard_normal(grid.shape))
     reaction = ReactionSpec.cubic()
     ref = forms.assemble_energy_matrix(u, model, reaction)
-    layout = forms.energy_layout(grid, model.has_t_dependence)
     for top in (("neumann",), solver.pinned_top(u)):
-        A, (_, m_y, _, _) = solver._newton_system(u, model, reaction, top)
-        assert A.indptr is layout.indptr
-        assert np.shares_memory(A.indices, layout.indices)
-        assert np.array_equal(A.data, ref.data)
+        A, A_free, (_, m_y, _, _) = solver._newton_system(u, model, reaction,
+                                                          top)
         assert m_y.size == grid.ny - (top[0] == "dirichlet")
+        block = forms.assemble_energy_matrix(u, model, reaction, nf=m_y.size)
+        for B, want in ((A, ref), (A_free, block)):
+            assert np.array_equal(B.offsets, want.offsets)
+            assert np.array_equal(B.data, want.data)
 
 
 @pytest.mark.parametrize("kind", ["preset-pinned", "rectangle-pinned",
@@ -244,9 +246,9 @@ def test_pinned_step_reads_the_top_rows_off_the_residual(kind):
         case = _separable_case(kind)
     model, reaction, grid, u, (_, value) = case
     top = ("dirichlet", value + 0.25)
-    A, separable = solver._newton_system(u, model, reaction, top)
+    A, A_free, separable = solver._newton_system(u, model, reaction, top)
     r = residual_vector(u, model, reaction, top)
-    step = solver._linear_step(A, -r, _stats(), separable)
+    step = solver._linear_step(A, A_free, -r, _stats(), separable)
     top_rows = grid.top_mask().ravel()
     assert np.any(r[top_rows] != 0.0)
     assert np.array_equal(step[top_rows], -r[top_rows])
@@ -281,7 +283,8 @@ def test_newton_matrix_keeps_the_stencil_sparsity_at_129():
     rep = solve_newton(p.model(), p.reaction(), grid, u,
                        top_bc=solver.pinned_top(u))
     assert rep.converged
-    A = forms.assemble_energy_matrix(u, p.model(), p.reaction())
+    A = forms.assemble_energy_matrix(u, p.model(), p.reaction()).tocsr()
+    A.eliminate_zeros()
     assert np.diff(A.indptr).max() <= 5
 
 
@@ -296,10 +299,10 @@ def test_failed_factorization_stops_the_solve(kind, n, monkeypatch):
         raise np.linalg.LinAlgError("singular separable sum")
 
     monkeypatch.setattr(solver, "_separable_factor", refuse)
-    A, separable = solver._newton_system(u, model, reaction, top)
+    A, A_free, separable = solver._newton_system(u, model, reaction, top)
     r = residual_vector(u, model, reaction, top)
     stats = _stats()
-    assert solver._linear_step(A, -r, stats, separable) is None
+    assert solver._linear_step(A, A_free, -r, stats, separable) is None
     reason = "separable factor raised LinAlgError: singular separable sum"
     assert stats == dict(_stats(), stop_reason=reason)
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
@@ -346,10 +349,10 @@ SEPARABLE_CASES = ["preset-pinned", "preset-neumann", "rectangle-pinned",
 @pytest.mark.parametrize("kind", SEPARABLE_CASES)
 def test_separable_step_matches_the_lu_step(kind):
     model, reaction, grid, u, top = _separable_case(kind)
-    A, separable = solver._newton_system(u, model, reaction, top)
+    A, A_free, separable = solver._newton_system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
     stats = _stats()
-    step = solver._linear_step(A, rhs, stats, separable)
+    step = solver._linear_step(A, A_free, rhs, stats, separable)
     ref = spla.spsolve(_lu_matrix(u, model, reaction, top).tocsc(), rhs)
     assert stats == dict(_stats(), separable_solves=1)
     assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -393,7 +396,8 @@ def _kronecker_sum(grid, m_y, K_y):
                                   "graded-rectangle-neumann"])
 def test_separable_factor_inverts_the_kronecker_sum(kind):
     model, reaction, grid, u, top = _separable_case(kind)
-    _, (_, m_y, K_y, exact) = solver._newton_system(u, model, reaction, top)
+    _, _, (_, m_y, K_y, exact) = solver._newton_system(u, model, reaction,
+                                                       top)
     assert exact
     r = np.random.default_rng(3).standard_normal(grid.shape)[..., :m_y.size]
     ref = spla.spsolve(_kronecker_sum(grid, m_y, K_y), r.ravel())
@@ -425,7 +429,8 @@ def test_y_factor_is_the_band_of_the_sparse_product():
         "graded-power-weight-pinned")
     m_ref, K_ref = _sparse_y_factor(u, model, reaction)
     for bc, n in ((("neumann",), grid.ny), (top, grid.ny - 1)):
-        _, (_, m_y, K_y, exact) = solver._newton_system(u, model, reaction, bc)
+        _, _, (_, m_y, K_y, exact) = solver._newton_system(u, model,
+                                                           reaction, bc)
         L = sp.tril(K_ref[:n, :n]).tocoo()
         ref = np.zeros((3, n))
         ref[L.row - L.col, L.col] = L.data
@@ -438,7 +443,8 @@ def test_y_factor_is_the_band_of_the_sparse_product():
 def test_averaged_separable_factor_is_symmetric():
     # conjugate gradients needs a symmetric preconditioner
     model, reaction, grid, u, top = _non_separable_case("p-laplace")
-    _, (_, m_y, K_y, exact) = solver._newton_system(u, model, reaction, top)
+    _, _, (_, m_y, K_y, exact) = solver._newton_system(u, model, reaction,
+                                                       top)
     assert not exact
     solve = solver._separable_factor(grid, m_y, K_y)
     rng = np.random.default_rng(4)
@@ -450,7 +456,7 @@ def test_averaged_separable_factor_is_symmetric():
 
 def test_separable_factor_refuses_a_nonpositive_mass():
     model, reaction, grid, u, top = _separable_case("preset-neumann")
-    _, (_, m_y, K_y, _) = solver._newton_system(u, model, reaction, top)
+    _, _, (_, m_y, K_y, _) = solver._newton_system(u, model, reaction, top)
     m_y = m_y.copy()
     m_y[3] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
@@ -497,12 +503,12 @@ def _non_separable_case(kind):
                                   "cubic-x-dependent"])
 def test_non_separable_states_take_the_krylov_route(kind):
     model, reaction, grid, u, top = _non_separable_case(kind)
-    A, separable = solver._newton_system(u, model, reaction, top)
+    A, A_free, separable = solver._newton_system(u, model, reaction, top)
     assert separable[-1] is False
     rhs = -residual_vector(u, model, reaction, top)
     ref = spla.spsolve(_lil_pinned(u, model, reaction).tocsc(), rhs)
     stats = _stats()
-    step = solver._linear_step(A, rhs, stats, separable)
+    step = solver._linear_step(A, A_free, rhs, stats, separable)
     assert stats["krylov_solves"] == 1 and stats["krylov_iterations"] >= 1
     assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
@@ -513,12 +519,12 @@ def test_non_separable_states_take_the_krylov_route(kind):
 
 def test_missed_krylov_step_stops_the_solve(monkeypatch):
     model, reaction, grid, u, top = _non_separable_case("p-laplace")
-    A, separable = solver._newton_system(u, model, reaction, top)
+    A, A_free, separable = solver._newton_system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
     monkeypatch.setattr(solver.spla, "cg",
                         lambda A, b, **kw: (np.zeros_like(b), 0))
     stats = _stats()
-    assert solver._linear_step(A, rhs, stats, separable) is None
+    assert solver._linear_step(A, A_free, rhs, stats, separable) is None
     reason = "krylov step missed: relative residual 1.000e+00 > 1e-6"
     assert stats == dict(_stats(), stop_reason=reason)
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
@@ -528,11 +534,11 @@ def test_missed_krylov_step_stops_the_solve(monkeypatch):
 
 def test_krylov_step_at_its_iteration_cap_stops_the_solve(monkeypatch):
     model, reaction, grid, u, top = _non_separable_case("mean-curvature")
-    A, separable = solver._newton_system(u, model, reaction, top)
+    A, A_free, separable = solver._newton_system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
     monkeypatch.setattr(solver, "KRYLOV_MAXITER", 1)
     stats = _stats()
-    assert solver._linear_step(A, rhs, stats, separable) is None
+    assert solver._linear_step(A, A_free, rhs, stats, separable) is None
     reason = stats.pop("stop_reason")
     assert stats == dict(_stats(), krylov_iterations=1)
     prefix = "krylov step missed: relative residual "
@@ -714,6 +720,18 @@ def _pairwise_energy_matrix(u, model, reaction):
     return (A - sp.diags(bottom.ravel())).tocsr()
 
 
+def _assert_on_the_products(A, ref):
+    """A stores no nonzero off ref's sparsity pattern, and its values agree
+    with ref's to round-off: the layout sums each entry's slots in its own
+    order, with or without the rank-one term."""
+    pattern = sp.csr_matrix((np.ones_like(ref.data), ref.indices, ref.indptr),
+                            shape=ref.shape).toarray() != 0.0
+    dense = A.toarray()
+    assert not np.any(dense[~pattern])
+    assert np.abs(dense - ref.toarray()).max() <= 1e-14 * np.abs(
+        ref.data).max()
+
+
 @pytest.mark.parametrize("model", [
     CoefficientModel.mean_curvature_weight(-0.5),
     CoefficientModel.power_weight_p_laplace(0.0, 3.0),
@@ -728,15 +746,10 @@ def test_energy_matrix_folds_the_rank_one_term_per_pair(model, nz):
         grid.shape))
     reaction = ReactionSpec.cubic()
     A = forms.assemble_energy_matrix(u, model, reaction)
-    ref = _pairwise_energy_matrix(u, model, reaction)
-    assert np.array_equal(A.indptr, ref.indptr)
-    assert np.array_equal(A.indices, ref.indices)
-    # the layout sums each entry's slots in its own order, so the values
-    # agree to round-off, with or without the rank-one term
-    assert np.abs(A.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+    _assert_on_the_products(A, _pairwise_energy_matrix(u, model, reaction))
 
 
-# -- the fixed-pattern layout ---------------------------------------------------
+# -- the diagonal layout ----------------------------------------------------------
 
 def _layout_case(model, nz, grading):
     """(u, model, reaction) at a random state on a 9 x 7 (x 5) grid, with a
@@ -760,23 +773,26 @@ LAYOUT_MODELS = [CoefficientModel.mean_curvature_weight(-0.5),
 def test_layout_assembly_matches_the_pairwise_products(model, nz, grading):
     u, model, reaction = _layout_case(model, nz, grading)
     A = forms.assemble_energy_matrix(u, model, reaction)
-    ref = _pairwise_energy_matrix(u, model, reaction)
-    assert np.array_equal(A.indptr, ref.indptr)
-    assert np.array_equal(A.indices, ref.indices)
-    assert np.abs(A.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+    _assert_on_the_products(A, _pairwise_energy_matrix(u, model, reaction))
     # each entry and its mirror read the same plane value
     dense = A.toarray()
     assert np.array_equal(dense, dense.T)
+def _free_nodes(grid, nf):
+    """Flat indices of the nodes below y index nf."""
+    return np.flatnonzero(np.arange(grid.n_nodes) % grid.ny < nf)
 
 
-@pytest.mark.parametrize("nz", [None, 3], ids=["interval", "rectangle"])
-def test_layout_on_three_node_axes(nz):
-    # with ny = 3 distinct stencil offsets share a flat offset, (1, -1)
-    # and (0, 2) in 2D: the layout sums them into one plane, which is
-    # right because the flat offset alone fixes the column
+@pytest.mark.parametrize("nz, ny", [(None, 3), (3, 3), (3, 7)],
+                         ids=["interval", "rectangle", "rectangle-ny-7"])
+def test_layout_on_three_node_axes(nz, ny):
+    # on a three-node axis distinct neighbour offsets share a flat offset:
+    # (0, 2) and (1, -1) at ny = 3 in 2D, and (1, -1, 0) and (0, 2, 0) at
+    # nz = 3 in 3D; so do those of a free block below nf = 3 or less.  The
+    # layout sums them into one diagonal, which is right because the flat
+    # offset alone fixes the column.
     domain = (DomainSpec.interval(0.0, PI) if nz is None
               else DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI))
-    grid = build_grid(domain, nx=3, ny=3, y_max=2.0, grading=0.5, nz=nz)
+    grid = build_grid(domain, nx=3, ny=ny, y_max=2.0, grading=0.5, nz=nz)
     u = CylinderField(grid, np.random.default_rng(22).standard_normal(
         grid.shape))
     model, reaction = LAYOUT_MODELS[0], _cubic_source()
@@ -784,90 +800,79 @@ def test_layout_on_three_node_axes(nz):
     ref = _pairwise_energy_matrix(u, model, reaction).toarray()
     assert np.abs(A - ref).max() <= 1e-14 * np.abs(ref).max()
     assert np.array_equal(A, A.T)
+    for nf in range(1, ny):
+        free = _free_nodes(grid, nf)
+        block = forms.assemble_energy_matrix(u, model, reaction,
+                                             nf=nf).toarray()
+        assert np.array_equal(block, A[np.ix_(free, free)])
 
 
 @pytest.mark.parametrize("model", LAYOUT_MODELS,
                          ids=["rank-one", "isotropic"])
 @pytest.mark.parametrize("nz", [None, 5], ids=["interval", "rectangle"])
 def test_layout_gathers_match_scipy_slicing(model, nz):
+    # a free block is the whole matrix sliced by scipy, exactly and
+    # symmetric bit for bit
     u, model, reaction = _layout_case(model, nz, 0.5)
     grid = u.grid
-    A = forms.assemble_energy_matrix(u, model, reaction)
-    layout = forms.energy_layout(grid, model.has_t_dependence)
+    A = forms.assemble_energy_matrix(u, model, reaction).tocsr()
     for nf in (grid.ny - 1, 3):
-        free = np.flatnonzero(np.arange(grid.n_nodes) % grid.ny < nf)
-        block = forms.free_block(grid, A, nf)
-        ref = A[free][:, free]
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(block, name),
-                                  getattr(ref, name)), name
-    # a matrix on any other pattern, a copy of A's included, is refused
-    with pytest.raises(ValueError, match="not on an energy layout"):
-        forms.free_block(grid, A.copy(), grid.ny - 1)
-    with pytest.raises(ValueError, match="not on this energy layout"):
-        layout.free_block(_lil_pinned(u, model, reaction), grid.ny - 1)
+        free = _free_nodes(grid, nf)
+        block = forms.assemble_energy_matrix(u, model, reaction,
+                                             nf=nf).toarray()
+        assert np.array_equal(block, A[free][:, free].toarray())
+        assert np.array_equal(block, block.T)
 
 
-def test_second_assembly_reuses_the_cached_pattern():
+def test_second_assembly_reuses_the_cached_pattern(refuse_sparse_work,
+                                                   monkeypatch):
+    # a matrix has no per-state pattern: two states on a grid share the
+    # cached layout and its diagonal offsets, one per neighbour offset and
+    # mirror, and an assembly on a warm grid builds no index array
     u, model, reaction = _layout_case(LAYOUT_MODELS[0], None, 0.5)
-    layout = forms.energy_layout(u.grid, True)
-    A1 = forms.assemble_energy_matrix(u, model, reaction)
-    v = CylinderField(u.grid, 2.0 * u.values)
-    A2 = forms.assemble_energy_matrix(v, model, reaction)
-    assert forms.energy_layout(u.grid, True) is layout
-    for A in (A1, A2):
-        assert A.indptr is layout.indptr
-        assert np.shares_memory(A.indices, layout.indices)
-    assert not np.array_equal(A1.data, A2.data)
-    B1, B2 = (forms.free_block(u.grid, A, u.grid.ny - 1) for A in (A1, A2))
-    assert B1.indptr is B2.indptr
-    assert np.shares_memory(B1.indices, B2.indices)
+    grid = u.grid
+    grid.pairing_gradient_operators()
+    for name in ("repeat", "flatnonzero", "nonzero", "cumsum", "take"):
+        monkeypatch.setattr(np, name, refuse_sparse_work)
+    layout = forms.energy_layout(grid, True)
+    v = CylinderField(grid, 2.0 * u.values)
+    for nf in (grid.ny, grid.ny - 1):
+        A1, A2 = (forms.assemble_energy_matrix(w, model, reaction, nf=nf)
+                  for w in (u, v))
+        assert np.array_equal(A1.offsets, A2.offsets)
+        assert A1.data.shape == (2 * len(layout.deltas) - 1, A1.shape[0])
+        assert not np.array_equal(A1.data, A2.data)
+    assert forms.energy_layout(grid, True) is layout
 
 
 @pytest.mark.parametrize("model", LAYOUT_MODELS,
                          ids=["rank-one", "isotropic"])
-def test_warm_assembly_runs_no_sparse_product(model, monkeypatch):
-    # once the layout and its gathers are built, assembling and cutting
-    # free blocks neither multiply nor add sparse matrices
-    import scipy.sparse._compressed as compressed
+def test_warm_assembly_runs_no_sparse_product(model, refuse_sparse_work):
+    # assembling the matrix and its free blocks neither multiplies, adds
+    # nor converts sparse matrices
     u, model, reaction = _layout_case(model, 5, 0.5)
     grid = u.grid
-
-    def run():
-        A = forms.assemble_energy_matrix(u, model, reaction)
-        return (A, forms.free_block(grid, A, grid.ny - 1),
-                forms.free_block(grid, A, 3))
-
-    cold = run()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("sparse product or sum on a warm layout")
-
-    monkeypatch.setattr(compressed._cs_matrix, "_matmul_sparse", refuse)
-    monkeypatch.setattr(compressed._cs_matrix, "_binopt", refuse)
-    with pytest.raises(AssertionError, match="warm layout"):
-        sp.identity(3, format="csr") @ sp.identity(3, format="csr")
-    for a, b in zip(cold, run()):
-        assert np.array_equal(a.data, b.data)
+    eye = sp.dia_matrix((np.ones((1, 3)), [0]), shape=(3, 3))
+    for op in (lambda: eye @ eye, lambda: eye + eye, eye.tocsr, eye.todia):
+        with pytest.raises(AssertionError, match="refused"):
+            op()
+    for nf in (grid.ny, grid.ny - 1, 3):
+        A = forms.assemble_energy_matrix(u, model, reaction, nf=nf)
+        assert A.format == "dia" and A.shape == (grid.n_nodes // grid.ny
+                                                 * nf,) * 2
 
 
-def test_cold_grid_runs_no_sparse_product(monkeypatch):
+def test_cold_grid_runs_no_sparse_product(refuse_sparse_work, monkeypatch):
     # a fresh grid builds its operators, cross-section modes and energy
     # layouts and its Newton systems from its stencil tables: no sparse
-    # product or sum, Kronecker product or LIL edit runs
-    import scipy.sparse._compressed as compressed
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("sparse construction on a cold grid")
-
-    monkeypatch.setattr(compressed._cs_matrix, "_matmul_sparse", refuse)
-    monkeypatch.setattr(compressed._cs_matrix, "_binopt", refuse)
-    monkeypatch.setattr(sp, "kron", refuse)
-    monkeypatch.setattr(sp.csr_matrix, "tolil", refuse)
-    eye = sp.identity(3, format="csr")
+    # product, sum or conversion, Kronecker product or LIL edit runs
+    monkeypatch.setattr(sp, "kron", refuse_sparse_work)
+    monkeypatch.setattr(sp.csr_matrix, "tolil", refuse_sparse_work)
+    eye = sp.csr_matrix((np.ones(3), np.arange(3), np.arange(4)),
+                        shape=(3, 3))
     for op in (lambda: eye @ eye, lambda: eye + eye, lambda: sp.kron(eye, eye),
-               eye.tolil):
-        with pytest.raises(AssertionError, match="cold grid"):
+               eye.tolil, eye.tocsr):
+        with pytest.raises(AssertionError, match="refused"):
             op()
     grid = build_grid(DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI), nx=9, ny=7,
                       y_max=2.0, grading=0.5, nz=5)
@@ -880,11 +885,12 @@ def test_cold_grid_runs_no_sparse_product(monkeypatch):
     for model in LAYOUT_MODELS:
         forms.energy_layout(grid, model.has_t_dependence)
         for top in (("neumann",), solver.pinned_top(u)):
-            A, (_, m_y, K_y, _) = solver._newton_system(u, model,
-                                                        ReactionSpec.cubic(),
-                                                        top)
+            A, _, (_, m_y, K_y, _) = solver._newton_system(
+                u, model, ReactionSpec.cubic(), top)
             assert A.shape == (grid.n_nodes,) * 2
             solver._separable_factor(grid, m_y, K_y)
+
+
 
 
 # -- the damped-Newton loop ----------------------------------------------------
@@ -961,9 +967,10 @@ def _plain_armijo(model, reaction, grid, init, top, tol=1e-10, max_iter=50):
         return residual_vector(CylinderField(grid, x), model, reaction, top)
 
     def step(x, r):
-        A, separable = solver._newton_system(CylinderField(grid, x), model,
-                                             reaction, top)
-        return solver._linear_step(A, -r, stats, separable).reshape(grid.shape)
+        system = solver._newton_system(CylinderField(grid, x), model,
+                                       reaction, top)
+        return solver._linear_step(system[0], system[1], -r, stats,
+                                   system[2]).reshape(grid.shape)
 
     return solver.damped_newton(residual, step, init.values.copy(), tol,
                                 max_iter)
@@ -1107,12 +1114,12 @@ def test_missed_step_in_a_stage_ends_the_solve(monkeypatch):
     calls = []
     linear_step = solver._linear_step
 
-    def miss_third(A, rhs, stats, separable):
+    def miss_third(A, A_free, rhs, stats, separable):
         calls.append(rhs)
         if len(calls) == 3:
             stats["stop_reason"] = "missed"
             return None
-        return linear_step(A, rhs, stats, separable)
+        return linear_step(A, A_free, rhs, stats, separable)
 
     monkeypatch.setattr(solver, "_linear_step", miss_third)
     rep = _mean_curvature_solve(17)
