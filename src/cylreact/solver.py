@@ -186,7 +186,8 @@ def _newton_system(u: CylinderField, model, reaction, top_bc,
     from the y factors (m_y and K_y's band lose their last entry), so
     m_y.size is the number of free heights, and A_free is the block of A
     below that y index, built from the same planes; with a Neumann top it
-    is A.  _linear_step leaves A's top rows unread.
+    is A.  Only conjugate gradients read A_free, so on an exact sum it is
+    None.  _linear_step leaves A's top rows unread.
     """
     if state is None:
         state = forms.coefficient_state(u, model)
@@ -195,7 +196,9 @@ def _newton_system(u: CylinderField, model, reaction, top_bc,
     if top_bc[0] == "dirichlet":
         m_y, K_y = m_y[:-1], K_y[:, :-1]
     A = layout.matrix(planes, u.grid.ny)
-    A_free = A if m_y.size == u.grid.ny else layout.matrix(planes, m_y.size)
+    A_free, nf = None, m_y.size
+    if not exact:
+        A_free = A if nf == u.grid.ny else layout.matrix(planes, nf)
     return A, A_free, (u.grid, m_y, K_y, exact)
 
 
@@ -262,8 +265,9 @@ def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
     return solve
 
 
-def _linear_step(A: sp.dia_matrix, A_free: sp.dia_matrix, rhs: np.ndarray,
-                 stats: dict, separable: tuple) -> np.ndarray | None:
+def _linear_step(A: sp.dia_matrix, A_free: sp.dia_matrix | None,
+                 rhs: np.ndarray, stats: dict,
+                 separable: tuple) -> np.ndarray | None:
     """Solve A delta = rhs through the Kronecker sum of
     forms.separable_factors, exactly or by preconditioned CG.
 
@@ -278,7 +282,8 @@ def _linear_step(A: sp.dia_matrix, A_free: sp.dia_matrix, rhs: np.ndarray,
     (one step of iterative refinement).  Otherwise the block is solved by
     conjugate gradients preconditioned with that solve (Concus & Golub
     1973), to KRYLOV_RTOL or for at most KRYLOV_MAXITER iterations, on
-    A_free, the block as a matrix of its own (_newton_system).
+    A_free, the block as a matrix of its own (_newton_system; None on
+    an exact sum).
 
     The step is returned only if it is finite and meets the linear
     residual bound ||A delta - rhs|| <= 1e-6 ||rhs|| over A's free rows

@@ -33,20 +33,27 @@ modes only add lam_k diag(w_theta min beta) >= 0 to the constant mode's y
 pencil, so by Courant-Fischer nu is that pencil's lowest eigenvalue (M_lo
 if it is negative, else M_hi), less a rounding allowance.  theta, a
 Rayleigh quotient, comes from LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
-2001) on (A, M), started on the comparison pencil's lowest pairs and
-preconditioned by fast diagonalization of forms.separable_factors' mean
-sum (solver._separable_factor).  The residual gate checks every pair.
+2001) on (A, M), started on the comparison pencil's lowest pairs, in one
+run with the preconditioner chosen below.  The residual gate checks every
+pair.
 
 Stable needs a proof of mu_1 > tol, Unstable theta < -tol; otherwise the
-label is Marginal.  mu_1 is reported as theta.  nu > tol is such a proof.
-A strong rank-one term of B that turns across the cross-section defeats
-both Kronecker sums (nu <= tol < mu_1, or LOBPCG misses the gate); then,
-and only then, LAPACK's banded Cholesky factor of A - tol M proves
-mu_1 > tol by existing and preconditions the solve, and theta > tol
-without it is an error.  On an exact Kronecker sum (separable_factors'
-exact) L = A and both masses are M, so the bracket closes to rounding.
-On other states nothing proves that theta is the lowest eigenvalue rather
-than a higher one LOBPCG settled on; the residual gate cannot tell.
+label is Marginal.  mu_1 is reported as theta.  nu > tol is such a proof;
+so is the existence of LAPACK's banded Cholesky factor of A - tol M, and
+theta > tol with nu <= tol and no such factor is an error.  On an exact
+Kronecker sum (separable_factors' exact) L = A and both masses are M, so
+the bracket closes to rounding, and LOBPCG starts converged.  On a 2D
+inexact sum neither Kronecker sum sees B's rank-one term or a's variation
+across the cross-section, so LOBPCG is preconditioned by the banded
+factor of A - sigma M at the bracket's lower end: sigma = nu when
+nu > tol, else sigma = tol when that factor exists (the proof), else
+sigma = nu, which lies below mu_1 by its rounding allowance.  In 3D the
+band is 2 nz nf wide, so only the factor at tol is tried (when
+nu <= tol).  Where no factor is tried or exists, fast diagonalization of
+forms.separable_factors' mean sum (solver._separable_factor)
+preconditions.  On inexact sums nothing proves that theta is the lowest
+eigenvalue rather than a higher one LOBPCG settled on; the residual gate
+cannot tell.
 """
 
 from __future__ import annotations
@@ -70,8 +77,9 @@ UNSTABLE = "Unstable"
 MARGINAL = "Marginal"
 
 EIGEN_RESIDUAL_RTOL = 1e-8
-# LOBPCG iteration cap.  Exact Kronecker sums start converged; the graded
-# mean-curvature 65^2, a = 2 state takes about 80 iterations.
+# LOBPCG iteration cap.  Exact Kronecker sums start converged; 2D inexact
+# sums, preconditioned by the banded factor, take about 10 iterations, and
+# the mean-preconditioned 3D p-Laplace 13^3 state about 30.
 LOBPCG_MAXITER = 500
 
 
@@ -124,10 +132,11 @@ class StabilityReport:
     eigen_residual: float
     # Eigensolve telemetry: nu (the certified lower bound on mu1),
     # bracket_closed (mu1 - nu within twice nu's rounding allowance),
-    # factored (the banded Cholesky factor of A - tol M proved mu1 > tol),
-    # lobpcg_runs (the preconditioner calls of each LOBPCG run, in order)
-    # and preconditioner_applications (vectors); not written to
-    # report.json.
+    # sigma (the shift of the banded Cholesky factor of A - sigma M that
+    # preconditions LOBPCG, None when no factor does; sigma = tol proves
+    # mu1 > tol), factored (sigma is not None), lobpcg_runs (the
+    # preconditioner calls of each LOBPCG run) and
+    # preconditioner_applications (vectors); not written to report.json.
     stats: dict = field(default_factory=dict)
 
 
@@ -259,7 +268,8 @@ def _banded_cholesky(form: StabilityForm, shift: float):
     A = form.energy_matrix
     upper = A.offsets >= 0
     width = int(A.offsets.max())
-    band = np.zeros((width + 1, form.dim))
+    # Fortran order, so that LAPACK factors the band in place
+    band = np.zeros((width + 1, form.dim), order="F")
     band[width - A.offsets[upper]] = A.data[upper]
     band[width] -= shift * form.mass_matrix.diagonal()
     try:
@@ -275,9 +285,9 @@ def _solve_pairs(form: StabilityForm, k: int, tol: float | None = None):
     LOBPCG (see the module docstring) stops once every M-normalized x has
     ||A x - mu M x|| <= EIGEN_RESIDUAL_RTOL sqrt(min M), so mu lies within
     EIGEN_RESIDUAL_RTOL^2 / gap of an eigenvalue of M^{-1/2} A M^{-1/2}.
-    The solve with A - tol M (tol defaults to default_tol) preconditions
-    it from the start when nu <= tol on an inexact sum, and again from the
-    last block when a pair misses the gate.
+    One run, preconditioned by the banded factor of A - sigma M on an
+    inexact sum, with sigma chosen as in the module docstring (tol
+    defaults to default_tol), or by the mean sum when no factor exists.
     """
     if k < 1 or k >= form.dim:
         raise ValueError("need 1 <= k < dimension of the form")
@@ -313,21 +323,27 @@ def _solve_pairs(form: StabilityForm, k: int, tol: float | None = None):
                * max(norm_A * np.linalg.norm(v), 1e-300)]
         return vals, vecs, res, bad
 
-    # only a factor of A - tol M can prove mu_1 > tol when nu <= tol < mu_1
-    factor_first = nu <= tol and not form.mean[2]
-    solve = _banded_cholesky(form, tol) if factor_first else None
-    vals, vecs, res, bad = lobpcg(X, solve or _mean_preconditioner(form, nu))
-    if bad and not factor_first:
-        solve = _banded_cholesky(form, tol)
+    shifts = []
+    if not form.mean[2]:
+        # only a factor of A - tol M can prove mu_1 > tol when nu <= tol < mu_1
+        shifts = [tol] if nu <= tol else []
+        if form.grid.n_components == 2:
+            shifts.append(nu)
+    sigma = solve = None
+    for shift in shifts:
+        solve = _banded_cholesky(form, shift)
         if solve is not None:
-            vals, vecs, res, bad = lobpcg(vecs, solve)
+            sigma = shift
+            break
+    vals, vecs, res, bad = lobpcg(X, solve or _mean_preconditioner(form, nu))
     if bad:
         raise EigenSolveError(
             f"eigenpair {bad[0]} residual {res[bad[0]]:.3e} exceeds "
             "tolerance", res[bad[0]])
-    if nu <= tol < vals[0] and solve is None:
+    if nu <= tol < vals[0] and sigma != tol:
         raise EigenSolveError(f"LOBPCG settled at {vals[0]:.6e}, but A - tol "
                               "M is not positive definite", res[0])
+    stats["sigma"] = sigma
     stats["factored"] = solve is not None
     stats["bracket_closed"] = bool(vals[0] - nu <= 2.0 * slack)
     return vals, [form.embed(v) for v in vecs.T], res, stats

@@ -365,14 +365,35 @@ def test_non_separable_theta_is_lowest_by_the_oracle(state, p_laplace_3d):
 
 
 def test_classify_runs_no_factorization(monkeypatch, p_laplace_3d):
+    # in 3D the mean sum preconditions LOBPCG when nu > tol proves the label
     def refuse(*args, **kwargs):
         raise AssertionError("classify called a factorization")
     monkeypatch.setattr(spla, "splu", refuse)
     monkeypatch.setattr(spla, "eigsh", refuse)
     monkeypatch.setattr(stability, "_banded_cholesky", refuse)
-    for u, model, reaction in (p_laplace_3d, _mean_curvature_2d(17)):
-        rep = stability.classify(u, model, reaction)
-        assert rep.classification == stability.STABLE
+    rep = stability.classify(*p_laplace_3d)
+    assert rep.classification == stability.STABLE
+    assert rep.stats["sigma"] is None and rep.stats["factored"] is False
+
+
+def test_2d_inexact_classify_factors_once_at_nu(monkeypatch,
+                                                refuse_sparse_work):
+    # on a 2D inexact sum with nu > tol one banded factor at sigma = nu
+    # preconditions a single LOBPCG run, and nothing converts, adds or
+    # multiplies a sparse matrix
+    u, model, reaction = _mean_curvature_2d(17)
+    shifts, banded_cholesky = [], stability._banded_cholesky
+
+    def counted(form, shift):
+        shifts.append(shift)
+        return banded_cholesky(form, shift)
+
+    monkeypatch.setattr(stability, "_banded_cholesky", counted)
+    rep = stability.classify(u, model, reaction)
+    assert rep.classification == stability.STABLE
+    assert rep.stats["nu"] > rep.tol
+    assert shifts == [rep.stats["nu"]] == [rep.stats["sigma"]]
+    assert len(rep.stats["lobpcg_runs"]) == 1
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_MU1))
@@ -408,29 +429,30 @@ def _steep_mean_curvature(n):
     return u, CoefficientModel.mean_curvature_weight(0.0), p.reaction_factory()
 
 
-@pytest.mark.parametrize("n", [17, 33])
+@pytest.mark.parametrize("n", [17, 33, 65])
 def test_steep_rank_one_state_is_proved_stable_by_the_banded_factor(n):
     # neither Kronecker sum of classify sees this anisotropy: at 17^2 the
-    # comparison bound nu lies below tol, and at 33^2 it clears tol but
-    # the mean sum does not precondition LOBPCG to the residual gate.  The
-    # banded Cholesky factor of A - tol M proves mu1 > tol and
-    # preconditions the solve; the oracle's LU inertia agrees.
+    # comparison bound nu lies below tol, and the banded Cholesky factor of
+    # A - tol M proves mu1 > tol; from 33^2 nu clears tol, and the factor
+    # at nu preconditions the one LOBPCG run (the mean sum does not reach
+    # the residual gate there).  The oracle's LU inertia agrees.
     u, model, reaction = _steep_mean_curvature(n)
     rep = stability.classify(u, model, reaction)
     form = stability.assemble_I(u, model, reaction)
     assert rep.classification == stability.STABLE
     assert rep.stats["factored"] is True
+    assert len(rep.stats["lobpcg_runs"]) == 1
     assert (rep.stats["nu"] <= rep.tol) == (n == 17)
+    assert rep.stats["sigma"] == (rep.tol if n == 17 else rep.stats["nu"])
     assert rep.stats["nu"] <= rep.mu1
     assert rep.mu1 == pytest.approx(_oracle_mu1(form), rel=1e-10)
     assert _negative_pivots_at(form, rep.tol) == 0
 
 
 def test_lobpcg_at_its_cap_warns_nothing():
-    # at 33^2 LOBPCG stops at its cap on the mean preconditioner and the
-    # banded factor proves the label; the stats report that, not a warning:
-    # lobpcg_runs shows the capped run before the factor's (scipy's loop
-    # runs passes 0..maxiter and preconditions once in each)
+    # at 33^2 the mean preconditioner left LOBPCG at its cap; the banded
+    # factor at nu preconditions one short run instead, and the stats, not
+    # a warning, report it (scipy's loop preconditions once per pass)
     u, model, reaction = _steep_mean_curvature(33)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -438,17 +460,18 @@ def test_lobpcg_at_its_cap_warns_nothing():
     assert rep.classification == stability.STABLE and rep.stats["factored"]
     assert caught == []
     runs = rep.stats["lobpcg_runs"]
-    assert len(runs) == 2 and runs[0] == stability.LOBPCG_MAXITER + 1
+    assert len(runs) == 1 and runs[0] <= 20
 
 
 def test_no_factor_exists_above_mu1():
-    # with the margin set above mu1, A - tol M has no Cholesky factor, and
-    # theta labels the steep 17^2 state Marginal
+    # with the margin set above mu1, A - tol M has no Cholesky factor, so
+    # the factor at nu preconditions, and theta labels the steep 17^2
+    # state Marginal
     u, model, reaction = _steep_mean_curvature(17)
     mu1 = stability.classify(u, model, reaction).mu1
     rep = stability.classify(u, model, reaction, tol=2.0 * mu1)
     assert rep.classification == stability.MARGINAL
-    assert rep.stats["factored"] is False
+    assert rep.stats["sigma"] == rep.stats["nu"] < rep.tol
     assert rep.mu1 == pytest.approx(mu1, rel=1e-4)
 
 
@@ -485,6 +508,22 @@ def test_banded_cholesky_factors_the_shifted_energy(state):
     np.testing.assert_allclose(X, np.linalg.solve(shifted.toarray(), R),
                                rtol=1e-9, atol=1e-9 * np.abs(X).max())
     assert stability._banded_cholesky(form, 1.5 * mu1) is None
+
+
+def test_banded_cholesky_factors_in_place(monkeypatch):
+    # the band is laid out in Fortran order, so LAPACK overwrites it with
+    # the factor instead of factoring a copy
+    cholesky_banded, shared = scipy.linalg.cholesky_banded, []
+
+    def checked(band, **kwargs):
+        factor = cholesky_banded(band, **kwargs)
+        shared.append(np.shares_memory(factor, band))
+        return factor
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", checked)
+    form = stability.assemble_I(*_steep_mean_curvature(9))
+    assert stability._banded_cholesky(form, 0.0) is not None
+    assert shared == [True]
 
 
 def test_shift_invert_repeats_bit_identically_in_one_process():
