@@ -17,9 +17,11 @@ maximum-principle preserving.
 
 The discrete operator is symmetric Toeplitz, entry (i, j) = t[|i - j|],
 so everything here reads its first column t.  The blocks that are
-factored are gathered from t; products are taken with the whole matrix by
-direct correlation of the mirrored column with the nodal vector, in O(n)
-memory.  No dense row block is built except by `operator_rows`.
+factored are read off t: the odd fit's blocks are Toeplitz or Hankel,
+built from runs of t, and the others are gathered through an |i - j|
+index matrix.  Products are taken with the whole matrix by direct
+correlation of the mirrored column with the nodal vector, in O(n) memory.
+No dense row block is built except by `operator_rows`.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import (lu_factor, lu_solve, qr, qr_multiply,
-                          solve_triangular, svd)
+from scipy.linalg import (hankel, lu_factor, lu_solve, qr, qr_multiply,
+                          solve_triangular, svd, toeplitz)
 
 from .geometry import _smoothstep
 
@@ -176,6 +178,18 @@ def _toeplitz_block(t: np.ndarray, rows: np.ndarray,
     return t[np.abs(np.subtract.outer(rows, cols))]
 
 
+def _run_block(t: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    """Dense block of the operator at a run of consecutive rows, ascending,
+    and a run of consecutive columns in either direction, built from the
+    entries of t on its first row and column: a Toeplitz block when the
+    columns ascend, a Hankel block when they descend."""
+    first_col = t[np.abs(rows - cols[0])]
+    if cols[-1] > cols[0]:
+        return toeplitz(first_col, t[np.abs(rows[0] - cols)])
+    return hankel(first_col, t[np.abs(rows[-1] - cols)])
+
+
 def _toeplitz_product(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """T v for the symmetric Toeplitz T with first column t, at every node.
 
@@ -195,8 +209,8 @@ def operator_rows(op: Fractional1DOperator,
     correction at i +- 1): an M-matrix on any interior collocation set.
     The matrix is symmetric Toeplitz (Huang & Oberman, SINUM 2014), entry
     (i, j) = t[|i - j|], and the rows are gathered from t.  The solvers in
-    this module never build these rows: they gather only the blocks they
-    factor and take products with the whole matrix by direct correlation
+    this module never build these rows: they read off t only the blocks
+    they factor and take products with the whole matrix by direct correlation
     of the mirrored column (_toeplitz_product).
     """
     n = op.n
@@ -386,11 +400,14 @@ def _coupling_basis(X: np.ndarray):
 def _fit_blocks(op: Fractional1DOperator, idx_in: np.ndarray,
                 idx_un: np.ndarray, odd: bool):
     """(H, A): the interior block the fit factors and its coupling to the
-    exterior unknowns, gathered from the operator's first column.
+    exterior unknowns, from the operator's first column.
 
     When odd, e = [c; -reverse(c)] and w = [w_L; 0; -reverse(w_L)] inside,
     so the left rows alone carry the centrosymmetric half system: each
-    block is its left columns minus their mirror images.
+    block is its left columns minus their mirror images.  The left rows,
+    their mirrors and the two exterior halves are runs of consecutive
+    nodes, so each block is Toeplitz or Hankel (_run_block) and no index
+    matrix is formed; otherwise both blocks are gathered.
     """
     n, k = op.n, idx_un.size
     t = _toeplitz_column(op)
@@ -398,10 +415,11 @@ def _fit_blocks(op: Fractional1DOperator, idx_in: np.ndarray,
         return (_toeplitz_block(t, idx_in, idx_in),
                 _toeplitz_block(t, idx_in, idx_un))
     rows = idx_in[:idx_in.size // 2]
-    return (_toeplitz_block(t, rows, rows)
-            - _toeplitz_block(t, rows, n - 1 - rows),
-            _toeplitz_block(t, rows, idx_un[:k // 2])
-            - _toeplitz_block(t, rows, idx_un[::-1][:k // 2]))
+    H = _run_block(t, rows, rows)
+    H -= _run_block(t, rows, n - 1 - rows)
+    A = _run_block(t, rows, idx_un[:k // 2])
+    A -= _run_block(t, rows, idx_un[::-1][:k // 2])
+    return H, A
 
 
 def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
@@ -478,10 +496,12 @@ def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
     return w, shape, basis
 
 
-# The M = 8 fit at 1025 nodes peaks at about 21 MiB of arrays, in blocks
-# of up to 6 MB (the gathered coupling A, 511 x 1,536, its index array and
-# the range finder's [A^T | E]).  glibc serves such blocks from the heap
-# and may keep them free and resident after the call: 12 MB after the
+# The M = 8 fit at 1025 nodes peaks at about 21 MiB of arrays, in the
+# range finder: the coupling A (511 x 1,536), its [A^T | E] and the
+# projection residual, about 6 MiB each, with H.  Building A peaks lower,
+# at 14 MiB, and the call's process peak stays about 108 MB, most of it
+# the interpreter and its imports.  glibc serves such blocks from the heap
+# and may keep them free and resident after the call: 7 MB after the
 # eps = 0.4 no-root call in one process, until the next fit reused it.
 @_returns_free_heap
 def construct_counterexample(h_callable, eps: float, s: float = 0.5,

@@ -97,7 +97,12 @@ class ReactionSpec:
 
     @classmethod
     def cubic(cls) -> "ReactionSpec":
-        return cls(f=lambda u: -np.asarray(u, dtype=float) ** 3,
+        # u * u * u, not u ** 3: libm pow takes a slow path on negative
+        # bases, and the product is exactly odd and within one ulp of it
+        def f(u):
+            u = np.asarray(u, dtype=float)
+            return -(u * u * u)
+        return cls(f=f,
                    f_prime=lambda u: -3.0 * np.asarray(u, dtype=float) ** 2)
 
     @classmethod

@@ -65,7 +65,8 @@ class SpectralBasis:
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Nodal samples of sum_k coeffs[k] phi_k on the basis grid."""
-        return np.tensordot(coeffs, self.eigenfields, axes=1)
+        fields = self.eigenfields
+        return (coeffs @ fields.reshape(self.K, -1)).reshape(fields.shape[1:])
 
     def mode_at(self, k: int, *coords: np.ndarray) -> np.ndarray:
         """Evaluate phi_k analytically at points given by one (broadcastable)
@@ -153,17 +154,18 @@ def solve_semilinear(basis: SpectralBasis, reaction,
     lam_s = np.where(basis.lambdas > 0.0, basis.lambdas ** DEFAULT_S, 0.0)
     flatfields = basis.eigenfields.reshape(basis.K, -1)
     wflat = basis.weights.ravel()
-
-    def project(vals_flat: np.ndarray) -> np.ndarray:
-        return flatfields @ (wflat * vals_flat)
+    # the nodal values of the last residual: damped_newton steps from the
+    # iterate it evaluated last, so each step reuses them
+    last = [None, None]
 
     def residual(c: np.ndarray) -> np.ndarray:
-        vals = basis.synthesize(c).ravel()
-        return lam_s * c - project(reaction.f(vals))
+        last[:] = c, basis.synthesize(c).ravel()
+        return lam_s * c - flatfields @ (wflat * reaction.f(last[1]))
 
     def newton_step(c: np.ndarray, r: np.ndarray) -> np.ndarray:
-        fp = reaction.f_prime(basis.synthesize(c).ravel())
-        J = np.diag(lam_s) - (flatfields * (wflat * fp)) @ flatfields.T
+        vals = last[1] if last[0] is c else basis.synthesize(c).ravel()
+        J = -((flatfields * (wflat * reaction.f_prime(vals))) @ flatfields.T)
+        J.flat[::basis.K + 1] += lam_s
         # J is symmetric and K x K: step by the pseudo-inverse of its
         # eigenpairs, leaving out |ev| <= 64 eps max|ev|
         # (solver.pseudo_inverse, as in the cylinder's separable solve).

@@ -87,23 +87,33 @@ def _fit_masks(n, inner):
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
-def test_gathered_blocks_match_operator_rows(s):
-    # the fit's H and A are gathered from the first column; each must
-    # equal the operator_rows slice bit for bit
-    for n in (33, 34):
-        op = fr.make_operator(s, 2.0, n)
-        idx_in, idx_un = _fit_masks(n, 15)
+def test_gathered_blocks_match_operator_rows(s, monkeypatch):
+    # the fit's H and A are read off the first column, gathered or (odd)
+    # built as Toeplitz and Hankel blocks; each must equal the
+    # operator_rows slice bit for bit.  (4097, 1024) is the 1025-node fit
+    # at M = 8, whose odd coupling block is 511 x 1,536
+    gather = fr._toeplitz_block
+    for n, M, inner in ((33, 2.0, 15), (34, 2.0, 15), (4097, 8.0, 1024)):
+        op = fr.make_operator(s, M, n)
+        idx_in, idx_un = _fit_masks(n, inner)
         k = idx_un.size
-        rows = fr.operator_rows(op, idx_in)
-        H, A = fr._fit_blocks(op, idx_in, idx_un, odd=False)
-        assert np.array_equal(H, rows[:, idx_in])
-        assert np.array_equal(A, rows[:, idx_un])
+        if n < 100:      # at 4097 nodes this would gather 1,022 full rows
+            rows = fr.operator_rows(op, idx_in)
+            H, A = fr._fit_blocks(op, idx_in, idx_un, odd=False)
+            assert np.array_equal(H, rows[:, idx_in])
+            assert np.array_equal(A, rows[:, idx_un])
         half = idx_in[:idx_in.size // 2]
         rows = fr.operator_rows(op, half)
+
+        def refuse(*args):
+            raise AssertionError("the odd blocks must not be gathered")
+        monkeypatch.setattr(fr, "_toeplitz_block", refuse)
         H, A = fr._fit_blocks(op, idx_in, idx_un, odd=True)
+        monkeypatch.setattr(fr, "_toeplitz_block", gather)
         assert np.array_equal(H, rows[:, half] - rows[:, n - 1 - half])
         assert np.array_equal(A, rows[:, idx_un[:k // 2]]
                               - rows[:, idx_un[::-1][:k // 2]])
+    assert A.shape == (511, 1536)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])

@@ -606,6 +606,29 @@ def test_reaction_shifted_family():
     assert np.allclose(shifted.f_prime(v), -3 * v ** 2 - 0.5)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_cubic_is_exactly_odd_and_within_an_ulp_of_pow():
+    mag = np.logspace(-8, 5, 4001)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    u = np.concatenate([mag, -mag, special])
+    for reaction, ref, ulps in (
+            (ReactionSpec.cubic(), lambda u: -(u ** 3), 1),
+            # the shift rounds once more, and two exact sums one ulp apart
+            # can round two ulps apart under ties-to-even
+            (ReactionSpec.cubic().shifted(1.0),
+             lambda u: -(u ** 3) - 1.0 * u, 2)):
+        f = reaction.f(u)
+        assert np.array_equal(_bits(reaction.f(-u)), _bits(-f))
+        expect = ref(u)
+        finite = np.isfinite(expect)
+        assert np.array_equal(_bits(f[~finite]), _bits(expect[~finite]))
+        err = np.abs(f[finite] - expect[finite])
+        assert np.all(err <= ulps * np.spacing(np.abs(expect[finite])))
+
+
 # -- weak residual and second-variation quadrature ---------------------------
 
 def _quadrature_residual_weak(u, model, reaction, phi):

@@ -227,6 +227,31 @@ def test_solve_semilinear_reaches_constant_from_random_inits():
         assert np.allclose(b.synthesize(v.coeffs), 1.0, atol=1e-10)
 
 
+def test_solve_semilinear_synthesizes_once_per_iterate(monkeypatch):
+    # each residual synthesizes its iterate and evaluates f once; the
+    # Newton step reuses those nodal values, so the counts stay equal
+    b = spectral.neumann_basis(DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0), 10)
+    calls = {"synthesize": 0, "f": 0}
+    synthesize = spectral.SpectralBasis.synthesize
+
+    def counted_synthesize(self, coeffs):
+        calls["synthesize"] += 1
+        return synthesize(self, coeffs)
+
+    def f(v):
+        calls["f"] += 1
+        return cubic.f(v)
+    monkeypatch.setattr(spectral.SpectralBasis, "synthesize",
+                        counted_synthesize)
+    cubic = solver.ReactionSpec.cubic()
+    init = spectral.SpectralFunction(
+        b, 0.3 * np.random.default_rng(5).standard_normal(10))
+    v = spectral.solve_semilinear(
+        b, solver.ReactionSpec(f=f, f_prime=cubic.f_prime), init)
+    assert np.max(np.abs(v.coeffs[1:])) < 1e-12    # constant, as in theory
+    assert calls["f"] > 2 and calls["synthesize"] == calls["f"]
+
+
 def test_solve_semilinear_zero_root_damped_cubic():
     b = spectral.neumann_basis(INTERVAL_PI, 8)
     init = spectral.SpectralFunction(
