@@ -27,8 +27,10 @@ diagonalization where the matrix is a Kronecker sum of 1D operators
 by fast diagonalization of the cross-section-averaged Kronecker sum.  Fast
 diagonalization takes the eigenpairs of every axis, cross-section and y
 alike, so its solve is dense matrix products and one multiplication by the
-inverse eigenvalues (``pseudo_inverse``).  A step
-that misses the linear residual bound ends the solve with a stop reason.
+inverse eigenvalues (``pseudo_inverse``).  Conjugate gradients stops
+at KRYLOV_RTOL, one decade under the STEP_RTOL residual a step must meet
+(an inexact Newton step, Dembo, Eisenstat & Steihaug 1982), and a step
+that misses STEP_RTOL ends the solve with a stop reason.
 
 A small catalog of closed-form solutions is included for residual and
 stability checks, together with a one-dimensional family u(y) = c -
@@ -56,13 +58,16 @@ STALLED = "Armijo line search stalled"
 # Smallest step in the pinned data that continuation takes (solve_newton);
 # a stage that fails closer than this to the last accepted one ends it.
 MIN_CONTINUATION_STEP = 2.0 ** -6
+# Relative residual ||A delta - rhs|| / ||rhs|| over the free rows that a
+# Newton step must meet to be taken (see _linear_step).
+STEP_RTOL = 1e-6
 # Relative residual at which conjugate gradients stops on a non-separable
-# Newton block (see _linear_step).  At 1e-7 plain Armijo on the 33^2
-# mean-curvature state of the tests takes 24 Newton steps; at 1e-10 it
-# keeps the 21 steps and 40 halvings of a sparse direct solve.
-KRYLOV_RTOL = 1e-10
+# Newton block: an inexact Newton forcing term (Dembo, Eisenstat & Steihaug
+# 1982), one decade under STEP_RTOL for the gap between the residual that
+# scipy's cg recurs and the true one.
+KRYLOV_RTOL = 0.1 * STEP_RTOL
 # Iteration cap of that solve.  The benchmark's p-Laplace and
-# mean-curvature steps take 14 to 137 iterations.  An inconsistent system
+# mean-curvature steps take 9 to 52 iterations.  An inconsistent system
 # never converges: an all-Neumann p-Laplace step with f = -1 at 65^2 ran
 # 9122 iterations (3.9 s) uncapped, 500 (0.2 s) at the cap.
 KRYLOV_MAXITER = 500
@@ -129,7 +134,9 @@ class SolveReport:
     final_residual: float
     residual_history: list = field(default_factory=list)
     # Linear-step telemetry (separable_solves, krylov_solves,
-    # krylov_iterations, backtracks: step halvings per accepted step), the
+    # krylov_iterations, krylov_residual_max: the largest relative
+    # free-row residual of an accepted Krylov step, 0.0 when none was,
+    # backtracks: step halvings per accepted step), the
     # continuation trail (continuation: one [lambda, accepted steps,
     # accepted] per stage, empty when plain Armijo ran alone) and
     # stop_reason (None when converged); not part of the serialized report.
@@ -286,19 +293,22 @@ def _linear_step(A: sp.dia_matrix, A_free: sp.dia_matrix | None,
     right-hand side and once more to the residual left in A's free rows
     (one step of iterative refinement).  Otherwise the block is solved by
     conjugate gradients preconditioned with that solve (Concus & Golub
-    1973), to KRYLOV_RTOL or for at most KRYLOV_MAXITER iterations, on
-    A_free, the block as a matrix of its own (_newton_system; None on
-    an exact sum).
+    1973), on A_free, the block as a matrix of its own (_newton_system;
+    None on an exact sum), to the relative residual KRYLOV_RTOL, one
+    decade under STEP_RTOL (an inexact Newton step), or for at most
+    KRYLOV_MAXITER iterations.
 
     The step is returned only if it is finite and meets the linear
-    residual bound ||A delta - rhs|| <= 1e-6 ||rhs|| over A's free rows
-    (on the pinned rows that residual is 0 by construction).  Else, or if
-    the factor raises LinAlgError, the return is None and
+    residual bound ||A delta - rhs|| <= STEP_RTOL ||rhs|| over A's free
+    rows (on the pinned rows that residual is 0 by construction).  Else,
+    or if the factor raises LinAlgError, the return is None and
     stats["stop_reason"] names the route and the relative residual.
 
     stats counts returned separable solves (exact Kronecker sums) and
     Krylov solves (conjugate gradients), and every conjugate-gradient
-    iteration, whether or not its step is returned.
+    iteration, whether or not its step is returned;
+    stats["krylov_residual_max"] is the largest relative residual of a
+    returned Krylov step.
     """
     grid, m_y, K_y, exact = separable
     route = "separable" if exact else "krylov"
@@ -332,8 +342,11 @@ def _linear_step(A: sp.dia_matrix, A_free: sp.dia_matrix | None,
         delta[..., :nf] = x.reshape(r.shape)
     res = np.linalg.norm(free_residual())
     scale = np.linalg.norm(rhs) + 1e-30
-    if np.all(np.isfinite(delta)) and res <= 1e-6 * scale:
+    if np.all(np.isfinite(delta)) and res <= STEP_RTOL * scale:
         stats[f"{route}_solves"] += 1
+        if not exact:
+            stats["krylov_residual_max"] = max(stats["krylov_residual_max"],
+                                               res / scale)
         return delta.ravel()
     stats["stop_reason"] = (f"{route} step missed: relative residual "
                             f"{res / scale:.3e} > 1e-6")
@@ -430,7 +443,8 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
         raise ValueError("init must live on the solve grid")
     history, halvings, trail = [], [], []
     stats = dict(separable_solves=0, krylov_solves=0, krylov_iterations=0,
-                 stop_reason=None, backtracks=halvings, continuation=trail)
+                 krylov_residual_max=0.0, stop_reason=None,
+                 backtracks=halvings, continuation=trail)
 
     # the coefficient state of the last residual: damped_newton steps from
     # the iterate it evaluated last, so each step reuses its state
