@@ -423,12 +423,9 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
     tol = float(cfg.tolerances.get("newton", 1e-10))
     report = solver.solve_newton(model, reaction, grid, init, tol=tol,
                                  top_bc=top)
-    details = report.to_json_dict()
-    if not report.converged:
-        details["stop_reason"] = report.stats["stop_reason"]
     rec = _rec("newton-solve", PASS if report.converged else FAIL,
                report.final_residual, f"max residual <= {tol:g}",
-               _anchor(_preset(cfg)), details)
+               _anchor(_preset(cfg)), report.to_json_dict())
     return [rec], {"solution_field": report.u}
 
 
@@ -437,10 +434,9 @@ def _run_stability(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
     p = _preset(cfg)
     solve = solver.solve_newton(model, reaction, grid, state, top_bc=top)
     if not solve.converged:
-        stop = solve.stats["stop_reason"]
         return [_rec("stability-labels", FAIL, solve.final_residual,
                      "Newton must converge before classification", _anchor(p),
-                     dict(solve.to_json_dict(), stop_reason=stop))], {}
+                     solve.to_json_dict())], {}
     case = (cfg.preset, p.expected_classification if p else None, solve.u,
             model, reaction)
     extras = {}

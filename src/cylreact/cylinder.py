@@ -145,9 +145,8 @@ def _stencil_rows(x: np.ndarray, pairing: bool) -> np.ndarray:
     the axes ``np.linspace`` and ``_graded_nodes`` (grading 0) build, each
     node lies within 2 ulps of the axis's largest |x| from an exact
     arithmetic progression, so hs - hd, a second difference of three
-    nodes, is within 8.  A stored round-off centre weight would couple each
-    node to its neighbours in Gᵀ W G: the Newton LU at 257^2 filled to
-    8.57M entries with them and fills to 4.56M without.
+    nodes, is within 8.  Stored round-off centre weights would add round-off
+    entries to Gᵀ W G: at 257², 401,691 nonzeros against 330,245.
     """
     T = np.zeros((5, x.size))
     h = np.diff(x)

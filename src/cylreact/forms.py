@@ -11,7 +11,8 @@ where G_c are the sparse derivative operators, W the tensor trapezoid weights
 and W_theta the y**theta-weighted variant that absorbs the singular power
 factor of the coefficient.  The Newton Jacobian of the weak residual is
 exactly the stability energy matrix: differentiating the flux a(y,|g|) g in
-g produces the linearization matrix B.
+g produces the linearization matrix B.  So the assembly functions take one
+input, coefficient_state(u, model) at the linearization point u.
 
 All pairings use the grid's summation-by-parts gradient variant (two-point
 boundary rows), which keeps nodal hat-tested residuals second-order accurate
@@ -68,7 +69,8 @@ def b_form(state: dict, comps: list[np.ndarray]) -> np.ndarray:
 
 
 def coefficient_state(u: CylinderField, model: CoefficientModel) -> dict:
-    """Pointwise data reused across residual/energy assembly at a state u."""
+    """Pointwise data at u, u included, that every assembly function reads;
+    a_t_red is None when the model has no t-dependence."""
     grid = u.grid
     comps = gradient_fields(grid, u.values, pairing=True)
     tdep = model.has_t_dependence
@@ -80,6 +82,7 @@ def coefficient_state(u: CylinderField, model: CoefficientModel) -> dict:
     a_red = model.reduced_a(y, norm_plain)
     a_t_red = model.reduced_a_t(y, norm_plain) if tdep else None
     return {
+        "u": u,
         "grid": grid,
         "comps": comps,
         "norm": norm_plain,
@@ -91,18 +94,14 @@ def coefficient_state(u: CylinderField, model: CoefficientModel) -> dict:
     }
 
 
-def weak_residual_vector(u: CylinderField, model: CoefficientModel,
-                         reaction, state: dict | None = None) -> np.ndarray:
-    """Flat nodal residual r with r[j] = weak form tested on the j-th hat.
+def weak_residual_vector(state: dict, reaction) -> np.ndarray:
+    """Flat nodal residual at the state's u: weak form tested on each hat.
 
     r[j] = int a grad u . grad e_j + int g(y, u) e_j - int_bottom f(u) e_j.
     Natural (zero-flux) conditions on every boundary face are built in; the
-    bottom reaction replaces the flux there.  ``state`` is
-    coefficient_state(u, model) when the caller already holds it.
+    bottom reaction replaces the flux there.
     """
-    grid = u.grid
-    if state is None:
-        state = coefficient_state(u, model)
+    u, grid = state["u"], state["grid"]
     w_theta = grid.bulk_weights(state["theta"]).ravel()
     r = np.zeros(grid.n_nodes)
     a_red_flat = state["a_red"].ravel()
@@ -273,10 +272,9 @@ def energy_layout(grid: CylinderGrid, rank_one: bool) -> EnergyLayout:
                         lambda: EnergyLayout(grid, rank_one))
 
 
-def energy_planes(u: CylinderField, model: CoefficientModel, reaction,
-                  state: dict | None = None) -> tuple:
+def energy_planes(state: dict, reaction) -> tuple:
     """(layout, planes): the grid's EnergyLayout for the model and the value
-    planes of the second-variation quadratic form at u,
+    planes of the second-variation quadratic form at the state's u,
 
     phi^T A phi = int <B(y, grad u) grad phi, grad phi>
                 + int g_u(y, u) phi^2 - int_bottom f'(u) phi^2,
@@ -286,13 +284,9 @@ def energy_planes(u: CylinderField, model: CoefficientModel, reaction,
     sum_{c,d} G_c^T diag(w (a delta_cd + (a_t/|g|) g_c g_d)) G_d; the
     zero-order and bottom terms add to the diagonal plane.
     layout.matrix(planes, nf) is A, or its free block below y index nf.
-    ``state`` is coefficient_state(u, model) when the caller already holds
-    it.
     """
-    grid = u.grid
-    if state is None:
-        state = coefficient_state(u, model)
-    tdep = model.has_t_dependence
+    u, grid = state["u"], state["grid"]
+    tdep = state["a_t_red"] is not None
     w_theta = grid.bulk_weights(state["theta"])
     w_a = w_theta * state["a_red"]
     ndim = grid.n_components
@@ -319,28 +313,26 @@ def energy_planes(u: CylinderField, model: CoefficientModel, reaction,
     return layout, planes
 
 
-def assemble_energy_matrix(u: CylinderField, model: CoefficientModel,
-                           reaction, state: dict | None = None,
+def assemble_energy_matrix(state: dict, reaction,
                            nf: int | None = None) -> sp.dia_matrix:
-    """Sparse symmetric matrix of the second-variation quadratic form at u
-    (energy_planes), or with ``nf`` its free block below y index nf.  It
-    is symmetric bit for bit.  ``state`` is coefficient_state(u, model)
-    when the caller already holds it.
+    """Sparse symmetric matrix of the second-variation quadratic form at the
+    state (energy_planes), or with ``nf`` its free block below y index nf.
+    It is symmetric bit for bit.
     """
-    layout, planes = energy_planes(u, model, reaction, state)
-    return layout.matrix(planes, u.grid.ny if nf is None else nf)
+    layout, planes = energy_planes(state, reaction)
+    return layout.matrix(planes, state["grid"].ny if nf is None else nf)
 
 
-def separable_samples(u: CylinderField, reaction, state: dict) -> list:
+def separable_samples(state: dict, reaction) -> list:
     """[a, f', g_u]: the samples the y factors of a Kronecker sum reduce
     across the cross-section, a_red and g_u(y, u) shaped (cross-section
     nodes, ny) and the bottom f'(u) flat; g_u only when the reaction has
-    one.  ``state`` is coefficient_state(u, model)."""
-    grid, bottom = u.grid, u.values[..., 0]
-    samples = [state["a_red"].reshape(-1, grid.ny),
-               np.broadcast_to(reaction.f_prime(bottom), bottom.shape).ravel()]
+    one."""
+    grid, values = state["grid"], state["u"].values
+    samples = [state["a_red"].reshape(-1, grid.ny), np.broadcast_to(
+        reaction.f_prime(values[..., 0]), values[..., 0].shape).ravel()]
     if reaction.g_u is not None:
-        samples.append(np.broadcast_to(reaction.g_u(state["y"], u.values),
+        samples.append(np.broadcast_to(reaction.g_u(state["y"], values),
                                        grid.shape).reshape(-1, grid.ny))
     return samples
 
@@ -367,10 +359,9 @@ def separable_band(grid: CylinderGrid, theta: float, a_y: np.ndarray,
     return m_y, K_y
 
 
-def separable_factors(u: CylinderField, model: CoefficientModel, reaction,
-                      state: dict) -> tuple:
+def separable_factors(state: dict, reaction) -> tuple:
     """(m_y, K_y, exact): the y factors of the Kronecker sum nearest the
-    energy matrix at u, and whether that sum is the energy matrix itself.
+    energy matrix at the state, and whether that sum is the matrix itself.
 
     The sum (separable_band) drops the rank-one term and replaces a_red,
     the bottom f'(u) and g_u(y, u) (separable_samples) by their means
@@ -378,13 +369,12 @@ def separable_factors(u: CylinderField, model: CoefficientModel, reaction,
     has no rank-one term and those three are each equal across the
     cross-section (exactly, no tolerance); their common values then stand
     in for the means, so the sum is assemble_energy_matrix's matrix.
-    ``state`` is coefficient_state(u, model).
     """
-    samples = separable_samples(u, reaction, state)
-    exact = not (model.has_t_dependence
+    samples = separable_samples(state, reaction)
+    exact = not (state["a_t_red"] is not None
                  or any(np.any(v != v[0]) for v in samples))
     profiles = [v[0] if exact else v.mean(axis=0) for v in samples]
-    return *separable_band(u.grid, state["theta"], *profiles), exact
+    return *separable_band(state["grid"], state["theta"], *profiles), exact
 
 
 def energy_quadrature(u: CylinderField, model: CoefficientModel, reaction,
@@ -410,13 +400,10 @@ def energy_quadrature(u: CylinderField, model: CoefficientModel, reaction,
     return total
 
 
-def mass_matrix(u: CylinderField, model: CoefficientModel,
-                state: dict | None = None) -> sp.dia_matrix:
-    """Diagonal SPD mass: int a(y, |grad u|) phi^2 + int_bottom phi^2.
-    ``state`` is coefficient_state(u, model) when the caller holds it."""
-    grid = u.grid
-    if state is None:
-        state = coefficient_state(u, model)
+def mass_matrix(state: dict) -> sp.dia_matrix:
+    """Diagonal SPD mass at the state: int a(y, |grad u|) phi^2
+    + int_bottom phi^2."""
+    grid = state["grid"]
     w_theta = grid.bulk_weights(state["theta"]).ravel()
     diag = w_theta * state["a_red"].ravel()
     bottom = np.zeros(grid.shape)

@@ -26,8 +26,6 @@ No dense row block is built except by `operator_rows`.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -36,27 +34,6 @@ from scipy.linalg import (hankel, lu_factor, lu_solve, qr, qr_multiply,
                           solve_triangular, svd, toeplitz)
 
 from .geometry import _smoothstep
-
-
-try:                     # glibc's malloc_trim; None under another C library
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
-    _MALLOC_TRIM.restype = ctypes.c_int
-except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = None
-
-
-def _returns_free_heap(fn):
-    """Decorate fn to give the C heap's free pages back to the system once
-    fn has returned or raised (see the note on construct_counterexample)."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if _MALLOC_TRIM is not None:
-                _MALLOC_TRIM(0)
-    return wrapper
 
 
 class Side(Enum):
@@ -500,10 +477,7 @@ def _range_fit(op: Fractional1DOperator, idx_in: np.ndarray,
 # range finder: the coupling A (511 x 1,536), its [A^T | E] and the
 # projection residual, about 6 MiB each, with H.  Building A peaks lower,
 # at 14 MiB, and the call's process peak stays about 108 MB, most of it
-# the interpreter and its imports.  glibc serves such blocks from the heap
-# and may keep them free and resident after the call: 7 MB after the
-# eps = 0.4 no-root call in one process, until the next fit reused it.
-@_returns_free_heap
+# the interpreter and its imports.
 def construct_counterexample(h_callable, eps: float, s: float = 0.5,
                              fit_nodes: int = 513) -> CounterexampleResult:
     """Compactly supported numeric s-harmonic function close to the banded

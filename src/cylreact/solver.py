@@ -14,9 +14,11 @@ all-Neumann truncation is then incompatible).  The Newton matrix is the
 assembled second-variation form, i.e. the B-weighted stiffness plus reaction
 linearizations, for either top: a pinned top's step is read off its
 residual rows, and the rest is solved on the matrix's free block below the
-top slice, the block the stability test space also uses.  Steps are damped
-by Armijo backtracking on the squared residual norm in ``damped_newton``,
-the one loop that also drives the spectral semilinear solve.  A pinned top
+top slice, the block the stability test space also uses.  Both are read
+at one coefficient state (forms.coefficient_state).  Steps are damped by
+Armijo backtracking on the squared residual norm in ``damped_newton``, the
+one loop that also drives the spectral semilinear solve; it hands each
+step the residual and state of the iterate it starts from.  A pinned top
 with nonzero data is globalized by continuation in that data once Armijo
 damps a step after the first (``solve_newton``); every other solve is
 plain Armijo.
@@ -139,16 +141,20 @@ class SolveReport:
     # backtracks: step halvings per accepted step), the
     # continuation trail (continuation: one [lambda, accepted steps,
     # accepted] per stage, empty when plain Armijo ran alone) and
-    # stop_reason (None when converged); not part of the serialized report.
+    # stop_reason (None when converged).  Only stop_reason is serialized,
+    # and only for a solve that did not converge (to_json_dict).
     stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "converged": bool(self.converged),
             "newton_iterations": int(self.newton_iterations),
             "final_residual": float(self.final_residual),
             "residual_history": [float(r) for r in self.residual_history],
         }
+        if not self.converged:
+            out["stop_reason"] = self.stats["stop_reason"]
+        return out
 
 
 def residual_weak(u: CylinderField, model: CoefficientModel,
@@ -167,17 +173,20 @@ def residual_weak(u: CylinderField, model: CoefficientModel,
         raise ValueError("test field must vanish on the top slice")
     # Exact by linearity: entry j of the nodal residual is the form tested
     # on the j-th hat, and phi is the sum of its nodal values times hats.
-    return float(phi.values.ravel() @ forms.weak_residual_vector(u, model,
-                                                                 reaction))
+    r = forms.weak_residual_vector(forms.coefficient_state(u, model), reaction)
+    return float(phi.values.ravel() @ r)
 
 
 def residual_vector(u: CylinderField, model: CoefficientModel,
-                    reaction: ReactionSpec, top_bc=("neumann",),
-                    state: dict | None = None) -> np.ndarray:
-    """Nodal residual of the discrete system (flat, lexicographic);
-    ``state`` is forms.coefficient_state(u, model) when the caller holds
-    it."""
-    r = forms.weak_residual_vector(u, model, reaction, state=state)
+                    reaction: ReactionSpec, top_bc=("neumann",)) -> np.ndarray:
+    """Nodal residual of the discrete system (flat, lexicographic)."""
+    return _residual(forms.coefficient_state(u, model), reaction, top_bc)
+
+
+def _residual(state: dict, reaction: ReactionSpec, top_bc) -> np.ndarray:
+    """residual_vector at the u of the coefficient state ``state``."""
+    u = state["u"]
+    r = forms.weak_residual_vector(state, reaction)
     if top_bc[0] == "dirichlet":
         top = np.flatnonzero(u.grid.top_mask().ravel())
         r[top] = u.values.ravel()[top] - top_bc[1]
@@ -186,32 +195,29 @@ def residual_vector(u: CylinderField, model: CoefficientModel,
     return r
 
 
-def _newton_system(u: CylinderField, model, reaction, top_bc,
-                   state: dict | None = None) -> tuple:
-    """(A, A_free, separable): the Newton matrix at u, its free block, and
-    the ``separable`` argument of _linear_step, (grid, m_y, K_y, exact)
-    from forms.separable_factors.
+def _newton_system(state: dict, reaction, top_bc) -> tuple:
+    """(A, A_free, separable): the Newton matrix at the u of the
+    coefficient state ``state``, its free block, and the ``separable``
+    argument of _linear_step, (grid, m_y, K_y, exact) from
+    forms.separable_factors.
 
-    One coefficient state serves both: ``state`` when the caller holds
-    forms.coefficient_state(u, model), else a new one.  A is the energy
-    matrix (forms.energy_planes) for either top.  A pinned top slice is cut
-    from the y factors (m_y and K_y's band lose their last entry), so
-    m_y.size is the number of free heights, and A_free is the block of A
-    below that y index, built from the same planes; with a Neumann top it
-    is A.  Only conjugate gradients read A_free, so on an exact sum it is
-    None.  _linear_step leaves A's top rows unread.
+    A is the energy matrix (forms.energy_planes) for either top.  A pinned
+    top slice is cut from the y factors (m_y and K_y's band lose their last
+    entry), so m_y.size is the number of free heights, and A_free is the
+    block of A below that y index, built from the same planes; with a
+    Neumann top it is A.  Only conjugate gradients read A_free, so on an
+    exact sum it is None.  _linear_step leaves A's top rows unread.
     """
-    if state is None:
-        state = forms.coefficient_state(u, model)
-    layout, planes = forms.energy_planes(u, model, reaction, state)
-    m_y, K_y, exact = forms.separable_factors(u, model, reaction, state)
+    grid = state["grid"]
+    layout, planes = forms.energy_planes(state, reaction)
+    m_y, K_y, exact = forms.separable_factors(state, reaction)
     if top_bc[0] == "dirichlet":
         m_y, K_y = m_y[:-1], K_y[:, :-1]
-    A = layout.matrix(planes, u.grid.ny)
+    A = layout.matrix(planes, grid.ny)
     A_free, nf = None, m_y.size
     if not exact:
-        A_free = A if nf == u.grid.ny else layout.matrix(planes, nf)
-    return A, A_free, (u.grid, m_y, K_y, exact)
+        A_free = A if nf == grid.ny else layout.matrix(planes, nf)
+    return A, A_free, (grid, m_y, K_y, exact)
 
 
 def cross_section_spectrum(grid: CylinderGrid) -> tuple:
@@ -357,9 +363,10 @@ def damped_newton(residual: Callable, newton_step: Callable, x: np.ndarray,
                   tol: float, max_iter: int, stop_at_late_halving: bool = False):
     """Newton's method with Armijo backtracking on the squared residual norm.
 
-    residual(x) is a flat vector and newton_step(x, r) solves the Newton
-    system J(x) delta = -r for a step of x's size (None stalls).  Each step
-    halves its length until ||r||^2 falls by the factor 1 - ARMIJO_SLOPE *
+    residual(x) is (r, aux): a flat vector and what the Newton system at x
+    is built from.  newton_step(r, aux), with those of the iterate x it
+    steps from, solves J(x) delta = -r for a step of x's size (None
+    stalls).  Each step halves its length until ||r||^2 falls by the factor 1 - ARMIJO_SLOPE *
     length, and a step shorter than MIN_STEP stalls the iteration.  Returns
     (x, r, history, halvings_per_step, stop): history holds max|r| at the
     start and after every accepted step; stop is None when max|r| <= tol,
@@ -370,25 +377,25 @@ def damped_newton(residual: Callable, newton_step: Callable, x: np.ndarray,
     that step is taken; such a stall has accepted steps, a MIN_STEP stall
     of the first step has none.
     """
-    r = residual(x)
+    r, aux = residual(x)
     history = [float(np.max(np.abs(r)))]
     halvings_per_step = []
     while history[-1] > tol and len(halvings_per_step) < max_iter:
-        delta = newton_step(x, r)
+        delta = newton_step(r, aux)
         base_sq = float(np.dot(r, r))
         lam, halvings = 1.0, 0
         while True:
             if delta is None or lam < MIN_STEP:
                 return x, r, history, halvings_per_step, STALLED
             trial = x + lam * delta.reshape(x.shape)
-            r_trial = residual(trial)
+            r_trial, aux_trial = residual(trial)
             if float(np.dot(r_trial, r_trial)) <= (1.0 - ARMIJO_SLOPE * lam) * base_sq:
                 break
             if stop_at_late_halving and halvings_per_step:
                 return x, r, history, halvings_per_step, STALLED
             lam *= ARMIJO_FACTOR
             halvings += 1
-        x, r = trial, r_trial
+        x, r, aux = trial, r_trial, aux_trial
         halvings_per_step.append(halvings)
         history.append(float(np.max(np.abs(r))))
     stop = None if history[-1] <= tol else (
@@ -446,23 +453,16 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
                  krylov_residual_max=0.0, stop_reason=None,
                  backtracks=halvings, continuation=trail)
 
-    # the coefficient state of the last residual: damped_newton steps from
-    # the iterate it evaluated last, so each step reuses its state
-    last = [None, None]
-
-    def newton_step(x, r):
-        state = last[1] if last[0] is x else None
-        A, A_free, separable = _newton_system(CylinderField(grid, x), model,
-                                              reaction, top_bc, state)
+    def newton_step(r, state):
+        A, A_free, separable = _newton_system(state, reaction, top_bc)
         return _linear_step(A, A_free, -r, stats, separable)
 
     def run(x, bc, stop_at_late_halving):
         """damped_newton from x with the top condition bc; returns
         (x, final residual, accepted steps, stop)."""
         def residual(x):
-            u = CylinderField(grid, x)
-            last[:] = x, forms.coefficient_state(u, model)
-            return residual_vector(u, model, reaction, bc, state=last[1])
+            state = forms.coefficient_state(CylinderField(grid, x), model)
+            return _residual(state, reaction, bc), state
 
         x, _, hist, halv, stop = damped_newton(
             residual, newton_step, x, tol, NEWTON_MAXITER,

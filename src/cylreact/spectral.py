@@ -154,16 +154,12 @@ def solve_semilinear(basis: SpectralBasis, reaction,
     lam_s = np.where(basis.lambdas > 0.0, basis.lambdas ** DEFAULT_S, 0.0)
     flatfields = basis.eigenfields.reshape(basis.K, -1)
     wflat = basis.weights.ravel()
-    # the nodal values of the last residual: damped_newton steps from the
-    # iterate it evaluated last, so each step reuses them
-    last = [None, None]
 
-    def residual(c: np.ndarray) -> np.ndarray:
-        last[:] = c, basis.synthesize(c).ravel()
-        return lam_s * c - flatfields @ (wflat * reaction.f(last[1]))
+    def residual(c: np.ndarray) -> tuple:
+        vals = basis.synthesize(c).ravel()
+        return lam_s * c - flatfields @ (wflat * reaction.f(vals)), vals
 
-    def newton_step(c: np.ndarray, r: np.ndarray) -> np.ndarray:
-        vals = last[1] if last[0] is c else basis.synthesize(c).ravel()
+    def newton_step(r: np.ndarray, vals: np.ndarray) -> np.ndarray:
         J = -((flatfields * (wflat * reaction.f_prime(vals))) @ flatfields.T)
         J.flat[::basis.K + 1] += lam_s
         # J is symmetric and K x K: step by the pseudo-inverse of its
@@ -250,7 +246,8 @@ def extension_equivalence(basis: SpectralBasis, reaction, grid: CylinderGrid,
                 (1.0 - y / ymax)]
     # The weak residual is linear in the test field: assemble its nodal
     # vector once (as solver.residual_weak does) and test each field on it.
-    r = forms.weak_residual_vector(u, model_one, reaction)
+    r = forms.weak_residual_vector(forms.coefficient_state(u, model_one),
+                                   reaction)
     cross = np.ix_(*grid.axes[:-1])
     worst = 0.0
     for k in range(min(6, basis.K)):

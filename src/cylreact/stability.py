@@ -10,13 +10,15 @@ mass
 
     M(phi) = int a(y, |grad u|) phi^2  +  int_bottom phi^2.
 
-The paper tests stability against fields with bounded support in y; the
+Both are read at forms.coefficient_state(u, model), the state a Newton
+step at u is built from, once the structural gate passes on it.  The
+paper tests stability against fields with bounded support in y; the
 discrete stand-in is the nodal fields that vanish at and above a y index
 nf, at most the top slice's.  So the pencil is the energy matrix's free
-block below nf (forms.assemble_energy_matrix with nf, the block a
-pinned-top Newton step solves on) and the mass's diagonal there, and a
-test field is a grid field whose y axis is cut at nf (StabilityForm.embed
-pads it back).
+block below nf (forms.assemble_energy_matrix(state, reaction, nf), the
+block a pinned-top Newton step solves on) and the mass's diagonal there,
+and a test field is a grid field whose y axis is cut at nf
+(StabilityForm.embed pads it back).
 
 The sign of the smallest generalized eigenvalue mu_1 of (I, M) classifies
 the solution.  Because discrete eigenvalues carry O(h^2) error, values
@@ -179,10 +181,10 @@ def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
             raise ValueError(f"vanish_above={vanish_above!r} leaves no node "
                              "in the test space")
     state = _gated_state(u, model)
-    A = forms.assemble_energy_matrix(u, model, reaction, state=state, nf=nf)
-    mass = forms.mass_matrix(u, model, state=state).diagonal()
+    A = forms.assemble_energy_matrix(state, reaction, nf)
+    mass = forms.mass_matrix(state).diagonal()
     M = sp.diags(mass.reshape(grid.shape)[..., :nf].ravel())
-    a, fp, *gu = forms.separable_samples(u, reaction, state)
+    a, fp, *gu = forms.separable_samples(state, reaction)
     beta = state["a_red"]
     if state["a_t_red"] is not None:
         sq = sum(c * c for c in state["comps"])
@@ -198,7 +200,7 @@ def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
     m_lo, m_hi = w * a.min(axis=0), w * a.max(axis=0)
     m_lo[0] += 1.0           # the bottom mass, W x e_0 e_0^T
     m_hi[0] += 1.0
-    m_y, K_y, exact = forms.separable_factors(u, model, reaction, state)
+    m_y, K_y, exact = forms.separable_factors(state, reaction)
     return StabilityForm(
         energy_matrix=A, mass_matrix=M, grid=grid, nf=nf,
         comparison=(m_b[:nf], K_L[:, :nf], m_lo[:nf], m_hi[:nf]),

@@ -192,10 +192,22 @@ def test_top_bc_validation():
                         ReactionSpec.constant(0.0), top_bc=("robin", 1.0))
 
 
+def _energy(u, model, reaction, nf=None):
+    """forms.assemble_energy_matrix at u's coefficient state."""
+    return forms.assemble_energy_matrix(forms.coefficient_state(u, model),
+                                        reaction, nf)
+
+
+def _system(u, model, reaction, top):
+    """solver._newton_system at u's coefficient state."""
+    return solver._newton_system(forms.coefficient_state(u, model), reaction,
+                                 top)
+
+
 def _lil_pinned(u, model, reaction):
     """Reference Dirichlet pinning: zero each top row in LIL format and put a
     unit on its diagonal."""
-    A = forms.assemble_energy_matrix(u, model, reaction).tolil()
+    A = _energy(u, model, reaction).tolil()
     top = np.flatnonzero(u.grid.top_mask().ravel())
     A[top, :] = 0.0
     A[top, top] = 1.0
@@ -207,7 +219,7 @@ def _lu_matrix(u, model, reaction, top):
     with unit top rows (_lil_pinned) for a pinned top."""
     if top[0] == "dirichlet":
         return _lil_pinned(u, model, reaction)
-    return forms.assemble_energy_matrix(u, model, reaction)
+    return _energy(u, model, reaction)
 
 
 @pytest.mark.parametrize("domain, nz, model", [
@@ -224,12 +236,11 @@ def test_newton_matrix_is_the_energy_matrix_for_either_top(domain, nz, model):
     rng = np.random.default_rng(5)
     u = CylinderField(grid, rng.standard_normal(grid.shape))
     reaction = ReactionSpec.cubic()
-    ref = forms.assemble_energy_matrix(u, model, reaction)
+    ref = _energy(u, model, reaction)
     for top in (("neumann",), solver.pinned_top(u)):
-        A, A_free, (_, m_y, _, _) = solver._newton_system(u, model, reaction,
-                                                          top)
+        A, A_free, (_, m_y, _, _) = _system(u, model, reaction, top)
         assert m_y.size == grid.ny - (top[0] == "dirichlet")
-        block = forms.assemble_energy_matrix(u, model, reaction, nf=m_y.size)
+        block = _energy(u, model, reaction, nf=m_y.size)
         for B, want in ((A, ref), (A_free, block)):
             assert np.array_equal(B.offsets, want.offsets)
             assert np.array_equal(B.data, want.data)
@@ -246,7 +257,7 @@ def test_pinned_step_reads_the_top_rows_off_the_residual(kind):
         case = _separable_case(kind)
     model, reaction, grid, u, (_, value) = case
     top = ("dirichlet", value + 0.25)
-    A, A_free, separable = solver._newton_system(u, model, reaction, top)
+    A, A_free, separable = _system(u, model, reaction, top)
     r = residual_vector(u, model, reaction, top)
     step = solver._linear_step(A, A_free, -r, _stats(), separable)
     top_rows = grid.top_mask().ravel()
@@ -284,7 +295,7 @@ def test_newton_matrix_keeps_the_stencil_sparsity_at_129():
     rep = solve_newton(p.model(), p.reaction(), grid, u,
                        top_bc=solver.pinned_top(u))
     assert rep.converged
-    A = forms.assemble_energy_matrix(u, p.model(), p.reaction()).tocsr()
+    A = _energy(u, p.model(), p.reaction()).tocsr()
     A.eliminate_zeros()
     assert np.diff(A.indptr).max() <= 5
 
@@ -300,7 +311,7 @@ def test_failed_factorization_stops_the_solve(kind, n, monkeypatch):
         raise np.linalg.LinAlgError("singular separable sum")
 
     monkeypatch.setattr(solver, "_separable_factor", refuse)
-    A, A_free, separable = solver._newton_system(u, model, reaction, top)
+    A, A_free, separable = _system(u, model, reaction, top)
     r = residual_vector(u, model, reaction, top)
     stats = _stats()
     assert solver._linear_step(A, A_free, -r, stats, separable) is None
@@ -350,7 +361,7 @@ SEPARABLE_CASES = ["preset-pinned", "preset-neumann", "rectangle-pinned",
 @pytest.mark.parametrize("kind", SEPARABLE_CASES)
 def test_separable_step_matches_the_lu_step(kind):
     model, reaction, grid, u, top = _separable_case(kind)
-    A, A_free, separable = solver._newton_system(u, model, reaction, top)
+    A, A_free, separable = _system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
     stats = _stats()
     step = solver._linear_step(A, A_free, rhs, stats, separable)
@@ -397,8 +408,7 @@ def _kronecker_sum(grid, m_y, K_y):
                                   "graded-rectangle-neumann"])
 def test_separable_factor_inverts_the_kronecker_sum(kind):
     model, reaction, grid, u, top = _separable_case(kind)
-    _, _, (_, m_y, K_y, exact) = solver._newton_system(u, model, reaction,
-                                                       top)
+    _, _, (_, m_y, K_y, exact) = _system(u, model, reaction, top)
     assert exact
     r = np.random.default_rng(3).standard_normal(grid.shape)[..., :m_y.size]
     ref = spla.spsolve(_kronecker_sum(grid, m_y, K_y), r.ravel())
@@ -430,8 +440,7 @@ def test_y_factor_is_the_band_of_the_sparse_product():
         "graded-power-weight-pinned")
     m_ref, K_ref = _sparse_y_factor(u, model, reaction)
     for bc, n in ((("neumann",), grid.ny), (top, grid.ny - 1)):
-        _, _, (_, m_y, K_y, exact) = solver._newton_system(u, model,
-                                                           reaction, bc)
+        _, _, (_, m_y, K_y, exact) = _system(u, model, reaction, bc)
         L = sp.tril(K_ref[:n, :n]).tocoo()
         ref = np.zeros((3, n))
         ref[L.row - L.col, L.col] = L.data
@@ -444,8 +453,7 @@ def test_y_factor_is_the_band_of_the_sparse_product():
 def test_averaged_separable_factor_is_symmetric():
     # conjugate gradients needs a symmetric preconditioner
     model, reaction, grid, u, top = _non_separable_case("p-laplace")
-    _, _, (_, m_y, K_y, exact) = solver._newton_system(u, model, reaction,
-                                                       top)
+    _, _, (_, m_y, K_y, exact) = _system(u, model, reaction, top)
     assert not exact
     solve = solver._separable_factor(grid, m_y, K_y)
     rng = np.random.default_rng(4)
@@ -457,7 +465,7 @@ def test_averaged_separable_factor_is_symmetric():
 
 def test_separable_factor_refuses_a_nonpositive_mass():
     model, reaction, grid, u, top = _separable_case("preset-neumann")
-    _, _, (_, m_y, K_y, _) = solver._newton_system(u, model, reaction, top)
+    _, _, (_, m_y, K_y, _) = _system(u, model, reaction, top)
     m_y = m_y.copy()
     m_y[3] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
@@ -504,7 +512,7 @@ def _non_separable_case(kind):
                                   "cubic-x-dependent"])
 def test_non_separable_states_take_the_krylov_route(kind, monkeypatch):
     model, reaction, grid, u, top = _non_separable_case(kind)
-    A, A_free, separable = solver._newton_system(u, model, reaction, top)
+    A, A_free, separable = _system(u, model, reaction, top)
     assert separable[-1] is False
     rhs = -residual_vector(u, model, reaction, top)
     stats = _stats()
@@ -528,7 +536,7 @@ def test_non_separable_states_take_the_krylov_route(kind, monkeypatch):
 
 def test_missed_krylov_step_stops_the_solve(monkeypatch):
     model, reaction, grid, u, top = _non_separable_case("p-laplace")
-    A, A_free, separable = solver._newton_system(u, model, reaction, top)
+    A, A_free, separable = _system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
     monkeypatch.setattr(solver.spla, "cg",
                         lambda A, b, **kw: (np.zeros_like(b), 0))
@@ -543,7 +551,7 @@ def test_missed_krylov_step_stops_the_solve(monkeypatch):
 
 def test_krylov_step_at_its_iteration_cap_stops_the_solve(monkeypatch):
     model, reaction, grid, u, top = _non_separable_case("mean-curvature")
-    A, A_free, separable = solver._newton_system(u, model, reaction, top)
+    A, A_free, separable = _system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
     monkeypatch.setattr(solver, "KRYLOV_MAXITER", 1)
     stats = _stats()
@@ -718,7 +726,7 @@ def test_energy_quadrature_matches_assembled_form():
     rng = np.random.default_rng(13)
     u = CylinderField(grid, rng.standard_normal(grid.shape))
     reaction = _cubic_source()
-    A = forms.assemble_energy_matrix(u, model, reaction)
+    A = _energy(u, model, reaction)
     for _ in range(3):
         phi = rng.standard_normal(grid.shape)
         flat = phi.ravel()
@@ -777,7 +785,7 @@ def test_energy_matrix_folds_the_rank_one_term_per_pair(model, nz):
     u = CylinderField(grid, np.random.default_rng(14).standard_normal(
         grid.shape))
     reaction = ReactionSpec.cubic()
-    A = forms.assemble_energy_matrix(u, model, reaction)
+    A = _energy(u, model, reaction)
     _assert_on_the_products(A, _pairwise_energy_matrix(u, model, reaction))
 
 
@@ -804,7 +812,7 @@ LAYOUT_MODELS = [CoefficientModel.mean_curvature_weight(-0.5),
 @pytest.mark.parametrize("grading", [0.0, 0.5], ids=["uniform", "graded"])
 def test_layout_assembly_matches_the_pairwise_products(model, nz, grading):
     u, model, reaction = _layout_case(model, nz, grading)
-    A = forms.assemble_energy_matrix(u, model, reaction)
+    A = _energy(u, model, reaction)
     _assert_on_the_products(A, _pairwise_energy_matrix(u, model, reaction))
     # each entry and its mirror read the same plane value
     dense = A.toarray()
@@ -828,14 +836,13 @@ def test_layout_on_three_node_axes(nz, ny):
     u = CylinderField(grid, np.random.default_rng(22).standard_normal(
         grid.shape))
     model, reaction = LAYOUT_MODELS[0], _cubic_source()
-    A = forms.assemble_energy_matrix(u, model, reaction).toarray()
+    A = _energy(u, model, reaction).toarray()
     ref = _pairwise_energy_matrix(u, model, reaction).toarray()
     assert np.abs(A - ref).max() <= 1e-14 * np.abs(ref).max()
     assert np.array_equal(A, A.T)
     for nf in range(1, ny):
         free = _free_nodes(grid, nf)
-        block = forms.assemble_energy_matrix(u, model, reaction,
-                                             nf=nf).toarray()
+        block = _energy(u, model, reaction, nf=nf).toarray()
         assert np.array_equal(block, A[np.ix_(free, free)])
 
 
@@ -847,11 +854,10 @@ def test_layout_gathers_match_scipy_slicing(model, nz):
     # symmetric bit for bit
     u, model, reaction = _layout_case(model, nz, 0.5)
     grid = u.grid
-    A = forms.assemble_energy_matrix(u, model, reaction).tocsr()
+    A = _energy(u, model, reaction).tocsr()
     for nf in (grid.ny - 1, 3):
         free = _free_nodes(grid, nf)
-        block = forms.assemble_energy_matrix(u, model, reaction,
-                                             nf=nf).toarray()
+        block = _energy(u, model, reaction, nf=nf).toarray()
         assert np.array_equal(block, A[free][:, free].toarray())
         assert np.array_equal(block, block.T)
 
@@ -869,7 +875,7 @@ def test_second_assembly_reuses_the_cached_pattern(refuse_sparse_work,
     layout = forms.energy_layout(grid, True)
     v = CylinderField(grid, 2.0 * u.values)
     for nf in (grid.ny, grid.ny - 1):
-        A1, A2 = (forms.assemble_energy_matrix(w, model, reaction, nf=nf)
+        A1, A2 = (_energy(w, model, reaction, nf=nf)
                   for w in (u, v))
         assert np.array_equal(A1.offsets, A2.offsets)
         assert A1.data.shape == (2 * len(layout.deltas) - 1, A1.shape[0])
@@ -889,7 +895,7 @@ def test_warm_assembly_runs_no_sparse_product(model, refuse_sparse_work):
         with pytest.raises(AssertionError, match="refused"):
             op()
     for nf in (grid.ny, grid.ny - 1, 3):
-        A = forms.assemble_energy_matrix(u, model, reaction, nf=nf)
+        A = _energy(u, model, reaction, nf=nf)
         assert A.format == "dia" and A.shape == (grid.n_nodes // grid.ny
                                                  * nf,) * 2
 
@@ -917,8 +923,8 @@ def test_cold_grid_runs_no_sparse_product(refuse_sparse_work, monkeypatch):
     for model in LAYOUT_MODELS:
         forms.energy_layout(grid, model.has_t_dependence)
         for top in (("neumann",), solver.pinned_top(u)):
-            A, _, (_, m_y, K_y, _) = solver._newton_system(
-                u, model, ReactionSpec.cubic(), top)
+            A, _, (_, m_y, K_y, _) = _system(u, model, ReactionSpec.cubic(),
+                                             top)
             assert A.shape == (grid.n_nodes,) * 2
             solver._separable_factor(grid, m_y, K_y)
 
@@ -928,8 +934,10 @@ def test_cold_grid_runs_no_sparse_product(refuse_sparse_work, monkeypatch):
 # -- the damped-Newton loop ----------------------------------------------------
 
 def test_damped_newton_converges_without_halvings_near_a_root():
+    # the aux is r'(x), so a step handed another iterate's aux would not
+    # converge quadratically
     x, r, history, halvings, stalled = solver.damped_newton(
-        lambda x: x ** 2 - 2.0, lambda x, r: -r / (2.0 * x),
+        lambda x: (x ** 2 - 2.0, 2.0 * x), lambda r, dr: -r / dr,
         np.array([1.5]), tol=1e-14, max_iter=20)
     assert not stalled
     assert x[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
@@ -942,7 +950,7 @@ def test_damped_newton_reports_a_stall_and_keeps_the_iterate():
     # an ascent direction: no step length decreases ||r||^2
     x0 = np.array([1.5])
     x, r, history, halvings, stalled = solver.damped_newton(
-        lambda x: x ** 2 - 2.0, lambda x, r: r / (2.0 * x), x0,
+        lambda x: (x ** 2 - 2.0, 2.0 * x), lambda r, dr: r / dr, x0,
         tol=1e-14, max_iter=20)
     assert stalled
     assert halvings == []
@@ -951,27 +959,46 @@ def test_damped_newton_reports_a_stall_and_keeps_the_iterate():
 
 
 def test_damped_newton_stops_at_a_late_halving_only_when_asked():
-    # r(x) = x; the first step goes half way, every later one overshoots
-    # to -2x and is accepted after one halving, at -x/2
-    def step(x, r):
-        return -0.5 * r if x[0] == 1.0 else -3.0 * r
+    # r(x) = x with aux x; the first step goes half way, every later one
+    # overshoots to -2x and is accepted after one halving, at -x/2.  Each
+    # step gets the r and aux of the iterate it steps from, never those of
+    # a rejected trial (-2x)
+    seen = []
+
+    def step(r, x0):
+        seen.append((float(r[0]), x0))
+        return -0.5 * r if x0 == 1.0 else -3.0 * r
 
     def identity(x):
-        return x.copy()
+        return x.copy(), float(x[0])
 
     x, _, history, halvings, stalled = solver.damped_newton(
         identity, step, np.array([1.0]), tol=1e-3, max_iter=20)
     assert not stalled and halvings == [0] + [1] * (len(halvings) - 1)
-    x, _, history, halvings, stalled = solver.damped_newton(
+    iterates = [1.0] + [0.5 * (-0.5) ** k for k in range(len(halvings))]
+    assert seen == [(a, a) for a in iterates[:-1]]
+    assert x[0] == iterates[-1]
+    seen.clear()
+    x, r, history, halvings, stalled = solver.damped_newton(
         identity, step, np.array([1.0]), tol=1e-3, max_iter=20,
         stop_at_late_halving=True)
     assert stalled and halvings == [0]
-    assert x[0] == 0.5 and history == [1.0, 0.5]
-    # a halving of the first step does not stop it
+    assert x[0] == r[0] == 0.5 and history == [1.0, 0.5]
+    # the stopped step was handed the last accepted iterate's aux
+    assert seen == [(1.0, 1.0), (0.5, 0.5)]
+    # a halving of the first step does not stop it; the step after the
+    # halving gets the aux of the accepted half step, -1/2
+    seen.clear()
+
+    def first_overshoots(r, x0):
+        seen.append((float(r[0]), x0))
+        return -3.0 * r if x0 == 1.0 else -r
+
     x, _, history, halvings, stalled = solver.damped_newton(
-        identity, lambda x, r: -3.0 * r if x[0] == 1.0 else -r,
-        np.array([1.0]), tol=1e-3, max_iter=20, stop_at_late_halving=True)
+        identity, first_overshoots, np.array([1.0]), tol=1e-3, max_iter=20,
+        stop_at_late_halving=True)
     assert not stalled and halvings == [1, 0] and x[0] == 0.0
+    assert seen == [(1.0, 1.0), (-0.5, -0.5)]
 
 
 def _mean_curvature_problem(n):
@@ -996,11 +1023,11 @@ def _plain_armijo(model, reaction, grid, init, top, tol=1e-10, max_iter=50):
     stats = _stats()
 
     def residual(x):
-        return residual_vector(CylinderField(grid, x), model, reaction, top)
+        u = CylinderField(grid, x)
+        return residual_vector(u, model, reaction, top), u
 
-    def step(x, r):
-        system = solver._newton_system(CylinderField(grid, x), model,
-                                       reaction, top)
+    def step(r, u):
+        system = _system(u, model, reaction, top)
         return solver._linear_step(system[0], system[1], -r, stats,
                                    system[2]).reshape(grid.shape)
 

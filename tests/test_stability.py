@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cylreact import forms, fractional1d, presets, solver, stability
+from cylreact import forms, presets, solver, stability
 from cylreact.coefficients import CoefficientModel
 from cylreact.cylinder import CylinderField, DomainSpec, build_grid
 
@@ -184,8 +184,9 @@ def test_pinned_solve_and_classify_share_one_free_block():
     rep = solver.solve_newton(model, reaction, grid, init,
                               top_bc=solver.pinned_top(init))
     assert rep.converged and rep.stats["krylov_solves"] >= 1
-    _, A_free, _ = solver._newton_system(rep.u, model, reaction,
-                                         solver.pinned_top(rep.u))
+    _, A_free, _ = solver._newton_system(
+        forms.coefficient_state(rep.u, model), reaction,
+        solver.pinned_top(rep.u))
     A = stability.assemble_I(rep.u, model, reaction).energy_matrix
     assert A_free.shape == A.shape == ((grid.ny - 1) * grid.nx,) * 2
     assert np.array_equal(A_free.offsets, A.offsets)
@@ -538,13 +539,8 @@ def test_shift_invert_repeats_bit_identically_in_one_process():
                                       reports[0].ground_state.values)
 
 
-def test_classify_returns_free_heap_after_each_call(monkeypatch):
-    # classify factors nothing and leaves no LU heap behind, so it makes no
-    # trim call.  The counterexample fit hands free C-heap pages back once
-    # it has returned or raised, so the resident set after one does not
-    # depend on where the allocator left its freed blocks.
-    calls = []
-    monkeypatch.setattr(fractional1d, "_MALLOC_TRIM", calls.append)
+def test_classify_agrees_with_min_rayleigh():
+    # classify and min_rayleigh on the assembled form read one mu_1
     p, grid, u = _preset_state("grow-cos-stable", nx=17, ny=17)
     model, reaction = p.model_factory(), p.reaction_factory()
     report = stability.classify(u, model, reaction)
@@ -552,18 +548,6 @@ def test_classify_returns_free_heap_after_each_call(monkeypatch):
     form = stability.assemble_I(u, model, reaction)
     (mu, _), = stability.min_rayleigh(form)
     assert mu == pytest.approx(report.mu1, rel=1e-12)
-    assert calls == []
-    first = fractional1d.construct_counterexample(np.zeros_like, 0.5,
-                                                  fit_nodes=129)
-    assert calls == [0]
-    with pytest.raises(ValueError):
-        fractional1d.construct_counterexample(np.zeros_like, 1.5,
-                                              fit_nodes=129)
-    assert calls == [0, 0]
-    again = fractional1d.construct_counterexample(np.zeros_like, 0.5,
-                                                  fit_nodes=129)
-    assert again.delta1 == pytest.approx(first.delta1, rel=1e-12)
-    assert calls == [0, 0, 0]
 
 
 @pytest.mark.parametrize("model", [None, "mean-curvature"],
@@ -583,7 +567,8 @@ def test_assemble_I_takes_exact_symmetric_free_blocks(model, vanish_above):
                        else np.count_nonzero(grid.y_nodes < vanish_above))
     free = np.flatnonzero(np.arange(grid.n_nodes) % grid.ny < form.nf)
     assert np.array_equal(A.toarray(), A.toarray().T)
-    full = forms.assemble_energy_matrix(u, model, reaction).tocsr()
+    state = forms.coefficient_state(u, model)
+    full = forms.assemble_energy_matrix(state, reaction).tocsr()
     assert np.array_equal(A.toarray(), full[free][:, free].toarray())
-    mass = forms.mass_matrix(u, model).diagonal()
+    mass = forms.mass_matrix(state).diagonal()
     assert np.array_equal(form.mass_matrix.toarray(), np.diag(mass[free]))
