@@ -29,8 +29,7 @@ sparse product runs.  The planes are the upper diagonals, and one builder
 (EnergyLayout.matrix) stores them as a symmetric DIA matrix, either the
 whole matrix or its free block on the nodes below a y index nf, whose
 planes are a slice of the whole matrix's: a pinned top slice in the Newton
-solve (nf = ny - 1) and the stability test space (nodes below
-vanish_above) are both that block.
+solve and the stability test space (both nf = ny - 1) are that block.
 
 Gradient magnitudes feeding the eta/|eta| factor are regularized as
 sqrt(|g|^2 + eps^2) with eps = 1e-10 whenever the model has genuine

@@ -23,7 +23,7 @@ with nonzero data is globalized by continuation in that data once Armijo
 damps a step after the first (``solve_newton``); every other solve is
 plain Armijo.
 
-Each Newton system is solved by one of two routes (``_linear_step``): fast
+Each Newton system is solved by one of two routes (``_newton_step``): fast
 diagonalization where the matrix is a Kronecker sum of 1D operators
 (``forms.separable_factors``), otherwise conjugate gradients preconditioned
 by fast diagonalization of the cross-section-averaged Kronecker sum.  Fast
@@ -46,7 +46,6 @@ from functools import reduce
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import forms
@@ -61,7 +60,7 @@ STALLED = "Armijo line search stalled"
 # a stage that fails closer than this to the last accepted one ends it.
 MIN_CONTINUATION_STEP = 2.0 ** -6
 # Relative residual ||A delta - rhs|| / ||rhs|| over the free rows that a
-# Newton step must meet to be taken (see _linear_step).
+# Newton step must meet to be taken (see _newton_step).
 STEP_RTOL = 1e-6
 # Relative residual at which conjugate gradients stops on a non-separable
 # Newton block: an inexact Newton forcing term (Dembo, Eisenstat & Steihaug
@@ -195,31 +194,6 @@ def _residual(state: dict, reaction: ReactionSpec, top_bc) -> np.ndarray:
     return r
 
 
-def _newton_system(state: dict, reaction, top_bc) -> tuple:
-    """(A, A_free, separable): the Newton matrix at the u of the
-    coefficient state ``state``, its free block, and the ``separable``
-    argument of _linear_step, (grid, m_y, K_y, exact) from
-    forms.separable_factors.
-
-    A is the energy matrix (forms.energy_planes) for either top.  A pinned
-    top slice is cut from the y factors (m_y and K_y's band lose their last
-    entry), so m_y.size is the number of free heights, and A_free is the
-    block of A below that y index, built from the same planes; with a
-    Neumann top it is A.  Only conjugate gradients read A_free, so on an
-    exact sum it is None.  _linear_step leaves A's top rows unread.
-    """
-    grid = state["grid"]
-    layout, planes = forms.energy_planes(state, reaction)
-    m_y, K_y, exact = forms.separable_factors(state, reaction)
-    if top_bc[0] == "dirichlet":
-        m_y, K_y = m_y[:-1], K_y[:, :-1]
-    A = layout.matrix(planes, grid.ny)
-    A_free, nf = None, m_y.size
-    if not exact:
-        A_free = A if nf == grid.ny else layout.matrix(planes, nf)
-    return A, A_free, (grid, m_y, K_y, exact)
-
-
 def cross_section_spectrum(grid: CylinderGrid) -> tuple:
     """(lam, phis): the eigenvalues lam_i + lam_j + ... of the cross-section
     Kronecker sum, shaped like the cross-section, and each axis's modes
@@ -283,26 +257,27 @@ def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
     return solve
 
 
-def _linear_step(A: sp.dia_matrix, A_free: sp.dia_matrix | None,
-                 rhs: np.ndarray, stats: dict,
-                 separable: tuple) -> np.ndarray | None:
-    """Solve A delta = rhs through the Kronecker sum of
-    forms.separable_factors, exactly or by preconditioned CG.
+def _newton_step(state: dict, reaction: ReactionSpec, top_bc,
+                 rhs: np.ndarray, stats: dict) -> np.ndarray | None:
+    """Solve the Newton system A delta = rhs at the u of the coefficient
+    state ``state`` through the Kronecker sum of forms.separable_factors,
+    exactly or by preconditioned CG.
 
-    ``separable`` is (grid, m_y, K_y, exact) from _newton_system.  The
-    nodes at and above y index nf = m_y.size are pinned (none for a
-    Neumann top): their step is read off the right-hand side, which is
-    their residual, and A's rows there are never read.  The coupling of
-    the free rows to them moves to the right-hand side, which leaves A's
-    free block below nf, symmetric like A.  When the sum is exact it is
-    that block, and its solve (_separable_factor) is applied to the
-    right-hand side and once more to the residual left in A's free rows
-    (one step of iterative refinement).  Otherwise the block is solved by
-    conjugate gradients preconditioned with that solve (Concus & Golub
-    1973), on A_free, the block as a matrix of its own (_newton_system;
-    None on an exact sum), to the relative residual KRYLOV_RTOL, one
-    decade under STEP_RTOL (an inexact Newton step), or for at most
-    KRYLOV_MAXITER iterations.
+    A is the energy matrix (forms.energy_planes) for either top.  A pinned
+    top slice is cut from the y factors (m_y and K_y's band lose their last
+    entry), so the nodes at and above y index nf = m_y.size are pinned
+    (none for a Neumann top): their step is read off the right-hand side,
+    which is their residual, and A's rows there are never read.  The
+    coupling of the free rows to them moves to the right-hand side, which
+    leaves A's free block below nf, symmetric like A.  When the sum is
+    exact it is that block, and its solve (_separable_factor) is applied to
+    the right-hand side and once more to the residual left in A's free rows
+    (one step of iterative refinement).  Otherwise the block, built from
+    the same planes as a matrix of its own (A itself with a Neumann top),
+    is solved by conjugate gradients preconditioned with that solve (Concus
+    & Golub 1973), to the relative residual KRYLOV_RTOL, one decade under
+    STEP_RTOL (an inexact Newton step), or for at most KRYLOV_MAXITER
+    iterations.
 
     The step is returned only if it is finite and meets the linear
     residual bound ||A delta - rhs|| <= STEP_RTOL ||rhs|| over A's free
@@ -316,7 +291,14 @@ def _linear_step(A: sp.dia_matrix, A_free: sp.dia_matrix | None,
     stats["krylov_residual_max"] is the largest relative residual of a
     returned Krylov step.
     """
-    grid, m_y, K_y, exact = separable
+    grid = state["grid"]
+    layout, planes = forms.energy_planes(state, reaction)
+    m_y, K_y, exact = forms.separable_factors(state, reaction)
+    if top_bc[0] == "dirichlet":
+        m_y, K_y = m_y[:-1], K_y[:, :-1]
+    A = layout.matrix(planes, grid.ny)
+    if exact:
+        del planes   # the solves read only matrices: free the planes first
     route = "separable" if exact else "krylov"
     nf = m_y.size
     delta = np.zeros(grid.shape)
@@ -335,6 +317,8 @@ def _linear_step(A: sp.dia_matrix, A_free: sp.dia_matrix | None,
         for _ in range(2):
             delta[..., :nf] += solve(free_residual())
     else:
+        A_free = A if nf == grid.ny else layout.matrix(planes, nf)
+        del planes
         r = free_residual()
         M = spla.LinearOperator(
             A_free.shape, dtype=float,
@@ -438,7 +422,7 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
     from init with the full NEWTON_MAXITER, so every solve that converges
     without continuation still converges.  Neumann tops, zero data and
     solves with no late halving run plain Armijo alone.  A step that
-    _linear_step misses ends the solve at the last accepted iterate, with
+    _newton_step misses ends the solve at the last accepted iterate, with
     no further stage or retry, and stats["stop_reason"] is its reason;
     otherwise it is the last run's stop from damped_newton.
 
@@ -453,10 +437,6 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
                  krylov_residual_max=0.0, stop_reason=None,
                  backtracks=halvings, continuation=trail)
 
-    def newton_step(r, state):
-        A, A_free, separable = _newton_system(state, reaction, top_bc)
-        return _linear_step(A, A_free, -r, stats, separable)
-
     def run(x, bc, stop_at_late_halving):
         """damped_newton from x with the top condition bc; returns
         (x, final residual, accepted steps, stop)."""
@@ -464,9 +444,11 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
             state = forms.coefficient_state(CylinderField(grid, x), model)
             return _residual(state, reaction, bc), state
 
+        def step(r, state):
+            return _newton_step(state, reaction, bc, -r, stats)
+
         x, _, hist, halv, stop = damped_newton(
-            residual, newton_step, x, tol, NEWTON_MAXITER,
-            stop_at_late_halving)
+            residual, step, x, tol, NEWTON_MAXITER, stop_at_late_halving)
         history.extend(hist if not history else hist[1:])
         halvings.extend(halv)
         return x, hist[-1], len(halv), stop

@@ -226,16 +226,14 @@ def eig_growth_check(basis: SpectralBasis, beta: float):
 
 
 def extension_equivalence(basis: SpectralBasis, reaction, grid: CylinderGrid,
-                          init: SpectralFunction | None = None) -> float:
+                          init: SpectralFunction) -> float:
     """Max cylinder weak residual of the harmonically extended s=1/2 solve.
 
-    Solves the fractional problem by ``solve_semilinear``,
+    Solves the fractional problem by ``solve_semilinear`` from ``init``,
     extends it to the cylinder, and tests the extension in the cylinder
     weak form (a == 1, g == 0, bottom reaction f) against the tensor fields
     phi_k(x) * p(y), k < 6, with top-vanishing y-profiles p.
     """
-    if init is None:
-        init = SpectralFunction(basis, np.zeros(basis.K))
     v = solve_semilinear(basis, reaction, init)
     u = extend_harmonic(basis, v, grid)
     model_one = CoefficientModel.constant_one()

@@ -13,12 +13,12 @@ mass
 Both are read at forms.coefficient_state(u, model), the state a Newton
 step at u is built from, once the structural gate passes on it.  The
 paper tests stability against fields with bounded support in y; the
-discrete stand-in is the nodal fields that vanish at and above a y index
-nf, at most the top slice's.  So the pencil is the energy matrix's free
-block below nf (forms.assemble_energy_matrix(state, reaction, nf), the
-block a pinned-top Newton step solves on) and the mass's diagonal there,
-and a test field is a grid field whose y axis is cut at nf
-(StabilityForm.embed pads it back).
+discrete stand-in is the nodal fields that vanish on the top slice, at y
+index nf = ny - 1.  So the pencil is the energy matrix's free block below
+nf (forms.assemble_energy_matrix(state, reaction, nf), the block a
+pinned-top Newton step solves on) and the mass's diagonal there, and a
+test field is a grid field whose y axis is cut at nf (StabilityForm.embed
+pads it back).
 
 The sign of the smallest generalized eigenvalue mu_1 of (I, M) classifies
 the solution.  Because discrete eigenvalues carry O(h^2) error, values
@@ -136,9 +136,9 @@ class StabilityReport:
     # bracket_closed (mu1 - nu within twice nu's rounding allowance),
     # sigma (the shift of the banded Cholesky factor of A - sigma M that
     # preconditions LOBPCG, None when no factor does; sigma = tol proves
-    # mu1 > tol), factored (sigma is not None), lobpcg_runs (the
-    # preconditioner calls of each LOBPCG run) and
-    # preconditioner_applications (vectors); not written to report.json.
+    # mu1 > tol), preconditioner_calls (LOBPCG's calls of its
+    # preconditioner) and preconditioner_applications (the vectors of
+    # those calls); not written to report.json.
     stats: dict = field(default_factory=dict)
 
 
@@ -157,29 +157,21 @@ def _gated_state(u: CylinderField, model: CoefficientModel) -> dict:
     return state
 
 
-def assemble_I(u: CylinderField, model: CoefficientModel, reaction,
-               vanish_above: float | None = None) -> StabilityForm:
+def assemble_I(u: CylinderField, model: CoefficientModel,
+               reaction) -> StabilityForm:
     """Assemble the stability form at state u on the test space.
 
-    The test space is the nodes below y index nf = min(ny - 1,
-    #{y_j < vanish_above}): all nodes strictly below the top slice, or
-    with ``vanish_above`` only those with y < vanish_above (nested spaces
-    give monotone ground-state eigenvalues).  A ``vanish_above`` that
-    leaves no height, nf < 1, is refused.  The energy block is built from
-    the energy matrix's value planes cut at nf (forms.EnergyLayout.matrix)
-    and is symmetric bit for bit.  The mass is diagonal, and its block is
-    its diagonal below nf.  A state where B fails to be positive definite
-    is refused; otherwise a >= beta > 0 at every node, and with positive
+    The test space is the nodes below y index nf = ny - 1, all nodes
+    strictly below the top slice.  The energy block is built from the
+    energy matrix's value planes cut at nf (forms.EnergyLayout.matrix) and
+    is symmetric bit for bit.  The mass is diagonal, and its block is its
+    diagonal below nf.  A state where B fails to be positive definite is
+    refused; otherwise a >= beta > 0 at every node, and with positive
     weights the mass diagonal is positive.  The comparison and mean y
     factors (see the module docstring) are kept cut to the nf heights.
     """
     grid = u.grid
     nf = grid.ny - 1
-    if vanish_above is not None:
-        nf = min(nf, np.count_nonzero(grid.y_nodes < vanish_above))
-        if nf < 1:
-            raise ValueError(f"vanish_above={vanish_above!r} leaves no node "
-                             "in the test space")
     state = _gated_state(u, model)
     A = forms.assemble_energy_matrix(state, reaction, nf)
     mass = forms.mass_matrix(state).diagonal()
@@ -296,35 +288,9 @@ def _solve_pairs(form: StabilityForm, k: int, tol: float | None = None):
     A, M = form.energy_matrix, form.mass_matrix
     tol = default_tol(form) if tol is None else tol
     nu, slack, X = _comparison_pairs(form, k)
-    stats = {"nu": nu, "preconditioner_applications": 0, "lobpcg_runs": []}
+    stats = {"nu": nu, "preconditioner_calls": 0,
+             "preconditioner_applications": 0}
     mass, norm_A = M.diagonal(), form.energy_norm
-
-    def lobpcg(X, solve):
-        runs = stats["lobpcg_runs"]
-        runs.append(0)
-
-        def precondition(R):
-            runs[-1] += 1
-            stats["preconditioner_applications"] += R.shape[1]
-            return solve(R)
-
-        # lobpcg warns when it stops at its cap or falls back to a dense
-        # solve; the residual gate below judges every pair either way
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            vals, vecs = spla.lobpcg(
-                A, X, B=M, M=precondition, maxiter=LOBPCG_MAXITER,
-                tol=EIGEN_RESIDUAL_RTOL * float(np.sqrt(mass.min())),
-                largest=False)
-        order = np.argsort(vals, kind="stable")
-        vals, vecs = [float(mu) for mu in vals[order]], vecs[:, order]
-        vecs /= [np.sqrt(v @ (mass * v)) for v in vecs.T]
-        res = [float(np.linalg.norm(A @ v - mu * (mass * v)))
-               for mu, v in zip(vals, vecs.T)]
-        bad = [i for i, v in enumerate(vecs.T) if res[i] > EIGEN_RESIDUAL_RTOL
-               * max(norm_A * np.linalg.norm(v), 1e-300)]
-        return vals, vecs, res, bad
-
     shifts = []
     if not form.mean[2]:
         # only a factor of A - tol M can prove mu_1 > tol when nu <= tol < mu_1
@@ -337,7 +303,28 @@ def _solve_pairs(form: StabilityForm, k: int, tol: float | None = None):
         if solve is not None:
             sigma = shift
             break
-    vals, vecs, res, bad = lobpcg(X, solve or _mean_preconditioner(form, nu))
+    solve = solve or _mean_preconditioner(form, nu)
+
+    def precondition(R):
+        stats["preconditioner_calls"] += 1
+        stats["preconditioner_applications"] += R.shape[1]
+        return solve(R)
+
+    # lobpcg warns when it stops at its cap or falls back to a dense
+    # solve; the residual gate below judges every pair either way
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        vals, vecs = spla.lobpcg(
+            A, X, B=M, M=precondition, maxiter=LOBPCG_MAXITER,
+            tol=EIGEN_RESIDUAL_RTOL * float(np.sqrt(mass.min())),
+            largest=False)
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = [float(mu) for mu in vals[order]], vecs[:, order]
+    vecs /= [np.sqrt(v @ (mass * v)) for v in vecs.T]
+    res = [float(np.linalg.norm(A @ v - mu * (mass * v)))
+           for mu, v in zip(vals, vecs.T)]
+    bad = [i for i, v in enumerate(vecs.T) if res[i] > EIGEN_RESIDUAL_RTOL
+           * max(norm_A * np.linalg.norm(v), 1e-300)]
     if bad:
         raise EigenSolveError(
             f"eigenpair {bad[0]} residual {res[bad[0]]:.3e} exceeds "
@@ -346,7 +333,6 @@ def _solve_pairs(form: StabilityForm, k: int, tol: float | None = None):
         raise EigenSolveError(f"LOBPCG settled at {vals[0]:.6e}, but A - tol "
                               "M is not positive definite", res[0])
     stats["sigma"] = sigma
-    stats["factored"] = solve is not None
     stats["bracket_closed"] = bool(vals[0] - nu <= 2.0 * slack)
     return vals, [form.embed(v) for v in vecs.T], res, stats
 

@@ -198,10 +198,21 @@ def _energy(u, model, reaction, nf=None):
                                         reaction, nf)
 
 
-def _system(u, model, reaction, top):
-    """solver._newton_system at u's coefficient state."""
-    return solver._newton_system(forms.coefficient_state(u, model), reaction,
-                                 top)
+def _step(u, model, reaction, top, rhs, stats):
+    """solver._newton_step at u's coefficient state."""
+    return solver._newton_step(forms.coefficient_state(u, model), reaction,
+                               top, rhs, stats)
+
+
+def _factors(u, model, reaction, top):
+    """(m_y, K_y, exact): forms.separable_factors at u's coefficient
+    state, with a pinned top cut from m_y and K_y's band as a Newton step
+    cuts it."""
+    m_y, K_y, exact = forms.separable_factors(
+        forms.coefficient_state(u, model), reaction)
+    if top[0] == "dirichlet":
+        m_y, K_y = m_y[:-1], K_y[:, :-1]
+    return m_y, K_y, exact
 
 
 def _lil_pinned(u, model, reaction):
@@ -222,28 +233,57 @@ def _lu_matrix(u, model, reaction, top):
     return _energy(u, model, reaction)
 
 
-@pytest.mark.parametrize("domain, nz, model", [
+@pytest.mark.parametrize("domain, nz, model, y_only", [
     (DomainSpec.interval(0.0, PI), None,
-     CoefficientModel.power_weight_p_laplace(0.0, 3.0)),
+     CoefficientModel.power_weight_p_laplace(0.0, 3.0), False),
     (DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI), 5,
-     CoefficientModel.constant_one()),
-], ids=["interval", "rectangle"])
-def test_newton_matrix_is_the_energy_matrix_for_either_top(domain, nz, model):
-    # a pinned top changes only the y factors: the matrix is the assembled
-    # energy matrix, and the conjugate-gradient block its free block below
-    # the free heights
+     CoefficientModel.constant_one(), False),
+    (DomainSpec.rectangle(0.0, 2 * PI, 0.0, PI), 5,
+     CoefficientModel.constant_one(), True),
+], ids=["interval", "rectangle", "rectangle-exact"])
+def test_newton_matrix_is_the_energy_matrix_for_either_top(domain, nz, model,
+                                                           y_only,
+                                                           monkeypatch):
+    # a pinned top changes only the y factors: one Newton step builds the
+    # assembled energy matrix, and a conjugate-gradient step also its free
+    # block below the free heights from the same planes (the matrix itself
+    # with a Neumann top); an exact-sum step builds no block
     grid = build_grid(domain, nx=9, ny=7, y_max=2.0, nz=nz)
     rng = np.random.default_rng(5)
-    u = CylinderField(grid, rng.standard_normal(grid.shape))
+    values = rng.standard_normal(grid.ny if y_only else grid.shape)
+    u = CylinderField(grid, np.broadcast_to(values, grid.shape).copy())
     reaction = ReactionSpec.cubic()
     ref = _energy(u, model, reaction)
+    exact = _factors(u, model, reaction, ("neumann",))[2]
+    assert exact == y_only
+    matrix, factor = forms.EnergyLayout.matrix, solver._separable_factor
+    built, heights = [], []
+
+    def record_matrix(layout, planes, nf):
+        built.append((nf, matrix(layout, planes, nf)))
+        return built[-1][1]
+
+    def record_factor(grid, m_y, K_y):
+        heights.append(m_y.size)
+        return factor(grid, m_y, K_y)
+
     for top in (("neumann",), solver.pinned_top(u)):
-        A, A_free, (_, m_y, _, _) = _system(u, model, reaction, top)
-        assert m_y.size == grid.ny - (top[0] == "dirichlet")
-        block = _energy(u, model, reaction, nf=m_y.size)
-        for B, want in ((A, ref), (A_free, block)):
-            assert np.array_equal(B.offsets, want.offsets)
-            assert np.array_equal(B.data, want.data)
+        nf = grid.ny - (top[0] == "dirichlet")
+        want = [(grid.ny, ref)]
+        if not exact and nf < grid.ny:
+            want.append((nf, _energy(u, model, reaction, nf=nf)))
+        rhs = -residual_vector(u, model, reaction, top)
+        built.clear()
+        heights.clear()
+        with monkeypatch.context() as m:
+            m.setattr(forms.EnergyLayout, "matrix", record_matrix)
+            m.setattr(solver, "_separable_factor", record_factor)
+            _step(u, model, reaction, top, rhs, _stats())
+        assert heights == [nf]
+        assert [n for n, _ in built] == [n for n, _ in want]
+        for (_, B), (_, W) in zip(built, want):
+            assert np.array_equal(B.offsets, W.offsets)
+            assert np.array_equal(B.data, W.data)
 
 
 @pytest.mark.parametrize("kind", ["preset-pinned", "rectangle-pinned",
@@ -257,9 +297,8 @@ def test_pinned_step_reads_the_top_rows_off_the_residual(kind):
         case = _separable_case(kind)
     model, reaction, grid, u, (_, value) = case
     top = ("dirichlet", value + 0.25)
-    A, A_free, separable = _system(u, model, reaction, top)
     r = residual_vector(u, model, reaction, top)
-    step = solver._linear_step(A, A_free, -r, _stats(), separable)
+    step = _step(u, model, reaction, top, -r, _stats())
     top_rows = grid.top_mask().ravel()
     assert np.any(r[top_rows] != 0.0)
     assert np.array_equal(step[top_rows], -r[top_rows])
@@ -311,10 +350,9 @@ def test_failed_factorization_stops_the_solve(kind, n, monkeypatch):
         raise np.linalg.LinAlgError("singular separable sum")
 
     monkeypatch.setattr(solver, "_separable_factor", refuse)
-    A, A_free, separable = _system(u, model, reaction, top)
     r = residual_vector(u, model, reaction, top)
     stats = _stats()
-    assert solver._linear_step(A, A_free, -r, stats, separable) is None
+    assert _step(u, model, reaction, top, -r, stats) is None
     reason = "separable factor raised LinAlgError: singular separable sum"
     assert stats == dict(_stats(), stop_reason=reason)
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
@@ -361,10 +399,9 @@ SEPARABLE_CASES = ["preset-pinned", "preset-neumann", "rectangle-pinned",
 @pytest.mark.parametrize("kind", SEPARABLE_CASES)
 def test_separable_step_matches_the_lu_step(kind):
     model, reaction, grid, u, top = _separable_case(kind)
-    A, A_free, separable = _system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
     stats = _stats()
-    step = solver._linear_step(A, A_free, rhs, stats, separable)
+    step = _step(u, model, reaction, top, rhs, stats)
     ref = spla.spsolve(_lu_matrix(u, model, reaction, top).tocsc(), rhs)
     assert stats == dict(_stats(), separable_solves=1)
     assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -408,7 +445,7 @@ def _kronecker_sum(grid, m_y, K_y):
                                   "graded-rectangle-neumann"])
 def test_separable_factor_inverts_the_kronecker_sum(kind):
     model, reaction, grid, u, top = _separable_case(kind)
-    _, _, (_, m_y, K_y, exact) = _system(u, model, reaction, top)
+    m_y, K_y, exact = _factors(u, model, reaction, top)
     assert exact
     r = np.random.default_rng(3).standard_normal(grid.shape)[..., :m_y.size]
     ref = spla.spsolve(_kronecker_sum(grid, m_y, K_y), r.ravel())
@@ -440,7 +477,7 @@ def test_y_factor_is_the_band_of_the_sparse_product():
         "graded-power-weight-pinned")
     m_ref, K_ref = _sparse_y_factor(u, model, reaction)
     for bc, n in ((("neumann",), grid.ny), (top, grid.ny - 1)):
-        _, _, (_, m_y, K_y, exact) = _system(u, model, reaction, bc)
+        m_y, K_y, exact = _factors(u, model, reaction, bc)
         L = sp.tril(K_ref[:n, :n]).tocoo()
         ref = np.zeros((3, n))
         ref[L.row - L.col, L.col] = L.data
@@ -453,7 +490,7 @@ def test_y_factor_is_the_band_of_the_sparse_product():
 def test_averaged_separable_factor_is_symmetric():
     # conjugate gradients needs a symmetric preconditioner
     model, reaction, grid, u, top = _non_separable_case("p-laplace")
-    _, _, (_, m_y, K_y, exact) = _system(u, model, reaction, top)
+    m_y, K_y, exact = _factors(u, model, reaction, top)
     assert not exact
     solve = solver._separable_factor(grid, m_y, K_y)
     rng = np.random.default_rng(4)
@@ -465,7 +502,7 @@ def test_averaged_separable_factor_is_symmetric():
 
 def test_separable_factor_refuses_a_nonpositive_mass():
     model, reaction, grid, u, top = _separable_case("preset-neumann")
-    _, _, (_, m_y, K_y, _) = _system(u, model, reaction, top)
+    m_y, K_y, _ = _factors(u, model, reaction, top)
     m_y = m_y.copy()
     m_y[3] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
@@ -512,15 +549,15 @@ def _non_separable_case(kind):
                                   "cubic-x-dependent"])
 def test_non_separable_states_take_the_krylov_route(kind, monkeypatch):
     model, reaction, grid, u, top = _non_separable_case(kind)
-    A, A_free, separable = _system(u, model, reaction, top)
-    assert separable[-1] is False
+    m_y, _, exact = _factors(u, model, reaction, top)
+    assert exact is False
     rhs = -residual_vector(u, model, reaction, top)
     stats = _stats()
-    step = solver._linear_step(A, A_free, rhs, stats, separable)
+    step = _step(u, model, reaction, top, rhs, stats)
     assert stats["krylov_solves"] == 1 and stats["krylov_iterations"] >= 1
     # at KRYLOV_RTOL the step meets the 1e-6 gate with a decade to spare
-    nf = separable[1].size
-    free = (A @ step - rhs).reshape(grid.shape)[..., :nf]
+    A = _energy(u, model, reaction)
+    free = (A @ step - rhs).reshape(grid.shape)[..., :m_y.size]
     assert np.linalg.norm(free) <= 2e-7 * np.linalg.norm(rhs)
     assert 0.0 < stats["krylov_residual_max"] <= 2e-7
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
@@ -530,18 +567,17 @@ def test_non_separable_states_take_the_krylov_route(kind, monkeypatch):
     # solved to 1e-10, the step is the sparse direct solve's
     monkeypatch.setattr(solver, "KRYLOV_RTOL", 1e-10)
     ref = spla.spsolve(_lil_pinned(u, model, reaction).tocsc(), rhs)
-    step = solver._linear_step(A, A_free, rhs, _stats(), separable)
+    step = _step(u, model, reaction, top, rhs, _stats())
     assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 def test_missed_krylov_step_stops_the_solve(monkeypatch):
     model, reaction, grid, u, top = _non_separable_case("p-laplace")
-    A, A_free, separable = _system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
     monkeypatch.setattr(solver.spla, "cg",
                         lambda A, b, **kw: (np.zeros_like(b), 0))
     stats = _stats()
-    assert solver._linear_step(A, A_free, rhs, stats, separable) is None
+    assert _step(u, model, reaction, top, rhs, stats) is None
     reason = "krylov step missed: relative residual 1.000e+00 > 1e-6"
     assert stats == dict(_stats(), stop_reason=reason)
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
@@ -551,11 +587,10 @@ def test_missed_krylov_step_stops_the_solve(monkeypatch):
 
 def test_krylov_step_at_its_iteration_cap_stops_the_solve(monkeypatch):
     model, reaction, grid, u, top = _non_separable_case("mean-curvature")
-    A, A_free, separable = _system(u, model, reaction, top)
     rhs = -residual_vector(u, model, reaction, top)
     monkeypatch.setattr(solver, "KRYLOV_MAXITER", 1)
     stats = _stats()
-    assert solver._linear_step(A, A_free, rhs, stats, separable) is None
+    assert _step(u, model, reaction, top, rhs, stats) is None
     reason = stats.pop("stop_reason")
     assert stats == dict(_stats(), krylov_iterations=1)
     prefix = "krylov step missed: relative residual "
@@ -923,10 +958,8 @@ def test_cold_grid_runs_no_sparse_product(refuse_sparse_work, monkeypatch):
     for model in LAYOUT_MODELS:
         forms.energy_layout(grid, model.has_t_dependence)
         for top in (("neumann",), solver.pinned_top(u)):
-            A, _, (_, m_y, K_y, _) = _system(u, model, ReactionSpec.cubic(),
-                                             top)
-            assert A.shape == (grid.n_nodes,) * 2
-            solver._separable_factor(grid, m_y, K_y)
+            rhs = -residual_vector(u, model, ReactionSpec.cubic(), top)
+            _step(u, model, ReactionSpec.cubic(), top, rhs, _stats())
 
 
 
@@ -1023,13 +1056,11 @@ def _plain_armijo(model, reaction, grid, init, top, tol=1e-10, max_iter=50):
     stats = _stats()
 
     def residual(x):
-        u = CylinderField(grid, x)
-        return residual_vector(u, model, reaction, top), u
+        state = forms.coefficient_state(CylinderField(grid, x), model)
+        return solver._residual(state, reaction, top), state
 
-    def step(r, u):
-        system = _system(u, model, reaction, top)
-        return solver._linear_step(system[0], system[1], -r, stats,
-                                   system[2]).reshape(grid.shape)
+    def step(r, state):
+        return solver._newton_step(state, reaction, top, -r, stats)
 
     return solver.damped_newton(residual, step, init.values.copy(), tol,
                                 max_iter)
@@ -1198,16 +1229,16 @@ def test_missed_step_in_a_stage_ends_the_solve(monkeypatch):
     # the third linear step is the first of the lambda = 1/2 stage; when it
     # is missed no further stage and no plain-Armijo retry runs
     calls = []
-    linear_step = solver._linear_step
+    newton_step = solver._newton_step
 
-    def miss_third(A, A_free, rhs, stats, separable):
+    def miss_third(state, reaction, top_bc, rhs, stats):
         calls.append(rhs)
         if len(calls) == 3:
             stats["stop_reason"] = "missed"
             return None
-        return linear_step(A, A_free, rhs, stats, separable)
+        return newton_step(state, reaction, top_bc, rhs, stats)
 
-    monkeypatch.setattr(solver, "_linear_step", miss_third)
+    monkeypatch.setattr(solver, "_newton_step", miss_third)
     rep = _mean_curvature_solve(17)
     assert len(calls) == 3
     assert not rep.converged and rep.stats["stop_reason"] == "missed"

@@ -145,37 +145,11 @@ def test_ground_state_single_signed():
     assert np.any(vals > 1e-6) != np.any(vals < -1e-6)
 
 
-def test_nested_test_spaces_monotone_ground_state():
-    # shrinking the test space (vanish_above) can only raise mu1
-    p, grid, u = _preset_state("grow-cos-stable", nx=17, ny=17)
-    model, reaction = p.model_factory(), p.reaction_factory()
-    full = stability.assemble_I(u, model, reaction)
-    shrunk = stability.assemble_I(u, model, reaction, vanish_above=4.0)
-    mu_full = stability.min_rayleigh(full, k=1)[0][0]
-    mu_shrunk = stability.min_rayleigh(shrunk, k=1)[0][0]
-    assert mu_shrunk >= mu_full - 1e-12
-
-
-def test_vanish_above_is_strict_and_must_leave_a_node():
-    # the test space is the nodes with y < vanish_above: a node at
-    # vanish_above is outside it, and a value at or below y = 0 leaves none
-    p, grid, u = _preset_state("grow-cos-stable", nx=9, ny=9)
-    model, reaction = p.model_factory(), p.reaction_factory()
-    form = stability.assemble_I(u, model, reaction,
-                                vanish_above=float(grid.y_nodes[4]))
-    assert form.nf == 4 and form.dim == 4 * grid.nx
-    assert stability.assemble_I(u, model, reaction,
-                                vanish_above=1e9).nf == grid.ny - 1
-    for vanish_above in (0.0, -1.0):
-        with pytest.raises(ValueError, match="vanish_above"):
-            stability.assemble_I(u, model, reaction,
-                                 vanish_above=vanish_above)
-
-
-def test_pinned_solve_and_classify_share_one_free_block():
+def test_pinned_solve_and_classify_share_one_free_block(monkeypatch):
     # a pinned Krylov Newton solve and the classify of its solution cut the
-    # same block of the energy matrix at ny - 1: the conjugate-gradient
-    # block of a Newton step at the solution is classify's energy block
+    # same block of the energy matrix at ny - 1: the matrix that conjugate
+    # gradients receives in a Newton step at the solution is classify's
+    # energy block
     grid = build_grid(DomainSpec.interval(0.0, np.pi), nx=17, ny=17,
                       y_max=2.0)
     init = grid.field(lambda x, y: np.cos(x) * np.exp(-y))
@@ -184,9 +158,20 @@ def test_pinned_solve_and_classify_share_one_free_block():
     rep = solver.solve_newton(model, reaction, grid, init,
                               top_bc=solver.pinned_top(init))
     assert rep.converged and rep.stats["krylov_solves"] >= 1
-    _, A_free, _ = solver._newton_system(
-        forms.coefficient_state(rep.u, model), reaction,
-        solver.pinned_top(rep.u))
+    received, cg = [], solver.spla.cg
+
+    def recorded(A, b, **kwargs):
+        received.append(A)
+        return cg(A, b, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "cg", recorded)
+    top = solver.pinned_top(rep.u)
+    stats = dict(separable_solves=0, krylov_solves=0, krylov_iterations=0,
+                 krylov_residual_max=0.0)
+    solver._newton_step(forms.coefficient_state(rep.u, model), reaction, top,
+                        -solver.residual_vector(rep.u, model, reaction, top),
+                        stats)
+    [A_free] = received
     A = stability.assemble_I(rep.u, model, reaction).energy_matrix
     assert A_free.shape == A.shape == ((grid.ny - 1) * grid.nx,) * 2
     assert np.array_equal(A_free.offsets, A.offsets)
@@ -284,7 +269,7 @@ def test_certified_shift_lies_below_mu1_above_dense_limit(name, n):
     stats = rep.stats
     assert stats["bracket_closed"] is True
     assert stats["nu"] <= rep.mu1
-    assert 0 <= sum(stats["lobpcg_runs"]) < 100
+    assert 0 <= stats["preconditioner_calls"] < 100
     assert _negative_pivots_at(form, stats["nu"]) == 0
     assert _negative_pivots_at(form, _below(rep.mu1)) == 0
     # the pivot count is the inertia: exactly one eigenvalue lies below a
@@ -374,7 +359,7 @@ def test_classify_runs_no_factorization(monkeypatch, p_laplace_3d):
     monkeypatch.setattr(stability, "_banded_cholesky", refuse)
     rep = stability.classify(*p_laplace_3d)
     assert rep.classification == stability.STABLE
-    assert rep.stats["sigma"] is None and rep.stats["factored"] is False
+    assert rep.stats["sigma"] is None
 
 
 def test_2d_inexact_classify_factors_once_at_nu(monkeypatch,
@@ -394,7 +379,7 @@ def test_2d_inexact_classify_factors_once_at_nu(monkeypatch,
     assert rep.classification == stability.STABLE
     assert rep.stats["nu"] > rep.tol
     assert shifts == [rep.stats["nu"]] == [rep.stats["sigma"]]
-    assert len(rep.stats["lobpcg_runs"]) == 1
+    assert rep.stats["preconditioner_calls"] >= 1
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_MU1))
@@ -416,7 +401,7 @@ def test_exact_sum_classify_builds_no_preconditioner(name, monkeypatch):
     p, grid, u = _preset_state(name)
     rep = stability.classify(u, p.model(), p.reaction())
     assert rep.classification == p.expected_classification
-    assert sum(rep.stats["lobpcg_runs"]) == 0
+    assert rep.stats["preconditioner_calls"] == 0
     assert len(norms) == 1
 
 
@@ -441,8 +426,7 @@ def test_steep_rank_one_state_is_proved_stable_by_the_banded_factor(n):
     rep = stability.classify(u, model, reaction)
     form = stability.assemble_I(u, model, reaction)
     assert rep.classification == stability.STABLE
-    assert rep.stats["factored"] is True
-    assert len(rep.stats["lobpcg_runs"]) == 1
+    assert rep.stats["preconditioner_calls"] >= 1
     assert (rep.stats["nu"] <= rep.tol) == (n == 17)
     assert rep.stats["sigma"] == (rep.tol if n == 17 else rep.stats["nu"])
     assert rep.stats["nu"] <= rep.mu1
@@ -458,10 +442,10 @@ def test_lobpcg_at_its_cap_warns_nothing():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rep = stability.classify(u, model, reaction)
-    assert rep.classification == stability.STABLE and rep.stats["factored"]
+    assert rep.classification == stability.STABLE
+    assert rep.stats["sigma"] == rep.stats["nu"]
     assert caught == []
-    runs = rep.stats["lobpcg_runs"]
-    assert len(runs) == 1 and runs[0] <= 20
+    assert rep.stats["preconditioner_calls"] <= 20
 
 
 def test_no_factor_exists_above_mu1():
@@ -492,7 +476,7 @@ def test_factoring_classify_runs_no_sparse_work(refuse_sparse_work):
     u, model, reaction = _steep_mean_curvature(17)
     rep = stability.classify(u, model, reaction)
     assert rep.classification == stability.STABLE
-    assert rep.stats["factored"] is True
+    assert rep.stats["sigma"] is not None
 
 
 @pytest.mark.parametrize("state", ["steep-9", "p-laplace-3d-5"])
@@ -552,8 +536,7 @@ def test_classify_agrees_with_min_rayleigh():
 
 @pytest.mark.parametrize("model", [None, "mean-curvature"],
                          ids=["preset", "rank-one"])
-@pytest.mark.parametrize("vanish_above", [None, 2.0])
-def test_assemble_I_takes_exact_symmetric_free_blocks(model, vanish_above):
+def test_assemble_I_takes_exact_symmetric_free_blocks(model):
     # the free blocks are the full matrices sliced to the nodes below nf,
     # and the energy block is symmetric bit for bit without symmetrizing
     p = presets.get_preset("decay-cos-unstable")
@@ -561,10 +544,9 @@ def test_assemble_I_takes_exact_symmetric_free_blocks(model, vanish_above):
     u, reaction = p.exact_state(grid), p.reaction()
     model = (p.model() if model is None
              else CoefficientModel.mean_curvature_weight(0.0))
-    form = stability.assemble_I(u, model, reaction, vanish_above=vanish_above)
+    form = stability.assemble_I(u, model, reaction)
     A = form.energy_matrix
-    assert form.nf == (grid.ny - 1 if vanish_above is None
-                       else np.count_nonzero(grid.y_nodes < vanish_above))
+    assert form.nf == grid.ny - 1
     free = np.flatnonzero(np.arange(grid.n_nodes) % grid.ny < form.nf)
     assert np.array_equal(A.toarray(), A.toarray().T)
     state = forms.coefficient_state(u, model)

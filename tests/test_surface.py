@@ -27,8 +27,6 @@ BENCHMARK = sorted((ROOT / "benchmark").glob("*.py"))
 # Defaults that no run sets, each kept for its reason.
 ALLOWED_UNSET = {
     ("classify", "tol"): "ROADMAP item 7 keeps an explicit stability margin",
-    ("assemble_I", "vanish_above"): "it sets the nested test spaces whose "
-                                    "monotone mu_1 a test checks",
     ("min_rayleigh", "k"): "it returns the k lowest pairs the spectra "
                            "tests read",
 }
