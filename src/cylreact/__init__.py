@@ -12,7 +12,6 @@ pipeline, and a config-driven command line runner.
 
 from .coefficients import (
     CoefficientModel,
-    MatrixB,
     StructuralReport,
     check_structural,
     eigvals_B_closed_form,
@@ -76,7 +75,7 @@ from .presets import Preset, PRESETS, get_preset, preset_names
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientModel", "MatrixB", "StructuralReport", "check_structural",
+    "CoefficientModel", "StructuralReport", "check_structural",
     "eigvals_B_closed_form", "eval_a", "eval_a_t", "matrix_B",
     "CylinderField", "CylinderGrid", "DomainSpec", "Region", "build_grid",
     "field_to_csv", "gradient", "integrate",

@@ -175,14 +175,6 @@ class StructuralReport:
     witness: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
-class MatrixB:
-    """Flux linearization at a single (y, eta)."""
-
-    dim: int
-    entries: np.ndarray
-
-
 def _check_domain(y, t):
     y = np.asarray(y, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -247,8 +239,8 @@ def check_structural(model: CoefficientModel,
                             limit_zero_ok=limit_ok, witness=witness)
 
 
-def matrix_B(model: CoefficientModel, y: float, eta) -> MatrixB:
-    """Assemble B(y, eta) = a I + (a_t/|eta|) eta eta^T.
+def matrix_B(model: CoefficientModel, y: float, eta) -> np.ndarray:
+    """The flux linearization B(y, eta) = a I + (a_t/|eta|) eta eta^T.
 
     The rank-one term is dropped entirely at eta = 0, which is the continuous
     extension whenever t a_t -> 0.
@@ -256,14 +248,12 @@ def matrix_B(model: CoefficientModel, y: float, eta) -> MatrixB:
     eta = np.asarray(eta, dtype=float)
     if eta.ndim != 1 or eta.size < 2:
         raise ValueError("eta must be a vector with at least two components")
-    n1 = eta.size
     norm = float(np.linalg.norm(eta))
-    a = eval_a(model, float(y), norm)
-    entries = a * np.eye(n1)
+    B = eval_a(model, float(y), norm) * np.eye(eta.size)
     if norm > 0.0:
         at = eval_a_t(model, float(y), norm)
-        entries = entries + (at / norm) * np.outer(eta, eta)
-    return MatrixB(dim=n1, entries=entries)
+        B = B + (at / norm) * np.outer(eta, eta)
+    return B
 
 
 def eigvals_B_closed_form(model: CoefficientModel, y: float, eta):

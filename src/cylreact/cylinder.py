@@ -361,6 +361,17 @@ class CylinderGrid:
             return pencil_modes(self.gram_band(axis, w), w)
         return self._cached(("modes", axis), build)
 
+    def cross_section_spectrum(self) -> tuple:
+        """(lam, phis): the eigenvalues lam_i + lam_j + ... of the
+        cross-section Kronecker sum, shaped like the cross-section, and each
+        axis's cross_section_modes, whose tensor products are its
+        eigenvectors."""
+        def build():
+            lams, phis = zip(*[self.cross_section_modes(k)
+                               for k in range(self.n_components - 1)])
+            return reduce(np.add.outer, lams), phis
+        return self._cached("spectrum", build)
+
     def _omega_weights(self) -> list[np.ndarray]:
         return [self.axis_weights(a) for a in range(len(self.axes) - 1)]
 

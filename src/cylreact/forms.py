@@ -31,6 +31,12 @@ whole matrix or its free block on the nodes below a y index nf, whose
 planes are a slice of the whole matrix's: a pinned top slice in the Newton
 solve and the stability test space (both nf = ny - 1) are that block.
 
+Both also approximate that block by one Kronecker sum of 1D operators:
+the pairing stiffness of each cross-section axis and y factors cut to the
+nf heights (separable_factors).  Its inverse by fast diagonalization
+(separable_solve) is the Newton step where the sum is the block, and
+preconditions the other steps and the eigensolve.
+
 Gradient magnitudes feeding the eta/|eta| factor are regularized as
 sqrt(|g|^2 + eps^2) with eps = 1e-10 whenever the model has genuine
 t-dependence, which removes the 0/0 at critical points without touching
@@ -39,11 +45,13 @@ models whose rank-one term vanishes identically.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 import scipy.sparse as sp
 
 from .coefficients import CoefficientModel
-from .cylinder import CylinderField, CylinderGrid
+from .cylinder import CylinderField, CylinderGrid, pencil_modes
 
 REG_EPS = 1e-10
 
@@ -358,22 +366,79 @@ def separable_band(grid: CylinderGrid, theta: float, a_y: np.ndarray,
     return m_y, K_y
 
 
-def separable_factors(state: dict, reaction) -> tuple:
-    """(m_y, K_y, exact): the y factors of the Kronecker sum nearest the
-    energy matrix at the state, and whether that sum is the matrix itself.
+def separable_factors(state: dict, reaction, nf: int) -> tuple:
+    """(m_y, K_y, exact): the y factors, on the heights below y index nf,
+    of the Kronecker sum nearest the energy matrix's block on the nodes
+    below nf at the state, and whether that sum is the block itself.
 
     The sum (separable_band) drops the rank-one term and replaces a_red,
     the bottom f'(u) and g_u(y, u) (separable_samples) by their means
     across the cross-section at each height.  exact is True when the model
     has no rank-one term and those three are each equal across the
     cross-section (exactly, no tolerance); their common values then stand
-    in for the means, so the sum is assemble_energy_matrix's matrix.
+    in for the means, so the sum is the block of assemble_energy_matrix's
+    matrix.  The factors are built on all ny heights and then cut, since
+    K_y's last kept row reads m_y at nf.
     """
     samples = separable_samples(state, reaction)
     exact = not (state["a_t_red"] is not None
                  or any(np.any(v != v[0]) for v in samples))
     profiles = [v[0] if exact else v.mean(axis=0) for v in samples]
-    return *separable_band(state["grid"], state["theta"], *profiles), exact
+    m_y, K_y = separable_band(state["grid"], state["theta"], *profiles)
+    return m_y[:nf], K_y[:, :nf], exact
+
+
+def pseudo_inverse(x: np.ndarray) -> np.ndarray:
+    """1 / x entrywise, with 0 where |x| <= 64 eps max|x|: the inverse
+    eigenvalues of a symmetric solve that leaves out its (numerical)
+    kernel."""
+    size = np.abs(x)
+    return np.divide(1.0, x, out=np.zeros_like(x),
+                     where=size > 64.0 * np.finfo(float).eps * size.max())
+
+
+def separable_solve(grid: CylinderGrid, m_y: np.ndarray,
+                    K_y: np.ndarray) -> Callable:
+    """Diagonalize the Kronecker sum with y factors (m_y, K_y) once, by
+    fast diagonalization (Lynch, Rice & Thomas 1964), and return its solve.
+
+    The sum acts on the nodes below y index m_y.size, and K_y is the lower
+    band of its y stiffness.  (lam, Phi) are the W-orthonormal modes of the
+    cross-section (CylinderGrid.cross_section_spectrum) and (mu, V) the
+    M_y-orthonormal eigenpairs of K_y V = M_y V diag(mu)
+    (cylinder.pencil_modes).  Then
+
+        A^{-1} = (Phi x V) diag(1 / (lam + mu)) (Phi x V)^T,
+
+    and the returned solve maps a right-hand side shaped like those nodes
+    to that product: one matrix product per axis, a multiply by the
+    precomputed 1 / (lam + mu), one product per axis back.  It is symmetric
+    by construction.  Kernel modes, |lam + mu| <= 64 eps max|lam + mu| (the
+    constants of an all-Neumann sum with f' = 0), get inverse 0
+    (pseudo_inverse).  Raises LinAlgError when M_y is not positive.
+    """
+    if not np.all(m_y > 0.0):
+        raise np.linalg.LinAlgError("separable mass is not positive")
+    mu, V = pencil_modes(K_y, m_y)
+    lam, phis = grid.cross_section_spectrum()
+    inv = pseudo_inverse(np.add.outer(lam, mu))
+    shape = inv.shape
+
+    def along(z, k, op):
+        # op applied along cross-section axis k of z: one product, batched
+        # over the axes before k (a plain one for the first axis)
+        lead = (int(np.prod(shape[:k])),) if k else ()
+        return (op @ z.reshape(*lead, shape[k], -1)).reshape(shape)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        z = (r.reshape(-1, m_y.size) @ V).reshape(shape)
+        for k, phi in enumerate(phis):
+            z = along(z, k, phi.T)
+        z *= inv
+        for k, phi in enumerate(phis):
+            z = along(z, k, phi)
+        return (z.reshape(-1, m_y.size) @ V.T).reshape(shape)
+    return solve
 
 
 def energy_quadrature(u: CylinderField, model: CoefficientModel, reaction,

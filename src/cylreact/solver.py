@@ -24,12 +24,10 @@ damps a step after the first (``solve_newton``); every other solve is
 plain Armijo.
 
 Each Newton system is solved by one of two routes (``_newton_step``): fast
-diagonalization where the matrix is a Kronecker sum of 1D operators
-(``forms.separable_factors``), otherwise conjugate gradients preconditioned
-by fast diagonalization of the cross-section-averaged Kronecker sum.  Fast
-diagonalization takes the eigenpairs of every axis, cross-section and y
-alike, so its solve is dense matrix products and one multiplication by the
-inverse eigenvalues (``pseudo_inverse``).  Conjugate gradients stops
+diagonalization (``forms.separable_solve``) where the matrix is a Kronecker
+sum of 1D operators (``forms.separable_factors``), otherwise conjugate
+gradients preconditioned by fast diagonalization of the
+cross-section-averaged Kronecker sum.  Conjugate gradients stops
 at KRYLOV_RTOL, one decade under the STEP_RTOL residual a step must meet
 (an inexact Newton step, Dembo, Eisenstat & Steihaug 1982), and a step
 that misses STEP_RTOL ends the solve with a stop reason.
@@ -42,7 +40,6 @@ f(c) * int_0^y dz / a(z) available for y-only coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -50,7 +47,7 @@ import scipy.sparse.linalg as spla
 
 from . import forms
 from .coefficients import CoefficientModel
-from .cylinder import CylinderField, CylinderGrid, pencil_modes
+from .cylinder import CylinderField, CylinderGrid
 
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
@@ -59,8 +56,8 @@ STALLED = "Armijo line search stalled"
 # Smallest step in the pinned data that continuation takes (solve_newton);
 # a stage that fails closer than this to the last accepted one ends it.
 MIN_CONTINUATION_STEP = 2.0 ** -6
-# Relative residual ||A delta - rhs|| / ||rhs|| over the free rows that a
-# Newton step must meet to be taken (see _newton_step).
+# Relative residual ||A delta + r|| / ||r|| over the free rows that a
+# Newton step from the residual r must meet to be taken (see _newton_step).
 STEP_RTOL = 1e-6
 # Relative residual at which conjugate gradients stops on a non-separable
 # Newton block: an inexact Newton forcing term (Dembo, Eisenstat & Steihaug
@@ -194,95 +191,30 @@ def _residual(state: dict, reaction: ReactionSpec, top_bc) -> np.ndarray:
     return r
 
 
-def cross_section_spectrum(grid: CylinderGrid) -> tuple:
-    """(lam, phis): the eigenvalues lam_i + lam_j + ... of the cross-section
-    Kronecker sum, shaped like the cross-section, and each axis's modes
-    (CylinderGrid.cross_section_modes), whose tensor products are its
-    eigenvectors."""
-    lams, phis = zip(*[grid.cross_section_modes(k)
-                       for k in range(grid.n_components - 1)])
-    return reduce(np.add.outer, lams), phis
+def _newton_step(state: dict, reaction: ReactionSpec, nf: int,
+                 r: np.ndarray, stats: dict) -> np.ndarray | None:
+    """Solve the Newton system A delta = -r, r the residual at the u of
+    the coefficient state ``state``, through the Kronecker sum of
+    forms.separable_factors, exactly or by preconditioned CG.
 
-
-def pseudo_inverse(x: np.ndarray) -> np.ndarray:
-    """1 / x entrywise, with 0 where |x| <= 64 eps max|x|: the inverse
-    eigenvalues of a symmetric solve that leaves out its (numerical)
-    kernel."""
-    size = np.abs(x)
-    return np.divide(1.0, x, out=np.zeros_like(x),
-                     where=size > 64.0 * np.finfo(float).eps * size.max())
-
-
-def _separable_factor(grid: CylinderGrid, m_y: np.ndarray,
-                      K_y: np.ndarray) -> Callable:
-    """Diagonalize the Kronecker sum of forms.separable_factors once, by
-    fast diagonalization (Lynch, Rice & Thomas 1964), and return its solve.
-
-    The sum acts on the free nodes, those below y index m_y.size, and K_y
-    is the lower band of its y stiffness.  (lam, Phi) are the W-orthonormal
-    modes of the cross-section (cross_section_spectrum) and (mu, V) the
-    M_y-orthonormal eigenpairs of K_y V = M_y V diag(mu)
-    (cylinder.pencil_modes).  Then
-
-        A^{-1} = (Phi x V) diag(1 / (lam + mu)) (Phi x V)^T,
-
-    and the returned solve maps a right-hand side shaped like the free nodes
-    to that product: one matrix product per axis, a multiply by the
-    precomputed 1 / (lam + mu), one product per axis back.  It is symmetric
-    by construction.  Kernel modes, |lam + mu| <= 64 eps max|lam + mu| (the
-    constants of an all-Neumann sum with f' = 0), get inverse 0
-    (pseudo_inverse).  Raises LinAlgError when M_y is not positive.
-    """
-    if not np.all(m_y > 0.0):
-        raise np.linalg.LinAlgError("separable mass is not positive")
-    mu, V = pencil_modes(K_y, m_y)
-    lam, phis = cross_section_spectrum(grid)
-    inv = pseudo_inverse(np.add.outer(lam, mu))
-    shape = inv.shape
-
-    def along(z, k, op):
-        # op applied along cross-section axis k of z: one product, batched
-        # over the axes before k (a plain one for the first axis)
-        lead = (int(np.prod(shape[:k])),) if k else ()
-        return (op @ z.reshape(*lead, shape[k], -1)).reshape(shape)
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        z = (r.reshape(-1, m_y.size) @ V).reshape(shape)
-        for k, phi in enumerate(phis):
-            z = along(z, k, phi.T)
-        z *= inv
-        for k, phi in enumerate(phis):
-            z = along(z, k, phi)
-        return (z.reshape(-1, m_y.size) @ V.T).reshape(shape)
-    return solve
-
-
-def _newton_step(state: dict, reaction: ReactionSpec, top_bc,
-                 rhs: np.ndarray, stats: dict) -> np.ndarray | None:
-    """Solve the Newton system A delta = rhs at the u of the coefficient
-    state ``state`` through the Kronecker sum of forms.separable_factors,
-    exactly or by preconditioned CG.
-
-    A is the energy matrix (forms.energy_planes) for either top.  A pinned
-    top slice is cut from the y factors (m_y and K_y's band lose their last
-    entry), so the nodes at and above y index nf = m_y.size are pinned
-    (none for a Neumann top): their step is read off the right-hand side,
-    which is their residual, and A's rows there are never read.  The
+    A is the energy matrix (forms.energy_planes) for either top.  The
+    nodes at and above y index nf are pinned (none for a Neumann top, nf =
+    ny): their step is -r there, and A's rows there are never read.  The
     coupling of the free rows to them moves to the right-hand side, which
     leaves A's free block below nf, symmetric like A.  When the sum is
-    exact it is that block, and its solve (_separable_factor) is applied to
-    the right-hand side and once more to the residual left in A's free rows
-    (one step of iterative refinement).  Otherwise the block, built from
-    the same planes as a matrix of its own (A itself with a Neumann top),
-    is solved by conjugate gradients preconditioned with that solve (Concus
-    & Golub 1973), to the relative residual KRYLOV_RTOL, one decade under
-    STEP_RTOL (an inexact Newton step), or for at most KRYLOV_MAXITER
-    iterations.
+    exact it is that block, and its solve (forms.separable_solve) is
+    applied to the right-hand side and once more to the residual left in
+    A's free rows (one step of iterative refinement).  Otherwise the
+    block, built from the same planes as a matrix of its own (A itself
+    with a Neumann top), is solved by conjugate gradients preconditioned
+    with that solve (Concus & Golub 1973), to the relative residual
+    KRYLOV_RTOL, one decade under STEP_RTOL (an inexact Newton step), or
+    for at most KRYLOV_MAXITER iterations.
 
     The step is returned only if it is finite and meets the linear
-    residual bound ||A delta - rhs|| <= STEP_RTOL ||rhs|| over A's free
-    rows (on the pinned rows that residual is 0 by construction).  Else,
-    or if the factor raises LinAlgError, the return is None and
+    residual bound ||A delta + r|| <= STEP_RTOL ||r|| over A's free rows
+    (on the pinned rows that residual is 0 by construction).  Else, or if
+    the factor raises LinAlgError, the return is None and
     stats["stop_reason"] names the route and the relative residual.
 
     stats counts returned separable solves (exact Kronecker sums) and
@@ -293,14 +225,13 @@ def _newton_step(state: dict, reaction: ReactionSpec, top_bc,
     """
     grid = state["grid"]
     layout, planes = forms.energy_planes(state, reaction)
-    m_y, K_y, exact = forms.separable_factors(state, reaction)
-    if top_bc[0] == "dirichlet":
-        m_y, K_y = m_y[:-1], K_y[:, :-1]
+    m_y, K_y, exact = forms.separable_factors(state, reaction, nf)
     A = layout.matrix(planes, grid.ny)
-    if exact:
-        del planes   # the solves read only matrices: free the planes first
+    # conjugate gradients' matrix; an exact sum's solve needs none
+    A_free = A if exact or nf == grid.ny else layout.matrix(planes, nf)
+    del planes   # the solves read only matrices
+    rhs = -r     # made past the planes, the step's memory peak
     route = "separable" if exact else "krylov"
-    nf = m_y.size
     delta = np.zeros(grid.shape)
     delta[..., nf:] = rhs.reshape(grid.shape)[..., nf:]
 
@@ -308,7 +239,7 @@ def _newton_step(state: dict, reaction: ReactionSpec, top_bc,
         return (rhs - A @ delta.ravel()).reshape(grid.shape)[..., :nf]
 
     try:
-        solve = _separable_factor(grid, m_y, K_y)
+        solve = forms.separable_solve(grid, m_y, K_y)
     except np.linalg.LinAlgError as err:
         stats["stop_reason"] = f"{route} factor raised LinAlgError: {err}"
         return None
@@ -317,19 +248,17 @@ def _newton_step(state: dict, reaction: ReactionSpec, top_bc,
         for _ in range(2):
             delta[..., :nf] += solve(free_residual())
     else:
-        A_free = A if nf == grid.ny else layout.matrix(planes, nf)
-        del planes
-        r = free_residual()
+        b = free_residual()
         M = spla.LinearOperator(
             A_free.shape, dtype=float,
-            matvec=lambda v: solve(v.reshape(r.shape)).ravel())
+            matvec=lambda v: solve(v.reshape(b.shape)).ravel())
 
         def count(_):
             stats["krylov_iterations"] += 1
 
-        x, _ = spla.cg(A_free, r.ravel(), rtol=KRYLOV_RTOL,
+        x, _ = spla.cg(A_free, b.ravel(), rtol=KRYLOV_RTOL,
                        maxiter=KRYLOV_MAXITER, M=M, callback=count)
-        delta[..., :nf] = x.reshape(r.shape)
+        delta[..., :nf] = x.reshape(b.shape)
     res = np.linalg.norm(free_residual())
     scale = np.linalg.norm(rhs) + 1e-30
     if np.all(np.isfinite(delta)) and res <= STEP_RTOL * scale:
@@ -432,6 +361,8 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
     """
     if init.grid is not grid and init.grid.shape != grid.shape:
         raise ValueError("init must live on the solve grid")
+    pinned = top_bc[0] == "dirichlet"
+    nf = grid.ny - 1 if pinned else grid.ny    # the free heights
     history, halvings, trail = [], [], []
     stats = dict(separable_solves=0, krylov_solves=0, krylov_iterations=0,
                  krylov_residual_max=0.0, stop_reason=None,
@@ -445,7 +376,7 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
             return _residual(state, reaction, bc), state
 
         def step(r, state):
-            return _newton_step(state, reaction, bc, -r, stats)
+            return _newton_step(state, reaction, nf, r, stats)
 
         x, _, hist, halv, stop = damped_newton(
             residual, step, x, tol, NEWTON_MAXITER, stop_at_late_halving)
@@ -453,7 +384,6 @@ def solve_newton(model: CoefficientModel, reaction: ReactionSpec,
         halvings.extend(halv)
         return x, hist[-1], len(halv), stop
 
-    pinned = top_bc[0] == "dirichlet"
     value = np.asarray(top_bc[1], dtype=float) if pinned else None
     continuation = pinned and bool(np.any(value))
     x, rnorm, steps, stop = run(init.values.copy(), top_bc, continuation)

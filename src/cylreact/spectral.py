@@ -164,14 +164,14 @@ def solve_semilinear(basis: SpectralBasis, reaction,
         J.flat[::basis.K + 1] += lam_s
         # J is symmetric and K x K: step by the pseudo-inverse of its
         # eigenpairs, leaving out |ev| <= 64 eps max|ev|
-        # (solver.pseudo_inverse, as in the cylinder's separable solve).
+        # (forms.pseudo_inverse, as in forms.separable_solve).
         # Such a kernel is exact where the annihilated zero mode meets
         # f' = 0, and round-off where lambda_k**s equals f' (f(u) = u on
         # (0, 2 pi) at s = 1/2), whose inverse sent the step to about 1e15.
         # A consistent system keeps its kernel modes; an inconsistent one
         # stalls the line search and surfaces as a solve error.
         ev, V = np.linalg.eigh(J)
-        return -(V @ (solver.pseudo_inverse(ev) * (V.T @ r)))
+        return -(V @ (forms.pseudo_inverse(ev) * (V.T @ r)))
 
     c, _, history, _, stop = solver.damped_newton(
         residual, newton_step, init.coeffs.copy(), SEMILINEAR_TOL,

@@ -52,10 +52,9 @@ nu > tol, else sigma = tol when that factor exists (the proof), else
 sigma = nu, which lies below mu_1 by its rounding allowance.  In 3D the
 band is 2 nz nf wide, so only the factor at tol is tried (when
 nu <= tol).  Where no factor is tried or exists, fast diagonalization of
-forms.separable_factors' mean sum (solver._separable_factor)
-preconditions.  On inexact sums nothing proves that theta is the lowest
-eigenvalue rather than a higher one LOBPCG settled on; the residual gate
-cannot tell.
+forms.separable_factors' mean sum (forms.separable_solve) preconditions.
+On inexact sums nothing proves that theta is the lowest eigenvalue rather
+than a higher one LOBPCG settled on; the residual gate cannot tell.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ import scipy.sparse.linalg as spla
 from . import forms
 from .coefficients import CoefficientModel, check_structural
 from .cylinder import CylinderField, CylinderGrid, pencil_modes
-from .solver import _separable_factor, cross_section_spectrum
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -168,7 +166,7 @@ def assemble_I(u: CylinderField, model: CoefficientModel,
     diagonal below nf.  A state where B fails to be positive definite is
     refused; otherwise a >= beta > 0 at every node, and with positive
     weights the mass diagonal is positive.  The comparison and mean y
-    factors (see the module docstring) are kept cut to the nf heights.
+    factors (see the module docstring) are kept on the nf heights.
     """
     grid = u.grid
     nf = grid.ny - 1
@@ -192,11 +190,10 @@ def assemble_I(u: CylinderField, model: CoefficientModel,
     m_lo, m_hi = w * a.min(axis=0), w * a.max(axis=0)
     m_lo[0] += 1.0           # the bottom mass, W x e_0 e_0^T
     m_hi[0] += 1.0
-    m_y, K_y, exact = forms.separable_factors(state, reaction)
     return StabilityForm(
         energy_matrix=A, mass_matrix=M, grid=grid, nf=nf,
         comparison=(m_b[:nf], K_L[:, :nf], m_lo[:nf], m_hi[:nf]),
-        mean=(m_y[:nf], K_y[:, :nf], exact))
+        mean=forms.separable_factors(state, reaction, nf))
 
 
 def _comparison_pairs(form: StabilityForm, k: int) -> tuple:
@@ -208,7 +205,7 @@ def _comparison_pairs(form: StabilityForm, k: int) -> tuple:
     with lam 0 exactly, and its pencil gives nu.
     """
     m_b, K_L, m_lo, m_hi = form.comparison
-    lam, phis = cross_section_spectrum(form.grid)
+    lam, phis = form.grid.cross_section_spectrum()
     modes = np.argsort(lam, axis=None, kind="stable")[:k]
     mass = m_lo
     mu, V = pencil_modes(K_L, mass)
@@ -248,7 +245,7 @@ def _mean_preconditioner(form: StabilityForm, nu: float):
             band = K_y.copy()
             band[0] -= sigma * m_y
             band[0, 0] -= sigma      # the bottom mass
-            factor.append(_separable_factor(form.grid, m_y, band))
+            factor.append(forms.separable_solve(form.grid, m_y, band))
         return np.column_stack([factor[0](r.reshape(shape)).ravel()
                                 for r in R.T])
     return apply

@@ -97,8 +97,8 @@ def criterion_1() -> CheckRecord:
         eta = rng.uniform(-2.0, 2.0, size=dim)
         while np.linalg.norm(eta) < 1e-6:
             eta = rng.uniform(-2.0, 2.0, size=dim)
-        B = coefficients.matrix_B(model, y, eta)
-        numeric = np.sort(np.linalg.eigvalsh(B.entries))
+        numeric = np.sort(np.linalg.eigvalsh(
+            coefficients.matrix_B(model, y, eta)))
         closed = np.sort(coefficients.eigvals_B_closed_form(model, y, eta)[0])
         rel = float(np.max(np.abs(numeric - closed) / np.abs(closed)))
         worst = max(worst, rel)
@@ -299,15 +299,10 @@ def _decomposition_misfit(n, ny):
     thr = _C5_MASK_FRACTION * float(speed.max())
     bracket = geometry.bulk_bracket(u, model, threshold=thr)
     whole = geometry._level_set_geometry(u, thr)
-    worst, min_combo = 0.0, np.inf
-    for j in range(grid.ny):
-        m = whole.mask[:, :, j]
-        if not m.any():
-            continue
-        combo = whole.K0[:, :, j]  # unit coefficient: a = 1, a_t = 0
-        worst = max(worst, float(np.max(np.abs(bracket[:, :, j][m] - combo[m]))))
-        min_combo = min(min_combo, float(combo[m].min()))
-    return worst, min_combo
+    m = whole.mask
+    combo = whole.K0[m]  # unit coefficient: a = 1, a_t = 0
+    worst = float(np.max(np.abs(bracket[m] - combo), initial=0.0))
+    return worst, float(np.min(combo, initial=np.inf))
 
 
 def criterion_5() -> CheckRecord:
@@ -462,49 +457,34 @@ def criterion_10(eps=0.5, s=0.5, extras=None) -> CheckRecord:
         res = fractional1d.construct_counterexample(
             lambda x: np.zeros_like(x), eps=eps, s=s)
     except fractional1d.NoRootError as err:
-        rec = CheckRecord(
-            name="counterexample-pipeline", status=FAIL,
-            measured=float(err.band_c2_residual),
-            tolerance="derivative roots with interior residual <= 1e-8 and "
-                      "boundary-limit coefficient <= 1e-4; the no-root "
-                      "branch fails this criterion",
-            anchor="Example EXAMPLE", budget_s=120.0,
-            details={
-                "outcome": "no-root",
-                "c2_residual": float(err.c2_residual),
-                "band_c2_residual": float(err.band_c2_residual),
-                "analysis": "the least-squares surrogate for the "
-                            "non-constructive density step cannot reach band "
-                            "misfit < 1 at the pinned regularization weight: "
-                            "the required exterior amplitude (~1e14) is "
-                            "suppressed by the 1e-8 penalty and would sink "
-                            "the interior residual floor to ~1e-2 in double "
-                            "precision regardless",
-            })
-        return rec
-    if extras is not None:
-        extras["counterexample_profile"] = np.column_stack([res.x, res.v])
-    b = eps / 11.0
-    in_band = (b <= res.delta1 <= 4 * b) and (b <= res.delta2 <= 4 * b)
-    side = fractional1d.Side
-    nd1 = fractional1d.fractional_normal_derivative(
-        (res.x, res.v), res.s, -1.0 - res.delta1, side.FROM_LEFT_INTERVAL)
-    nd2 = fractional1d.fractional_normal_derivative(
-        (res.x, res.v), res.s, 1.0 + res.delta2, side.FROM_RIGHT_INTERVAL)
-    ok = (in_band and res.interior_residual <= 1e-8
-          and abs(nd1) <= 1e-4 and abs(nd2) <= 1e-4)
-    rec = CheckRecord(
+        ok, measured = False, float(err.band_c2_residual)
+        details = {"outcome": "no-root",
+                   "c2_residual": float(err.c2_residual),
+                   "band_c2_residual": measured}
+    else:
+        if extras is not None:
+            extras["counterexample_profile"] = np.column_stack([res.x, res.v])
+        b = eps / 11.0
+        in_band = (b <= res.delta1 <= 4 * b) and (b <= res.delta2 <= 4 * b)
+        side = fractional1d.Side
+        nd1 = fractional1d.fractional_normal_derivative(
+            (res.x, res.v), res.s, -1.0 - res.delta1, side.FROM_LEFT_INTERVAL)
+        nd2 = fractional1d.fractional_normal_derivative(
+            (res.x, res.v), res.s, 1.0 + res.delta2, side.FROM_RIGHT_INTERVAL)
+        measured = float(res.interior_residual)
+        ok = (in_band and measured <= 1e-8
+              and abs(nd1) <= 1e-4 and abs(nd2) <= 1e-4)
+        details = {"outcome": "roots", "delta1": float(res.delta1),
+                   "delta2": float(res.delta2),
+                   "interior_residual": measured,
+                   "normal_derivative_left": float(nd1),
+                   "normal_derivative_right": float(nd2)}
+    return CheckRecord(
         name="counterexample-pipeline", status=PASS if ok else FAIL,
-        measured=float(res.interior_residual),
+        measured=measured,
         tolerance="delta in [eps/11, 4 eps/11], interior residual <= 1e-8, "
                   "boundary-limit coefficient <= 1e-4",
-        anchor="Example EXAMPLE", budget_s=120.0,
-        details={"outcome": "roots", "delta1": float(res.delta1),
-                 "delta2": float(res.delta2),
-                 "interior_residual": float(res.interior_residual),
-                 "normal_derivative_left": float(nd1),
-                 "normal_derivative_right": float(nd2)})
-    return rec
+        anchor="Example EXAMPLE", budget_s=120.0, details=details)
 
 
 # -- criterion 11: extremum sign ---------------------------------------------

@@ -198,21 +198,24 @@ def _energy(u, model, reaction, nf=None):
                                         reaction, nf)
 
 
-def _step(u, model, reaction, top, rhs, stats):
-    """solver._newton_step at u's coefficient state."""
+def _free_heights(grid, top):
+    """The y index below which a Newton step under ``top`` solves: ny less
+    a pinned top slice."""
+    return grid.ny - (top[0] == "dirichlet")
+
+
+def _step(u, model, reaction, top, r, stats):
+    """solver._newton_step at u's coefficient state from its residual r
+    under the top condition ``top``."""
     return solver._newton_step(forms.coefficient_state(u, model), reaction,
-                               top, rhs, stats)
+                               _free_heights(u.grid, top), r, stats)
 
 
 def _factors(u, model, reaction, top):
     """(m_y, K_y, exact): forms.separable_factors at u's coefficient
-    state, with a pinned top cut from m_y and K_y's band as a Newton step
-    cuts it."""
-    m_y, K_y, exact = forms.separable_factors(
-        forms.coefficient_state(u, model), reaction)
-    if top[0] == "dirichlet":
-        m_y, K_y = m_y[:-1], K_y[:, :-1]
-    return m_y, K_y, exact
+    state on the free heights under ``top``, the factors its step reads."""
+    return forms.separable_factors(forms.coefficient_state(u, model),
+                                   reaction, _free_heights(u.grid, top))
 
 
 def _lil_pinned(u, model, reaction):
@@ -256,7 +259,7 @@ def test_newton_matrix_is_the_energy_matrix_for_either_top(domain, nz, model,
     ref = _energy(u, model, reaction)
     exact = _factors(u, model, reaction, ("neumann",))[2]
     assert exact == y_only
-    matrix, factor = forms.EnergyLayout.matrix, solver._separable_factor
+    matrix, factor = forms.EnergyLayout.matrix, forms.separable_solve
     built, heights = [], []
 
     def record_matrix(layout, planes, nf):
@@ -268,17 +271,17 @@ def test_newton_matrix_is_the_energy_matrix_for_either_top(domain, nz, model,
         return factor(grid, m_y, K_y)
 
     for top in (("neumann",), solver.pinned_top(u)):
-        nf = grid.ny - (top[0] == "dirichlet")
+        nf = _free_heights(grid, top)
         want = [(grid.ny, ref)]
         if not exact and nf < grid.ny:
             want.append((nf, _energy(u, model, reaction, nf=nf)))
-        rhs = -residual_vector(u, model, reaction, top)
+        r = residual_vector(u, model, reaction, top)
         built.clear()
         heights.clear()
         with monkeypatch.context() as m:
             m.setattr(forms.EnergyLayout, "matrix", record_matrix)
-            m.setattr(solver, "_separable_factor", record_factor)
-            _step(u, model, reaction, top, rhs, _stats())
+            m.setattr(forms, "separable_solve", record_factor)
+            _step(u, model, reaction, top, r, _stats())
         assert heights == [nf]
         assert [n for n, _ in built] == [n for n, _ in want]
         for (_, B), (_, W) in zip(built, want):
@@ -289,8 +292,10 @@ def test_newton_matrix_is_the_energy_matrix_for_either_top(domain, nz, model,
 @pytest.mark.parametrize("kind", ["preset-pinned", "rectangle-pinned",
                                   "krylov-p-laplace", "krylov-mean-curvature"])
 def test_pinned_step_reads_the_top_rows_off_the_residual(kind):
-    # the step on a pinned top slice is -r there, exactly, on both routes;
-    # the data are moved off u's trace so that r is nonzero there
+    # the step on a pinned top slice is -r there, exactly, on both routes,
+    # and meets ||A delta + r|| <= STEP_RTOL ||r|| on the free rows; the
+    # residual it is handed is left as it was.  The data are moved off u's
+    # trace so that r is nonzero there
     if kind.startswith("krylov"):
         case = _non_separable_case(kind.split("-", 1)[1])
     else:
@@ -298,10 +303,14 @@ def test_pinned_step_reads_the_top_rows_off_the_residual(kind):
     model, reaction, grid, u, (_, value) = case
     top = ("dirichlet", value + 0.25)
     r = residual_vector(u, model, reaction, top)
-    step = _step(u, model, reaction, top, -r, _stats())
+    kept = r.copy()
+    step = _step(u, model, reaction, top, r, _stats())
+    assert np.array_equal(r, kept)
     top_rows = grid.top_mask().ravel()
     assert np.any(r[top_rows] != 0.0)
     assert np.array_equal(step[top_rows], -r[top_rows])
+    free = (_energy(u, model, reaction) @ step + r)[~top_rows]
+    assert np.linalg.norm(free) <= solver.STEP_RTOL * np.linalg.norm(r)
 
 
 def _indefinite_problem(kind, n):
@@ -349,10 +358,10 @@ def test_failed_factorization_stops_the_solve(kind, n, monkeypatch):
     def refuse(*args):
         raise np.linalg.LinAlgError("singular separable sum")
 
-    monkeypatch.setattr(solver, "_separable_factor", refuse)
+    monkeypatch.setattr(forms, "separable_solve", refuse)
     r = residual_vector(u, model, reaction, top)
     stats = _stats()
-    assert _step(u, model, reaction, top, -r, stats) is None
+    assert _step(u, model, reaction, top, r, stats) is None
     reason = "separable factor raised LinAlgError: singular separable sum"
     assert stats == dict(_stats(), stop_reason=reason)
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
@@ -399,10 +408,10 @@ SEPARABLE_CASES = ["preset-pinned", "preset-neumann", "rectangle-pinned",
 @pytest.mark.parametrize("kind", SEPARABLE_CASES)
 def test_separable_step_matches_the_lu_step(kind):
     model, reaction, grid, u, top = _separable_case(kind)
-    rhs = -residual_vector(u, model, reaction, top)
+    r = residual_vector(u, model, reaction, top)
     stats = _stats()
-    step = _step(u, model, reaction, top, rhs, stats)
-    ref = spla.spsolve(_lu_matrix(u, model, reaction, top).tocsc(), rhs)
+    step = _step(u, model, reaction, top, r, stats)
+    ref = spla.spsolve(_lu_matrix(u, model, reaction, top).tocsc(), -r)
     assert stats == dict(_stats(), separable_solves=1)
     assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -449,7 +458,7 @@ def test_separable_factor_inverts_the_kronecker_sum(kind):
     assert exact
     r = np.random.default_rng(3).standard_normal(grid.shape)[..., :m_y.size]
     ref = spla.spsolve(_kronecker_sum(grid, m_y, K_y), r.ravel())
-    z = solver._separable_factor(grid, m_y, K_y)(r)
+    z = forms.separable_solve(grid, m_y, K_y)(r)
     assert z.shape == r.shape
     assert np.linalg.norm(z.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -492,7 +501,7 @@ def test_averaged_separable_factor_is_symmetric():
     model, reaction, grid, u, top = _non_separable_case("p-laplace")
     m_y, K_y, exact = _factors(u, model, reaction, top)
     assert not exact
-    solve = solver._separable_factor(grid, m_y, K_y)
+    solve = forms.separable_solve(grid, m_y, K_y)
     rng = np.random.default_rng(4)
     for _ in range(3):
         x, y = rng.standard_normal((2, grid.nx, m_y.size))
@@ -506,7 +515,7 @@ def test_separable_factor_refuses_a_nonpositive_mass():
     m_y = m_y.copy()
     m_y[3] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        solver._separable_factor(grid, m_y, K_y)
+        forms.separable_solve(grid, m_y, K_y)
 
 
 def test_exact_separable_step_is_accurate_on_a_nearly_singular_state():
@@ -551,14 +560,14 @@ def test_non_separable_states_take_the_krylov_route(kind, monkeypatch):
     model, reaction, grid, u, top = _non_separable_case(kind)
     m_y, _, exact = _factors(u, model, reaction, top)
     assert exact is False
-    rhs = -residual_vector(u, model, reaction, top)
+    r = residual_vector(u, model, reaction, top)
     stats = _stats()
-    step = _step(u, model, reaction, top, rhs, stats)
+    step = _step(u, model, reaction, top, r, stats)
     assert stats["krylov_solves"] == 1 and stats["krylov_iterations"] >= 1
     # at KRYLOV_RTOL the step meets the 1e-6 gate with a decade to spare
     A = _energy(u, model, reaction)
-    free = (A @ step - rhs).reshape(grid.shape)[..., :m_y.size]
-    assert np.linalg.norm(free) <= 2e-7 * np.linalg.norm(rhs)
+    free = (A @ step + r).reshape(grid.shape)[..., :m_y.size]
+    assert np.linalg.norm(free) <= 2e-7 * np.linalg.norm(r)
     assert 0.0 < stats["krylov_residual_max"] <= 2e-7
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
     assert rep.converged and rep.newton_iterations >= 1
@@ -566,18 +575,18 @@ def test_non_separable_states_take_the_krylov_route(kind, monkeypatch):
     assert rep.stats["krylov_solves"] == rep.newton_iterations
     # solved to 1e-10, the step is the sparse direct solve's
     monkeypatch.setattr(solver, "KRYLOV_RTOL", 1e-10)
-    ref = spla.spsolve(_lil_pinned(u, model, reaction).tocsc(), rhs)
-    step = _step(u, model, reaction, top, rhs, _stats())
+    ref = spla.spsolve(_lil_pinned(u, model, reaction).tocsc(), -r)
+    step = _step(u, model, reaction, top, r, _stats())
     assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 def test_missed_krylov_step_stops_the_solve(monkeypatch):
     model, reaction, grid, u, top = _non_separable_case("p-laplace")
-    rhs = -residual_vector(u, model, reaction, top)
+    r = residual_vector(u, model, reaction, top)
     monkeypatch.setattr(solver.spla, "cg",
                         lambda A, b, **kw: (np.zeros_like(b), 0))
     stats = _stats()
-    assert _step(u, model, reaction, top, rhs, stats) is None
+    assert _step(u, model, reaction, top, r, stats) is None
     reason = "krylov step missed: relative residual 1.000e+00 > 1e-6"
     assert stats == dict(_stats(), stop_reason=reason)
     rep = solve_newton(model, reaction, grid, u, top_bc=top)
@@ -587,10 +596,10 @@ def test_missed_krylov_step_stops_the_solve(monkeypatch):
 
 def test_krylov_step_at_its_iteration_cap_stops_the_solve(monkeypatch):
     model, reaction, grid, u, top = _non_separable_case("mean-curvature")
-    rhs = -residual_vector(u, model, reaction, top)
+    r = residual_vector(u, model, reaction, top)
     monkeypatch.setattr(solver, "KRYLOV_MAXITER", 1)
     stats = _stats()
-    assert _step(u, model, reaction, top, rhs, stats) is None
+    assert _step(u, model, reaction, top, r, stats) is None
     reason = stats.pop("stop_reason")
     assert stats == dict(_stats(), krylov_iterations=1)
     prefix = "krylov step missed: relative residual "
@@ -958,8 +967,8 @@ def test_cold_grid_runs_no_sparse_product(refuse_sparse_work, monkeypatch):
     for model in LAYOUT_MODELS:
         forms.energy_layout(grid, model.has_t_dependence)
         for top in (("neumann",), solver.pinned_top(u)):
-            rhs = -residual_vector(u, model, ReactionSpec.cubic(), top)
-            _step(u, model, ReactionSpec.cubic(), top, rhs, _stats())
+            r = residual_vector(u, model, ReactionSpec.cubic(), top)
+            _step(u, model, ReactionSpec.cubic(), top, r, _stats())
 
 
 
@@ -1053,14 +1062,14 @@ def _mean_curvature_solve(n, **kwargs):
 
 def _plain_armijo(model, reaction, grid, init, top, tol=1e-10, max_iter=50):
     """solve_newton's plain damped-Newton run, with no continuation."""
-    stats = _stats()
+    stats, nf = _stats(), _free_heights(grid, top)
 
     def residual(x):
         state = forms.coefficient_state(CylinderField(grid, x), model)
         return solver._residual(state, reaction, top), state
 
     def step(r, state):
-        return solver._newton_step(state, reaction, top, -r, stats)
+        return solver._newton_step(state, reaction, nf, r, stats)
 
     return solver.damped_newton(residual, step, init.values.copy(), tol,
                                 max_iter)
@@ -1231,12 +1240,12 @@ def test_missed_step_in_a_stage_ends_the_solve(monkeypatch):
     calls = []
     newton_step = solver._newton_step
 
-    def miss_third(state, reaction, top_bc, rhs, stats):
-        calls.append(rhs)
+    def miss_third(state, reaction, nf, r, stats):
+        calls.append(r)
         if len(calls) == 3:
             stats["stop_reason"] = "missed"
             return None
-        return newton_step(state, reaction, top_bc, rhs, stats)
+        return newton_step(state, reaction, nf, r, stats)
 
     monkeypatch.setattr(solver, "_newton_step", miss_third)
     rep = _mean_curvature_solve(17)

@@ -149,7 +149,9 @@ def test_pinned_solve_and_classify_share_one_free_block(monkeypatch):
     # a pinned Krylov Newton solve and the classify of its solution cut the
     # same block of the energy matrix at ny - 1: the matrix that conjugate
     # gradients receives in a Newton step at the solution is classify's
-    # energy block
+    # energy block.  Both take their mean y factors from one
+    # forms.separable_factors cut at ny - 1: the factors the step's
+    # preconditioner is built from are classify's, bit for bit
     grid = build_grid(DomainSpec.interval(0.0, np.pi), nx=17, ny=17,
                       y_max=2.0)
     init = grid.field(lambda x, y: np.cos(x) * np.exp(-y))
@@ -159,23 +161,44 @@ def test_pinned_solve_and_classify_share_one_free_block(monkeypatch):
                               top_bc=solver.pinned_top(init))
     assert rep.converged and rep.stats["krylov_solves"] >= 1
     received, cg = [], solver.spla.cg
+    cuts, factors = [], forms.separable_factors
+    factored, separable_solve = [], forms.separable_solve
 
     def recorded(A, b, **kwargs):
         received.append(A)
         return cg(A, b, **kwargs)
 
+    def recorded_factors(state, reaction, nf):
+        cuts.append(nf)
+        return factors(state, reaction, nf)
+
+    def recorded_solve(grid, m_y, K_y):
+        factored.append((m_y, K_y))
+        return separable_solve(grid, m_y, K_y)
+
     monkeypatch.setattr(solver.spla, "cg", recorded)
+    monkeypatch.setattr(forms, "separable_factors", recorded_factors)
+    monkeypatch.setattr(forms, "separable_solve", recorded_solve)
     top = solver.pinned_top(rep.u)
+    state = forms.coefficient_state(rep.u, model)
     stats = dict(separable_solves=0, krylov_solves=0, krylov_iterations=0,
                  krylov_residual_max=0.0)
-    solver._newton_step(forms.coefficient_state(rep.u, model), reaction, top,
-                        -solver.residual_vector(rep.u, model, reaction, top),
+    solver._newton_step(state, reaction, grid.ny - 1,
+                        solver.residual_vector(rep.u, model, reaction, top),
                         stats)
     [A_free] = received
-    A = stability.assemble_I(rep.u, model, reaction).energy_matrix
+    form = stability.assemble_I(rep.u, model, reaction)
+    A = form.energy_matrix
     assert A_free.shape == A.shape == ((grid.ny - 1) * grid.nx,) * 2
     assert np.array_equal(A_free.offsets, A.offsets)
     assert np.array_equal(A_free.data, A.data)
+    assert cuts == [grid.ny - 1, grid.ny - 1]
+    m_y, K_y, exact = factors(state, reaction, grid.ny - 1)
+    [(step_m, step_K)] = factored
+    assert form.mean[2] is exact is False
+    for got, want in ((step_m, m_y), (step_K, K_y), (form.mean[0], m_y),
+                      (form.mean[1], K_y)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_structural_gate_rejects_bad_model():
@@ -396,7 +419,7 @@ def test_exact_sum_classify_builds_no_preconditioner(name, monkeypatch):
         norms.append(A)
         return norm(A)
 
-    monkeypatch.setattr(stability, "_separable_factor", refuse)
+    monkeypatch.setattr(forms, "separable_solve", refuse)
     monkeypatch.setattr(sp.dia_matrix, "__abs__", counted_norm)
     p, grid, u = _preset_state(name)
     rep = stability.classify(u, p.model(), p.reaction())
