@@ -72,7 +72,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import presets, solver, verify
-from .coefficients import CoefficientModel
+from .coefficients import FAMILIES, CoefficientModel
 from .cylinder import (CylinderField, DomainSpec, build_grid, field_to_csv,
                        write_csv)
 from .solver import ReactionSpec
@@ -82,8 +82,6 @@ EXPERIMENTS = ("Solve", "Stability", "Poincare", "Spectral",
                "ExtensionEquivalence", "Fractional", "Counterexample",
                "VerifyAll")
 
-_MODEL_FAMILIES = ("constant_one", "exp_y", "power_weight",
-                   "power_weight_p_laplace", "mean_curvature_weight")
 _GRID_KEYS = ("nx", "ny", "y_max", "grading", "nz")
 _MODEL_KEYS = ("family", "theta", "p")
 _REACTION_KEYS = ("f", "g")
@@ -130,13 +128,12 @@ class ExperimentConfig:
             if grid.get(k) is not None and \
                     (not _is_int(grid[k]) or grid[k] < 3):
                 raise ConfigError(f"grid.{k} must be an integer >= 3")
-        # only the config's own nz: interval presets carry nz = None
+        # nz comes only from the config: every preset is an interval
         if grid.get("nz") is not None and spec and not spec.is_rectangle:
             raise ConfigError("grid.nz needs a rectangle cross-section")
         model = _section(raw, "model", _MODEL_KEYS)
-        if model and model.get("family") not in _MODEL_FAMILIES:
-            raise ConfigError(
-                f"model.family must be one of {_MODEL_FAMILIES}")
+        if model and model.get("family") not in FAMILIES:
+            raise ConfigError(f"model.family must be one of {FAMILIES}")
         for name, section, keys in (("grid", grid, ("y_max", "grading")),
                                     ("model", model, ("theta", "p"))):
             for k in keys:
@@ -215,7 +212,6 @@ def _build_grid(cfg: ExperimentConfig):
         g.setdefault("ny", p.ny)
         g.setdefault("y_max", p.y_max)
         g.setdefault("grading", p.grading)
-        g.setdefault("nz", p.nz)
     try:
         return build_grid(domain, nx=int(g["nx"]), ny=int(g["ny"]),
                           y_max=float(g["y_max"]),
@@ -465,10 +461,8 @@ def _run_poincare(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
 
 def _run_spectral(cfg: ExperimentConfig) -> tuple[list[CheckRecord], dict]:
     domain = _build_domain(cfg)
-    p = _preset(cfg)
-    K = p.spectral_modes if p and p.spectral_modes else \
-        verify.CONSTANCY_MODES[domain.ndim]
-    case = (cfg.preset or "config", domain, K, _lambdify_reaction(cfg),
+    case = (cfg.preset or "config", domain,
+            verify.CONSTANCY_MODES[domain.ndim], _lambdify_reaction(cfg),
             cfg.seed)
     extras = {}
     return [verify.criterion_6([case], extras)], extras

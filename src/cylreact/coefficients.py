@@ -7,7 +7,7 @@ coefficients are positive and elliptic in the sense
     a(y, t) > 0   and   a(y, t) + t * a_t(y, t) > 0,
 
 carry a controlled logarithmic t-derivative t |a_t| <= C a, and satisfy
-t a_t -> 0 as t -> 0+.  Every built-in family factors as
+t a_t -> 0 as t -> 0+.  Every family factors as
 
     a(y, t) = y**theta * ahat(t),
 
@@ -25,7 +25,6 @@ complement.  Ellipticity of the operator is exactly positivity of B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,19 +33,10 @@ POWER_WEIGHT_P_LAPLACE = "power_weight_p_laplace"
 MEAN_CURVATURE_WEIGHT = "mean_curvature_weight"
 CONSTANT_ONE = "constant_one"
 EXP_Y = "exp_y"
-CUSTOM = "custom"
 
-_KINDS = (
-    POWER_WEIGHT,
-    POWER_WEIGHT_P_LAPLACE,
-    MEAN_CURVATURE_WEIGHT,
-    CONSTANT_ONE,
-    EXP_Y,
-    CUSTOM,
-)
-
-# Step for the one-sided difference that stands in for a_t on custom models.
-_FD_STEP = 1e-6
+# Every coefficient family there is; configs name one of these.
+FAMILIES = (CONSTANT_ONE, EXP_Y, POWER_WEIGHT, POWER_WEIGHT_P_LAPLACE,
+            MEAN_CURVATURE_WEIGHT)
 
 # Default structural sample grids: log-spaced decades around unit scale.
 DEFAULT_Y_SAMPLES = np.logspace(-2.0, 2.0, 17)
@@ -57,29 +47,23 @@ DEFAULT_T_SAMPLES = np.concatenate(([0.0], np.logspace(-2.0, 2.0, 17)))
 class CoefficientModel:
     """One member of the coefficient catalog.
 
-    kind is one of the module-level constants.  theta is the y-power exponent
+    kind is one of FAMILIES.  theta is the y-power exponent
     (restricted to (-1, 1) so the weight is locally integrable), p the
-    p-Laplacian exponent (> 1).  Custom models supply a_func(y, t) and
-    optionally a_t_func(y, t); a missing a_t_func is replaced by a one-sided
-    difference quotient in t.
+    p-Laplacian exponent (> 1).
     """
 
     kind: str
     theta: float = 0.0
     p: float = 2.0
-    a_func: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    a_t_func: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
         if self.kind in (POWER_WEIGHT, POWER_WEIGHT_P_LAPLACE, MEAN_CURVATURE_WEIGHT):
             if not -1.0 < self.theta < 1.0:
                 raise ValueError(f"theta must lie in (-1, 1), got {self.theta}")
         if self.kind == POWER_WEIGHT_P_LAPLACE and not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.kind == CUSTOM and self.a_func is None:
-            raise ValueError("custom models need a_func")
 
     # -- constructors -------------------------------------------------------
 
@@ -103,10 +87,6 @@ class CoefficientModel:
     def exp_y(cls) -> "CoefficientModel":
         return cls(EXP_Y)
 
-    @classmethod
-    def custom(cls, a_func, a_t_func=None) -> "CoefficientModel":
-        return cls(CUSTOM, a_func=a_func, a_t_func=a_t_func)
-
     # -- properties ---------------------------------------------------------
 
     @property
@@ -125,7 +105,7 @@ class CoefficientModel:
     # -- reduced evaluations (y-power factored out) -------------------------
 
     def reduced_a(self, y, t):
-        """a(y, t) / y**y_exponent; finite at y = 0 for every built-in."""
+        """a(y, t) / y**y_exponent; finite at y = 0 for every family."""
         y = np.asarray(y, dtype=float)
         t = np.asarray(t, dtype=float)
         if self.kind == POWER_WEIGHT:
@@ -138,10 +118,8 @@ class CoefficientModel:
                                    np.broadcast(y, t).shape).copy()
         if self.kind == CONSTANT_ONE:
             return np.ones(np.broadcast(y, t).shape)
-        if self.kind == EXP_Y:
-            return np.broadcast_to(np.exp(y), np.broadcast(y, t).shape).copy()
-        return np.broadcast_to(np.asarray(self.a_func(y, t), dtype=float),
-                               np.broadcast(y, t).shape).copy()
+        # EXP_Y
+        return np.broadcast_to(np.exp(y), np.broadcast(y, t).shape).copy()
 
     def reduced_a_t(self, y, t):
         """d/dt of reduced_a."""
@@ -154,14 +132,6 @@ class CoefficientModel:
         if self.kind == MEAN_CURVATURE_WEIGHT:
             val = -t * (1.0 + t * t) ** (-1.5)
             return np.broadcast_to(val, shape).copy()
-        if self.kind == CUSTOM:
-            if self.a_t_func is not None:
-                return np.broadcast_to(np.asarray(self.a_t_func(y, t), dtype=float),
-                                       shape).copy()
-            # One-sided quotient keeps t + step >= step > 0 near t = 0.
-            up = np.asarray(self.a_func(y, t + _FD_STEP), dtype=float)
-            lo = np.asarray(self.a_func(y, t), dtype=float)
-            return np.broadcast_to((up - lo) / _FD_STEP, shape).copy()
         return np.zeros(shape)
 
 

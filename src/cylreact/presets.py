@@ -47,7 +47,6 @@ class Preset:
     ny: int
     y_max: float
     grading: float = 0.0
-    nz: int | None = None
     model_factory: Callable[[], CoefficientModel] = CoefficientModel.constant_one
     reaction_factory: Callable[[], ReactionSpec] = lambda: ReactionSpec.constant(0.0)
     catalog_name: str | None = None
@@ -55,16 +54,13 @@ class Preset:
     expected_classification: str | None = None
     bounded_below: bool = False
     reciprocal_a_integral_diverges: bool = False
-    spectral_modes: int = 0
 
-    def build_grid(self, nx: int | None = None, ny: int | None = None,
-                   y_max: float | None = None) -> CylinderGrid:
+    def build_grid(self, nx: int | None = None,
+                   ny: int | None = None) -> CylinderGrid:
         return build_grid(self.domain,
                           nx=nx if nx is not None else self.nx,
                           ny=ny if ny is not None else self.ny,
-                          y_max=y_max if y_max is not None else self.y_max,
-                          grading=self.grading,
-                          nz=self.nz)
+                          y_max=self.y_max, grading=self.grading)
 
     def model(self) -> CoefficientModel:
         return self.model_factory()
@@ -180,7 +176,6 @@ PRESETS: tuple[Preset, ...] = (
         expected_classification=None,
         bounded_below=True,
         reciprocal_a_integral_diverges=True,
-        spectral_modes=12,
     ),
 )
 

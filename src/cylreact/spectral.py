@@ -243,9 +243,8 @@ def extension_equivalence(basis: SpectralBasis, reaction, grid: CylinderGrid,
                 np.cos(np.pi * y / (2.0 * ymax)),
                 (1.0 - y / ymax)]
     # The weak residual is linear in the test field: assemble its nodal
-    # vector once (as solver.residual_weak does) and test each field on it.
-    r = forms.weak_residual_vector(forms.coefficient_state(u, model_one),
-                                   reaction)
+    # vector once and test each field on it.
+    r = solver.residual_vector(u, model_one, reaction)
     cross = np.ix_(*grid.axes[:-1])
     worst = 0.0
     for k in range(min(6, basis.K)):

@@ -1,6 +1,29 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
+import numpy as np
 import pytest
+
+from cylreact.coefficients import CONSTANT_ONE, CoefficientModel
+
+
+class FormulaModel(CoefficientModel):
+    """A coefficient a(y, t) with slope a_t(y, t), both given as
+    functions of arrays, and no y-power factor.  No family fails the
+    structural conditions; this reaches the branches that refuse one."""
+
+    has_t_dependence = True
+
+    def __init__(self, a, a_t):
+        super().__init__(CONSTANT_ONE)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a_t", a_t)
+
+    def reduced_a(self, y, t):
+        return np.broadcast_to(self.a(y, t), np.broadcast(y, t).shape).copy()
+
+    def reduced_a_t(self, y, t):
+        return np.broadcast_to(self.a_t(y, t),
+                               np.broadcast(y, t).shape).copy()
 
 
 @pytest.fixture

@@ -419,13 +419,24 @@ def test_poincare_runner_rejects_configs_it_cannot_check(tmp_path, payload):
     assert cli.main(["run", path]) == 2
 
 
-def test_spectral_runner_constancy(tmp_path):
+@pytest.mark.parametrize("domain, K", [
+    (None, 12),
+    ({"kind": "rectangle", "x_min": 0, "x_max": np.pi,
+      "z_min": 0, "z_max": np.pi}, 16),
+], ids=["interval", "rectangle"])
+def test_spectral_runner_constancy(tmp_path, domain, K):
+    # K is the battery's for the run's cross-section, also when a domain
+    # overrides the preset's interval
     path = _write_config(tmp_path, "spec.json", {
         "experiment": "Spectral", "preset": "sneumann-constancy",
+        **({"domain": domain} if domain else {}),
         "output_dir": str(tmp_path / "out")})
     assert cli.main(["run", path]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["overall"] == "pass"
+    coeffs = np.loadtxt(tmp_path / "out" / "final_coefficients.csv",
+                        delimiter=",")
+    assert coeffs.size == K
 
 
 def test_counterexample_runner_writes_profile(tmp_path):

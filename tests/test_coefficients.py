@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import FormulaModel
 from hypothesis import given, settings, strategies as st
 
 from cylreact.coefficients import (
@@ -136,13 +137,19 @@ def _structural_loop(model, y_samples, t_samples):
     return witness is None, bound, limit, witness
 
 
+def _sqrt_slope(y, t, h=1e-6):
+    """d/dt sqrt(t) as a one-sided quotient: finite at t = 0, where the
+    analytic slope is not."""
+    return (np.sqrt(t + h) - np.sqrt(t)) / h
+
+
 @pytest.mark.parametrize("model", [
     CoefficientModel.power_weight(0.3),
     CoefficientModel.power_weight_p_laplace(-0.2, 3.0),
     CoefficientModel.mean_curvature_weight(-0.4),
     CoefficientModel.exp_y(),
-    CoefficientModel.custom(lambda y, t: 1.0 - t * y / 3.0),
-    CoefficientModel.custom(lambda y, t: 1.0 + np.sqrt(t) + 0.0 * y),
+    FormulaModel(lambda y, t: 1.0 - t * y / 3.0, lambda y, t: -y / 3.0),
+    FormulaModel(lambda y, t: 1.0 + np.sqrt(t), _sqrt_slope),
 ], ids=["power_weight", "p_laplace", "mean_curvature", "exp_y",
         "custom_failing", "custom_sqrt"])
 def test_structural_sweep_matches_sample_loop(model):
@@ -156,8 +163,8 @@ def test_structural_sweep_matches_sample_loop(model):
 def test_structural_witness_is_first_failure_in_y_major_order():
     # a + t a_t = 1 - 2 t y fails where t y >= 1/2: at y = 1 from t = 0.5,
     # at y = 2 already from t = 0.25, but y = 1 comes first
-    m = CoefficientModel.custom(lambda y, t: 1.0 + 0.0 * t * y,
-                                lambda y, t: -2.0 * y + 0.0 * t)
+    m = FormulaModel(lambda y, t: 1.0 + 0.0 * t * y,
+                     lambda y, t: -2.0 * y + 0.0 * t)
     rep = check_structural(m, y_samples=[0.1, 1.0, 2.0],
                            t_samples=[0.0, 0.25, 0.5, 1.0])
     assert not rep.ellipticity_ok
@@ -167,8 +174,9 @@ def test_structural_witness_is_first_failure_in_y_major_order():
 
 
 def test_structural_limit_probe_catches_nonvanishing_t_a_t():
-    # a = 1 + sqrt(t): t a_t = sqrt(t) / 2 is 5e-5 at t = 1e-8
-    rep = check_structural(CoefficientModel.custom(
-        lambda y, t: 1.0 + np.sqrt(t)))
+    # a = 1 + sqrt(t): t a_t = sqrt(t) / 2 is 5e-5 at t = 1e-8 (9e-6 by
+    # the one-sided quotient)
+    rep = check_structural(FormulaModel(lambda y, t: 1.0 + np.sqrt(t),
+                                        _sqrt_slope))
     assert rep.ellipticity_ok
     assert not rep.limit_zero_ok

@@ -78,9 +78,10 @@ def test_build_grid_overrides():
     assert g_default.nx == 33 and g_default.ny == 65
     assert g_default.y_max == pytest.approx(2.0)
     assert g_default.grading == pytest.approx(0.5)
-    g = p.build_grid(nx=9, ny=11, y_max=1.0)
-    assert g.nx == 9 and g.ny == 11 and g.y_max == pytest.approx(1.0)
-    assert g.grading == pytest.approx(0.5)  # grading carried from the preset
+    g = p.build_grid(nx=9, ny=11)
+    assert g.nx == 9 and g.ny == 11
+    # y_max and grading carried from the preset
+    assert g.y_max == pytest.approx(2.0) and g.grading == pytest.approx(0.5)
 
 
 def test_one_dim_family_profile_formula():
@@ -115,14 +116,6 @@ def test_extremum_battery_filter():
     assert names == EXPECTED_NAMES
     for p in battery:
         assert p.reaction().g is None
-
-
-def test_spectral_modes_only_on_spectral_preset():
-    for p in presets.PRESETS:
-        if p.name == "sneumann-constancy":
-            assert p.spectral_modes == 12
-        else:
-            assert p.spectral_modes == 0
 
 
 def test_model_and_reaction_factories_fresh_instances():

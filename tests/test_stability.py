@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from conftest import FormulaModel
 from cylreact import forms, presets, solver, stability
 from cylreact.coefficients import CoefficientModel
 from cylreact.cylinder import CylinderField, DomainSpec, build_grid
@@ -54,7 +55,8 @@ def test_quartet_labels_under_refinement(name, n, y_scale):
     # the labels are not artefacts of one grid or one truncation height:
     # mu1 keeps the expected sign on coarser grids and a doubled y_max
     p = presets.get_preset(name)
-    grid = p.build_grid(nx=n, ny=n, y_max=p.y_max * y_scale)
+    grid = build_grid(p.domain, nx=n, ny=n, y_max=p.y_max * y_scale,
+                      grading=p.grading)
     rep = stability.classify(p.exact_state(grid), p.model_factory(),
                              p.reaction_factory())
     sign = {stability.STABLE: 1.0, stability.UNSTABLE: -1.0}
@@ -202,11 +204,10 @@ def test_pinned_solve_and_classify_share_one_free_block(monkeypatch):
 
 
 def test_structural_gate_rejects_bad_model():
-    from cylreact.coefficients import CoefficientModel
     p, grid, u = _preset_state("grow-cos-stable", nx=9, ny=9)
     # a(y, t) that turns negative on the solution's range fails ellipticity
-    bad = CoefficientModel.custom(lambda y, t: -np.ones_like(np.asarray(y, float)))
-    with pytest.raises(ValueError):
+    bad = FormulaModel(lambda y, t: -np.ones_like(y), lambda y, t: 0.0 * t)
+    with pytest.raises(ValueError, match="fails ellipticity"):
         stability.assemble_I(u, bad, p.reaction_factory())
 
 
