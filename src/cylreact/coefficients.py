@@ -102,6 +102,20 @@ class CoefficientModel:
             return False
         return True
 
+    def reciprocal_integral(self, y):
+        """int_0^y dz / a(z, 0), in closed form; y = inf is allowed.
+
+        Every family but exp_y has ahat(0) = 1, so the integral is
+        y**(1 - theta) / (1 - theta) and diverges as y -> inf.  With
+        a = e^y it is 1 - e^{-y}, finite at infinity: u = e^{-y} is then a
+        bounded stable state with f = 1 > 0, so the extremum-sign conclusion,
+        which needs the divergence, does not apply.
+        """
+        y = np.asarray(y, dtype=float)
+        if self.kind == EXP_Y:
+            return -np.expm1(-y)
+        return y ** (1.0 - self.y_exponent) / (1.0 - self.y_exponent)
+
     # -- reduced evaluations (y-power factored out) -------------------------
 
     def reduced_a(self, y, t):

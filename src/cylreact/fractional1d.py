@@ -529,12 +529,13 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
     passes criterion 10.  So choosing M needs a root certificate; the
     M = 8 refit is not dead weight to drop.
 
-    The derivative of the composed function is scanned outward from the
-    inner band edge, on [1 + eps/11, 1 + 4 eps/11] and its mirror, for the
-    first sign change.  The band slopes would force one if the band misfit
-    were below 1; at eps = 0.5 it is about 759, so the roots are found,
-    not forced, and `band_c2_residual` says how far the fit is from the
-    forcing regime.
+    The roots are those of the cubic spline's derivative, a piecewise
+    quadratic, taken in closed form cell by cell (PPoly.solve).  delta2 is
+    the root in [1 + eps/11, 1 + 4 eps/11] nearest the inner band edge,
+    minus 1, and delta1 likewise from the mirror interval.  The band
+    slopes would force a root if the band misfit were below 1; at
+    eps = 0.5 it is about 759, so the roots are found, not forced, and
+    `band_c2_residual` says how far the fit is from the forcing regime.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("need eps in (0, 1)")
@@ -583,32 +584,21 @@ def construct_counterexample(h_callable, eps: float, s: float = 0.5,
         M_cur *= 2.0
 
     from scipy.interpolate import CubicSpline
-    from scipy.optimize import brentq
 
     op, w, c2_res, band_res, M_used = best
     x = op.x
-    dspline = CubicSpline(x, w).derivative()
-
-    def find_root(start, stop):
-        """First derivative sign change scanning from start towards stop."""
-        ts = np.linspace(start, stop, 400)
-        dv = dspline(ts)
-        sign_change = np.flatnonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)
-        if sign_change.size == 0:
-            return None
-        k = sign_change[0]
-        return brentq(dspline, *sorted((ts[k], ts[k + 1])))
+    roots = CubicSpline(x, w).derivative().solve(0.0, extrapolate=False)
+    right = roots[(roots >= 1.0 + b) & (roots <= 1.0 + 4.0 * b)]
+    left = roots[(roots >= -1.0 - 4.0 * b) & (roots <= -1.0 - b)]
 
     stats = {"tikhonov": FIT_TIKHONOV, "trail": trail}
-    right = find_root(1.0 + b, 1.0 + 4.0 * b)
-    left = find_root(-1.0 - b, -1.0 - 4.0 * b)
-    if right is None or left is None:
+    if right.size == 0 or left.size == 0:
         raise NoRootError(
             "no derivative sign change in the band interval "
             f"(C2 residual {c2_res:.3e}, band residual {band_res:.3e})",
             c2_residual=c2_res, band_c2_residual=band_res, stats=stats)
-    delta2 = right - 1.0
-    delta1 = -left - 1.0
+    delta2 = float(right.min()) - 1.0
+    delta1 = -float(left.max()) - 1.0
 
     res_idx = np.flatnonzero((x > -1.0 - delta1) & (x < 1.0 + delta2))
     Tw = _toeplitz_product(_toeplitz_column(op), w)

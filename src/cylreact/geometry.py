@@ -240,50 +240,31 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def tau_ramp(z: float, R: float) -> float:
-    """C^2 plateau function: 0 below sqrt(R), 1 on [sqrt(R)+1, R-1],
-    0 above R, with unit-width quintic ramps."""
-    lo = np.sqrt(R)
-    if z <= lo or z >= R:
-        return 0.0
-    if z < lo + 1.0:
-        return float(_smoothstep(np.array(z - lo)))
-    if z > R - 1.0:
-        return float(_smoothstep(np.array(R - z)))
-    return 1.0
-
-
 def log_cutoff(R: float, grid: CylinderGrid) -> CylinderField:
     """The logarithmic cutoff psi_R(y) = int_y^R tau_R(z)/z dz on the grid.
 
-    tau_R ramps from 0 to 1 across [sqrt(R), sqrt(R)+1] and back down
+    tau_R ramps from 0 to 1 across [sqrt(R), sqrt(R)+1] by the quintic
+    smoothstep, is 1 on the plateau [sqrt(R)+1, R-1] and ramps back down
     across [R-1, R]; psi_R is constant (about log(sqrt R)) below sqrt(R)
-    and vanishes for y >= R.
+    and vanishes for y >= R.  The plateau part is the exact log; each ramp
+    part is 10-point Gauss-Legendre over the part of the ramp above y,
+    exact to round-off because 1/z barely varies across a unit ramp at
+    z > 10.  Rows are summed by .sum, not a BLAS product, so the profile
+    does not depend on the thread count.
     """
     if not R > 100.0:
         raise ValueError("need R > 100")
-    if not np.sqrt(R) + 1.0 < R - 1.0:
-        raise ValueError("R too small for unit-width ramps")
-    from scipy.integrate import quad
-
+    lo = np.sqrt(R)
     y = grid.y_nodes
-    profile = np.zeros_like(y)
-    corners = (np.sqrt(R), np.sqrt(R) + 1.0, R - 1.0, R)
-    # integrate from the top down so each node extends the previous segment
-    prev_y, acc = float(R), 0.0
-    for j in range(y.size - 1, -1, -1):
-        yj = float(y[j])
-        if yj >= R:
-            continue
-        lo = max(yj, 1e-300)
-        # hand the quadrature the ramp corners inside the segment: on a
-        # segment much wider than the unit ramps, adaptive subdivision
-        # alone can integrate straight past them
-        pts = [c for c in corners if lo < c < prev_y]
-        seg, _ = quad(lambda z: tau_ramp(z, R) / z, lo, prev_y, limit=200,
-                      points=pts or None)
-        acc += seg
-        profile[j] = acc
-        prev_y = lo
+    t, w = np.polynomial.legendre.leggauss(10)
+
+    def ramp(a, b, tau):
+        half = 0.5 * (b - a)[:, None]
+        z = 0.5 * (a + b)[:, None] + half * t
+        return (half * w * _smoothstep(tau(z)) / z).sum(axis=1)
+
+    profile = (ramp(np.clip(y, lo, lo + 1.0), lo + 1.0, lambda z: z - lo)
+               + np.log((R - 1.0) / np.clip(y, lo + 1.0, R - 1.0))
+               + ramp(np.clip(y, R - 1.0, R), R, lambda z: R - z))
     vals = np.broadcast_to(profile, grid.shape).copy()
     return CylinderField(grid, vals)

@@ -9,12 +9,10 @@ with the metadata the checking layers gate on:
 * ``bounded_below`` — whether the exact state stays bounded below on the
   untruncated half-cylinder (the truncated grid minimum is meaningless
   for states that keep decreasing in y).
-* ``reciprocal_a_integral_diverges`` — whether the integral of
-  1/a(y, 0) over (0, inf) diverges.  The extremum-sign conclusion
-  (reaction nonpositive at the infimum, infimum on the bottom) needs this
-  divergence: with a = e^y the integral is finite and u = e^{-y} is a
-  bounded stable state with f = 1 > 0, so the conclusion is genuinely
-  not applicable there.
+
+The extremum-sign conclusion (reaction nonpositive at the infimum,
+infimum on the bottom) also needs int_0^inf dz/a(z, 0) to diverge; that
+hypothesis is read off the model, ``CoefficientModel.reciprocal_integral``.
 
 The anchor strings are opaque report payload consumed by the reporting
 layer; every record either cites one or carries the literal "plumbing".
@@ -53,7 +51,6 @@ class Preset:
     one_dim_c: float = 0.0
     expected_classification: str | None = None
     bounded_below: bool = False
-    reciprocal_a_integral_diverges: bool = False
 
     def build_grid(self, nx: int | None = None,
                    ny: int | None = None) -> CylinderGrid:
@@ -93,7 +90,6 @@ PRESETS: tuple[Preset, ...] = (
         catalog_name=solver.LINEAR_Y,
         expected_classification="Stable",
         bounded_below=True,
-        reciprocal_a_integral_diverges=True,
     ),
     Preset(
         name="exp-decay",
@@ -107,7 +103,6 @@ PRESETS: tuple[Preset, ...] = (
         catalog_name=solver.EXP_DECAY,
         expected_classification="Stable",
         bounded_below=True,
-        reciprocal_a_integral_diverges=False,
     ),
     Preset(
         name="grow-cos-stable",
@@ -120,7 +115,6 @@ PRESETS: tuple[Preset, ...] = (
         catalog_name=solver.GROW_COS,
         expected_classification="Stable",
         bounded_below=False,
-        reciprocal_a_integral_diverges=True,
     ),
     Preset(
         name="decay-cos-unstable",
@@ -133,7 +127,6 @@ PRESETS: tuple[Preset, ...] = (
         catalog_name=solver.DECAY_COS,
         expected_classification="Unstable",
         bounded_below=True,
-        reciprocal_a_integral_diverges=True,
     ),
     Preset(
         name="const-one",
@@ -146,7 +139,6 @@ PRESETS: tuple[Preset, ...] = (
         catalog_name=solver.CONSTANT_ONE,
         expected_classification="Stable",
         bounded_below=True,
-        reciprocal_a_integral_diverges=True,
     ),
     Preset(
         name="one-dim-family",
@@ -161,7 +153,6 @@ PRESETS: tuple[Preset, ...] = (
         one_dim_c=1.0,
         expected_classification=None,
         bounded_below=False,
-        reciprocal_a_integral_diverges=True,
     ),
     Preset(
         name="sneumann-constancy",
@@ -175,7 +166,6 @@ PRESETS: tuple[Preset, ...] = (
         catalog_name=None,
         expected_classification=None,
         bounded_below=True,
-        reciprocal_a_integral_diverges=True,
     ),
 )
 

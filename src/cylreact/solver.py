@@ -431,7 +431,8 @@ def catalog_solution(name: str, grid: CylinderGrid, model=None, reaction=None,
     exp-decay: u = e^{-y}, a = e^y, g = 0, f = 1.
     constant-one: u = 1, a = 1, g = 0, f(u) = 1 - u.
     one-dim-family: u(y) = c - f(c) int_0^y dz/a(z, 0), for y-only
-      coefficients; needs model and reaction, and a locally integrable 1/a.
+      coefficients; needs model and reaction.  The integral is
+      model.reciprocal_integral, in closed form.
     """
     coords = grid.coordinate_arrays()
     y = coords[-1]
@@ -449,37 +450,11 @@ def catalog_solution(name: str, grid: CylinderGrid, model=None, reaction=None,
     if name == ONE_DIM_FAMILY:
         if model is None or reaction is None:
             raise ValueError("one-dim-family needs model and reaction")
-        if model.y_exponent >= 1.0:
-            raise ValueError("1/a is not integrable near y = 0")
         fc = float(reaction.f(np.asarray([c]))[0])
-        profile = _one_dim_profile(model, fc, c, grid.y_nodes)
+        profile = c - fc * model.reciprocal_integral(grid.y_nodes)
         vals = np.broadcast_to(profile, grid.shape).copy()
         return CylinderField(grid, vals)
     raise ValueError(f"unknown catalog solution {name!r}")
-
-
-def _one_dim_profile(model: CoefficientModel, fc: float, c: float,
-                     y_nodes: np.ndarray) -> np.ndarray:
-    """c - fc * int_0^y dz / a(z, 0) by adaptive quadrature, cell by cell."""
-    if fc == 0.0:
-        return np.full_like(y_nodes, c)
-    import scipy.integrate
-
-    def inv_a(z):
-        return 1.0 / (model.reduced_a(np.asarray([z]), np.asarray([0.0]))[0]
-                      * z ** model.y_exponent)
-
-    vals = np.empty_like(y_nodes)
-    vals[0] = c
-    acc = 0.0
-    for j in range(1, y_nodes.size):
-        seg, _ = scipy.integrate.quad(inv_a, y_nodes[j - 1], y_nodes[j],
-                                      limit=200)
-        if not np.isfinite(seg):
-            raise ValueError("1/a is not integrable on the requested range")
-        acc += seg
-        vals[j] = c - fc * acc
-    return vals
 
 
 def extremum_sign_check(u: CylinderField, reaction: ReactionSpec) -> dict:

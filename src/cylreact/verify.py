@@ -501,14 +501,13 @@ def criterion_11() -> CheckRecord:
         report = solver.solve_newton(model, reaction, grid, exact,
                                      top_bc=solver.pinned_top(exact))
         label = stability.classify(report.u, model, reaction).classification
+        diverges = bool(np.isinf(model.reciprocal_integral(np.inf)))
         row = {"preset": preset.name, "converged": report.converged,
                "classification": label,
                "bounded_below": preset.bounded_below,
-               "reciprocal_integral_diverges":
-                   preset.reciprocal_a_integral_diverges}
+               "reciprocal_integral_diverges": diverges}
         gated = (report.converged and label == "Stable"
-                 and preset.bounded_below
-                 and preset.reciprocal_a_integral_diverges)
+                 and preset.bounded_below and diverges)
         if not gated:
             row["status"] = NOT_APPLICABLE
             rows.append(row)

@@ -6,6 +6,7 @@ from conftest import FormulaModel
 from hypothesis import given, settings, strategies as st
 
 from cylreact.coefficients import (
+    FAMILIES,
     CoefficientModel,
     check_structural,
     eigvals_B_closed_form,
@@ -26,6 +27,24 @@ def test_power_weight_theta_range_enforced():
         CoefficientModel.power_weight(1.0)
     with pytest.raises(ValueError):
         CoefficientModel.power_weight(-1.0)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@pytest.mark.parametrize("theta", [-0.9, -0.5, 0.0, 0.5, 0.9])
+def test_reciprocal_integral_matches_quadrature(kind, theta):
+    from scipy.integrate import quad
+    m = CoefficientModel(kind, theta=theta, p=3.0)
+
+    def inv_a(z):
+        return 1.0 / (float(m.reduced_a(z, 0.0)) * z ** m.y_exponent)
+
+    ys = np.array([0.0, 0.3, 1.0, 2.5, 7.0])
+    ref = [quad(inv_a, 0.0, y, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+           for y in ys]
+    assert np.allclose(m.reciprocal_integral(ys), ref, rtol=1e-9, atol=0.0)
+    # the extremum-sign hypothesis: 1/a fails to be integrable at infinity
+    # for every family but a = e^y
+    assert np.isinf(m.reciprocal_integral(np.inf)) == (kind != "exp_y")
 
 
 def test_p_laplace_requires_p_above_one():

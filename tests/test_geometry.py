@@ -26,15 +26,30 @@ def test_log_cutoff_constant_below_sqrt_R():
     assert np.allclose(psi.values, 4.600134411045899, rtol=1e-10)
 
 
+def _tau_ramp(z, R):
+    """The cutoff's C^2 plateau function, one point at a time: 0 below
+    sqrt(R), 1 on [sqrt(R)+1, R-1], 0 above R, quintic unit ramps."""
+    def step(t):
+        return t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
+    lo = np.sqrt(R)
+    if z <= lo or z >= R:
+        return 0.0
+    if z < lo + 1.0:
+        return step(z - lo)
+    if z > R - 1.0:
+        return step(R - z)
+    return 1.0
+
+
 def test_log_cutoff_independent_quadrature():
-    # piecewise: exact log on the plateau plus quadrature over each
-    # unit-width ramp (a single adaptive pass misses the narrow ramps)
+    # piecewise: exact log on the plateau plus adaptive quadrature over
+    # each unit-width ramp (a single adaptive pass misses the narrow ramps)
     from scipy.integrate import quad
     R = 1e4
     lo = np.sqrt(R)
-    up_ramp, _ = quad(lambda z: geometry.tau_ramp(z, R) / z, lo, lo + 1.0)
+    up_ramp, _ = quad(lambda z: _tau_ramp(z, R) / z, lo, lo + 1.0)
     plateau = np.log((R - 1.0) / (lo + 1.0))
-    down_ramp, _ = quad(lambda z: geometry.tau_ramp(z, R) / z, R - 1.0, R)
+    down_ramp, _ = quad(lambda z: _tau_ramp(z, R) / z, R - 1.0, R)
     val = up_ramp + plateau + down_ramp
     grid = presets.get_preset("grow-cos-stable").build_grid(nx=9, ny=17)
     psi = geometry.log_cutoff(R, grid)
@@ -55,21 +70,6 @@ def test_log_cutoff_validation():
     grid = presets.get_preset("grow-cos-stable").build_grid(nx=5, ny=9)
     with pytest.raises(ValueError):
         geometry.log_cutoff(50.0, grid)
-
-
-def test_tau_ramp_plateau_and_support():
-    R = 400.0
-    lo = np.sqrt(R)
-    assert geometry.tau_ramp(lo - 1.0, R) == 0.0
-    assert geometry.tau_ramp(lo, R) == 0.0
-    assert geometry.tau_ramp(lo + 1.0, R) == pytest.approx(1.0)
-    assert geometry.tau_ramp(0.5 * (lo + R), R) == 1.0
-    assert geometry.tau_ramp(R - 1.0, R) == pytest.approx(1.0)
-    assert geometry.tau_ramp(R, R) == 0.0
-    assert geometry.tau_ramp(R + 5.0, R) == 0.0
-    zs = np.linspace(lo - 2.0, R + 2.0, 500)
-    vals = np.array([geometry.tau_ramp(z, R) for z in zs])
-    assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
 # ---------------------------------------------------------------------------

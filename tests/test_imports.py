@@ -1,7 +1,9 @@
-"""Import budget: a cylreact process loads scipy's integrate, interpolate,
-optimize and special subpackages only in the routines that call them, and
-those routines still import what they need; it never loads sympy, not even
-for a symbolic reaction.  Every name in ``cylreact.__all__`` resolves."""
+"""Import budget: a cylreact process loads scipy's interpolate subpackage
+(and the optimize it pulls in) only in the fractional routines that call
+it, and those routines still import what they need; it never loads
+scipy.integrate, whose integrals all have closed forms here, nor sympy,
+not even for a symbolic reaction.  Every name in ``cylreact.__all__``
+resolves."""
 
 import json
 import os
@@ -68,6 +70,29 @@ def test_symbolic_reaction_solve_leaves_sympy_unloaded(tmp_path):
     assert out.stdout.split() == ["0", "False"]
 
 
+def test_closed_form_routines_leave_scipy_integrate_unloaded():
+    # scipy.optimize is not asserted on: scipy.interpolate imports it
+    probe = """
+import sys
+import numpy as np
+from cylreact import fractional1d as fr, geometry, solver
+from cylreact.coefficients import CoefficientModel
+from cylreact.cylinder import DomainSpec, build_grid
+grid = build_grid(DomainSpec.interval(0.0, np.pi), nx=3, ny=9, y_max=300.0,
+                  grading=0.5)
+solver.catalog_solution("one-dim-family", grid,
+                        model=CoefficientModel.power_weight(-0.5),
+                        reaction=solver.ReactionSpec.linear(1.0), c=1.0)
+geometry.log_cutoff(200.0, grid)
+fr.construct_counterexample(lambda x: np.zeros_like(np.asarray(x)), 0.5,
+                            fit_nodes=129)
+print("scipy.integrate" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
+
+
 def test_star_import_resolves_every_public_name():
     import cylreact
     namespace = {}
@@ -76,8 +101,9 @@ def test_star_import_resolves_every_public_name():
     assert set(cylreact.__all__) <= namespace.keys()
 
 
-# Each routine below imports its scipy dependency on first call; the frozen
-# values were computed with module-level imports and must not move.
+# The frozen values below were computed by adaptive scipy quadrature and
+# root-finding (quad, brentq); the closed forms that replaced them must
+# reproduce them at the same tolerances.
 
 def test_one_dim_family_profile_unchanged():
     grid = build_grid(DomainSpec.interval(0.0, np.pi), nx=3, ny=9, y_max=2.0,

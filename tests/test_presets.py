@@ -97,7 +97,8 @@ def test_one_dim_family_profile_formula():
 
 
 def test_applicability_flags():
-    flags = {p.name: (p.bounded_below, p.reciprocal_a_integral_diverges)
+    flags = {p.name: (p.bounded_below,
+                      bool(np.isinf(p.model().reciprocal_integral(np.inf))))
              for p in presets.PRESETS}
     # e^y coefficient: 1/a integrable, so the divergence flag is off
     assert flags["exp-decay"] == (True, False)
